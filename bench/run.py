@@ -4,12 +4,13 @@
 
 Run from the repository root.  The last line of standard output is one
 JSON object {"correct", "attempted", "failed", "metrics"}: with --trace 0
-the end-to-end metrics, with --trace 1 the per-layer metrics of one traced
-repetition.  The line before it holds the details: provenance, each
-repetition's solve report or scoring counts, and the per-workload metrics
-of bench/DESIGN.md where they apply.  Traced runs also write their spans to
-bench/traces/.  See bench/DESIGN.md for why the workloads and metrics are
-what they are.
+the end-to-end metrics, with --trace 1 the per-layer metrics of one
+traced repetition after the untraced ones, with the tracing overhead
+estimated from the cost of one traced call.  The line before it holds
+the details: provenance, each repetition's solve report or scoring
+counts, and the per-workload metrics of bench/DESIGN.md where they apply.
+Traced runs also write their spans to bench/traces/.  See bench/DESIGN.md
+for why the workloads and metrics are what they are.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ import resource  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import time  # noqa: E402
+import types  # noqa: E402
 import platform  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -135,9 +137,35 @@ def traced_run(workload, inp):
     return outcome, tracer.spans
 
 
-def layer_metrics(span_list, outcome, overhead_s):
-    """The per-layer metrics of one traced repetition."""
+def traced_call_cost_s(calls=10000, batches=5):
+    """Wall time that tracing adds to one call: a traced no-op against the
+    bare one, fastest of several batches each."""
+    target = types.SimpleNamespace(noop=lambda: None)
+
+    def batch():
+        t0 = time.perf_counter()
+        for _ in range(calls):
+            target.noop()
+        return time.perf_counter() - t0
+
+    bare = min(batch() for _ in range(batches))
+    with spans.Tracer() as tracer:
+        tracer.wrap(target, "noop", "noop")
+        traced = min(batch() for _ in range(batches))
+    return (traced - bare) / calls
+
+
+def layer_metrics(span_list, outcome, call_cost_s):
+    """The per-layer metrics of one traced repetition.
+
+    The tracing overhead is the number of spans recorded times the cost
+    of one traced call: over the solve, and for the median scored segment
+    (its covariance subtree plus one normalize_covariance and one score).
+    """
     summary = spans.summarize(span_list)
+    per_segment = spans.subtree_sizes(span_list, "metrics.segment_marginal_covariance")
+    solve_overhead_s = sum(spans.subtree_sizes(span_list, "problem.solve")) * call_cost_s
+    score_overhead_ms = 1e3 * (statistics.median(per_segment) + 2) * call_cost_s if per_segment else 0.0
 
     def get(name, key):
         return summary.get(name, {}).get(key, 0.0)
@@ -200,7 +228,8 @@ def layer_metrics(span_list, outcome, overhead_s):
         "metrics.segment_marginal_covariance.self_s": (get("metrics.segment_marginal_covariance", "self_s"), "s"),
         "metrics.score.s": (get("metrics.score", "s"), "s"),
         "metrics.rank_deficient": (outcome.details.get("rank_deficient", 0), "count"),
-        "trace.overhead_s": (overhead_s, "s"),
+        "trace.overhead.solve_s": (solve_overhead_s, "s"),
+        "trace.overhead.score_ms_p50": (score_overhead_ms, "ms"),
     }
     return {k: {"value": float(v), "unit": u} for k, (v, u) in out.items()}
 
@@ -258,15 +287,14 @@ def main(argv=None):
         "runs": [dict(o.details, setup_s=o.setup_s, compute_s=o.compute_s) for o in outcomes],
     }
     if args.trace:
-        # the untraced twin runs right before the traced one, on the same
-        # input, so that host speed drifts little between the two
-        gc.collect()
-        twin = workload.run(inp, check=False)
         gc.collect()
         outcome, span_list = traced_run(workload, inp)
-        attempted += twin.attempted + outcome.attempted
-        failed += twin.failed + outcome.failed
-        metrics_out = layer_metrics(span_list, outcome, outcome.compute_s - twin.compute_s)
+        attempted += outcome.attempted
+        failed += outcome.failed
+        call_cost_s = traced_call_cost_s()
+        metrics_out = layer_metrics(span_list, outcome, call_cost_s)
+        details["traced_run"] = dict(outcome.details, setup_s=outcome.setup_s, compute_s=outcome.compute_s)
+        details["traced_call_cost_s"] = call_cost_s
         out_dir = BENCH_DIR / "traces"
         out_dir.mkdir(exist_ok=True)
         path = out_dir / ("%s-seed%d.json" % (args.workload, args.seed))

@@ -111,7 +111,7 @@ def _velocity0(phase, speed):
     return _AMP * _FREQ * np.cos(phase) + np.array([speed, 0.0, 0.0])
 
 
-def make_session(seed, n_keyframes, steps, corridor=False, n_landmarks=120, noisy=True, density=10.0):
+def make_session(seed, n_keyframes, steps, corridor=False, n_landmarks=120, noisy=True, density=10.0, rotation_scale=1.0):
     """Simulate one session.
 
     steps: IMU sample steps per keyframe interval, an int or an inclusive
@@ -119,6 +119,7 @@ def make_session(seed, n_keyframes, steps, corridor=False, n_landmarks=120, nois
     on a shell around a bounded trajectory; corridor=True walks along +x at
     1.5 m/s with `density` landmarks per metre on the corridor walls, floor
     and ceiling.  Landmarks seen from fewer than two keyframes are dropped.
+    rotation_scale multiplies the angular rates of the motion profile.
     """
     rng = np.random.default_rng(seed)
     calib = true_calibration()
@@ -138,7 +139,7 @@ def make_session(seed, n_keyframes, steps, corridor=False, n_landmarks=120, nois
     # and keyframe spacing, not how well the session excites the calibration
     phase = np.array([0.3, 1.2, 2.0])
     speed = 1.5 if corridor else 0.0
-    omegas = np.stack([_rates(t, phase) for t in ts])
+    omegas = rotation_scale * np.stack([_rates(t, phase) for t in ts])
     accels = np.stack([_accel(t, phase) for t in ts])
     q0 = UnitQuaternion.from_rotation_vector(np.array([0.05, -0.03, 0.08]))
     R = np.empty((n_samples, 3, 3))

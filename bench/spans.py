@@ -109,3 +109,16 @@ def summarize(spans):
         row["self_s"] += t
         row["size"] += s.size
     return dict(out)
+
+
+def subtree_sizes(spans, name):
+    """Per top-level span called `name`: the number of spans in its subtree,
+    itself included."""
+    sizes = defaultdict(int)
+    for i in range(len(spans)):
+        root = i
+        while spans[root].parent >= 0:
+            root = spans[root].parent
+        if spans[root].name == name:
+            sizes[root] += 1
+    return [sizes[i] for i in sorted(sizes)]

@@ -80,6 +80,12 @@ class TestSpans:
         assert out["x"] == pytest.approx({"calls": 2, "s": 3.0, "self_s": 2.5, "size": 7.0})
         assert spans.within(s, 1, "x") and not spans.within(s, 2, "x")
 
+    def test_subtree_sizes_count_each_top_level_span_and_its_descendants(self):
+        S = spans.Span
+        s = [S("x", 0, 4, -1, 0), S("y", 1, 2, 0, 0), S("z", 1, 1.5, 1, 0), S("w", 5, 6, -1, 0), S("x", 7, 8, -1, 0)]
+        assert spans.subtree_sizes(s, "x") == [3, 1]
+        assert spans.subtree_sizes(s, "y") == []
+
     def test_tracer_records_nesting_and_restores(self):
         mod = types.SimpleNamespace()
         mod.inner = lambda v: v + 1
@@ -93,6 +99,28 @@ class TestSpans:
         names = [(sp.name, sp.parent, sp.size) for sp in tr.spans]
         assert names == [("m.outer", -1, 0.0), ("m.inner", 0, 4.0)]
         assert tr.spans[0].start <= tr.spans[1].start <= tr.spans[1].end <= tr.spans[0].end
+
+
+class TestBudgetChecks:
+    @staticmethod
+    def report(iterations, accepted, reason, converged):
+        costs = [100.0 - k for k in range(accepted + 1)]
+        return P.SolveReport(iterations, costs[0], costs[-1], converged, reason, cost_history=costs)
+
+    def test_full_budget_passes(self):
+        n = run.workloads.LM_BUDGET.max_iters
+        assert run.workloads.budget_problems(self.report(n, n, "max_iters", False)) == []
+
+    def test_converged_with_a_final_stalled_iteration_passes(self):
+        reason = "no cost-decreasing step within the damping limit"
+        assert run.workloads.budget_problems(self.report(4, 3, reason, True)) == []
+
+    def test_early_stop_without_convergence_fails(self):
+        assert run.workloads.budget_problems(self.report(1, 1, "max_iters", False))
+
+    def test_rejected_iteration_fails(self):
+        n = run.workloads.LM_BUDGET.max_iters
+        assert run.workloads.budget_problems(self.report(n, n - 1, "max_iters", False))
 
 
 def test_fastest_sums_each_items_best_time():
