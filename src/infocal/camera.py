@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Transform, compose, invert, quat_to_matrix, so3_hat
+from .geometry import Transform, compose, quat_to_matrix, so3_hat
 
 SERIES_SWITCH_R = 1e-4
 
@@ -258,7 +258,3 @@ def camera_factor_blocks(q_GI, p_GI, R_CI, p_CI, l_G, intr: CameraIntrinsics):
         np.where(mm, J_intr, 0.0),
     )
 
-
-def pose_inverse(T_GI: Transform) -> Transform:
-    """Convenience: keyframe state pose to the T_IG predict_observation wants."""
-    return invert(T_GI)

@@ -10,21 +10,30 @@ misalignment, R_AI rotates the accelerometer triad relative to the gyro
 frame, and g_G = (0, 0, -gravity_magnitude) in the gravity-aligned global
 frame.  Biases follow independent random walks.
 
-Preintegration integrates corrected samples over one keyframe interval with
-the midpoint rule.  The stored delta_velocity / delta_position include the
-nominal-gravity contribution evaluated as if the interval started at
-identity attitude, so a static interval integrates to exactly zero deltas;
-inertial_error removes that contribution again using its gravity argument
-before comparing against the state difference.  The 9x9 covariance (rot,
-vel, pos) and the first-order sensitivities to the bias linearization point
-and to the IMU intrinsics are propagated step by step alongside the deltas.
+Preintegration integrates corrected samples over keyframe intervals with
+the midpoint rule, in one recursion batched over intervals of equal sample
+count (preintegrate_intervals; preintegrate is a batch of one).  The stored
+delta_velocity / delta_position include the nominal-gravity contribution
+evaluated as if the interval started at identity attitude, so a static
+interval integrates to exactly zero deltas; inertial_error removes that
+contribution again using its gravity argument before comparing against the
+state difference.  The 9x9 covariance (rot, vel, pos) and the first-order
+sensitivities to the bias linearization point and to the IMU intrinsics are
+propagated step by step alongside the deltas.
+
+The noise model of the 15-dim inertial residual (preintegration covariance,
+then the gyro- and accel-bias random walks over the interval, in residual
+row order) is defined once, by inertial_sqrt_information; inertial_weight
+and every whitened inertial block derive from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .geometry import (
     UnitQuaternion,
@@ -165,7 +174,7 @@ class PreintegratedImu:
     (s_g, s_a, m_g, m_a, accelerometer rotation).
     """
 
-    delta_rotation: UnitQuaternion
+    delta_rotation_matrix: np.ndarray
     delta_velocity: np.ndarray
     delta_position: np.ndarray
     duration: float
@@ -174,53 +183,14 @@ class PreintegratedImu:
     bias_jacobians: np.ndarray
     param_jacobians: np.ndarray
     noise: NoiseModel
-    delta_rotation_matrix: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
         if self.duration <= 0.0:
             raise ValueError("preintegration duration must be positive")
-        if self.delta_rotation_matrix is None:
-            object.__setattr__(self, "delta_rotation_matrix", self.delta_rotation.matrix())
 
-
-def _input_sensitivities(omega, f, z_a, Tg_inv, Ta_inv, R_IA):
-    """Per-sample derivative stacks (n,3,21) of corrected (omega, f).
-
-    omega, f: corrected samples; z_a = T_a^{-1} (accel_meas - b_a), the
-    intermediate the accelerometer scale/misalignment act on.
-    """
-    n = omega.shape[0]
-    d_omega = np.zeros((n, 3, 21))
-    d_f = np.zeros((n, 3, 21))
-    d_omega[:, :, _P_BG] = -Tg_inv
-    d_f[:, :, _P_BA] = -(R_IA @ Ta_inv)
-    # scale factors: derivative through T^{-1} is -T^{-1} E_jj (.)
-    for j in range(3):
-        d_omega[:, :, 6 + j] = -Tg_inv[:, j][None, :] * omega[:, j : j + 1]
-        d_f[:, :, 9 + j] = -(R_IA @ Ta_inv)[:, j][None, :] * z_a[:, j : j + 1]
-    # misalignments occupy (0,1), (0,2), (1,2)
-    pairs = ((0, 1), (0, 2), (1, 2))
-    for j, (r, c) in enumerate(pairs):
-        d_omega[:, :, 12 + j] = Tg_inv[:, r][None, :] * (-omega[:, c : c + 1])
-        d_f[:, :, 15 + j] = (R_IA @ Ta_inv)[:, r][None, :] * (-z_a[:, c : c + 1])
-    # accelerometer frame rotation: f(delta) = Exp(-delta) f
-    d_f[:, :, _P_QAI] = so3_hat(f)
-    return d_omega, d_f
-
-
-def _corrected_arrays(samples, intr, bias_lin):
-    b_g = np.asarray(bias_lin[0], dtype=float).reshape(3)
-    b_a = np.asarray(bias_lin[1], dtype=float).reshape(3)
-    t = np.array([s.t for s in samples])
-    w_meas = np.stack([s.omega_meas for s in samples])
-    a_meas = np.stack([s.accel_meas for s in samples])
-    Tg_inv = np.linalg.inv(intr.T_g())
-    Ta_inv = np.linalg.inv(intr.T_a())
-    R_IA = intr.R_AI().T
-    omega = (w_meas - b_g) @ Tg_inv.T
-    z_a = (a_meas - b_a) @ Ta_inv.T
-    f = z_a @ R_IA.T
-    return t, omega, f, z_a, Tg_inv, Ta_inv, R_IA
+    @property
+    def delta_rotation(self) -> UnitQuaternion:
+        return UnitQuaternion.from_array(matrix_to_quat(self.delta_rotation_matrix))
 
 
 def preintegrate(samples, intr: ImuIntrinsics, bias_lin, noise: NoiseModel) -> PreintegratedImu:
@@ -228,93 +198,23 @@ def preintegrate(samples, intr: ImuIntrinsics, bias_lin, noise: NoiseModel) -> P
 
     samples must hold at least two entries with strictly increasing
     timestamps; bias_lin = (b_g, b_a) is the linearization point baked into
-    the deltas and recorded for later first-order re-correction.
+    the deltas and recorded for later first-order re-correction.  A batch of
+    one for preintegrate_intervals.
     """
     if len(samples) < 2:
         raise ValueError("need at least two samples to integrate")
-    t, omega, f, z_a, Tg_inv, Ta_inv, R_IA = _corrected_arrays(samples, intr, bias_lin)
+    t = np.array([s.t for s in samples])
     if not np.all(np.diff(t) > 0.0):
         raise ValueError("sample timestamps must be strictly increasing")
-
-    d_omega, d_f = _input_sensitivities(omega, f, z_a, Tg_inv, Ta_inv, R_IA)
-
-    sigma_w = Tg_inv @ Tg_inv.T * noise.sigma_g ** 2
-    sigma_f_dir = (R_IA @ Ta_inv) @ (R_IA @ Ta_inv).T * noise.sigma_a ** 2
-
-    dR = np.eye(3)
-    dv = np.zeros(3)
-    dp = np.zeros(3)
-    D = np.zeros((9, 21))
-    P = np.zeros((9, 9))
-    for i in range(len(samples) - 1):
-        dt = t[i + 1] - t[i]
-        theta = 0.5 * (omega[i] + omega[i + 1]) * dt
-        Rstep = so3_exp(theta)
-        Jr = so3_right_jacobian(theta)
-        dR_next = dR @ Rstep
-
-        fi, fn = f[i], f[i + 1]
-        a_i = dR @ fi
-        a_n = dR_next @ fn
-
-        # parameter sensitivities propagate through the same recursion
-        S_omega = 0.5 * dt * (d_omega[i] + d_omega[i + 1])
-        D_R = D[0:3]
-        D_R_next = Rstep.T @ D_R + Jr @ S_omega
-        A_i = dR @ (d_f[i] - so3_hat(fi) @ D_R)
-        A_n = dR_next @ (d_f[i + 1] - so3_hat(fn) @ D_R_next)
-        S_a = 0.5 * (A_i + A_n)
-        D_new = np.empty_like(D)
-        D_new[0:3] = D_R_next
-        D_new[3:6] = D[3:6] + dt * S_a
-        D_new[6:9] = D[6:9] + dt * D[3:6] + 0.5 * dt * dt * S_a
-
-        # covariance: delta-state transition and noise input blocks
-        F = np.eye(9)
-        F[0:3, 0:3] = Rstep.T
-        F_vtheta = -0.5 * dt * (dR @ so3_hat(fi) + dR_next @ so3_hat(fn) @ Rstep.T)
-        F[3:6, 0:3] = F_vtheta
-        F[6:9, 0:3] = 0.5 * dt * F_vtheta
-        F[6:9, 3:6] = dt * np.eye(3)
-
-        G_tw = dt * Jr
-        G_vw = -0.5 * dt * dR_next @ so3_hat(fn) @ G_tw
-        G_vf = 0.5 * dt * (dR + dR_next)
-        G = np.zeros((9, 6))
-        G[0:3, 0:3] = G_tw
-        G[3:6, 0:3] = G_vw
-        G[3:6, 3:6] = G_vf
-        G[6:9, 0:3] = 0.5 * dt * G_vw
-        G[6:9, 3:6] = 0.5 * dt * G_vf
-        Q = np.zeros((6, 6))
-        Q[0:3, 0:3] = sigma_w / dt
-        Q[3:6, 3:6] = sigma_f_dir / dt
-        P = F @ P @ F.T + G @ Q @ G.T
-        P = 0.5 * (P + P.T)
-
-        a_mid = 0.5 * (a_i + a_n)
-        dp = dp + dt * dv + 0.5 * dt * dt * a_mid
-        dv = dv + dt * a_mid
-        dR = dR_next
-        D = D_new
-
-    duration = float(t[-1] - t[0])
-    g = noise.gravity_vector()
-    return PreintegratedImu(
-        delta_rotation=UnitQuaternion.from_array(matrix_to_quat(dR)),
-        delta_velocity=dv + g * duration,
-        delta_position=dp + 0.5 * g * duration * duration,
-        duration=duration,
-        covariance=P,
-        bias_linearization=(
-            np.array(bias_lin[0], dtype=float).reshape(3),
-            np.array(bias_lin[1], dtype=float).reshape(3),
-        ),
-        bias_jacobians=D[:, 0:6].copy(),
-        param_jacobians=D[:, 6:21].copy(),
-        noise=noise,
-        delta_rotation_matrix=dR,
-    )
+    return preintegrate_intervals(
+        t[None],
+        np.stack([s.omega_meas for s in samples])[None],
+        np.stack([s.accel_meas for s in samples])[None],
+        intr,
+        np.asarray(bias_lin[0], dtype=float).reshape(1, 3),
+        np.asarray(bias_lin[1], dtype=float).reshape(1, 3),
+        noise,
+    )[0]
 
 
 def _rotmat(q):
@@ -366,14 +266,30 @@ def _inertial_residual(x_k, x_k1, pre, gravity):
     return np.concatenate([e_rot, e_v, e_p, e_bg, e_ba])
 
 
+def bias_walk_sigmas(noise: NoiseModel, dt):
+    """Standard deviations of the bias random-walk residual (gyro, accel) over dt."""
+    return np.repeat([noise.sigma_bg, noise.sigma_ba], 3) * math.sqrt(dt)
+
+
+def inertial_sqrt_information(pre: PreintegratedImu):
+    """15x15 whitening A of the inertial residual in its row order.
+
+    A = blockdiag(L^-1, diag(1 / bias_walk_sigmas)) with L the lower
+    Cholesky factor of the preintegration covariance, so A r has unit
+    covariance and the weight is A^T A.
+    """
+    A = np.zeros((15, 15))
+    L = np.linalg.cholesky(pre.covariance)
+    A[0:9, 0:9] = scipy.linalg.solve_triangular(L, np.eye(9), lower=True, check_finite=False)
+    A[9:15, 9:15] = np.diag(1.0 / bias_walk_sigmas(pre.noise, pre.duration))
+    return A
+
+
 def inertial_weight(pre: PreintegratedImu):
-    """Inverse block-diagonal covariance of the 15-dim inertial residual."""
-    W = np.zeros((15, 15))
-    W[0:9, 0:9] = np.linalg.inv(pre.covariance)
-    dt = pre.duration
-    W[9:12, 9:12] = np.eye(3) / (pre.noise.sigma_bg ** 2 * dt)
-    W[12:15, 12:15] = np.eye(3) / (pre.noise.sigma_ba ** 2 * dt)
-    return W
+    """Inverse block-diagonal covariance of the 15-dim inertial residual,
+    A^T A of inertial_sqrt_information."""
+    A = inertial_sqrt_information(pre)
+    return A.T @ A
 
 
 def inertial_error_jacobians(x_k, x_k1, pre: PreintegratedImu, gravity):
@@ -437,12 +353,13 @@ def inertial_error_jacobians(x_k, x_k1, pre: PreintegratedImu, gravity):
 
 
 def preintegrate_intervals(times, omega_meas, accel_meas, intr: ImuIntrinsics, bias_lin_g, bias_lin_a, noise: NoiseModel):
-    """Vectorized preintegration of K intervals with equal sample counts.
+    """Midpoint-rule preintegration of K intervals with equal sample counts.
 
-    times: (K, S+1); omega_meas/accel_meas: (K, S+1, 3); bias_lin_g/a:
-    (K, 3) per-interval linearization biases.  Returns a dict of stacked
-    results matching what preintegrate produces per interval.  Used by the
-    factor assembly; agrees with the scalar path to rounding.
+    times: (K, S+1), strictly increasing along each row; omega_meas and
+    accel_meas: (K, S+1, 3); bias_lin_g/a: (K, 3) per-interval
+    linearization biases.  Returns one PreintegratedImu per interval.  The
+    only preintegration recursion: preintegrate is a batch of one, and
+    problem.refresh_preintegrations makes one call per sample count.
     """
     K, S1 = times.shape
     Tg_inv = np.linalg.inv(intr.T_g())
@@ -452,17 +369,22 @@ def preintegrate_intervals(times, omega_meas, accel_meas, intr: ImuIntrinsics, b
     z_a = np.einsum("ij,ksj->ksi", Ta_inv, accel_meas - bias_lin_a[:, None, :])
     f = np.einsum("ij,ksj->ksi", R_IA, z_a)
 
+    # per-sample derivatives of the corrected (omega, f) wrt the 21
+    # sensitivity parameters
     M = R_IA @ Ta_inv
     d_omega = np.zeros((K, S1, 3, 21))
     d_f = np.zeros((K, S1, 3, 21))
     d_omega[:, :, :, _P_BG] = -Tg_inv
     d_f[:, :, :, _P_BA] = -M
+    # scale factors: derivative through T^{-1} is -T^{-1} E_jj (.)
     for j in range(3):
         d_omega[:, :, :, 6 + j] = -Tg_inv[:, j][None, None, :] * omega[:, :, j, None]
         d_f[:, :, :, 9 + j] = -M[:, j][None, None, :] * z_a[:, :, j, None]
+    # misalignments occupy (0,1), (0,2), (1,2)
     for j, (r, c) in enumerate(((0, 1), (0, 2), (1, 2))):
         d_omega[:, :, :, 12 + j] = -Tg_inv[:, r][None, None, :] * omega[:, :, c, None]
         d_f[:, :, :, 15 + j] = -M[:, r][None, None, :] * z_a[:, :, c, None]
+    # accelerometer frame rotation: f(delta) = Exp(-delta) f
     d_f[:, :, :, _P_QAI] = so3_hat(f)
 
     sigma_w = Tg_inv @ Tg_inv.T * noise.sigma_g ** 2
@@ -488,6 +410,7 @@ def preintegrate_intervals(times, omega_meas, accel_meas, intr: ImuIntrinsics, b
         a_n = np.einsum("kij,kj->ki", dR_next, fn)
         a_mid = 0.5 * (a_i + a_n)
 
+        # parameter sensitivities propagate through the same recursion
         S_omega = 0.5 * dt * (d_omega[:, s] + d_omega[:, s + 1])
         D_R = D[:, 0:3]
         RstepT = np.swapaxes(Rstep, -1, -2)
@@ -502,6 +425,7 @@ def preintegrate_intervals(times, omega_meas, accel_meas, intr: ImuIntrinsics, b
         D_next[:, 3:6] = D[:, 3:6] + dt * S_a
         D_next[:, 6:9] = D[:, 6:9] + dt * D[:, 3:6] + 0.5 * dt * dt * S_a
 
+        # covariance: delta-state transition and noise input blocks
         F = np.zeros((K, 9, 9))
         F[:, 0:3, 0:3] = RstepT
         F_vtheta = -0.5 * dt * (dR @ hat_fi + dR_next @ hat_fn @ RstepT)
@@ -540,12 +464,19 @@ def preintegrate_intervals(times, omega_meas, accel_meas, intr: ImuIntrinsics, b
 
     durations = times[:, -1] - times[:, 0]
     g = noise.gravity_vector()
-    return {
-        "delta_rotation_matrix": dR,
-        "delta_velocity": dv + g * durations[:, None],
-        "delta_position": dp + 0.5 * g * (durations ** 2)[:, None],
-        "duration": durations,
-        "covariance": P,
-        "bias_jacobians": D[:, :, 0:6].copy(),
-        "param_jacobians": D[:, :, 6:21].copy(),
-    }
+    delta_velocity = dv + g * durations[:, None]
+    delta_position = dp + 0.5 * g * (durations ** 2)[:, None]
+    return [
+        PreintegratedImu(
+            delta_rotation_matrix=dR[k],
+            delta_velocity=delta_velocity[k],
+            delta_position=delta_position[k],
+            duration=float(durations[k]),
+            covariance=P[k],
+            bias_linearization=(bias_lin_g[k].copy(), bias_lin_a[k].copy()),
+            bias_jacobians=D[k, :, 0:6],
+            param_jacobians=D[k, :, 6:21],
+            noise=noise,
+        )
+        for k in range(K)
+    ]

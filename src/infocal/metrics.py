@@ -150,26 +150,6 @@ def _keyframe_transforms(problem):
     return maps, offsets, off
 
 
-def marginal_covariance_from_whitened(A, n_params=CALIB_DIM):
-    """Trailing-block covariance from a whitened Jacobian, params last.
-
-    QR with the parameter columns last, then back-substitution on the
-    trailing triangle.  Rank deficiency anywhere in the column space flags
-    the result instead of inverting noise.
-    """
-    A = np.asarray(A, dtype=float)
-    m, n = A.shape
-    if n < n_params:
-        raise ValueError("fewer columns than parameters")
-    if m < n:
-        return _deficient_covariance()
-    R = scipy.linalg.qr(A, mode="r", check_finite=False)[0][:n, :]
-    diag = np.abs(np.diag(R))
-    if diag.min() < RANK_TOLERANCE * max(diag.max(), 1e-300):
-        return _deficient_covariance()
-    return _covariance_from_triangle(R[n - n_params :, n - n_params :])
-
-
 def _covariance_from_triangle(R22):
     X = scipy.linalg.solve_triangular(R22, np.eye(R22.shape[0]), check_finite=False)
     sigma = X @ X.T
@@ -241,10 +221,9 @@ def segment_marginal_covariance(problem):
         A[base : base + 15, offsets[k1] : offsets[k1] + maps[k1].shape[1]] = J1w @ maps[k1]
         A[base : base + 15, th0 + IMU_BLOCK.start : th0 + IMU_BLOCK.stop] = Jthw
         base += 15
-    for k0, k1, rw, wb in bridges:
-        D = np.diag(wb)
-        A[base : base + 6, offsets[k0] : offsets[k0] + maps[k0].shape[1]] = -D @ maps[k0][9:15]
-        A[base : base + 6, offsets[k1] : offsets[k1] + maps[k1].shape[1]] = D @ maps[k1][9:15]
+    for k0, k1, rw, J0w, J1w in bridges:
+        A[base : base + 6, offsets[k0] : offsets[k0] + maps[k0].shape[1]] = J0w @ maps[k0]
+        A[base : base + 6, offsets[k1] : offsets[k1] + maps[k1].shape[1]] = J1w @ maps[k1]
         base += 6
 
     if A.shape[0] < n_cols:

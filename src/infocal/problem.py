@@ -26,7 +26,6 @@ back-substitutes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -46,6 +45,9 @@ CAM_BLOCK = slice(0, 11)
 IMU_BLOCK = slice(11, 26)
 
 _WORLD_Z = np.array([0.0, 0.0, 1.0])
+# keyframe delta coordinates (accel bias 9:12, gyro bias 12:15) of the
+# bias random-walk residual rows (gyro, accel)
+_BIAS_WALK_ROWS = np.eye(KF_DIM)[[12, 13, 14, 9, 10, 11]]
 _LM_DIAG_FLOOR = 1e-12
 
 
@@ -123,8 +125,10 @@ class Partition:
 class InertialFactor:
     """Full 15-dim constraint between consecutive keyframes.
 
-    Keeps the raw measurement slice so the preintegration can be refreshed
-    at the current bias estimate of the left keyframe.
+    Keeps the raw measurement slice, validated at build time.  pre is
+    written only by refresh_preintegrations, at the current bias estimate
+    of the left keyframe and the current IMU intrinsics; it is None until
+    the first refresh.
     """
 
     __slots__ = ("k0", "k1", "times", "omega", "accel", "pre")
@@ -238,15 +242,17 @@ def _slice_imu_stream(imu_stream, t0, t1):
     return imu_stream[lo:hi]
 
 
-def _interval_factor(k0, k1, samples, intr, bias_lin, noise):
+def _interval_factor(k0, k1, samples):
     if len(samples) < 2:
         raise ValueError(f"keyframe interval {k0}-{k1} covered by fewer than 2 IMU samples")
     times = np.array([s.t for s in samples])
     omega = np.stack([s.omega_meas for s in samples])
     accel = np.stack([s.accel_meas for s in samples])
-    fac = InertialFactor(k0, k1, times, omega, accel)
-    fac.pre = im.preintegrate(samples, intr, bias_lin, noise)
-    return fac
+    if not (np.isfinite(times).all() and np.isfinite(omega).all() and np.isfinite(accel).all()):
+        raise ValueError(f"keyframe interval {k0}-{k1} has non-finite IMU samples")
+    if not np.all(np.diff(times) > 0.0):
+        raise ValueError(f"keyframe interval {k0}-{k1} has IMU timestamps that are not strictly increasing")
+    return InertialFactor(k0, k1, times, omega, accel)
 
 
 def build_batch_problem(keyframes, landmarks, observations, imu_stream, calib_init, noise):
@@ -273,9 +279,7 @@ def build_batch_problem(keyframes, landmarks, observations, imu_stream, calib_in
     inertial = []
     for k in range(len(keyframes) - 1):
         samples = _slice_imu_stream(imu_stream, keyframes[k].t, keyframes[k + 1].t)
-        inertial.append(
-            _interval_factor(k, k + 1, samples, calib_init.imu, (keyframes[k].b_g, keyframes[k].b_a), noise)
-        )
+        inertial.append(_interval_factor(k, k + 1, samples))
 
     part = Partition(segment_ids=(), keyframe_ranges=((0, len(keyframes) - 1),), anchor_keyframe_id=0)
     problem = CalibrationProblem(
@@ -422,9 +426,7 @@ def build_segment_problem(segments, calib_init, noise, max_shared=10):
             k0 = local_of[(s.session_id, kid0)]
             k1 = local_of[(s.session_id, kid1)]
             samples = _slice_imu_stream(s.imu_samples, keyframes[k0].t, keyframes[k1].t)
-            inertial.append(
-                _interval_factor(k0, k1, samples, calib_init.imu, (keyframes[k0].b_g, keyframes[k0].b_a), noise)
-            )
+            inertial.append(_interval_factor(k0, k1, samples))
     for a, b in zip(segs, segs[1:]):
         if a.session_id != b.session_id:
             continue
@@ -433,9 +435,7 @@ def build_segment_problem(segments, calib_init, noise, max_shared=10):
         if _temporally_adjacent(a, b):
             # no gap: the IMU span of `a` extends through the joint interval
             samples = _slice_imu_stream(a.imu_samples, keyframes[k0].t, keyframes[k1].t)
-            inertial.append(
-                _interval_factor(k0, k1, samples, calib_init.imu, (keyframes[k0].b_g, keyframes[k0].b_a), noise)
-            )
+            inertial.append(_interval_factor(k0, k1, samples))
         else:
             bridges.append(BiasBridgeFactor(k0, k1, keyframes[k1].t - keyframes[k0].t))
 
@@ -462,39 +462,27 @@ def build_segment_problem(segments, calib_init, noise, max_shared=10):
 def refresh_preintegrations(problem):
     """Re-preintegrate every inertial factor at its left keyframe's biases.
 
-    Keeps the bias linearization point equal to the current estimate so the
+    The only writer of InertialFactor.pre: factors are grouped by sample
+    count, one batched preintegrate_intervals call per group.  Keeps the
+    bias linearization point equal to the current estimate so the
     first-order bias correction inside the residual is exact.
     """
-    facs = problem.inertial_factors
-    if not facs:
-        return
-    counts = {f.times.shape[0] for f in facs}
-    if len(counts) == 1:
-        times = np.stack([f.times for f in facs])
-        omega = np.stack([f.omega for f in facs])
-        accel = np.stack([f.accel for f in facs])
-        b_g = np.stack([problem.keyframes[f.k0].b_g for f in facs])
-        b_a = np.stack([problem.keyframes[f.k0].b_a for f in facs])
-        out = im.preintegrate_intervals(times, omega, accel, problem.calibration.imu, b_g, b_a, problem.noise)
-        for i, f in enumerate(facs):
-            dR = out["delta_rotation_matrix"][i]
-            f.pre = im.PreintegratedImu(
-                delta_rotation=UnitQuaternion.from_matrix(dR),
-                delta_velocity=out["delta_velocity"][i],
-                delta_position=out["delta_position"][i],
-                duration=float(out["duration"][i]),
-                covariance=out["covariance"][i],
-                bias_linearization=(b_g[i], b_a[i]),
-                bias_jacobians=out["bias_jacobians"][i],
-                param_jacobians=out["param_jacobians"][i],
-                noise=problem.noise,
-                delta_rotation_matrix=dR,
-            )
-    else:
-        for f in facs:
-            samples = [im.ImuSample(t, w, a) for t, w, a in zip(f.times, f.omega, f.accel)]
-            kf0 = problem.keyframes[f.k0]
-            f.pre = im.preintegrate(samples, problem.calibration.imu, (kf0.b_g, kf0.b_a), problem.noise)
+    groups = {}
+    for f in problem.inertial_factors:
+        groups.setdefault(f.times.shape[0], []).append(f)
+    for facs in groups.values():
+        kf0 = [problem.keyframes[f.k0] for f in facs]
+        pres = im.preintegrate_intervals(
+            np.stack([f.times for f in facs]),
+            np.stack([f.omega for f in facs]),
+            np.stack([f.accel for f in facs]),
+            problem.calibration.imu,
+            np.stack([k.b_g for k in kf0]),
+            np.stack([k.b_a for k in kf0]),
+            problem.noise,
+        )
+        for f, pre in zip(facs, pres):
+            f.pre = pre
 
 
 def _camera_blocks(problem, whiten=True):
@@ -534,52 +522,31 @@ def _camera_blocks(problem, whiten=True):
     return r, J_pose, J_l, J_theta, valid
 
 
-def _inertial_blocks(problem, whiten=True):
-    """Residual and Jacobians per full inertial factor.
-
-    Whitened form scales rows so the weight becomes identity; raw form
-    returns the 15x15 weight alongside.
-    """
+def _inertial_blocks(problem):
+    """Whitened residual and Jacobians per full inertial factor."""
     g = problem.noise.gravity_vector()
     out = []
     for f in problem.inertial_factors:
         x0 = problem.keyframes[f.k0]
         x1 = problem.keyframes[f.k1]
+        A = im.inertial_sqrt_information(f.pre)
         r = im._inertial_residual(x0, x1, f.pre, g)
         J0, J1, Jth = im.inertial_error_jacobians(x0, x1, f.pre, g)
-        if not whiten:
-            out.append((f.k0, f.k1, r, J0, J1, Jth, im.inertial_weight(f.pre)))
-            continue
-        L = np.linalg.cholesky(f.pre.covariance)
-        stack = np.hstack([r[0:9, None], J0[0:9], J1[0:9], Jth[0:9]])
-        white = scipy.linalg.solve_triangular(L, stack, lower=True, check_finite=False)
-        wb = _bridge_weights(problem.noise, f.pre.duration)
-        rw = np.concatenate([white[:, 0], r[9:15] * wb])
-        J0w = np.vstack([white[:, 1:16], J0[9:15] * wb[:, None]])
-        J1w = np.vstack([white[:, 16:31], J1[9:15] * wb[:, None]])
-        Jthw = np.vstack([white[:, 31:46], Jth[9:15] * wb[:, None]])
-        out.append((f.k0, f.k1, rw, J0w, J1w, Jthw))
+        out.append((f.k0, f.k1, A @ r, A @ J0, A @ J1, A @ Jth))
     return out
 
 
-def _bridge_weights(noise, dt):
-    # ordered like the bias coordinates of a keyframe delta: accel, gyro
-    return np.concatenate(
-        [
-            np.full(3, 1.0 / (noise.sigma_ba * math.sqrt(dt))),
-            np.full(3, 1.0 / (noise.sigma_bg * math.sqrt(dt))),
-        ]
-    )
-
-
 def _bridge_blocks(problem, whiten=True):
+    """Bias random-walk residual per bridge, rows (gyro, accel) like
+    inertial rows 9:15, with its keyframe Jacobians; whitened or raw."""
     out = []
     for f in problem.bridge_factors:
         x0 = problem.keyframes[f.k0]
         x1 = problem.keyframes[f.k1]
-        r = np.concatenate([x1.b_a - x0.b_a, x1.b_g - x0.b_g])
-        wb = _bridge_weights(problem.noise, f.dt)
-        out.append((f.k0, f.k1, r * wb if whiten else r, wb))
+        r = np.concatenate([x1.b_g - x0.b_g, x1.b_a - x0.b_a])
+        w = 1.0 / im.bias_walk_sigmas(problem.noise, f.dt) if whiten else np.ones(6)
+        J1 = w[:, None] * _BIAS_WALK_ROWS
+        out.append((f.k0, f.k1, w * r, -J1, J1))
     return out
 
 
@@ -644,14 +611,17 @@ def evaluate_residuals(problem, apply_gauge=True):
         vals.append(Jth.ravel())
 
     pending = []
-    for k0, k1, r, J0, J1, Jth_i, W in _inertial_blocks(problem, whiten=False):
-        blocks = ((k0 * KF_DIM, J0), (k1 * KF_DIM, J1), (th_base + IMU_BLOCK.start, Jth_i))
-        pending.append((k0, 0, r, W, blocks))
-    for k0, k1, r, wb in _bridge_blocks(problem, whiten=False):
-        J0 = -np.eye(6)
-        J1 = np.eye(6)
-        blocks = ((k0 * KF_DIM + 9, J0), (k1 * KF_DIM + 9, J1))
-        pending.append((k0, 1, r, np.diag(wb**2), blocks))
+    g = problem.noise.gravity_vector()
+    for f in problem.inertial_factors:
+        x0 = problem.keyframes[f.k0]
+        x1 = problem.keyframes[f.k1]
+        r, W = im.inertial_error(x0, x1, f.pre, g)
+        J0, J1, Jth_i = im.inertial_error_jacobians(x0, x1, f.pre, g)
+        blocks = ((f.k0 * KF_DIM, J0), (f.k1 * KF_DIM, J1), (th_base + IMU_BLOCK.start, Jth_i))
+        pending.append((f.k0, 0, r, W, blocks))
+    for f, (k0, k1, r, J0, J1) in zip(problem.bridge_factors, _bridge_blocks(problem, whiten=False)):
+        W = np.diag(im.bias_walk_sigmas(problem.noise, f.dt) ** -2.0)
+        pending.append((k0, 1, r, W, ((k0 * KF_DIM, J0), (k1 * KF_DIM, J1))))
     pending.sort(key=lambda e: (e[0], e[1]))
 
     base = 2 * N
@@ -706,9 +676,9 @@ def _cost_from_blocks(problem, huber=False, huber_threshold=2.0):
     g = problem.noise.gravity_vector()
     for f in problem.inertial_factors:
         r = im._inertial_residual(problem.keyframes[f.k0], problem.keyframes[f.k1], f.pre, g)
-        W = im.inertial_weight(f.pre)
-        cost += 0.5 * float(r @ W @ r)
-    for _, _, rw, _ in _bridge_blocks(problem):
+        rw = im.inertial_sqrt_information(f.pre) @ r
+        cost += 0.5 * float(rw @ rw)
+    for _, _, rw, _, _ in _bridge_blocks(problem):
         cost += 0.5 * float(rw @ rw)
     return cost
 
@@ -799,13 +769,9 @@ def _assemble_partition_systems(problem, cam_blocks, inertial_blocks, bridge_blo
         s.gth[IMU_BLOCK] += -Jthw.T @ rw
 
     cross = []
-    for k0, k1, rw, wb in bridge_blocks:
+    for k0, k1, rw, J0, J1 in bridge_blocks:
         p0 = int(problem.kf_partition[k0])
         p1 = int(problem.kf_partition[k1])
-        J0 = np.zeros((6, 15))
-        J0[:, 9:15] = -np.diag(wb)
-        J1 = np.zeros((6, 15))
-        J1[:, 9:15] = np.diag(wb)
         if p0 == p1:
             s = systems[p0]
             i0 = kf_pos[k0] * KF_DIM
@@ -1009,8 +975,8 @@ def _model_decrease(problem, cam_blocks, inertial_blocks, bridge_blocks, delta):
     for k0, k1, rw, J0w, J1w, Jthw in inertial_blocks:
         lin = J0w @ delta_kf[k0] + J1w @ delta_kf[k1] + Jthw @ d_th[IMU_BLOCK]
         pred += 0.5 * float(rw @ rw - (rw + lin) @ (rw + lin))
-    for k0, k1, rw, wb in bridge_blocks:
-        lin = wb * (delta_kf[k1, 9:15] - delta_kf[k0, 9:15])
+    for k0, k1, rw, J0w, J1w in bridge_blocks:
+        lin = J0w @ delta_kf[k0] + J1w @ delta_kf[k1]
         pred += 0.5 * float(rw @ rw - (rw + lin) @ (rw + lin))
     return pred
 

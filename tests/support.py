@@ -25,6 +25,19 @@ from infocal.imu import (
 from infocal.problem import CalibrationState, KeyframeState, Landmark
 
 
+def assert_same_preintegration(got, ref):
+    """Two PreintegratedImu results agree to rounding."""
+    np.testing.assert_allclose(got.delta_rotation_matrix, ref.delta_rotation_matrix, atol=1e-12)
+    np.testing.assert_allclose(got.delta_velocity, ref.delta_velocity, atol=1e-12)
+    np.testing.assert_allclose(got.delta_position, ref.delta_position, atol=1e-12)
+    np.testing.assert_allclose(got.covariance, ref.covariance, atol=1e-15)
+    np.testing.assert_allclose(got.bias_jacobians, ref.bias_jacobians, atol=1e-12)
+    np.testing.assert_allclose(got.param_jacobians, ref.param_jacobians, atol=1e-12)
+    np.testing.assert_array_equal(got.bias_linearization[0], ref.bias_linearization[0])
+    np.testing.assert_array_equal(got.bias_linearization[1], ref.bias_linearization[1])
+    np.testing.assert_allclose(got.duration, ref.duration, rtol=1e-12)
+
+
 def true_calibration():
     camera = CameraIntrinsics(f=np.array([400.0, 402.0]), c=np.array([318.0, 242.0]), w=0.9)
     extr = CameraExtrinsics(

@@ -2,8 +2,9 @@
 
 Oracles: closed-form constant-rate rotation and constant-acceleration
 kinematics, simulate/correct round trips, scalar random-walk weighting,
-central finite differences for every Jacobian block, and re-preintegration
-for the first-order bias correction.
+central finite differences for every Jacobian block, re-preintegration
+for the first-order bias correction, and single-interval calls for the
+batched preintegration.
 """
 
 import math
@@ -28,6 +29,8 @@ from infocal.imu import (
     simulate_accel,
     simulate_gyro,
 )
+
+import support
 
 GRAVITY = np.array([0.0, 0.0, -STANDARD_GRAVITY])
 
@@ -387,6 +390,7 @@ def _perturb_intrinsics(intr, d):
 
 class TestBatchedPreintegration:
     def test_matches_scalar_path(self):
+        # a batch of K intervals against K single-interval calls
         rng = np.random.default_rng(21)
         K, S = 4, 10
         intr = perturbed_intrinsics()
@@ -398,13 +402,8 @@ class TestBatchedPreintegration:
         bias_g = rng.normal(size=(K, 3)) * 1e-3
         bias_a = rng.normal(size=(K, 3)) * 1e-2
         out = preintegrate_intervals(times, omega, accel, intr, bias_g, bias_a, noise)
+        assert len(out) == K
         for k in range(K):
             samples = [ImuSample(times[k, s], omega[k, s], accel[k, s]) for s in range(S + 1)]
             pre = preintegrate(samples, intr, (bias_g[k], bias_a[k]), noise)
-            np.testing.assert_allclose(out["delta_rotation_matrix"][k], pre.delta_rotation_matrix, atol=1e-12)
-            np.testing.assert_allclose(out["delta_velocity"][k], pre.delta_velocity, atol=1e-12)
-            np.testing.assert_allclose(out["delta_position"][k], pre.delta_position, atol=1e-12)
-            np.testing.assert_allclose(out["covariance"][k], pre.covariance, atol=1e-15)
-            np.testing.assert_allclose(out["bias_jacobians"][k], pre.bias_jacobians, atol=1e-12)
-            np.testing.assert_allclose(out["param_jacobians"][k], pre.param_jacobians, atol=1e-12)
-            assert out["duration"][k] == pytest.approx(pre.duration)
+            support.assert_same_preintegration(out[k], pre)

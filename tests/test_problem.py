@@ -6,22 +6,27 @@ cost equality between differently built but mathematically identical
 problems.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from infocal.camera import FeatureObservation
 from infocal.geometry import UnitQuaternion, so3_exp
+from infocal.imu import ImuSample, inertial_error, inertial_error_jacobians, preintegrate
 from infocal.problem import (
     CALIB_DIM,
     KF_DIM,
     KeyframeState,
     Landmark,
     SolveOptions,
+    _inertial_blocks,
     build_batch_problem,
     build_segment_problem,
     evaluate_residuals,
     partition_segments,
     problem_cost,
+    refresh_preintegrations,
     solve,
 )
 
@@ -82,6 +87,44 @@ class TestBuildBatch:
     def test_empty_keyframes_raises(self, scene):
         with pytest.raises(ValueError):
             build_batch_problem([], [], [], scene.imu_stream, scene.calibration, scene.noise)
+
+    def _build_with_sample(self, scene, i, sample):
+        stream = list(scene.imu_stream)
+        stream[i] = sample
+        return build_batch_problem(
+            scene.keyframes, scene.landmarks, scene.observations, stream, scene.calibration, scene.noise
+        )
+
+    def test_non_increasing_imu_times_raise(self, scene):
+        # sample 25 lies inside the interval between keyframes 2 and 3
+        s = scene.imu_stream[25]
+        repeated = ImuSample(scene.imu_stream[24].t, s.omega_meas, s.accel_meas)
+        with pytest.raises(ValueError, match="interval 2-3 .*not strictly increasing"):
+            self._build_with_sample(scene, 25, repeated)
+
+    def test_non_finite_imu_sample_raises(self, scene):
+        s = scene.imu_stream[25]
+        with pytest.raises(ValueError, match="interval 2-3 has non-finite"):
+            self._build_with_sample(scene, 25, ImuSample(s.t, s.omega_meas, [np.nan, 0.0, 0.0]))
+
+    def test_mixed_interval_sample_counts(self, scene):
+        # without keyframe 3 the interval 2-4 holds twice the samples of the
+        # others, so refresh preintegrates two sample-count groups
+        drop = 3
+        keyframes = scene.keyframes[:drop] + scene.keyframes[drop + 1 :]
+        obs = [
+            replace(o, keyframe_id=o.keyframe_id - (o.keyframe_id > drop))
+            for o in scene.observations
+            if o.keyframe_id != drop
+        ]
+        prob = build_batch_problem(keyframes, scene.landmarks, obs, scene.imu_stream, scene.calibration, scene.noise)
+        assert sorted(f.times.shape[0] for f in prob.inertial_factors) == [11, 11, 11, 21]
+        assert problem_cost(prob) < 1e-12
+        for f in prob.inertial_factors:
+            kf0, kf1 = prob.keyframes[f.k0], prob.keyframes[f.k1]
+            samples = [s for s in scene.imu_stream if kf0.t - 1e-9 <= s.t <= kf1.t + 1e-9]
+            ref = preintegrate(samples, prob.calibration.imu, (kf0.b_g, kf0.b_a), prob.noise)
+            support.assert_same_preintegration(f.pre, ref)
 
 
 class TestResidualEvaluation:
@@ -180,6 +223,28 @@ class TestResidualEvaluation:
         u /= np.linalg.norm(u)
         rot_cols = J[:, 0:3].toarray()
         assert np.max(np.abs(rot_cols @ u)) < 1e-12
+
+
+class TestInertialWhitening:
+    def test_whitened_blocks_match_inertial_weight(self, scene):
+        # bias steps that grow along the trajectory leave non-zero gyro- and
+        # accel-bias walk residuals on every inertial factor
+        prob = build_from_scene(scene)
+        prob.keyframes = [
+            KeyframeState(k.q_GI, k.p_GI, k.v_GI, k.b_a + 1e-3 * i, k.b_g + 1e-4 * i, k.t)
+            for i, k in enumerate(prob.keyframes)
+        ]
+        refresh_preintegrations(prob)
+        g = prob.noise.gravity_vector()
+        for f, (_, _, rw, J0w, J1w, Jthw) in zip(prob.inertial_factors, _inertial_blocks(prob)):
+            x0, x1 = prob.keyframes[f.k0], prob.keyframes[f.k1]
+            r, W = inertial_error(x0, x1, f.pre, g)
+            assert np.all(r[9:15] != 0.0)
+            assert 0.5 * rw @ rw == pytest.approx(0.5 * r @ W @ r, rel=1e-12)
+            J = np.hstack(inertial_error_jacobians(x0, x1, f.pre, g))
+            Jw = np.hstack([J0w, J1w, Jthw])
+            H = J.T @ W @ J
+            assert np.linalg.norm(Jw.T @ Jw - H) <= 1e-12 * np.linalg.norm(H)
 
 
 class TestGaugeInvariance:
