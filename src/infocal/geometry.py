@@ -69,54 +69,30 @@ def quat_to_matrix(q):
 def matrix_to_quat(m):
     """Inverse of quat_to_matrix (Shepperd's method), w >= 0."""
     m = np.asarray(m, dtype=float)
-    single = m.ndim == 2
-    if single:
-        m = m[None]
+    m00, m11, m22 = m[..., 0, 0], m[..., 1, 1], m[..., 2, 2]
     t = np.einsum("...ii->...", m)
-    q = np.empty(m.shape[:-2] + (4,), dtype=float)
+    d21, d02, d10 = m[..., 2, 1] - m[..., 1, 2], m[..., 0, 2] - m[..., 2, 0], m[..., 1, 0] - m[..., 0, 1]
+    s01, s02, s12 = m[..., 0, 1] + m[..., 1, 0], m[..., 0, 2] + m[..., 2, 0], m[..., 1, 2] + m[..., 2, 1]
+    # All four candidates; the branches not taken may divide by zero or
+    # take the root of a negative number.
+    with np.errstate(invalid="ignore", divide="ignore"):
+        s0, s1, s2, s3 = (
+            np.sqrt(x) * 2.0
+            for x in (t + 1.0, 1.0 + m00 - m11 - m22, 1.0 - m00 + m11 - m22, 1.0 - m00 - m11 + m22)
+        )
+        cand = np.stack(
+            [
+                np.stack([0.25 * s0, d21 / s0, d02 / s0, d10 / s0], axis=-1),
+                np.stack([d21 / s1, 0.25 * s1, s01 / s1, s02 / s1], axis=-1),
+                np.stack([d02 / s2, s01 / s2, 0.25 * s2, s12 / s2], axis=-1),
+                np.stack([d10 / s3, s02 / s3, s12 / s3, 0.25 * s3], axis=-1),
+            ],
+            axis=-2,
+        )
     # Branch on the largest of (trace, m00, m11, m22) for stability.
-    choice = np.argmax(
-        np.stack([t, m[..., 0, 0], m[..., 1, 1], m[..., 2, 2]], axis=-1), axis=-1
-    )
-    for idx in np.ndindex(m.shape[:-2]):
-        mm = m[idx]
-        c = choice[idx]
-        if c == 0:
-            s = np.sqrt(t[idx] + 1.0) * 2.0
-            q[idx] = [
-                0.25 * s,
-                (mm[2, 1] - mm[1, 2]) / s,
-                (mm[0, 2] - mm[2, 0]) / s,
-                (mm[1, 0] - mm[0, 1]) / s,
-            ]
-        elif c == 1:
-            s = np.sqrt(1.0 + mm[0, 0] - mm[1, 1] - mm[2, 2]) * 2.0
-            q[idx] = [
-                (mm[2, 1] - mm[1, 2]) / s,
-                0.25 * s,
-                (mm[0, 1] + mm[1, 0]) / s,
-                (mm[0, 2] + mm[2, 0]) / s,
-            ]
-        elif c == 2:
-            s = np.sqrt(1.0 - mm[0, 0] + mm[1, 1] - mm[2, 2]) * 2.0
-            q[idx] = [
-                (mm[0, 2] - mm[2, 0]) / s,
-                (mm[0, 1] + mm[1, 0]) / s,
-                0.25 * s,
-                (mm[1, 2] + mm[2, 1]) / s,
-            ]
-        else:
-            s = np.sqrt(1.0 - mm[0, 0] - mm[1, 1] + mm[2, 2]) * 2.0
-            q[idx] = [
-                (mm[1, 0] - mm[0, 1]) / s,
-                (mm[0, 2] + mm[2, 0]) / s,
-                (mm[1, 2] + mm[2, 1]) / s,
-                0.25 * s,
-            ]
-    neg = q[..., 0] < 0.0
-    q[neg] *= -1.0
-    q = quat_normalize(q)
-    return q[0] if single else q
+    choice = np.argmax(np.stack([t, m00, m11, m22], axis=-1), axis=-1)
+    q = np.take_along_axis(cand, choice[..., None, None], axis=-2)[..., 0, :]
+    return quat_normalize(np.where(q[..., :1] < 0.0, -q, q))
 
 
 def quat_rotate(q, p):

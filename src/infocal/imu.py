@@ -12,14 +12,19 @@ frame.  Biases follow independent random walks.
 
 Preintegration integrates corrected samples over keyframe intervals with
 the midpoint rule, in one recursion batched over intervals of equal sample
-count (preintegrate_intervals; preintegrate is a batch of one).  The stored
-delta_velocity / delta_position include the nominal-gravity contribution
-evaluated as if the interval started at identity attitude, so a static
-interval integrates to exactly zero deltas; inertial_error removes that
-contribution again using its gravity argument before comparing against the
-state difference.  The 9x9 covariance (rot, vel, pos) and the first-order
+count (preintegrate_intervals, which returns a stack of PreintegratedImu;
+preintegrate is a batch of one).  The stored delta_velocity /
+delta_position include the nominal-gravity contribution evaluated as if
+the interval started at identity attitude, so a static interval integrates
+to exactly zero deltas; the inertial residual removes that contribution
+again using its gravity argument before comparing against the state
+difference.  The 9x9 covariance (rot, vel, pos) and the first-order
 sensitivities to the bias linearization point and to the IMU intrinsics are
 propagated step by step alongside the deltas.
+
+The 15-dim inertial residual and its Jacobians are computed for a whole
+stack of factors in one vectorised pass (inertial_factor_blocks);
+inertial_error and inertial_error_jacobians are batches of one.
 
 The noise model of the 15-dim inertial residual (preintegration covariance,
 then the gyro- and accel-bias random walks over the interval, in residual
@@ -29,8 +34,8 @@ and every whitened inertial block derive from it.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -59,6 +64,9 @@ _P_MG = slice(12, 15)
 _P_MA = slice(15, 18)
 _P_QAI = slice(18, 21)
 N_IMU_PARAMS = 15
+# d(bias random-walk residual rows (gyro, accel)) / d(right keyframe's
+# minimal delta), whose accel bias is at 9:12 and gyro bias at 12:15
+BIAS_WALK_ROWS = np.eye(15)[[12, 13, 14, 9, 10, 11]]
 
 
 def correction_matrix(s, m):
@@ -166,12 +174,15 @@ def correct_measurements(sample: ImuSample, intr: ImuIntrinsics, biases):
 
 @dataclass(frozen=True)
 class PreintegratedImu:
-    """Inter-keyframe IMU constraint built from one sample run.
+    """Inter-keyframe IMU constraint built from one sample run, or a stack
+    of them: a stack carries one leading interval axis on every field but
+    noise.
 
     covariance rows/columns are ordered (rotation, velocity, position);
-    bias_jacobians columns are (gyro bias, accel bias); param_jacobians
-    columns follow the IMU-intrinsics calibration order
-    (s_g, s_a, m_g, m_a, accelerometer rotation).
+    bias_linearization rows are (gyro bias, accel bias); bias_jacobians
+    columns are (gyro bias, accel bias); param_jacobians columns follow the
+    IMU-intrinsics calibration order (s_g, s_a, m_g, m_a, accelerometer
+    rotation).
     """
 
     delta_rotation_matrix: np.ndarray
@@ -179,18 +190,30 @@ class PreintegratedImu:
     delta_position: np.ndarray
     duration: float
     covariance: np.ndarray
-    bias_linearization: tuple
+    bias_linearization: np.ndarray
     bias_jacobians: np.ndarray
     param_jacobians: np.ndarray
     noise: NoiseModel
 
     def __post_init__(self):
-        if self.duration <= 0.0:
+        if np.any(np.asarray(self.duration) <= 0.0):
             raise ValueError("preintegration duration must be positive")
 
     @property
     def delta_rotation(self) -> UnitQuaternion:
         return UnitQuaternion.from_array(matrix_to_quat(self.delta_rotation_matrix))
+
+    def __getitem__(self, index):
+        """Interval(s) `index` of a stack; pre[None] is a stack of one."""
+        return replace(self, **{name: np.asarray(getattr(self, name))[index] for name in _STACKED_FIELDS})
+
+
+_STACKED_FIELDS = tuple(f.name for f in fields(PreintegratedImu) if f.name != "noise")
+
+
+def concatenate_preintegrations(stacks):
+    """One stack holding the intervals of `stacks` in order."""
+    return replace(stacks[0], **{name: np.concatenate([getattr(s, name) for s in stacks]) for name in _STACKED_FIELDS})
 
 
 def preintegrate(samples, intr: ImuIntrinsics, bias_lin, noise: NoiseModel) -> PreintegratedImu:
@@ -217,25 +240,104 @@ def preintegrate(samples, intr: ImuIntrinsics, bias_lin, noise: NoiseModel) -> P
     )[0]
 
 
-def _rotmat(q):
-    """Rotation matrix from either a UnitQuaternion or a (w,x,y,z) array."""
-    if isinstance(q, UnitQuaternion):
-        return q.matrix()
-    return quat_to_matrix(np.asarray(q, dtype=float))
+class StateStack(NamedTuple):
+    """Keyframe states on a leading axis, fields named as KeyframeState's:
+    q_GI (..., 4) as (w, x, y, z); p_GI, v_GI, b_a, b_g (..., 3)."""
+
+    q_GI: np.ndarray
+    p_GI: np.ndarray
+    v_GI: np.ndarray
+    b_a: np.ndarray
+    b_g: np.ndarray
+
+    @classmethod
+    def of(cls, states):
+        """Stack of states exposing q_GI (a UnitQuaternion or (w, x, y, z)),
+        p_GI, v_GI, b_a, b_g."""
+        quats = [x.q_GI.wxyz if isinstance(x.q_GI, UnitQuaternion) else x.q_GI for x in states]
+        return cls(
+            np.asarray(quats, dtype=float),
+            *(np.asarray([getattr(x, name) for x in states], dtype=float) for name in cls._fields[1:]),
+        )
+
+    def take(self, index):
+        return StateStack(*(a[index] for a in self))
+
+
+def _mv(A, x):
+    """Stacked matrix-vector products."""
+    return np.einsum("...ij,...j->...i", A, x)
 
 
 def _bias_corrected_deltas(pre: PreintegratedImu, b_g, b_a, gravity):
-    """Deltas re-corrected to (b_g, b_a), gravity contribution removed."""
-    db_g = np.asarray(b_g, dtype=float) - pre.bias_linearization[0]
-    db_a = np.asarray(b_a, dtype=float) - pre.bias_linearization[1]
+    """Deltas re-corrected to (b_g, b_a), gravity contribution removed;
+    pre may be a stack, with the biases stacked alike."""
+    db_g = np.asarray(b_g, dtype=float) - pre.bias_linearization[..., 0, :]
+    db_a = np.asarray(b_a, dtype=float) - pre.bias_linearization[..., 1, :]
     J = pre.bias_jacobians
-    xi = J[0:3, 0:3] @ db_g
+    xi = _mv(J[..., 0:3, 0:3], db_g)
     dR = pre.delta_rotation_matrix @ so3_exp(xi)
-    dt = pre.duration
+    dt = np.asarray(pre.duration)[..., None]
     g = np.asarray(gravity, dtype=float)
-    dv = pre.delta_velocity - g * dt + J[3:6, 0:3] @ db_g + J[3:6, 3:6] @ db_a
-    dp = pre.delta_position - 0.5 * g * dt * dt + J[6:9, 0:3] @ db_g + J[6:9, 3:6] @ db_a
+    dv = pre.delta_velocity - g * dt + _mv(J[..., 3:6, 0:3], db_g) + _mv(J[..., 3:6, 3:6], db_a)
+    dp = pre.delta_position - 0.5 * g * dt * dt + _mv(J[..., 6:9, 0:3], db_g) + _mv(J[..., 6:9, 3:6], db_a)
     return dR, dv, dp, xi
+
+
+def inertial_factor_blocks(x_k, x_k1, pre: PreintegratedImu, gravity):
+    """Residuals and analytic Jacobians of F inertial factors in one pass.
+
+    x_k, x_k1: StateStacks of the factors' left and right keyframes; pre:
+    the stack of their preintegrations (F intervals).  Returns (r, J_k,
+    J_k1, J_imu): the (F, 15) residuals with rows (rot, vel, pos, gyro-bias
+    walk, accel-bias walk), and (F, 15, 15) Jacobians wrt the two keyframe
+    minimal deltas, ordered (rotation, position, velocity, accel bias, gyro
+    bias), and wrt the IMU intrinsics in calibration order.  Rotation
+    deltas act by right-multiplied exponential.  The only implementation
+    of the inertial residual and its Jacobians; inertial_error and
+    inertial_error_jacobians are batches of one.
+    """
+    # orientation: preintegrated delta minus the state-implied delta, so a
+    # position bump on x_k1 moves the position block by -R_k^T delta; bias
+    # rows keep the plain forward difference b(k+1) - b(k)
+    g = np.asarray(gravity, dtype=float)
+    dt = pre.duration[:, None]
+    dR, dv, dp, xi = _bias_corrected_deltas(pre, x_k.b_g, x_k.b_a, g)
+    R_k = quat_to_matrix(x_k.q_GI)
+    R_kT = np.swapaxes(R_k, -1, -2)
+    e_rot = so3_log(np.swapaxes(quat_to_matrix(x_k1.q_GI), -1, -2) @ R_k @ dR)
+    w_v = _mv(R_kT, x_k1.v_GI - x_k.v_GI - g * dt)
+    w_p = _mv(R_kT, x_k1.p_GI - x_k.p_GI - x_k.v_GI * dt - 0.5 * g * dt * dt)
+    r = np.concatenate([e_rot, dv - w_v, dp - w_p, x_k1.b_g - x_k.b_g, x_k1.b_a - x_k.b_a], axis=-1)
+
+    inv_jr = so3_right_jacobian_inv(e_rot)
+    Jb = pre.bias_jacobians
+    # column slices of the keyframe minimal coordinates
+    TH, PO, VE, BA, BG = slice(0, 3), slice(3, 6), slice(6, 9), slice(9, 12), slice(12, 15)
+    J_k = np.zeros(r.shape + (15,))
+    J_k1 = np.zeros(r.shape + (15,))
+    # rotation residual rows
+    J_k[:, 0:3, TH] = inv_jr @ np.swapaxes(dR, -1, -2)
+    J_k[:, 0:3, BG] = inv_jr @ so3_right_jacobian(xi) @ Jb[:, 0:3, 0:3]
+    J_k1[:, 0:3, TH] = -so3_right_jacobian_inv(-e_rot)
+    # velocity and position residual rows
+    J_k[:, 3:6, TH] = -so3_hat(w_v)
+    J_k[:, 3:6, VE] = R_kT
+    J_k1[:, 3:6, VE] = -R_kT
+    J_k[:, 6:9, TH] = -so3_hat(w_p)
+    J_k[:, 6:9, PO] = R_kT
+    J_k[:, 6:9, VE] = R_kT * dt[:, :, None]
+    J_k1[:, 6:9, PO] = -R_kT
+    J_k[:, 3:9, BG] = Jb[:, 3:9, 0:3]
+    J_k[:, 3:9, BA] = Jb[:, 3:9, 3:6]
+    J_k[:, 9:15] = -BIAS_WALK_ROWS
+    J_k1[:, 9:15] = BIAS_WALK_ROWS
+
+    J_imu = np.zeros(r.shape + (N_IMU_PARAMS,))
+    Dp = pre.param_jacobians
+    J_imu[:, 0:3] = inv_jr @ np.swapaxes(so3_exp(xi), -1, -2) @ Dp[:, 0:3]
+    J_imu[:, 3:9] = Dp[:, 3:9]
+    return r, J_k, J_k1, J_imu
 
 
 def inertial_error(x_k, x_k1, pre: PreintegratedImu, gravity):
@@ -243,45 +345,38 @@ def inertial_error(x_k, x_k1, pre: PreintegratedImu, gravity):
 
     x_k and x_k1 expose q_GI, p_GI, v_GI, b_a, b_g.  The weight is the
     inverse of blockdiag(preintegration covariance, bias random-walk
-    covariances over the interval).
+    covariances over the interval).  A batch of one for
+    inertial_factor_blocks.
     """
-    r = _inertial_residual(x_k, x_k1, pre, gravity)
-    return r, inertial_weight(pre)
+    r = inertial_factor_blocks(StateStack.of([x_k]), StateStack.of([x_k1]), pre[None], gravity)[0]
+    return r[0], inertial_weight(pre)
 
 
-def _inertial_residual(x_k, x_k1, pre, gravity):
-    # orientation: preintegrated delta minus the state-implied delta, so a
-    # position bump on x_k1 moves the position block by -R_k^T delta; bias
-    # rows keep the plain forward difference b(k+1) - b(k)
-    g = np.asarray(gravity, dtype=float)
-    dt = pre.duration
-    dR, dv, dp, _ = _bias_corrected_deltas(pre, x_k.b_g, x_k.b_a, g)
-    R_k = _rotmat(x_k.q_GI)
-    R_k1 = _rotmat(x_k1.q_GI)
-    e_rot = so3_log(R_k1.T @ R_k @ dR)
-    e_v = dv - R_k.T @ (x_k1.v_GI - x_k.v_GI - g * dt)
-    e_p = dp - R_k.T @ (x_k1.p_GI - x_k.p_GI - x_k.v_GI * dt - 0.5 * g * dt * dt)
-    e_bg = x_k1.b_g - x_k.b_g
-    e_ba = x_k1.b_a - x_k.b_a
-    return np.concatenate([e_rot, e_v, e_p, e_bg, e_ba])
+def inertial_error_jacobians(x_k, x_k1, pre: PreintegratedImu, gravity):
+    """Analytic Jacobians (J_k, J_k1, J_imu) of one inertial residual; a
+    batch of one for inertial_factor_blocks, which documents them."""
+    _, J_k, J_k1, J_imu = inertial_factor_blocks(StateStack.of([x_k]), StateStack.of([x_k1]), pre[None], gravity)
+    return J_k[0], J_k1[0], J_imu[0]
 
 
 def bias_walk_sigmas(noise: NoiseModel, dt):
-    """Standard deviations of the bias random-walk residual (gyro, accel) over dt."""
-    return np.repeat([noise.sigma_bg, noise.sigma_ba], 3) * math.sqrt(dt)
+    """Standard deviations of the bias random-walk residual (gyro, accel)
+    over dt; a stack of dt gives one row each."""
+    return np.repeat([noise.sigma_bg, noise.sigma_ba], 3) * np.sqrt(np.asarray(dt, dtype=float))[..., None]
 
 
 def inertial_sqrt_information(pre: PreintegratedImu):
-    """15x15 whitening A of the inertial residual in its row order.
+    """15x15 whitening A of the inertial residual in its row order, one per
+    interval of a stack.
 
     A = blockdiag(L^-1, diag(1 / bias_walk_sigmas)) with L the lower
     Cholesky factor of the preintegration covariance, so A r has unit
     covariance and the weight is A^T A.
     """
-    A = np.zeros((15, 15))
     L = np.linalg.cholesky(pre.covariance)
-    A[0:9, 0:9] = scipy.linalg.solve_triangular(L, np.eye(9), lower=True, check_finite=False)
-    A[9:15, 9:15] = np.diag(1.0 / bias_walk_sigmas(pre.noise, pre.duration))
+    A = np.zeros(L.shape[:-2] + (15, 15))
+    A[..., 0:9, 0:9] = scipy.linalg.solve_triangular(L, np.broadcast_to(np.eye(9), L.shape), lower=True, check_finite=False)
+    A[..., 9:15, 9:15] = np.eye(6) * (1.0 / bias_walk_sigmas(pre.noise, pre.duration))[..., None, :]
     return A
 
 
@@ -289,67 +384,7 @@ def inertial_weight(pre: PreintegratedImu):
     """Inverse block-diagonal covariance of the 15-dim inertial residual,
     A^T A of inertial_sqrt_information."""
     A = inertial_sqrt_information(pre)
-    return A.T @ A
-
-
-def inertial_error_jacobians(x_k, x_k1, pre: PreintegratedImu, gravity):
-    """Analytic Jacobians of the 15-residual.
-
-    Returns (J_k, J_k1, J_imu): 15x15 blocks wrt the two keyframe minimal
-    deltas in the order (rotation, position, velocity, accel bias, gyro
-    bias), and a 15x15 block wrt the IMU intrinsics in calibration order.
-    Rotation deltas act by right-multiplied exponential.
-    """
-    g = np.asarray(gravity, dtype=float)
-    dt = pre.duration
-    dR, dv, dp, xi = _bias_corrected_deltas(pre, x_k.b_g, x_k.b_a, g)
-    R_k = _rotmat(x_k.q_GI)
-    R_k1 = _rotmat(x_k1.q_GI)
-    e_rot = so3_log(R_k1.T @ R_k @ dR)
-    inv_jr = so3_right_jacobian_inv(e_rot)
-    inv_jl = so3_right_jacobian_inv(-e_rot)
-
-    w_v = R_k.T @ (x_k1.v_GI - x_k.v_GI - g * dt)
-    w_p = R_k.T @ (x_k1.p_GI - x_k.p_GI - x_k.v_GI * dt - 0.5 * g * dt * dt)
-
-    Jb = pre.bias_jacobians
-    A_corr = so3_exp(xi)
-    Jr_xi = so3_right_jacobian(xi)
-
-    # column slices of the keyframe minimal coordinates
-    TH, PO, VE, BA, BG = slice(0, 3), slice(3, 6), slice(6, 9), slice(9, 12), slice(12, 15)
-
-    J_k = np.zeros((15, 15))
-    J_k1 = np.zeros((15, 15))
-    # rotation residual rows
-    J_k[0:3, TH] = inv_jr @ dR.T
-    J_k[0:3, BG] = inv_jr @ Jr_xi @ Jb[0:3, 0:3]
-    J_k1[0:3, TH] = -inv_jl
-    # velocity residual rows
-    J_k[3:6, TH] = -so3_hat(w_v)
-    J_k[3:6, VE] = R_k.T
-    J_k[3:6, BG] = Jb[3:6, 0:3]
-    J_k[3:6, BA] = Jb[3:6, 3:6]
-    J_k1[3:6, VE] = -R_k.T
-    # position residual rows
-    J_k[6:9, TH] = -so3_hat(w_p)
-    J_k[6:9, PO] = R_k.T
-    J_k[6:9, VE] = R_k.T * dt
-    J_k[6:9, BG] = Jb[6:9, 0:3]
-    J_k[6:9, BA] = Jb[6:9, 3:6]
-    J_k1[6:9, PO] = -R_k.T
-    # bias random-walk rows
-    J_k[9:12, BG] = -np.eye(3)
-    J_k1[9:12, BG] = np.eye(3)
-    J_k[12:15, BA] = -np.eye(3)
-    J_k1[12:15, BA] = np.eye(3)
-
-    J_imu = np.zeros((15, 15))
-    Dp = pre.param_jacobians
-    J_imu[0:3, :] = inv_jr @ A_corr.T @ Dp[0:3]
-    J_imu[3:6, :] = Dp[3:6]
-    J_imu[6:9, :] = Dp[6:9]
-    return J_k, J_k1, J_imu
+    return np.swapaxes(A, -1, -2) @ A
 
 
 def preintegrate_intervals(times, omega_meas, accel_meas, intr: ImuIntrinsics, bias_lin_g, bias_lin_a, noise: NoiseModel):
@@ -357,8 +392,9 @@ def preintegrate_intervals(times, omega_meas, accel_meas, intr: ImuIntrinsics, b
 
     times: (K, S+1), strictly increasing along each row; omega_meas and
     accel_meas: (K, S+1, 3); bias_lin_g/a: (K, 3) per-interval
-    linearization biases.  Returns one PreintegratedImu per interval.  The
-    only preintegration recursion: preintegrate is a batch of one, and
+    linearization biases.  Returns the stack of the K intervals'
+    PreintegratedImu (stack[k] is interval k).  The only preintegration
+    recursion: preintegrate is a batch of one, and
     problem.refresh_preintegrations makes one call per sample count.
     """
     K, S1 = times.shape
@@ -466,17 +502,14 @@ def preintegrate_intervals(times, omega_meas, accel_meas, intr: ImuIntrinsics, b
     g = noise.gravity_vector()
     delta_velocity = dv + g * durations[:, None]
     delta_position = dp + 0.5 * g * (durations ** 2)[:, None]
-    return [
-        PreintegratedImu(
-            delta_rotation_matrix=dR[k],
-            delta_velocity=delta_velocity[k],
-            delta_position=delta_position[k],
-            duration=float(durations[k]),
-            covariance=P[k],
-            bias_linearization=(bias_lin_g[k].copy(), bias_lin_a[k].copy()),
-            bias_jacobians=D[k, :, 0:6],
-            param_jacobians=D[k, :, 6:21],
-            noise=noise,
-        )
-        for k in range(K)
-    ]
+    return PreintegratedImu(
+        delta_rotation_matrix=dR,
+        delta_velocity=delta_velocity,
+        delta_position=delta_position,
+        duration=durations,
+        covariance=P,
+        bias_linearization=np.stack([bias_lin_g, bias_lin_a], axis=1),
+        bias_jacobians=D[:, :, 0:6],
+        param_jacobians=D[:, :, 6:21],
+        noise=noise,
+    )

@@ -32,10 +32,10 @@ from .problem import (
     IMU_BLOCK,
     KF_DIM,
     anchor_projectors,
+    bridge_blocks,
+    camera_blocks,
+    inertial_blocks,
     refresh_preintegrations,
-    _bridge_blocks,
-    _camera_blocks,
-    _inertial_blocks,
 )
 
 # relative floor under which a triangular diagonal counts as zero rank
@@ -171,7 +171,7 @@ def segment_marginal_covariance(problem):
     n_cols = n_kf_cols + CALIB_DIM
     th0 = n_kf_cols
 
-    r_c, Jp, Jl, Jth, _ = _camera_blocks(problem)
+    r_c, Jp, Jl, Jth, _ = camera_blocks(problem)
     ki = problem._cam_kf
     li = problem._cam_lm
     diag_values = []
@@ -209,19 +209,19 @@ def segment_marginal_covariance(problem):
             full[cols] = row
             remainder_rows.append(full)
 
-    inertial = _inertial_blocks(problem)
-    bridges = _bridge_blocks(problem)
-    n_tail = len(remainder_rows) + 15 * len(inertial) + 6 * len(bridges)
+    inertial = inertial_blocks(problem)
+    bridges = bridge_blocks(problem)
+    n_tail = len(remainder_rows) + 15 * len(inertial[0]) + 6 * len(bridges[0])
     A = np.zeros((n_tail, n_cols))
     if remainder_rows:
         A[: len(remainder_rows)] = np.asarray(remainder_rows)
     base = len(remainder_rows)
-    for k0, k1, rw, J0w, J1w, Jthw in inertial:
+    for k0, k1, rw, J0w, J1w, Jthw in zip(*inertial):
         A[base : base + 15, offsets[k0] : offsets[k0] + maps[k0].shape[1]] = J0w @ maps[k0]
         A[base : base + 15, offsets[k1] : offsets[k1] + maps[k1].shape[1]] = J1w @ maps[k1]
         A[base : base + 15, th0 + IMU_BLOCK.start : th0 + IMU_BLOCK.stop] = Jthw
         base += 15
-    for k0, k1, rw, J0w, J1w in bridges:
+    for k0, k1, rw, J0w, J1w in zip(*bridges):
         A[base : base + 6, offsets[k0] : offsets[k0] + maps[k0].shape[1]] = J0w @ maps[k0]
         A[base : base + 6, offsets[k1] : offsets[k1] + maps[k1].shape[1]] = J1w @ maps[k1]
         base += 6

@@ -38,6 +38,7 @@ from . import imu as im
 from .geometry import Transform, UnitQuaternion
 
 KF_DIM = 15
+POSE_DIM = 6  # rotation and position, the keyframe coords camera factors touch
 LM_DIM = 3
 CALIB_DIM = 26
 # camera factors touch calibration coords [0:11], inertial factors [11:26]
@@ -45,9 +46,6 @@ CAM_BLOCK = slice(0, 11)
 IMU_BLOCK = slice(11, 26)
 
 _WORLD_Z = np.array([0.0, 0.0, 1.0])
-# keyframe delta coordinates (accel bias 9:12, gyro bias 12:15) of the
-# bias random-walk residual rows (gyro, accel)
-_BIAS_WALK_ROWS = np.eye(KF_DIM)[[12, 13, 14, 9, 10, 11]]
 _LM_DIAG_FLOOR = 1e-12
 
 
@@ -125,21 +123,18 @@ class Partition:
 class InertialFactor:
     """Full 15-dim constraint between consecutive keyframes.
 
-    Keeps the raw measurement slice, validated at build time.  pre is
-    written only by refresh_preintegrations, at the current bias estimate
-    of the left keyframe and the current IMU intrinsics; it is None until
-    the first refresh.
+    Keeps the raw measurement slice, validated at build time; its
+    preintegration lives in the problem's stack (CalibrationProblem).
     """
 
-    __slots__ = ("k0", "k1", "times", "omega", "accel", "pre")
+    __slots__ = ("k0", "k1", "times", "omega", "accel")
 
-    def __init__(self, k0, k1, times, omega, accel, pre=None):
+    def __init__(self, k0, k1, times, omega, accel):
         self.k0 = int(k0)
         self.k1 = int(k1)
         self.times = np.asarray(times, dtype=float)
         self.omega = np.asarray(omega, dtype=float)
         self.accel = np.asarray(accel, dtype=float)
-        self.pre = pre
 
 
 class BiasBridgeFactor:
@@ -164,6 +159,11 @@ class CalibrationProblem:
     index back to the session-level id.  Landmarks observed from multiple
     partitions are instantiated once per partition so no camera term
     couples partitions.
+
+    preintegrated is the stack of the inertial factors' preintegrations in
+    factor order, at the current bias estimates of their left keyframes
+    and the current IMU intrinsics.  Only refresh_preintegrations writes
+    it; it is None until the first refresh.
     """
 
     keyframes: list
@@ -195,6 +195,23 @@ class CalibrationProblem:
         )
         self._cam_sigma = np.array([f.sigma for f in self.camera_factors])
         self._anchor_local = [self.keyframe_ids.index(p.anchor_keyframe_id) for p in self.partitions]
+        self._inertial_k0 = np.array([f.k0 for f in self.inertial_factors], dtype=int)
+        self._inertial_k1 = np.array([f.k1 for f in self.inertial_factors], dtype=int)
+        # raw samples stacked once per sample count: refresh makes one
+        # preintegrate_intervals call per group, then restores factor order
+        groups = {}
+        for i, f in enumerate(self.inertial_factors):
+            groups.setdefault(f.times.shape[0], []).append(i)
+        self._imu_groups = []
+        for idx in groups.values():
+            facs = [self.inertial_factors[i] for i in idx]
+            stacked = (np.stack([getattr(f, a) for f in facs]) for a in ("times", "omega", "accel"))
+            self._imu_groups.append((np.array(idx), *stacked))
+        self._imu_order = np.argsort(np.concatenate(list(groups.values()))) if groups else None
+        self._bridge_k0 = np.array([f.k0 for f in self.bridge_factors], dtype=int)
+        self._bridge_k1 = np.array([f.k1 for f in self.bridge_factors], dtype=int)
+        self._bridge_dt = np.array([f.dt for f in self.bridge_factors])
+        self.preintegrated = None
 
     @property
     def num_states(self):
@@ -462,53 +479,48 @@ def build_segment_problem(segments, calib_init, noise, max_shared=10):
 def refresh_preintegrations(problem):
     """Re-preintegrate every inertial factor at its left keyframe's biases.
 
-    The only writer of InertialFactor.pre: factors are grouped by sample
-    count, one batched preintegrate_intervals call per group.  Keeps the
-    bias linearization point equal to the current estimate so the
-    first-order bias correction inside the residual is exact.
+    The only writer of problem.preintegrated: one batched
+    preintegrate_intervals call per sample count, stacked in factor order.
+    Keeps the bias linearization point equal to the current estimate so
+    the first-order bias correction inside the residual is exact.
     """
-    groups = {}
-    for f in problem.inertial_factors:
-        groups.setdefault(f.times.shape[0], []).append(f)
-    for facs in groups.values():
-        kf0 = [problem.keyframes[f.k0] for f in facs]
-        pres = im.preintegrate_intervals(
-            np.stack([f.times for f in facs]),
-            np.stack([f.omega for f in facs]),
-            np.stack([f.accel for f in facs]),
-            problem.calibration.imu,
-            np.stack([k.b_g for k in kf0]),
-            np.stack([k.b_a for k in kf0]),
-            problem.noise,
-        )
-        for f, pre in zip(facs, pres):
-            f.pre = pre
+    if not problem._imu_groups:
+        return
+    x = im.StateStack.of(problem.keyframes)
+    k0 = problem._inertial_k0
+    intr, noise = problem.calibration.imu, problem.noise
+    stacks = [
+        im.preintegrate_intervals(times, omega, accel, intr, x.b_g[k0[idx]], x.b_a[k0[idx]], noise)
+        for idx, times, omega, accel in problem._imu_groups
+    ]
+    problem.preintegrated = im.concatenate_preintegrations(stacks)[problem._imu_order]
 
 
-def _camera_blocks(problem, whiten=True):
+def camera_blocks(problem, whiten=True):
     """Residuals and Jacobian blocks of all camera factors.
 
-    Returns (r, J_pose, J_lm, J_theta, valid); J_theta covers calibration
+    Returns (r, J_pose, J_lm, J_theta, valid) stacked over the factors;
+    J_pose covers the keyframe pose coords [0:6], J_theta calibration
     coords [0:11].  Rows of behind-camera observations are zero.
+    Whitened by the pixel sigma, or raw.
     """
     calib = problem.calibration
     N = problem._cam_kf.shape[0]
     if N == 0:
         return (
             np.zeros((0, 2)),
-            np.zeros((0, 2, 6)),
+            np.zeros((0, 2, POSE_DIM)),
             np.zeros((0, 2, 3)),
             np.zeros((0, 2, 11)),
             np.ones(0, dtype=bool),
         )
-    q = np.stack([k.q_GI.wxyz for k in problem.keyframes])
-    p = np.stack([k.p_GI for k in problem.keyframes])
+    x = im.StateStack.of(problem.keyframes)
     l_all = np.stack([lm.l_G for lm in problem.landmarks])
     ki = problem._cam_kf
     li = problem._cam_lm
     T = calib.extrinsics.T_CI
     uv_pred, valid, J_pose, J_l, J_extr, J_intr = cam.camera_factor_blocks(
-        q[ki], p[ki], T.rotation.matrix(), T.translation, l_all[li], calib.camera
+        x.q_GI[ki], x.p_GI[ki], T.rotation.matrix(), T.translation, l_all[li], calib.camera
     )
     r = np.where(valid[:, None], uv_pred - problem._cam_uv, 0.0)
     J_theta = np.concatenate([J_intr, J_extr], axis=-1)
@@ -522,32 +534,42 @@ def _camera_blocks(problem, whiten=True):
     return r, J_pose, J_l, J_theta, valid
 
 
-def _inertial_blocks(problem):
-    """Whitened residual and Jacobians per full inertial factor."""
-    g = problem.noise.gravity_vector()
-    out = []
-    for f in problem.inertial_factors:
-        x0 = problem.keyframes[f.k0]
-        x1 = problem.keyframes[f.k1]
-        A = im.inertial_sqrt_information(f.pre)
-        r = im._inertial_residual(x0, x1, f.pre, g)
-        J0, J1, Jth = im.inertial_error_jacobians(x0, x1, f.pre, g)
-        out.append((f.k0, f.k1, A @ r, A @ J0, A @ J1, A @ Jth))
-    return out
+def inertial_blocks(problem, whiten=True):
+    """Residuals and Jacobian blocks of all inertial factors, in one pass.
+
+    Returns (k0, k1, r, J0, J1, J_theta) stacked over the factors in
+    factor order: the two keyframe indices, the 15-dim residuals, and their
+    15x15 Jacobians wrt the two keyframes and wrt the IMU intrinsics
+    (calibration coords [11:26]).  Whitened by inertial_sqrt_information,
+    or raw.  Reads the preintegrations of the last refresh.
+    """
+    k0, k1 = problem._inertial_k0, problem._inertial_k1
+    if not k0.size:
+        empty = np.zeros((0, 15, 15))
+        return k0, k1, np.zeros((0, 15)), empty, empty, empty
+    x = im.StateStack.of(problem.keyframes)
+    pre = problem.preintegrated
+    r, J0, J1, Jth = im.inertial_factor_blocks(x.take(k0), x.take(k1), pre, problem.noise.gravity_vector())
+    if whiten:
+        A = im.inertial_sqrt_information(pre)
+        r = np.einsum("fij,fj->fi", A, r)
+        J0, J1, Jth = A @ J0, A @ J1, A @ Jth
+    return k0, k1, r, J0, J1, Jth
 
 
-def _bridge_blocks(problem, whiten=True):
-    """Bias random-walk residual per bridge, rows (gyro, accel) like
-    inertial rows 9:15, with its keyframe Jacobians; whitened or raw."""
-    out = []
-    for f in problem.bridge_factors:
-        x0 = problem.keyframes[f.k0]
-        x1 = problem.keyframes[f.k1]
-        r = np.concatenate([x1.b_g - x0.b_g, x1.b_a - x0.b_a])
-        w = 1.0 / im.bias_walk_sigmas(problem.noise, f.dt) if whiten else np.ones(6)
-        J1 = w[:, None] * _BIAS_WALK_ROWS
-        out.append((f.k0, f.k1, w * r, -J1, J1))
-    return out
+def bridge_blocks(problem, whiten=True):
+    """Bias random-walk residuals of all bridges, rows (gyro, accel) like
+    inertial rows 9:15, with their keyframe Jacobians.
+
+    Returns (k0, k1, r, J0, J1) stacked over the bridges: the two keyframe
+    indices, the 6-dim residuals and their 6x15 Jacobians; whitened or raw.
+    """
+    k0, k1 = problem._bridge_k0, problem._bridge_k1
+    x = im.StateStack.of(problem.keyframes)
+    r = np.concatenate([x.b_g[k1] - x.b_g[k0], x.b_a[k1] - x.b_a[k0]], axis=-1)
+    w = 1.0 / im.bias_walk_sigmas(problem.noise, problem._bridge_dt) if whiten else np.ones_like(r)
+    J1 = w[:, :, None] * im.BIAS_WALK_ROWS
+    return k0, k1, w * r, -J1, J1
 
 
 def anchor_projectors(problem):
@@ -587,61 +609,42 @@ def evaluate_residuals(problem, apply_gauge=True):
     th_base = lm_base + L * LM_DIM
 
     rows, cols, vals = [], [], []
-    res_parts, weights = [], []
 
-    r_c, Jp, Jl, Jth, valid = _camera_blocks(problem, whiten=False)
+    def place(row0, col0, B):
+        """Blocks B (n, r, c) with top-left corners at (row0, col0)."""
+        rows.append(np.broadcast_to(row0[:, None, None] + np.arange(B.shape[1])[None, :, None], B.shape).ravel())
+        cols.append(np.broadcast_to(col0[:, None, None] + np.arange(B.shape[2])[None, None, :], B.shape).ravel())
+        vals.append(B.ravel())
+
+    r_c, Jp, Jl, Jth, valid = camera_blocks(problem, whiten=False)
     N = r_c.shape[0]
-    if N:
-        res_parts.append(r_c.reshape(-1))
-        sig2 = problem._cam_sigma**2
-        for i in range(N):
-            weights.append((2 * i, np.eye(2) / sig2[i]))
-        rr = (2 * np.arange(N))[:, None, None] + np.array([0, 1])[None, :, None]
-        kf_cols = (problem._cam_kf * KF_DIM)[:, None, None] + np.arange(6)[None, None, :]
-        rows.append(np.broadcast_to(rr, (N, 2, 6)).ravel())
-        cols.append(np.broadcast_to(kf_cols, (N, 2, 6)).ravel())
-        vals.append(Jp.ravel())
-        lm_cols = (lm_base + problem._cam_lm * LM_DIM)[:, None, None] + np.arange(3)[None, None, :]
-        rows.append(np.broadcast_to(rr, (N, 2, 3)).ravel())
-        cols.append(np.broadcast_to(lm_cols, (N, 2, 3)).ravel())
-        vals.append(Jl.ravel())
-        th_cols = th_base + np.arange(11)[None, None, :]
-        rows.append(np.broadcast_to(rr, (N, 2, 11)).ravel())
-        cols.append(np.broadcast_to(th_cols, (N, 2, 11)).ravel())
-        vals.append(Jth.ravel())
+    place(2 * np.arange(N), problem._cam_kf * KF_DIM, Jp)
+    place(2 * np.arange(N), lm_base + problem._cam_lm * LM_DIM, Jl)
+    place(2 * np.arange(N), np.full(N, th_base), Jth)
+    weights = [(2 * i, np.eye(2) / s2) for i, s2 in enumerate(problem._cam_sigma**2)]
 
-    pending = []
-    g = problem.noise.gravity_vector()
-    for f in problem.inertial_factors:
-        x0 = problem.keyframes[f.k0]
-        x1 = problem.keyframes[f.k1]
-        r, W = im.inertial_error(x0, x1, f.pre, g)
-        J0, J1, Jth_i = im.inertial_error_jacobians(x0, x1, f.pre, g)
-        blocks = ((f.k0 * KF_DIM, J0), (f.k1 * KF_DIM, J1), (th_base + IMU_BLOCK.start, Jth_i))
-        pending.append((f.k0, 0, r, W, blocks))
-    for f, (k0, k1, r, J0, J1) in zip(problem.bridge_factors, _bridge_blocks(problem, whiten=False)):
-        W = np.diag(im.bias_walk_sigmas(problem.noise, f.dt) ** -2.0)
-        pending.append((k0, 1, r, W, ((k0 * KF_DIM, J0), (k1 * KF_DIM, J1))))
-    pending.sort(key=lambda e: (e[0], e[1]))
+    # inertial-type rows by left keyframe, an inertial factor before a bridge
+    k0, k1, r_i, J0, J1, Jth_i = inertial_blocks(problem, whiten=False)
+    b0, b1, r_b, B0, B1 = bridge_blocks(problem, whiten=False)
+    is_bridge = np.repeat([False, True], [k0.size, b0.size])
+    sizes = np.where(is_bridge, 6, 15)
+    order = np.lexsort((is_bridge, np.concatenate([k0, b0])))
+    start = np.empty_like(sizes)
+    start[order] = 2 * N + np.cumsum(sizes[order]) - sizes[order]
+    s_i, s_b = start[: k0.size], start[k0.size :]
+    place(s_i, k0 * KF_DIM, J0)
+    place(s_i, k1 * KF_DIM, J1)
+    place(s_i, np.full(k0.size, th_base + IMU_BLOCK.start), Jth_i)
+    place(s_b, b0 * KF_DIM, B0)
+    place(s_b, b1 * KF_DIM, B1)
+    residual = np.concatenate([r_c.reshape(-1), np.zeros(sizes.sum())])
+    residual[s_i[:, None] + np.arange(15)] = r_i
+    residual[s_b[:, None] + np.arange(6)] = r_b
+    W_i = im.inertial_weight(problem.preintegrated) if k0.size else []
+    W_b = [np.diag(w) for w in im.bias_walk_sigmas(problem.noise, problem._bridge_dt) ** -2.0]
+    weights += sorted([*zip(s_i.tolist(), W_i), *zip(s_b.tolist(), W_b)], key=lambda e: e[0])
 
-    base = 2 * N
-    for _, _, r, W, blocks in pending:
-        res_parts.append(r)
-        weights.append((base, W))
-        for col0, B in blocks:
-            nr, nc = B.shape
-            r_idx = base + np.arange(nr)[:, None]
-            c_idx = col0 + np.arange(nc)[None, :]
-            rows.append(np.broadcast_to(r_idx, B.shape).ravel())
-            cols.append(np.broadcast_to(c_idx, B.shape).ravel())
-            vals.append(B.ravel())
-        base += r.shape[0]
-
-    residual = np.concatenate(res_parts) if res_parts else np.zeros(0)
-    if vals:
-        data = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
-    else:
-        data = (np.zeros(0), (np.zeros(0, dtype=int), np.zeros(0, dtype=int)))
+    data = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
     J = scipy.sparse.csr_matrix(data, shape=(residual.shape[0], n_cols))
 
     if apply_gauge:
@@ -666,20 +669,15 @@ def problem_cost(problem, huber=False, huber_threshold=2.0):
 
 
 def _cost_from_blocks(problem, huber=False, huber_threshold=2.0):
-    r_c, _, _, _, _ = _camera_blocks(problem)
+    r_c, _, _, _, _ = camera_blocks(problem)
     if huber and r_c.shape[0]:
         nrm = np.linalg.norm(r_c, axis=1)
         k = huber_threshold
         cost = float(np.sum(np.where(nrm <= k, 0.5 * nrm**2, k * nrm - 0.5 * k * k)))
     else:
         cost = 0.5 * float(np.sum(r_c**2))
-    g = problem.noise.gravity_vector()
-    for f in problem.inertial_factors:
-        r = im._inertial_residual(problem.keyframes[f.k0], problem.keyframes[f.k1], f.pre, g)
-        rw = im.inertial_sqrt_information(f.pre) @ r
-        cost += 0.5 * float(rw @ rw)
-    for _, _, rw, _, _ in _bridge_blocks(problem):
-        cost += 0.5 * float(rw @ rw)
+    for blocks in (inertial_blocks(problem), bridge_blocks(problem)):
+        cost += 0.5 * float(np.sum(blocks[2] ** 2))
     return cost
 
 
@@ -687,14 +685,20 @@ def _cost_from_blocks(problem, huber=False, huber_threshold=2.0):
 
 
 class _PartitionSystem:
-    """Undamped normal-equation pieces of one partition (whitened blocks)."""
+    """Undamped normal-equation pieces of one partition (whitened blocks).
+
+    Hkl keeps only the pose rows (POSE_DIM per keyframe) of the
+    keyframe-landmark block: camera factors, its only source, touch no
+    other keyframe coordinate.
+    """
 
     __slots__ = ("kf_idx", "lm_idx", "Hkk", "Hkl", "Hll", "Hkth", "Hlth", "Hthth", "gk", "gl", "gth", "anchor")
 
 
-def _assemble_partition_systems(problem, cam_blocks, inertial_blocks, bridge_blocks):
+def _assemble_partition_systems(problem, cam, inertial, bridges):
     """Accumulate dense per-partition normal equations; returns also the
-    cross-partition bridge terms that cannot live inside one partition."""
+    bridge blocks of the cross-partition bridges, which cannot live inside
+    one partition."""
     n_p = len(problem.partitions)
     kf_of = [np.flatnonzero(problem.kf_partition == p) for p in range(n_p)]
     lm_of = [np.flatnonzero(problem.lm_partition == p) for p in range(n_p)]
@@ -711,7 +715,7 @@ def _assemble_partition_systems(problem, cam_blocks, inertial_blocks, bridge_blo
         s.lm_idx = lm_of[p]
         nk, nl = len(s.kf_idx) * KF_DIM, len(s.lm_idx) * LM_DIM
         s.Hkk = np.zeros((nk, nk))
-        s.Hkl = np.zeros((nk, nl))
+        s.Hkl = np.zeros((len(s.kf_idx) * POSE_DIM, nl))
         s.Hll = np.zeros((len(s.lm_idx), LM_DIM, LM_DIM))
         s.Hkth = np.zeros((nk, CALIB_DIM))
         s.Hlth = np.zeros((nl, CALIB_DIM))
@@ -722,7 +726,7 @@ def _assemble_partition_systems(problem, cam_blocks, inertial_blocks, bridge_blo
         s.anchor = problem._anchor_local[p]
         systems.append(s)
 
-    r_c, Jp, Jl, Jth, _ = cam_blocks
+    r_c, Jp, Jl, Jth, _ = cam
     if r_c.shape[0]:
         ki = problem._cam_kf
         li = problem._cam_lm
@@ -739,11 +743,12 @@ def _assemble_partition_systems(problem, cam_blocks, inertial_blocks, bridge_blo
             sel = np.flatnonzero(pi == p)
             if not sel.size:
                 continue
-            # camera factors touch only the pose coords (first 6) of a keyframe
-            r6 = (kf_pos[ki[sel]] * KF_DIM)[:, None] + np.arange(6)[None, :]
+            # camera factors touch only the pose coords of a keyframe
+            r6 = (kf_pos[ki[sel]] * KF_DIM)[:, None] + np.arange(POSE_DIM)[None, :]
+            p6 = (kf_pos[ki[sel]] * POSE_DIM)[:, None] + np.arange(POSE_DIM)[None, :]
             c3 = (lm_pos[li[sel]] * LM_DIM)[:, None] + np.arange(3)[None, :]
             np.add.at(s.Hkk, (r6[:, :, None], r6[:, None, :]), Hpp[sel])
-            np.add.at(s.Hkl, (r6[:, :, None], c3[:, None, :]), Hpl[sel])
+            np.add.at(s.Hkl, (p6[:, :, None], c3[:, None, :]), Hpl[sel])
             np.add.at(s.Hll, (lm_pos[li[sel]],), Hll_o[sel])
             np.add.at(s.Hkth[:, CAM_BLOCK], (r6,), Hpt[sel])
             np.add.at(s.Hlth[:, CAM_BLOCK], (c3,), Hlt[sel])
@@ -752,40 +757,37 @@ def _assemble_partition_systems(problem, cam_blocks, inertial_blocks, bridge_blo
             np.add.at(s.gl, (c3,), glo[sel])
             s.gth[CAM_BLOCK] += gto[sel].sum(axis=0)
 
-    for k0, k1, rw, J0w, J1w, Jthw in inertial_blocks:
-        s = systems[int(problem.kf_partition[k0])]
-        i0 = kf_pos[k0] * KF_DIM
-        i1 = kf_pos[k1] * KF_DIM
-        s.Hkk[i0 : i0 + 15, i0 : i0 + 15] += J0w.T @ J0w
-        s.Hkk[i1 : i1 + 15, i1 : i1 + 15] += J1w.T @ J1w
-        X = J0w.T @ J1w
-        s.Hkk[i0 : i0 + 15, i1 : i1 + 15] += X
-        s.Hkk[i1 : i1 + 15, i0 : i0 + 15] += X.T
-        s.Hkth[i0 : i0 + 15, IMU_BLOCK] += J0w.T @ Jthw
-        s.Hkth[i1 : i1 + 15, IMU_BLOCK] += J1w.T @ Jthw
-        s.Hthth[IMU_BLOCK, IMU_BLOCK] += Jthw.T @ Jthw
-        s.gk[i0 : i0 + 15] += -J0w.T @ rw
-        s.gk[i1 : i1 + 15] += -J1w.T @ rw
-        s.gth[IMU_BLOCK] += -Jthw.T @ rw
+    k0, k1, rw, J0w, J1w, Jthw = inertial
+    for p, s in enumerate(systems):
+        sel = np.flatnonzero(problem.kf_partition[k0] == p)
+        rows0, rows1 = _kf_rows(kf_pos[k0[sel]]), _kf_rows(kf_pos[k1[sel]])
+        Jth_s = Jthw[sel]
+        _add_keyframe_pairs(s.Hkk, s.gk, rows0, rows1, rw[sel], J0w[sel], J1w[sel])
+        np.add.at(s.Hkth[:, IMU_BLOCK], (rows0,), np.einsum("fri,frj->fij", J0w[sel], Jth_s))
+        np.add.at(s.Hkth[:, IMU_BLOCK], (rows1,), np.einsum("fri,frj->fij", J1w[sel], Jth_s))
+        s.Hthth[IMU_BLOCK, IMU_BLOCK] += np.einsum("fri,frj->ij", Jth_s, Jth_s)
+        s.gth[IMU_BLOCK] -= np.einsum("fri,fr->i", Jth_s, rw[sel])
 
-    cross = []
-    for k0, k1, rw, J0, J1 in bridge_blocks:
-        p0 = int(problem.kf_partition[k0])
-        p1 = int(problem.kf_partition[k1])
-        if p0 == p1:
-            s = systems[p0]
-            i0 = kf_pos[k0] * KF_DIM
-            i1 = kf_pos[k1] * KF_DIM
-            s.Hkk[i0 : i0 + 15, i0 : i0 + 15] += J0.T @ J0
-            s.Hkk[i1 : i1 + 15, i1 : i1 + 15] += J1.T @ J1
-            X = J0.T @ J1
-            s.Hkk[i0 : i0 + 15, i1 : i1 + 15] += X
-            s.Hkk[i1 : i1 + 15, i0 : i0 + 15] += X.T
-            s.gk[i0 : i0 + 15] += -J0.T @ rw
-            s.gk[i1 : i1 + 15] += -J1.T @ rw
-        else:
-            cross.append((k0, k1, J0, J1, rw))
-    return systems, cross
+    k0, k1, rw, J0, J1 = bridges
+    p0, p1 = problem.kf_partition[k0], problem.kf_partition[k1]
+    for p, s in enumerate(systems):
+        sel = np.flatnonzero((p0 == p) & (p1 == p))
+        _add_keyframe_pairs(s.Hkk, s.gk, _kf_rows(kf_pos[k0[sel]]), _kf_rows(kf_pos[k1[sel]]), rw[sel], J0[sel], J1[sel])
+    return systems, tuple(a[p0 != p1] for a in bridges)
+
+
+def _kf_rows(pos):
+    """(n, 15) rows of the keyframes at block positions pos."""
+    return (pos * KF_DIM)[:, None] + np.arange(KF_DIM)[None, :]
+
+
+def _add_keyframe_pairs(H, g, rows0, rows1, rw, J0, J1):
+    """Add J^T J and -J^T r of factors on keyframe pairs to H and g;
+    rows0, rows1 (F, 15) index the rows of each factor's two keyframes."""
+    for ra, Ja in ((rows0, J0), (rows1, J1)):
+        for rb, Jb in ((rows0, J0), (rows1, J1)):
+            np.add.at(H, (ra[:, :, None], rb[:, None, :]), np.einsum("fri,frj->fij", Ja, Jb))
+        np.add.at(g, (ra,), -np.einsum("fri,fr->fi", Ja, rw))
 
 
 def _gauge_partition(problem, s, Hkk, Hkl, Hkth, gk, P_rot):
@@ -804,18 +806,15 @@ def _gauge_partition(problem, s, Hkk, Hkl, Hkth, gk, P_rot):
     Hkk[i0 : i0 + 3, i0 : i0 + 3] += np.outer(u, u)
     Hkth[i0 : i0 + 3] = P @ Hkth[i0 : i0 + 3]
     gk[i0 : i0 + 3] = P @ gk[i0 : i0 + 3]
-    Hkl[i0 : i0 + 3, :] = P @ Hkl[i0 : i0 + 3, :]
+    Hkl[j * POSE_DIM : j * POSE_DIM + 3, :] = P @ Hkl[j * POSE_DIM : j * POSE_DIM + 3, :]
 
-    masked = []
-    for jj, k in enumerate(s.kf_idx):
-        flags = problem.constant_mask["keyframes"][k]
-        masked.extend(jj * KF_DIM + i for i in np.flatnonzero(flags))
-    masked = np.array(masked, dtype=int)
+    flags = problem.constant_mask["keyframes"][s.kf_idx]
+    masked = np.flatnonzero(flags)
     if masked.size:
         Hkk[masked, :] = 0.0
         Hkk[:, masked] = 0.0
         Hkk[masked, masked] = 1.0
-        Hkl[masked, :] = 0.0
+        Hkl[np.flatnonzero(flags[:, :POSE_DIM]), :] = 0.0
         Hkth[masked, :] = 0.0
         gk[masked] = 0.0
 
@@ -823,23 +822,19 @@ def _gauge_partition(problem, s, Hkk, Hkl, Hkth, gk, P_rot):
 def _solve_normal_equations(problem, systems, cross, lam, fix_calibration, anchors):
     """Damped elimination: landmarks, interior keyframes, then a dense
     [calibration | boundary keyframe] system.  Returns the update triple."""
-    boundary = sorted({k for (k0, k1, _, _, _) in cross for k in (k0, k1)})
-    b_of = {k: i for i, k in enumerate(boundary)}
+    k0, k1, rw, J0, J1 = cross
+    boundary = np.unique(np.concatenate([k0, k1]))
+    b_of = {int(k): i for i, k in enumerate(boundary)}
     nB = len(boundary) * KF_DIM
     S = np.zeros((CALIB_DIM + nB, CALIB_DIM + nB))
     g = np.zeros(CALIB_DIM + nB)
     anchor_of = {a: (P, u) for a, P, u in anchors}
 
-    for k0, k1, J0, J1, rw in cross:
-        i0 = CALIB_DIM + b_of[k0] * KF_DIM
-        i1 = CALIB_DIM + b_of[k1] * KF_DIM
-        B00, B11, B01 = J0.T @ J0, J1.T @ J1, J0.T @ J1
-        S[i0 : i0 + 15, i0 : i0 + 15] += B00 + lam * np.diag(np.diag(B00))
-        S[i1 : i1 + 15, i1 : i1 + 15] += B11 + lam * np.diag(np.diag(B11))
-        S[i0 : i0 + 15, i1 : i1 + 15] += B01
-        S[i1 : i1 + 15, i0 : i0 + 15] += B01.T
-        g[i0 : i0 + 15] += -J0.T @ rw
-        g[i1 : i1 + 15] += -J1.T @ rw
+    # the cross-partition bridges couple boundary keyframes directly
+    B = np.zeros((nB, nB))
+    rows0, rows1 = (_kf_rows(np.searchsorted(boundary, k)) for k in (k0, k1))
+    _add_keyframe_pairs(B, g[CALIB_DIM:], rows0, rows1, rw, J0, J1)
+    S[CALIB_DIM:, CALIB_DIM:] = B + lam * np.diag(np.diag(B))
 
     back = []
     for s in systems:
@@ -861,19 +856,22 @@ def _solve_normal_equations(problem, systems, cross, lam, fix_calibration, ancho
         _gauge_partition(problem, s, Hkk, Hkl, Hkth, gk, anchor_of[s.anchor])
 
         if n_lm:
-            Hkl_r = Hkl.reshape(nk, n_lm, 3)
-            T = np.einsum("knj,nji->kni", Hkl_r, Hll_inv).reshape(nk, n_lm * 3)
-            S_XX = Hkk - T @ Hkl.T
-            S_Xth = Hkth - T @ s.Hlth
-            g_X = gk - T @ s.gl
+            # landmark Schur update, in place on the pose rows: the only
+            # rows where Hkl is non-zero, also after the gauge projection
+            nkf = len(s.kf_idx)
+            T = (Hkl.reshape(-1, n_lm, 3).transpose(1, 0, 2) @ Hll_inv).transpose(1, 0, 2).reshape(-1, n_lm * 3)
+            Hkk_pose = Hkk.reshape(nkf, KF_DIM, nkf, KF_DIM)[:, :POSE_DIM, :, :POSE_DIM]
+            Hkk_pose -= (T @ Hkl.T).reshape(Hkk_pose.shape)
+            Hkth.reshape(nkf, KF_DIM, CALIB_DIM)[:, :POSE_DIM] -= (T @ s.Hlth).reshape(nkf, POSE_DIM, CALIB_DIM)
+            gk.reshape(nkf, KF_DIM)[:, :POSE_DIM] -= (T @ s.gl).reshape(nkf, POSE_DIM)
             Hlth_r = s.Hlth.reshape(n_lm, 3, CALIB_DIM)
             gl_r = s.gl.reshape(n_lm, 3)
             S[:CALIB_DIM, :CALIB_DIM] += s.Hthth - np.einsum("nic,nij,njd->cd", Hlth_r, Hll_inv, Hlth_r)
             g[:CALIB_DIM] += s.gth - np.einsum("nic,nij,nj->c", Hlth_r, Hll_inv, gl_r)
         else:
-            S_XX, S_Xth, g_X = Hkk, Hkth, gk
             S[:CALIB_DIM, :CALIB_DIM] += s.Hthth
             g[:CALIB_DIM] += s.gth
+        S_XX, S_Xth, g_X = Hkk, Hkth, gk
 
         loc_b = [j for j, k in enumerate(s.kf_idx) if int(k) in b_of]
         loc_i = [j for j, k in enumerate(s.kf_idx) if int(k) not in b_of]
@@ -903,9 +901,7 @@ def _solve_normal_equations(problem, systems, cross, lam, fix_calibration, ancho
             cols_all = np.concatenate([np.arange(CALIB_DIM), g_cols]).astype(int)
             S[np.ix_(cols_all, cols_all)] -= red[:-1, :-1]
             g[cols_all] -= red[:-1, -1]
-            back.append((s, Cfac, S_Xth, S_XX, g_X, nI, loc_i, loc_b, g_cols, Hll_inv, Hkl))
-        else:
-            back.append((s, None, S_Xth, S_XX, g_X, 0, loc_i, loc_b, g_cols, Hll_inv, Hkl))
+        back.append((s, Cfac if nI else None, S_Xth, S_XX, g_X, nI, loc_i, loc_b, g_cols, Hll_inv, Hkl))
 
     S = 0.5 * (S + S.T)
     cal_mask = problem.constant_mask["calibration"].copy()
@@ -938,25 +934,21 @@ def _solve_normal_equations(problem, systems, cross, lam, fix_calibration, ancho
                 delta_kf[s.kf_idx[loc]] = dI[j]
         n_lm = len(s.lm_idx)
         if n_lm:
-            dX = delta_kf[s.kf_idx].reshape(-1)
-            rhs_l = (
-                s.gl.reshape(n_lm, 3)
-                - s.Hlth.reshape(n_lm, 3, CALIB_DIM) @ d_th
-                - np.einsum("kni,k->ni", Hkl.reshape(-1, n_lm, 3), dX)
-            )
+            dX = delta_kf[s.kf_idx, :POSE_DIM].reshape(-1)
+            rhs_l = s.gl.reshape(n_lm, 3) - s.Hlth.reshape(n_lm, 3, CALIB_DIM) @ d_th - (Hkl.T @ dX).reshape(n_lm, 3)
             delta_lm[s.lm_idx] = np.einsum("nij,nj->ni", Hll_inv, rhs_l)
     return delta_kf, delta_lm, d_th
 
 
-def _huberize(cam_blocks, k):
-    r_c, Jp, Jl, Jth, valid = cam_blocks
+def _huberize(cam, k):
+    r_c, Jp, Jl, Jth, valid = cam
     nrm = np.linalg.norm(r_c, axis=1)
     scale = np.sqrt(np.where(nrm > k, k / np.maximum(nrm, 1e-300), 1.0))
     s3 = scale[:, None, None]
     return r_c * scale[:, None], Jp * s3, Jl * s3, Jth * s3, valid
 
 
-def _model_decrease(problem, cam_blocks, inertial_blocks, bridge_blocks, delta):
+def _model_decrease(problem, cam, inertial, bridges, delta):
     """Cost drop the linearized model predicts for this step.
 
     Evaluates 0.5*||r||^2 - 0.5*||r + J d||^2 on the whitened blocks; the
@@ -964,7 +956,7 @@ def _model_decrease(problem, cam_blocks, inertial_blocks, bridge_blocks, delta):
     """
     delta_kf, delta_lm, d_th = delta
     pred = 0.0
-    r_c, Jp, Jl, Jth, _ = cam_blocks
+    r_c, Jp, Jl, Jth, _ = cam
     if r_c.shape[0]:
         lin = (
             np.einsum("nri,ni->nr", Jp, delta_kf[problem._cam_kf, :6])
@@ -972,12 +964,10 @@ def _model_decrease(problem, cam_blocks, inertial_blocks, bridge_blocks, delta):
             + Jth @ d_th[CAM_BLOCK]
         )
         pred += 0.5 * float(np.sum(r_c**2) - np.sum((r_c + lin) ** 2))
-    for k0, k1, rw, J0w, J1w, Jthw in inertial_blocks:
-        lin = J0w @ delta_kf[k0] + J1w @ delta_kf[k1] + Jthw @ d_th[IMU_BLOCK]
-        pred += 0.5 * float(rw @ rw - (rw + lin) @ (rw + lin))
-    for k0, k1, rw, J0w, J1w in bridge_blocks:
-        lin = J0w @ delta_kf[k0] + J1w @ delta_kf[k1]
-        pred += 0.5 * float(rw @ rw - (rw + lin) @ (rw + lin))
+    # inertial factors, then bridges, which do not touch the calibration
+    for (k0, k1, rw, J0w, J1w), lin in ((inertial[:5], inertial[5] @ d_th[IMU_BLOCK]), (bridges, 0.0)):
+        lin = lin + np.einsum("fri,fi->fr", J0w, delta_kf[k0]) + np.einsum("fri,fi->fr", J1w, delta_kf[k1])
+        pred += 0.5 * float(np.sum(rw**2) - np.sum((rw + lin) ** 2))
     return pred
 
 
@@ -1017,25 +1007,25 @@ def solve(problem, options: SolveOptions = None):
     if cost <= options.cost_floor:
         # Already at (numerical) zero; any further step only reshuffles
         # floating-point noise.
-        cam_blocks = _camera_blocks(problem)
+        cam = camera_blocks(problem)
         return problem, SolveReport(
             iterations=0,
             initial_cost=initial_cost,
             final_cost=cost,
             converged=True,
             reason="cost below absolute floor",
-            dropped_observations=int((~cam_blocks[4]).sum()),
+            dropped_observations=int((~cam[4]).sum()),
             cost_history=history,
         )
 
     for n_iters in range(1, options.max_iters + 1):
-        cam_blocks = _camera_blocks(problem)
-        dropped = int((~cam_blocks[4]).sum())
+        cam = camera_blocks(problem)
+        dropped = int((~cam[4]).sum())
         if options.huber:
-            cam_blocks = _huberize(cam_blocks, options.huber_threshold)
-        inertial_blocks = _inertial_blocks(problem)
-        bridge_blocks = _bridge_blocks(problem)
-        systems, cross = _assemble_partition_systems(problem, cam_blocks, inertial_blocks, bridge_blocks)
+            cam = _huberize(cam, options.huber_threshold)
+        inertial = inertial_blocks(problem)
+        bridges = bridge_blocks(problem)
+        systems, cross = _assemble_partition_systems(problem, cam, inertial, bridges)
         anchors = anchor_projectors(problem)
 
         step_accepted = False
@@ -1054,13 +1044,13 @@ def solve(problem, options: SolveOptions = None):
                 if trial is None:
                     continue
                 kf_save, lm_save, cal_save = problem.keyframes, problem.landmarks, problem.calibration
-                pre_save = [f.pre for f in problem.inertial_factors]
+                pre_save = problem.preintegrated
                 problem.keyframes, problem.landmarks, problem.calibration = trial
                 refresh_preintegrations(problem)
                 new_cost = _cost_from_blocks(problem, options.huber, options.huber_threshold)
                 if np.isfinite(new_cost) and new_cost < cost:
                     step_accepted = True
-                    pred = _model_decrease(problem, cam_blocks, inertial_blocks, bridge_blocks, scaled)
+                    pred = _model_decrease(problem, cam, inertial, bridges, scaled)
                     ratio = (cost - new_cost) / pred if pred > 0 else 1.0
                     rel = (cost - new_cost) / max(cost, 1e-300)
                     cost = new_cost
@@ -1077,8 +1067,7 @@ def solve(problem, options: SolveOptions = None):
                         reason = "cost below absolute floor"
                     break
                 problem.keyframes, problem.landmarks, problem.calibration = kf_save, lm_save, cal_save
-                for f, pre in zip(problem.inertial_factors, pre_save):
-                    f.pre = pre
+                problem.preintegrated = pre_save
             if not step_accepted:
                 lam *= nu
                 nu *= 2.0

@@ -195,3 +195,58 @@ class TestTangentSpace:
         assert q.angle_to(q_neg) < 1e-9
         p = rng.standard_normal(3)
         np.testing.assert_allclose(q.rotate(p), q_neg.rotate(p), atol=1e-12)
+
+
+def _matrix_to_quat_loop(m):
+    """Per-element Shepperd loop that matrix_to_quat replaced; the reference."""
+    m = np.asarray(m, dtype=float)
+    single = m.ndim == 2
+    if single:
+        m = m[None]
+    t = np.einsum("...ii->...", m)
+    q = np.empty(m.shape[:-2] + (4,), dtype=float)
+    choice = np.argmax(np.stack([t, m[..., 0, 0], m[..., 1, 1], m[..., 2, 2]], axis=-1), axis=-1)
+    for idx in np.ndindex(m.shape[:-2]):
+        mm = m[idx]
+        c = choice[idx]
+        if c == 0:
+            s = np.sqrt(t[idx] + 1.0) * 2.0
+            q[idx] = [0.25 * s, (mm[2, 1] - mm[1, 2]) / s, (mm[0, 2] - mm[2, 0]) / s, (mm[1, 0] - mm[0, 1]) / s]
+        elif c == 1:
+            s = np.sqrt(1.0 + mm[0, 0] - mm[1, 1] - mm[2, 2]) * 2.0
+            q[idx] = [(mm[2, 1] - mm[1, 2]) / s, 0.25 * s, (mm[0, 1] + mm[1, 0]) / s, (mm[0, 2] + mm[2, 0]) / s]
+        elif c == 2:
+            s = np.sqrt(1.0 - mm[0, 0] + mm[1, 1] - mm[2, 2]) * 2.0
+            q[idx] = [(mm[0, 2] - mm[2, 0]) / s, (mm[0, 1] + mm[1, 0]) / s, 0.25 * s, (mm[1, 2] + mm[2, 1]) / s]
+        else:
+            s = np.sqrt(1.0 - mm[0, 0] - mm[1, 1] + mm[2, 2]) * 2.0
+            q[idx] = [(mm[1, 0] - mm[0, 1]) / s, (mm[0, 2] + mm[2, 0]) / s, (mm[1, 2] + mm[2, 1]) / s, 0.25 * s]
+    neg = q[..., 0] < 0.0
+    q[neg] *= -1.0
+    q = q / np.linalg.norm(q, axis=-1, keepdims=True)
+    return q[0] if single else q
+
+
+class TestMatrixToQuat:
+    def _matrices(self):
+        # 5000 random rotations, the identity, and the exact rotations by pi
+        # about x, y and z: their trace branch divides by zero and their w is
+        # exactly zero
+        rng = np.random.default_rng(15)
+        q = rng.standard_normal((5000, 4))
+        m = quat_to_matrix(q / np.linalg.norm(q, axis=-1, keepdims=True))
+        special = [np.eye(3)] + [np.diag(2.0 * e - 1.0) for e in np.eye(3)]
+        return np.concatenate([m, np.stack(special)])
+
+    def test_bitwise_equal_to_per_element_loop(self):
+        m = self._matrices()
+        branch = np.argmax(np.stack([np.einsum("...ii->...", m), m[:, 0, 0], m[:, 1, 1], m[:, 2, 2]], axis=-1), axis=-1)
+        assert set(branch.tolist()) == {0, 1, 2, 3}
+        assert branch[-3:].tolist() == [1, 2, 3]
+        np.testing.assert_array_equal(matrix_to_quat(m), _matrix_to_quat_loop(m))
+
+    def test_two_leading_dimensions_and_single_matrix(self):
+        m = self._matrices()[:5000].reshape(50, 100, 3, 3)
+        np.testing.assert_array_equal(matrix_to_quat(m), _matrix_to_quat_loop(m))
+        for mm in self._matrices()[-4:]:
+            np.testing.assert_array_equal(matrix_to_quat(mm), _matrix_to_quat_loop(mm))

@@ -402,7 +402,7 @@ class TestBatchedPreintegration:
         bias_g = rng.normal(size=(K, 3)) * 1e-3
         bias_a = rng.normal(size=(K, 3)) * 1e-2
         out = preintegrate_intervals(times, omega, accel, intr, bias_g, bias_a, noise)
-        assert len(out) == K
+        assert out.duration.shape == (K,)
         for k in range(K):
             samples = [ImuSample(times[k, s], omega[k, s], accel[k, s]) for s in range(S + 1)]
             pre = preintegrate(samples, intr, (bias_g[k], bias_a[k]), noise)

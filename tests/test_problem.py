@@ -1,11 +1,13 @@
 """Tests for problem construction, residual evaluation, and the solver.
 
 Oracles: factor/dimension counting by hand, central finite differences of
-the raw residual against the sparse Jacobian, exact gauge transforms, and
-cost equality between differently built but mathematically identical
-problems.
+the raw residual against the sparse Jacobian, exact gauge transforms, cost
+equality between differently built but mathematically identical problems,
+and the weighted quadratic model and Huber cost built by hand from the
+unweighted residual evaluation.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -20,10 +22,13 @@ from infocal.problem import (
     KeyframeState,
     Landmark,
     SolveOptions,
-    _inertial_blocks,
+    _model_decrease,
+    bridge_blocks,
     build_batch_problem,
     build_segment_problem,
+    camera_blocks,
     evaluate_residuals,
+    inertial_blocks,
     partition_segments,
     problem_cost,
     refresh_preintegrations,
@@ -120,11 +125,11 @@ class TestBuildBatch:
         prob = build_batch_problem(keyframes, scene.landmarks, obs, scene.imu_stream, scene.calibration, scene.noise)
         assert sorted(f.times.shape[0] for f in prob.inertial_factors) == [11, 11, 11, 21]
         assert problem_cost(prob) < 1e-12
-        for f in prob.inertial_factors:
+        for i, f in enumerate(prob.inertial_factors):
             kf0, kf1 = prob.keyframes[f.k0], prob.keyframes[f.k1]
             samples = [s for s in scene.imu_stream if kf0.t - 1e-9 <= s.t <= kf1.t + 1e-9]
             ref = preintegrate(samples, prob.calibration.imu, (kf0.b_g, kf0.b_a), prob.noise)
-            support.assert_same_preintegration(f.pre, ref)
+            support.assert_same_preintegration(prob.preintegrated[i], ref)
 
 
 class TestResidualEvaluation:
@@ -236,13 +241,17 @@ class TestInertialWhitening:
         ]
         refresh_preintegrations(prob)
         g = prob.noise.gravity_vector()
-        for f, (_, _, rw, J0w, J1w, Jthw) in zip(prob.inertial_factors, _inertial_blocks(prob)):
+        # all factors in one pass against each factor through the batch-of-one adapters
+        k0, k1, rw, J0w, J1w, Jthw = inertial_blocks(prob)
+        assert k0.tolist() == [f.k0 for f in prob.inertial_factors]
+        assert k1.tolist() == [f.k1 for f in prob.inertial_factors]
+        for i, f in enumerate(prob.inertial_factors):
             x0, x1 = prob.keyframes[f.k0], prob.keyframes[f.k1]
-            r, W = inertial_error(x0, x1, f.pre, g)
+            r, W = inertial_error(x0, x1, prob.preintegrated[i], g)
             assert np.all(r[9:15] != 0.0)
-            assert 0.5 * rw @ rw == pytest.approx(0.5 * r @ W @ r, rel=1e-12)
-            J = np.hstack(inertial_error_jacobians(x0, x1, f.pre, g))
-            Jw = np.hstack([J0w, J1w, Jthw])
+            assert 0.5 * rw[i] @ rw[i] == pytest.approx(0.5 * r @ W @ r, rel=1e-12)
+            J = np.hstack(inertial_error_jacobians(x0, x1, prob.preintegrated[i], g))
+            Jw = np.hstack([J0w[i], J1w[i], Jthw[i]])
             H = J.T @ W @ J
             assert np.linalg.norm(Jw.T @ Jw - H) <= 1e-12 * np.linalg.norm(H)
 
@@ -326,6 +335,64 @@ class TestSolve:
         prob, report = solve(prob, SolveOptions(fix_calibration=True, max_iters=60))
         assert prob.calibration is cal_before
         assert report.final_cost < 1e-8
+
+
+def _weighted_cost(ev, step):
+    """0.5 (r + J step)^T W (r + J step) from an unweighted evaluation."""
+    v = ev.residual + ev.jacobian @ step
+    return sum(0.5 * v[o : o + W.shape[0]] @ W @ v[o : o + W.shape[0]] for o, W in ev.weights)
+
+
+class TestLevenbergMarquardtModel:
+    def test_model_decrease_matches_weighted_linearization(self, scene):
+        # the gap between the two segments becomes a bias bridge
+        segs = support.scene_segments(scene, kf_per_segment=2, keep=[0, 2])
+        prob = build_segment_problem(segs, scene.calibration, scene.noise)
+        assert len(prob.bridge_factors) == 1
+        rng = np.random.default_rng(14)
+        prob.keyframes = [k.retract(rng.normal(scale=1e-3, size=KF_DIM)) for k in prob.keyframes]
+        ev = evaluate_residuals(prob, apply_gauge=False)
+        K, L = len(prob.keyframes), len(prob.landmarks)
+        delta = (
+            rng.normal(scale=1e-3, size=(K, KF_DIM)),
+            rng.normal(scale=1e-3, size=(L, 3)),
+            rng.normal(scale=1e-3, size=CALIB_DIM),
+        )
+        flat = np.concatenate([d.ravel() for d in delta])
+        expected = _weighted_cost(ev, np.zeros_like(flat)) - _weighted_cost(ev, flat)
+        pred = _model_decrease(prob, camera_blocks(prob), inertial_blocks(prob), bridge_blocks(prob), delta)
+        assert abs(expected) > 1.0
+        assert pred == pytest.approx(expected, rel=1e-9)
+
+
+class TestHuber:
+    def test_solve_with_one_outlier(self, scene):
+        obs = list(scene.observations)
+        obs[7] = replace(obs[7], uv=obs[7].uv + np.array([40.0, 0.0]))
+        prob = build_batch_problem(scene.keyframes, scene.landmarks, obs, scene.imu_stream, scene.calibration, scene.noise)
+        rng = np.random.default_rng(15)
+        prob.keyframes = [k.retract(rng.normal(scale=1e-3, size=KF_DIM)) for k in prob.keyframes]
+        k = SolveOptions().huber_threshold
+        prob, report = solve(prob, SolveOptions(huber=True, max_iters=20))
+        hist = report.cost_history
+        assert len(hist) >= 2
+        assert all(b < a for a, b in zip(hist, hist[1:]))
+
+        # by hand: Huber on each camera factor's whitened norm, squares elsewhere
+        ev = evaluate_residuals(prob, apply_gauge=False)
+        n_cam_rows = 2 * len(prob.camera_factors)
+        expected, outliers = 0.0, 0
+        for o, W in ev.weights:
+            r = ev.residual[o : o + W.shape[0]]
+            e2 = float(r @ W @ r)
+            if o < n_cam_rows and math.sqrt(e2) > k:
+                expected += k * math.sqrt(e2) - 0.5 * k * k
+                outliers += 1
+            else:
+                expected += 0.5 * e2
+        assert outliers == 1
+        assert problem_cost(prob, huber=True) == pytest.approx(expected, rel=1e-12)
+        assert problem_cost(prob, huber=True) == pytest.approx(report.final_cost, rel=1e-12)
 
 
 class _Seg:
