@@ -192,35 +192,6 @@ def _uv_core_jacobians(l_C, intr: CameraIntrinsics):
     return uv, A, duv_df, duv_dw
 
 
-def projection_jacobians(T_IG_k: Transform, T_CI: Transform, l_G, intr: CameraIntrinsics):
-    """Analytic Jacobian blocks of predict_observation.
-
-    Returns (duv_dpose, duv_dl, duv_dextr, duv_dintr):
-      duv_dpose: 2x6 wrt the keyframe pose T_GI minimal delta
-                 [rotation delta (right exp on q_GI), position delta],
-      duv_dl:    2x3 wrt the global landmark,
-      duv_dextr: 2x6 wrt the extrinsics T_CI minimal delta
-                 [rotation delta (right exp on q_CI), translation delta],
-      duv_dintr: 2x5 wrt (f_x, f_y, c_x, c_y, w).
-    """
-    l_G = np.asarray(l_G, dtype=float).reshape(3)
-    l_I = T_IG_k.apply(l_G)
-    l_C = T_CI.apply(l_I)
-    if l_C[2] <= 0.0:
-        raise BehindCameraError("point behind camera: z=%g" % l_C[2])
-    _, A, duv_df, duv_dw = _uv_core_jacobians(l_C, intr)
-
-    R_CI = T_CI.rotation.matrix()
-    R_IG = T_IG_k.rotation.matrix()
-    li_hat = so3_hat(l_I)
-
-    duv_dl = A @ (R_CI @ R_IG)
-    duv_dpose = np.concatenate([A @ (R_CI @ li_hat), -A @ (R_CI @ R_IG)], axis=-1)
-    duv_dextr = np.concatenate([-(A @ R_CI) @ li_hat, A], axis=-1)
-    duv_dintr = np.concatenate([duv_df, np.broadcast_to(np.eye(2), duv_df.shape).copy(), duv_dw[:, None]], axis=-1)
-    return duv_dpose, duv_dl, duv_dextr, duv_dintr
-
-
 def camera_factor_blocks(q_GI, p_GI, R_CI, p_CI, l_G, intr: CameraIntrinsics):
     """Vectorized residual-model blocks for many observations at once.
 

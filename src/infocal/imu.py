@@ -160,18 +160,6 @@ def simulate_accel(a_true_G, R_IG_k, intr: ImuIntrinsics, b_a, noise, gravity=No
     return intr.T_a() @ (intr.R_AI() @ f_I) + np.asarray(b_a, dtype=float) + np.asarray(noise, dtype=float)
 
 
-def correct_measurements(sample: ImuSample, intr: ImuIntrinsics, biases):
-    """Invert the measurement models at given biases.
-
-    Returns (omega, specific_force) in the IMU frame; exact inverse of
-    simulate_gyro / simulate_accel at zero noise.
-    """
-    b_g, b_a = (np.asarray(b, dtype=float).reshape(3) for b in biases)
-    omega = np.linalg.solve(intr.T_g(), sample.omega_meas - b_g)
-    f = intr.R_AI().T @ np.linalg.solve(intr.T_a(), sample.accel_meas - b_a)
-    return omega, f
-
-
 @dataclass(frozen=True)
 class PreintegratedImu:
     """Inter-keyframe IMU constraint built from one sample run, or a stack
@@ -421,23 +409,44 @@ def preintegrate_intervals(times, omega_meas, accel_meas, intr: ImuIntrinsics, b
         d_omega[:, :, :, 12 + j] = -Tg_inv[:, r][None, None, :] * omega[:, :, c, None]
         d_f[:, :, :, 15 + j] = -M[:, r][None, None, :] * z_a[:, :, c, None]
     # accelerometer frame rotation: f(delta) = Exp(-delta) f
-    d_f[:, :, :, _P_QAI] = so3_hat(f)
+    hat_f = so3_hat(f)
+    d_f[:, :, :, _P_QAI] = hat_f
 
     sigma_w = Tg_inv @ Tg_inv.T * noise.sigma_g ** 2
     sigma_f_dir = M @ M.T * noise.sigma_a ** 2
+
+    # every factor that depends on the samples alone, for all S steps at
+    # once; the recursion below carries only dR, D, P, dv and dp
+    dts = np.diff(times, axis=1)[:, :, None, None]
+    thetas = 0.5 * (omega[:, :-1] + omega[:, 1:]) * dts[..., 0]
+    Rsteps = so3_exp(thetas)
+    RstepTs = np.swapaxes(Rsteps, -1, -2)
+    Jrs = so3_right_jacobian(thetas)
+    Jr_S_omegas = Jrs @ (0.5 * dts * (d_omega[:, :-1] + d_omega[:, 1:]))
+    eye3 = np.eye(3)
+    # covariance: delta-state transition and noise input blocks; F's
+    # (vel, pos) x rot blocks depend on dR and are written per step
+    Fs = np.zeros((K, S1 - 1, 9, 9))
+    Fs[..., 0:3, 0:3] = RstepTs
+    Fs[..., 3:6, 3:6] = eye3
+    Fs[..., 6:9, 3:6] = dts * eye3
+    Fs[..., 6:9, 6:9] = eye3
+    G_tws = dts * Jrs
+    # Q = blkdiag(sw, sf)
+    sws = sigma_w / dts
+    sfs = sigma_f_dir / dts
+    tw_sws = G_tws @ sws
+    GQG_rots = tw_sws @ np.swapaxes(G_tws, -1, -2)
 
     dR = np.broadcast_to(np.eye(3), (K, 3, 3)).copy()
     dv = np.zeros((K, 3))
     dp = np.zeros((K, 3))
     D = np.zeros((K, 9, 21))
     P = np.zeros((K, 9, 9))
-    eye3 = np.eye(3)
     for s in range(S1 - 1):
-        dt = (times[:, s + 1] - times[:, s])[:, None, None]
+        dt = dts[:, s]
         dt1 = dt[:, :, 0]
-        theta = 0.5 * (omega[:, s] + omega[:, s + 1]) * dt1
-        Rstep = so3_exp(theta)
-        Jr = so3_right_jacobian(theta)
+        Rstep, RstepT = Rsteps[:, s], RstepTs[:, s]
         dR_next = dR @ Rstep
 
         fi = f[:, s]
@@ -447,12 +456,10 @@ def preintegrate_intervals(times, omega_meas, accel_meas, intr: ImuIntrinsics, b
         a_mid = 0.5 * (a_i + a_n)
 
         # parameter sensitivities propagate through the same recursion
-        S_omega = 0.5 * dt * (d_omega[:, s] + d_omega[:, s + 1])
         D_R = D[:, 0:3]
-        RstepT = np.swapaxes(Rstep, -1, -2)
-        D_R_next = RstepT @ D_R + Jr @ S_omega
-        hat_fi = so3_hat(fi)
-        hat_fn = so3_hat(fn)
+        D_R_next = RstepT @ D_R + Jr_S_omegas[:, s]
+        hat_fi = hat_f[:, s]
+        hat_fn = hat_f[:, s + 1]
         A_i = dR @ (d_f[:, s] - hat_fi @ D_R)
         A_n = dR_next @ (d_f[:, s + 1] - hat_fn @ D_R_next)
         S_a = 0.5 * (A_i + A_n)
@@ -461,27 +468,20 @@ def preintegrate_intervals(times, omega_meas, accel_meas, intr: ImuIntrinsics, b
         D_next[:, 3:6] = D[:, 3:6] + dt * S_a
         D_next[:, 6:9] = D[:, 6:9] + dt * D[:, 3:6] + 0.5 * dt * dt * S_a
 
-        # covariance: delta-state transition and noise input blocks
-        F = np.zeros((K, 9, 9))
-        F[:, 0:3, 0:3] = RstepT
+        F = Fs[:, s]
         F_vtheta = -0.5 * dt * (dR @ hat_fi + dR_next @ hat_fn @ RstepT)
         F[:, 3:6, 0:3] = F_vtheta
-        F[:, 3:6, 3:6] = eye3
         F[:, 6:9, 0:3] = 0.5 * dt * F_vtheta
-        F[:, 6:9, 3:6] = dt * eye3
-        F[:, 6:9, 6:9] = eye3
 
-        G_tw = dt * Jr
+        G_tw = G_tws[:, s]
         G_vw = -0.5 * dt * dR_next @ hat_fn @ G_tw
         G_vf = 0.5 * dt * (dR + dR_next)
         GQG = np.zeros((K, 9, 9))
-        sw = sigma_w / dt1[:, :, None]
-        sf = sigma_f_dir / dt1[:, :, None]
-        # assemble G Q G^T blockwise; Q = blkdiag(sw, sf)
-        tw_sw = G_tw @ sw
-        vw_sw = G_vw @ sw
-        vf_sf = G_vf @ sf
-        GQG[:, 0:3, 0:3] = tw_sw @ np.swapaxes(G_tw, -1, -2)
+        # assemble G Q G^T blockwise
+        tw_sw = tw_sws[:, s]
+        vw_sw = G_vw @ sws[:, s]
+        vf_sf = G_vf @ sfs[:, s]
+        GQG[:, 0:3, 0:3] = GQG_rots[:, s]
         GQG[:, 0:3, 3:6] = tw_sw @ np.swapaxes(G_vw, -1, -2)
         GQG[:, 0:3, 6:9] = 0.5 * dt * GQG[:, 0:3, 3:6]
         GQG[:, 3:6, 0:3] = np.swapaxes(GQG[:, 0:3, 3:6], -1, -2)

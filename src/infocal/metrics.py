@@ -8,9 +8,12 @@ that segment's own estimation problem.  The chain is:
       -> QR  ->  trailing 26x26 triangle R22  ->  Sigma = R22^-1 R22^-T
       -> normalization by reference sigmas  ->  scalar criteria
 
-Landmark columns are eliminated first by small per-landmark QR factors so
-the final dense factorization only spans keyframe and calibration columns;
-the trailing block of R is unaffected by the elimination order.
+Landmark columns are eliminated first: each landmark's 2n x 3 Jacobian
+(n observations) is factored on its own, batched over the landmarks with
+equal n, and only its rows orthogonal to those three columns go on, so the
+final dense factorization spans keyframe and calibration columns alone.
+The trailing block of R is unaffected by the elimination order.  A
+landmark seen once leaves no rows and carries no calibration information.
 
 The scalar criteria on the normalized covariance: trace (a_opt),
 determinant (d_opt, log-domain internally), largest eigenvalue (e_opt),
@@ -31,6 +34,7 @@ from .problem import (
     CAM_BLOCK,
     IMU_BLOCK,
     KF_DIM,
+    POSE_DIM,
     anchor_projectors,
     bridge_blocks,
     camera_blocks,
@@ -118,42 +122,73 @@ def _perp_basis(u):
     return np.column_stack([b1, b2])
 
 
-def _keyframe_transforms(problem):
-    """Per-keyframe 15 x n_k maps onto retained gauge-free columns.
+def _keyframe_maps(problem):
+    """(K, 15, n_kf) map from each keyframe's tangent space onto the
+    retained gauge-free keyframe columns, keyframe k's columns after those
+    of keyframes 0..k-1.
 
     Anchor rotations map onto a 2-column basis perpendicular to the gravity
     axis; masked coordinates are dropped entirely.
     """
     anchor_axis = {a: u for a, _, u in anchor_projectors(problem)}
-    maps, offsets = [], []
-    off = 0
-    for k in range(len(problem.keyframes)):
-        masked = problem.constant_mask["keyframes"][k]
-        cols = []
-        start = 0
+    eye = np.eye(KF_DIM)
+    blocks = []
+    for k, masked in enumerate(problem.constant_mask["keyframes"]):
+        cols = eye[:, ~masked]
         if k in anchor_axis:
-            B = _perp_basis(anchor_axis[k])
-            for j in range(2):
-                col = np.zeros(KF_DIM)
-                col[0:3] = B[:, j]
-                cols.append(col)
-            start = 3
-        for i in range(start, KF_DIM):
-            if not masked[i]:
-                col = np.zeros(KF_DIM)
-                col[i] = 1.0
-                cols.append(col)
-        T = np.column_stack(cols) if cols else np.zeros((KF_DIM, 0))
-        maps.append(T)
-        offsets.append(off)
-        off += T.shape[1]
-    return maps, offsets, off
+            rot = np.zeros((KF_DIM, 2))
+            rot[0:3] = _perp_basis(anchor_axis[k])
+            cols = np.hstack([rot, eye[:, 3:][:, ~masked[3:]]])
+        blocks.append(cols)
+    return scipy.linalg.block_diag(*blocks).reshape(len(blocks), KF_DIM, -1)
 
 
 def _covariance_from_triangle(R22):
     X = scipy.linalg.solve_triangular(R22, np.eye(R22.shape[0]), check_finite=False)
     sigma = X @ X.T
     return MarginalCovariance(0.5 * (sigma + sigma.T))
+
+
+def _eliminate_landmarks(problem, T, counts, out):
+    """Write into `out` the camera rows left after eliminating every
+    landmark's three columns; returns the |diagonal| of each landmark's
+    triangle, for the rank test, as one array per observation count.
+    counts holds each landmark's number of observations.
+
+    Each landmark's 2n x 3 Jacobian (n observations) is factored on its
+    own, batched over the landmarks seen n times; the rows orthogonal to
+    its columns say what the landmark tells about keyframes and
+    calibration, untouched by eliminating it first.  A landmark seen once
+    leaves no rows.  Rows are built one group at a time and written in
+    place, and the group temporaries are freed on return, so none of them
+    is alive during the final factorisation (peak memory).
+    """
+    K, _, th0 = T.shape
+    n_cols = out.shape[1]
+    pose_map = T[:, :POSE_DIM].reshape(K * POSE_DIM, th0)
+    _, Jp, Jl, Jth, _ = camera_blocks(problem)
+    ki = problem._cam_kf
+    by_landmark = np.argsort(problem._cam_lm, kind="stable")
+    first = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    diag_values = []
+    row = 0
+    for n in np.unique(counts[counts >= 2]):
+        obs = by_landmark[first[counts == n][:, None] + np.arange(n)].ravel()
+        m = obs.size
+        # whitened rows over [gauge-free keyframe columns | calibration]:
+        # pose blocks scattered into their keyframe's pose coordinates,
+        # then mapped onto the retained columns in one product
+        pose = np.zeros((m, 2, K, POSE_DIM))
+        pose[np.arange(m), :, ki[obs]] = Jp[obs]
+        rows = np.zeros((m, 2, n_cols))
+        rows[:, :, :th0] = (pose.reshape(2 * m, K * POSE_DIM) @ pose_map).reshape(m, 2, th0)
+        rows[:, :, th0 + CAM_BLOCK.start : th0 + CAM_BLOCK.stop] = Jth[obs]
+        Q, R = np.linalg.qr(Jl[obs].reshape(-1, 2 * n, 3), mode="complete")
+        diag_values.append(np.abs(np.diagonal(R, axis1=-2, axis2=-1)).ravel())
+        rest = (np.swapaxes(Q[:, :, 3:], -1, -2) @ rows.reshape(-1, 2 * n, n_cols)).reshape(-1, n_cols)
+        out[row : row + len(rest)] = rest
+        row += len(rest)
+    return diag_values
 
 
 def segment_marginal_covariance(problem):
@@ -164,73 +199,31 @@ def segment_marginal_covariance(problem):
     before factorization so the information matrix is invertible.
     """
     refresh_preintegrations(problem)
-    maps, offsets, n_kf_cols = _keyframe_transforms(problem)
     if np.any(problem.constant_mask["landmarks"]):
         raise ValueError("masked landmark coordinates are not supported in scoring")
-    L = len(problem.landmarks)
-    n_cols = n_kf_cols + CALIB_DIM
-    th0 = n_kf_cols
-
-    r_c, Jp, Jl, Jth, _ = camera_blocks(problem)
-    ki = problem._cam_kf
-    li = problem._cam_lm
-    diag_values = []
-    remainder_rows = []
-
-    # eliminate each landmark's three columns with a local QR; what the
-    # remaining rows say about keyframes and calibration is untouched by
-    # doing this first
-    for m in range(L):
-        sel = np.flatnonzero(li == m)
-        n_obs = sel.size
-        if 2 * n_obs < 3:
-            return _deficient_covariance()
-        kfs = sorted(set(int(ki[i]) for i in sel))
-        loc = {k: j for j, k in enumerate(kfs)}
-        widths = [maps[k].shape[1] for k in kfs]
-        starts = np.concatenate([[0], np.cumsum(widths)])[:-1]
-        w_all = int(sum(widths))
-        M = np.zeros((2 * n_obs, 3 + w_all + 11))
-        for j, i in enumerate(sel):
-            k = int(ki[i])
-            s0 = 3 + starts[loc[k]]
-            M[2 * j : 2 * j + 2, 0:3] = Jl[i]
-            M[2 * j : 2 * j + 2, s0 : s0 + widths[loc[k]]] = Jp[i] @ maps[k][:6]
-            M[2 * j : 2 * j + 2, 3 + w_all :] = Jth[i]
-        R = scipy.linalg.qr(M, mode="r", check_finite=False)[0]
-        diag_values.extend(np.abs(np.diag(R)[:3]))
-        rest = R[3:, 3:]
-        cols = np.concatenate(
-            [offsets[k] + np.arange(maps[k].shape[1]) for k in kfs]
-            + [th0 + np.arange(CAM_BLOCK.start, CAM_BLOCK.stop)]
-        )
-        for row in rest:
-            full = np.zeros(n_cols)
-            full[cols] = row
-            remainder_rows.append(full)
-
-    inertial = inertial_blocks(problem)
-    bridges = bridge_blocks(problem)
-    n_tail = len(remainder_rows) + 15 * len(inertial[0]) + 6 * len(bridges[0])
-    A = np.zeros((n_tail, n_cols))
-    if remainder_rows:
-        A[: len(remainder_rows)] = np.asarray(remainder_rows)
-    base = len(remainder_rows)
-    for k0, k1, rw, J0w, J1w, Jthw in zip(*inertial):
-        A[base : base + 15, offsets[k0] : offsets[k0] + maps[k0].shape[1]] = J0w @ maps[k0]
-        A[base : base + 15, offsets[k1] : offsets[k1] + maps[k1].shape[1]] = J1w @ maps[k1]
-        A[base : base + 15, th0 + IMU_BLOCK.start : th0 + IMU_BLOCK.stop] = Jthw
-        base += 15
-    for k0, k1, rw, J0w, J1w in zip(*bridges):
-        A[base : base + 6, offsets[k0] : offsets[k0] + maps[k0].shape[1]] = J0w @ maps[k0]
-        A[base : base + 6, offsets[k1] : offsets[k1] + maps[k1].shape[1]] = J1w @ maps[k1]
-        base += 6
-
+    T = _keyframe_maps(problem)
+    th0 = T.shape[2]
+    n_cols = th0 + CALIB_DIM
+    k0, k1, _, J0, J1, Jthi = inertial_blocks(problem)
+    b0, b1, _, B0, B1 = bridge_blocks(problem)
+    # a landmark seen n >= 2 times leaves 2n - 3 camera rows, one seen once none
+    counts = np.bincount(problem._cam_lm, minlength=len(problem.landmarks))
+    n_cam = int(np.maximum(2 * counts - 3, 0).sum())
+    n_inertial = 15 * k0.size
+    A = np.zeros((n_cam + n_inertial + 6 * b0.size, n_cols))
     if A.shape[0] < n_cols:
         return _deficient_covariance()
+
+    diag_values = _eliminate_landmarks(problem, T, counts, A[:n_cam])
+    # inertial and bridge rows: both keyframes' Jacobians against their maps
+    inertial = A[n_cam : n_cam + n_inertial].reshape(-1, 15, n_cols)
+    inertial[:, :, :th0] = np.concatenate([J0, J1], axis=-1) @ np.concatenate([T[k0], T[k1]], axis=1)
+    inertial[:, :, th0 + IMU_BLOCK.start : th0 + IMU_BLOCK.stop] = Jthi
+    bridge = A[n_cam + n_inertial :].reshape(-1, 6, n_cols)
+    bridge[:, :, :th0] = np.concatenate([B0, B1], axis=-1) @ np.concatenate([T[b0], T[b1]], axis=1)
+
     R = scipy.linalg.qr(A, mode="r", check_finite=False)[0][:n_cols, :]
-    diag_values.extend(np.abs(np.diag(R)))
-    diag_values = np.asarray(diag_values)
+    diag_values = np.concatenate(diag_values + [np.abs(np.diag(R))])
     if diag_values.min() < RANK_TOLERANCE * max(diag_values.max(), 1e-300):
         return _deficient_covariance()
     return _covariance_from_triangle(R[-CALIB_DIM:, -CALIB_DIM:])

@@ -3,24 +3,26 @@
 Oracles: closed-form constant-rate rotation and constant-acceleration
 kinematics, simulate/correct round trips, scalar random-walk weighting,
 central finite differences for every Jacobian block, re-preintegration
-for the first-order bias correction, and single-interval calls for the
-batched preintegration.
+for the first-order bias correction, single-interval calls for the
+batched preintegration, and the former per-step recursion for the
+preintegration whose sample-only factors are computed ahead of its loop.
 """
 
+import dataclasses
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from infocal.geometry import UnitQuaternion, quat_retract, so3_exp, so3_log
+from infocal.geometry import UnitQuaternion, quat_retract, so3_exp, so3_hat, so3_log, so3_right_jacobian
 from infocal.imu import (
     STANDARD_GRAVITY,
     ImuIntrinsics,
     ImuSample,
     NoiseModel,
+    PreintegratedImu,
     _bias_corrected_deltas,
-    correct_measurements,
     correction_matrix,
     inertial_error,
     inertial_error_jacobians,
@@ -49,6 +51,18 @@ def static_samples(n=101, duration=1.0, gravity_magnitude=STANDARD_GRAVITY):
     ts = np.linspace(0.0, duration, n)
     accel = np.array([0.0, 0.0, gravity_magnitude])
     return [ImuSample(t, np.zeros(3), accel) for t in ts]
+
+
+def correct_measurements(sample: ImuSample, intr: ImuIntrinsics, biases):
+    """Invert the measurement models at given biases.
+
+    Returns (omega, specific_force) in the IMU frame; exact inverse of
+    simulate_gyro / simulate_accel at zero noise.
+    """
+    b_g, b_a = (np.asarray(b, dtype=float).reshape(3) for b in biases)
+    omega = np.linalg.solve(intr.T_g(), sample.omega_meas - b_g)
+    f = intr.R_AI().T @ np.linalg.solve(intr.T_a(), sample.accel_meas - b_a)
+    return omega, f
 
 
 class TestMeasurementModels:
@@ -388,6 +402,127 @@ def _perturb_intrinsics(intr, d):
     )
 
 
+def _preintegrate_intervals_loop(times, omega_meas, accel_meas, intr, bias_lin_g, bias_lin_a, noise):
+    """The step recursion preintegrate_intervals had before its sample-only
+    factors were computed ahead of the loop; the reference."""
+    K, S1 = times.shape
+    Tg_inv = np.linalg.inv(intr.T_g())
+    Ta_inv = np.linalg.inv(intr.T_a())
+    R_IA = intr.R_AI().T
+    omega = np.einsum("ij,ksj->ksi", Tg_inv, omega_meas - bias_lin_g[:, None, :])
+    z_a = np.einsum("ij,ksj->ksi", Ta_inv, accel_meas - bias_lin_a[:, None, :])
+    f = np.einsum("ij,ksj->ksi", R_IA, z_a)
+
+    # per-sample derivatives of the corrected (omega, f) wrt the 21
+    # sensitivity parameters
+    M = R_IA @ Ta_inv
+    d_omega = np.zeros((K, S1, 3, 21))
+    d_f = np.zeros((K, S1, 3, 21))
+    d_omega[:, :, :, 0:3] = -Tg_inv
+    d_f[:, :, :, 3:6] = -M
+    # scale factors: derivative through T^{-1} is -T^{-1} E_jj (.)
+    for j in range(3):
+        d_omega[:, :, :, 6 + j] = -Tg_inv[:, j][None, None, :] * omega[:, :, j, None]
+        d_f[:, :, :, 9 + j] = -M[:, j][None, None, :] * z_a[:, :, j, None]
+    # misalignments occupy (0,1), (0,2), (1,2)
+    for j, (r, c) in enumerate(((0, 1), (0, 2), (1, 2))):
+        d_omega[:, :, :, 12 + j] = -Tg_inv[:, r][None, None, :] * omega[:, :, c, None]
+        d_f[:, :, :, 15 + j] = -M[:, r][None, None, :] * z_a[:, :, c, None]
+    # accelerometer frame rotation: f(delta) = Exp(-delta) f
+    d_f[:, :, :, 18:21] = so3_hat(f)
+
+    sigma_w = Tg_inv @ Tg_inv.T * noise.sigma_g ** 2
+    sigma_f_dir = M @ M.T * noise.sigma_a ** 2
+
+    dR = np.broadcast_to(np.eye(3), (K, 3, 3)).copy()
+    dv = np.zeros((K, 3))
+    dp = np.zeros((K, 3))
+    D = np.zeros((K, 9, 21))
+    P = np.zeros((K, 9, 9))
+    eye3 = np.eye(3)
+    for s in range(S1 - 1):
+        dt = (times[:, s + 1] - times[:, s])[:, None, None]
+        dt1 = dt[:, :, 0]
+        theta = 0.5 * (omega[:, s] + omega[:, s + 1]) * dt1
+        Rstep = so3_exp(theta)
+        Jr = so3_right_jacobian(theta)
+        dR_next = dR @ Rstep
+
+        fi = f[:, s]
+        fn = f[:, s + 1]
+        a_i = np.einsum("kij,kj->ki", dR, fi)
+        a_n = np.einsum("kij,kj->ki", dR_next, fn)
+        a_mid = 0.5 * (a_i + a_n)
+
+        # parameter sensitivities propagate through the same recursion
+        S_omega = 0.5 * dt * (d_omega[:, s] + d_omega[:, s + 1])
+        D_R = D[:, 0:3]
+        RstepT = np.swapaxes(Rstep, -1, -2)
+        D_R_next = RstepT @ D_R + Jr @ S_omega
+        hat_fi = so3_hat(fi)
+        hat_fn = so3_hat(fn)
+        A_i = dR @ (d_f[:, s] - hat_fi @ D_R)
+        A_n = dR_next @ (d_f[:, s + 1] - hat_fn @ D_R_next)
+        S_a = 0.5 * (A_i + A_n)
+        D_next = np.empty_like(D)
+        D_next[:, 0:3] = D_R_next
+        D_next[:, 3:6] = D[:, 3:6] + dt * S_a
+        D_next[:, 6:9] = D[:, 6:9] + dt * D[:, 3:6] + 0.5 * dt * dt * S_a
+
+        # covariance: delta-state transition and noise input blocks
+        F = np.zeros((K, 9, 9))
+        F[:, 0:3, 0:3] = RstepT
+        F_vtheta = -0.5 * dt * (dR @ hat_fi + dR_next @ hat_fn @ RstepT)
+        F[:, 3:6, 0:3] = F_vtheta
+        F[:, 3:6, 3:6] = eye3
+        F[:, 6:9, 0:3] = 0.5 * dt * F_vtheta
+        F[:, 6:9, 3:6] = dt * eye3
+        F[:, 6:9, 6:9] = eye3
+
+        G_tw = dt * Jr
+        G_vw = -0.5 * dt * dR_next @ hat_fn @ G_tw
+        G_vf = 0.5 * dt * (dR + dR_next)
+        GQG = np.zeros((K, 9, 9))
+        sw = sigma_w / dt1[:, :, None]
+        sf = sigma_f_dir / dt1[:, :, None]
+        # assemble G Q G^T blockwise; Q = blkdiag(sw, sf)
+        tw_sw = G_tw @ sw
+        vw_sw = G_vw @ sw
+        vf_sf = G_vf @ sf
+        GQG[:, 0:3, 0:3] = tw_sw @ np.swapaxes(G_tw, -1, -2)
+        GQG[:, 0:3, 3:6] = tw_sw @ np.swapaxes(G_vw, -1, -2)
+        GQG[:, 0:3, 6:9] = 0.5 * dt * GQG[:, 0:3, 3:6]
+        GQG[:, 3:6, 0:3] = np.swapaxes(GQG[:, 0:3, 3:6], -1, -2)
+        GQG[:, 3:6, 3:6] = vw_sw @ np.swapaxes(G_vw, -1, -2) + vf_sf @ np.swapaxes(G_vf, -1, -2)
+        GQG[:, 3:6, 6:9] = 0.5 * dt * GQG[:, 3:6, 3:6]
+        GQG[:, 6:9, 0:3] = np.swapaxes(GQG[:, 0:3, 6:9], -1, -2)
+        GQG[:, 6:9, 3:6] = np.swapaxes(GQG[:, 3:6, 6:9], -1, -2)
+        GQG[:, 6:9, 6:9] = 0.25 * dt * dt * GQG[:, 3:6, 3:6]
+        P = F @ P @ np.swapaxes(F, -1, -2) + GQG
+        P = 0.5 * (P + np.swapaxes(P, -1, -2))
+
+        dp = dp + dt1 * dv + 0.5 * dt1 * dt1 * a_mid
+        dv = dv + dt1 * a_mid
+        dR = dR_next
+        D = D_next
+
+    durations = times[:, -1] - times[:, 0]
+    g = noise.gravity_vector()
+    delta_velocity = dv + g * durations[:, None]
+    delta_position = dp + 0.5 * g * (durations ** 2)[:, None]
+    return PreintegratedImu(
+        delta_rotation_matrix=dR,
+        delta_velocity=delta_velocity,
+        delta_position=delta_position,
+        duration=durations,
+        covariance=P,
+        bias_linearization=np.stack([bias_lin_g, bias_lin_a], axis=1),
+        bias_jacobians=D[:, :, 0:6],
+        param_jacobians=D[:, :, 6:21],
+        noise=noise,
+    )
+
+
 class TestBatchedPreintegration:
     def test_matches_scalar_path(self):
         # a batch of K intervals against K single-interval calls
@@ -407,3 +542,26 @@ class TestBatchedPreintegration:
             samples = [ImuSample(times[k, s], omega[k, s], accel[k, s]) for s in range(S + 1)]
             pre = preintegrate(samples, intr, (bias_g[k], bias_a[k]), noise)
             support.assert_same_preintegration(out[k], pre)
+
+    @pytest.mark.parametrize(
+        "K, S",
+        [(4, 10), (1, 10), (3, 1)],
+        ids=["non_uniform_spacing", "single_interval", "single_step"],
+    )
+    def test_matches_step_loop(self, K, S):
+        rng = np.random.default_rng(22)
+        intr = perturbed_intrinsics()
+        noise = NoiseModel()
+        times = np.cumsum(rng.uniform(0.004, 0.016, size=(K, S + 1)), axis=1)
+        omega = rng.normal(size=(K, S + 1, 3)) * 0.5
+        accel = rng.normal(size=(K, S + 1, 3)) + np.array([0.0, 0.0, STANDARD_GRAVITY])
+        bias_g = rng.normal(size=(K, 3)) * 1e-3
+        bias_a = rng.normal(size=(K, 3)) * 1e-2
+        args = (times, omega, accel, intr, bias_g, bias_a, noise)
+        got, ref = preintegrate_intervals(*args), _preintegrate_intervals_loop(*args)
+        for field in dataclasses.fields(PreintegratedImu):
+            a, b = getattr(got, field.name), getattr(ref, field.name)
+            if field.name == "noise":
+                assert a == b
+            else:
+                np.testing.assert_allclose(a, b, rtol=1e-14, atol=1e-14 * np.abs(b).max())

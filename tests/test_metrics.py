@@ -48,20 +48,57 @@ def dense_calibration_covariance(problem):
     return (Vc / s**2) @ Vc.T
 
 
+def thinned(segment, landmark_id, keep):
+    """Copy of a segment in which one landmark keeps only its first `keep`
+    observations; keep=0 drops the landmark."""
+    seen = [o for o in segment.observations if o.landmark_id == landmark_id][:keep]
+    ids = set(segment.landmark_ids) - ({landmark_id} if keep == 0 else set())
+    return support.FakeSegment(
+        segment.id,
+        segment.session_id,
+        segment.keyframe_ids,
+        segment.keyframes,
+        segment.imu_samples,
+        [o for o in segment.observations if o.landmark_id != landmark_id] + seen,
+        ids,
+        {i: segment.landmarks[i] for i in ids},
+    )
+
+
+def seed4_segment():
+    # a 1.1 s segment: long enough for all 26 calibration parameters
+    sc = support.make_scene(seed=4, n_keyframes=12, n_landmarks=30)
+    [seg] = support.scene_segments(sc, kf_per_segment=12)
+    return seg, sc.calibration, sc.noise
+
+
 class TestSegmentMarginalCovariance:
     def test_matches_dense_inverse(self):
-        # a 1.1 s segment: long enough for all 26 calibration parameters
-        sc = support.make_scene(seed=4, n_keyframes=12, n_landmarks=30)
-        prob = build_segment_problem(support.scene_segments(sc, kf_per_segment=12), sc.calibration, sc.noise)
+        seg, calib, noise = seed4_segment()
+        # landmark 0 seen exactly twice leaves one row after its elimination
+        prob = build_segment_problem([thinned(seg, 0, 2)], calib, noise)
+        counts = np.bincount([f.landmark_id for f in prob.camera_factors])
+        assert 2 in counts and len(np.unique(counts)) >= 2
         rng = np.random.default_rng(5)
         prob.keyframes = [k.retract(rng.normal(scale=1e-3, size=KF_DIM)) for k in prob.keyframes]
         cov = segment_marginal_covariance(prob)
         assert not cov.rank_deficient
         ref = dense_calibration_covariance(prob)
         # compared as correlations: entry (i, j) over the oracle's sigma_i sigma_j.
-        # Agreement measured before the inertial path was batched: 9.7e-10.
+        # Measured on this scene: 9.6e-10 with one QR per landmark, 1.1e-9
+        # with the landmarks' QRs batched by observation count.
         e = 1.0 / np.sqrt(np.diag(ref))
         assert np.abs(e[:, None] * (cov.matrix - ref) * e[None, :]).max() < 1e-8
+
+    def test_single_view_landmark_adds_nothing(self):
+        # two image rows cannot pin a landmark's three coordinates, so a
+        # landmark seen once tells nothing about the calibration
+        seg, calib, noise = seed4_segment()
+        with_it = score(segment_marginal_covariance(build_segment_problem([thinned(seg, 0, 1)], calib, noise)))
+        without = score(segment_marginal_covariance(build_segment_problem([thinned(seg, 0, 0)], calib, noise)))
+        assert not with_it.rank_deficient and not without.rank_deficient
+        for name in ("a_opt", "d_opt", "e_opt", "entropy"):
+            assert getattr(with_it, name) == pytest.approx(getattr(without, name), rel=1e-12)
 
 
 class TestScore:
