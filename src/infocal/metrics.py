@@ -4,9 +4,16 @@ How much a segment of trajectory would sharpen the calibration estimate is
 measured through the marginal covariance of the calibration parameters in
 that segment's own estimation problem.  The chain is:
 
-    whitened Jacobian (calibration columns last, gauge modes removed)
+    whitened Jacobian over [keyframe columns | calibration columns],
+    with the gauge of problem.anchor_projectors applied as in the solver
       -> QR  ->  trailing 26x26 triangle R22  ->  Sigma = R22^-1 R22^-T
       -> normalization by reference sigmas  ->  scalar criteria
+
+The gauge: each anchor's rotation columns are projected perpendicular to
+its gravity axis u and its position columns cleared, and four unit rows
+(u on the rotation columns, one per position axis) restore the rank.  No
+data row touches those four directions, so R22 is that of the gauge-free
+parametrization.
 
 Landmark columns are eliminated first: each landmark's 2n x 3 Jacobian
 (n observations) is factored on its own, batched over the landmarks with
@@ -34,7 +41,6 @@ from .problem import (
     CAM_BLOCK,
     IMU_BLOCK,
     KF_DIM,
-    POSE_DIM,
     anchor_projectors,
     bridge_blocks,
     camera_blocks,
@@ -112,44 +118,19 @@ class SegmentScore:
         return getattr(self, metric)
 
 
-def _perp_basis(u):
-    """Orthonormal 3x2 basis of the plane perpendicular to unit u."""
-    e = np.zeros(3)
-    e[int(np.argmin(np.abs(u)))] = 1.0
-    b1 = e - (e @ u) * u
-    b1 /= np.linalg.norm(b1)
-    b2 = np.cross(u, b1)
-    return np.column_stack([b1, b2])
-
-
-def _keyframe_maps(problem):
-    """(K, 15, n_kf) map from each keyframe's tangent space onto the
-    retained gauge-free keyframe columns, keyframe k's columns after those
-    of keyframes 0..k-1.
-
-    Anchor rotations map onto a 2-column basis perpendicular to the gravity
-    axis; masked coordinates are dropped entirely.
-    """
-    anchor_axis = {a: u for a, _, u in anchor_projectors(problem)}
-    eye = np.eye(KF_DIM)
-    blocks = []
-    for k, masked in enumerate(problem.constant_mask["keyframes"]):
-        cols = eye[:, ~masked]
-        if k in anchor_axis:
-            rot = np.zeros((KF_DIM, 2))
-            rot[0:3] = _perp_basis(anchor_axis[k])
-            cols = np.hstack([rot, eye[:, 3:][:, ~masked[3:]]])
-        blocks.append(cols)
-    return scipy.linalg.block_diag(*blocks).reshape(len(blocks), KF_DIM, -1)
-
-
 def _covariance_from_triangle(R22):
     X = scipy.linalg.solve_triangular(R22, np.eye(R22.shape[0]), check_finite=False)
     sigma = X @ X.T
     return MarginalCovariance(0.5 * (sigma + sigma.T))
 
 
-def _eliminate_landmarks(problem, T, counts, out):
+def _place_blocks(rows, k, J):
+    """Write the (n, r, c) blocks J into the first c columns of keyframe
+    k[i] in rows[i] (n, r, n_cols)."""
+    np.put_along_axis(rows, (k * KF_DIM)[:, None, None] + np.arange(J.shape[2]), J, axis=2)
+
+
+def _eliminate_landmarks(problem, counts, out):
     """Write into `out` the camera rows left after eliminating every
     landmark's three columns; returns the |diagonal| of each landmark's
     triangle, for the rank test, as one array per observation count.
@@ -163,9 +144,8 @@ def _eliminate_landmarks(problem, T, counts, out):
     place, and the group temporaries are freed on return, so none of them
     is alive during the final factorisation (peak memory).
     """
-    K, _, th0 = T.shape
     n_cols = out.shape[1]
-    pose_map = T[:, :POSE_DIM].reshape(K * POSE_DIM, th0)
+    th0 = n_cols - CALIB_DIM
     _, Jp, Jl, Jth, _ = camera_blocks(problem)
     ki = problem._cam_kf
     by_landmark = np.argsort(problem._cam_lm, kind="stable")
@@ -175,13 +155,9 @@ def _eliminate_landmarks(problem, T, counts, out):
     for n in np.unique(counts[counts >= 2]):
         obs = by_landmark[first[counts == n][:, None] + np.arange(n)].ravel()
         m = obs.size
-        # whitened rows over [gauge-free keyframe columns | calibration]:
-        # pose blocks scattered into their keyframe's pose coordinates,
-        # then mapped onto the retained columns in one product
-        pose = np.zeros((m, 2, K, POSE_DIM))
-        pose[np.arange(m), :, ki[obs]] = Jp[obs]
+        # whitened rows over [keyframe columns | calibration]
         rows = np.zeros((m, 2, n_cols))
-        rows[:, :, :th0] = (pose.reshape(2 * m, K * POSE_DIM) @ pose_map).reshape(m, 2, th0)
+        _place_blocks(rows, ki[obs], Jp[obs])
         rows[:, :, th0 + CAM_BLOCK.start : th0 + CAM_BLOCK.stop] = Jth[obs]
         Q, R = np.linalg.qr(Jl[obs].reshape(-1, 2 * n, 3), mode="complete")
         diag_values.append(np.abs(np.diagonal(R, axis1=-2, axis2=-1)).ravel())
@@ -192,35 +168,38 @@ def _eliminate_landmarks(problem, T, counts, out):
 
 
 def segment_marginal_covariance(problem):
-    """Calibration marginal covariance of one standalone segment problem.
-
-    The problem carries its own gauge fixing (anchor position masked,
-    anchor yaw projected); those modes are removed from the column space
-    before factorization so the information matrix is invertible.
-    """
+    """Calibration marginal covariance of one standalone segment problem,
+    in the gauge of its anchor_projectors."""
     refresh_preintegrations(problem)
-    if np.any(problem.constant_mask["landmarks"]):
-        raise ValueError("masked landmark coordinates are not supported in scoring")
-    T = _keyframe_maps(problem)
-    th0 = T.shape[2]
+    th0 = len(problem.keyframes) * KF_DIM
     n_cols = th0 + CALIB_DIM
     k0, k1, _, J0, J1, Jthi = inertial_blocks(problem)
     b0, b1, _, B0, B1 = bridge_blocks(problem)
+    anchors = anchor_projectors(problem)
     # a landmark seen n >= 2 times leaves 2n - 3 camera rows, one seen once none
     counts = np.bincount(problem._cam_lm, minlength=len(problem.landmarks))
     n_cam = int(np.maximum(2 * counts - 3, 0).sum())
     n_inertial = 15 * k0.size
-    A = np.zeros((n_cam + n_inertial + 6 * b0.size, n_cols))
+    n_data = n_cam + n_inertial + 6 * b0.size
+    A = np.zeros((n_data + 4 * len(anchors), n_cols))
     if A.shape[0] < n_cols:
         return _deficient_covariance()
 
-    diag_values = _eliminate_landmarks(problem, T, counts, A[:n_cam])
-    # inertial and bridge rows: both keyframes' Jacobians against their maps
+    diag_values = _eliminate_landmarks(problem, counts, A[:n_cam])
     inertial = A[n_cam : n_cam + n_inertial].reshape(-1, 15, n_cols)
-    inertial[:, :, :th0] = np.concatenate([J0, J1], axis=-1) @ np.concatenate([T[k0], T[k1]], axis=1)
+    _place_blocks(inertial, k0, J0)
+    _place_blocks(inertial, k1, J1)
     inertial[:, :, th0 + IMU_BLOCK.start : th0 + IMU_BLOCK.stop] = Jthi
-    bridge = A[n_cam + n_inertial :].reshape(-1, 6, n_cols)
-    bridge[:, :, :th0] = np.concatenate([B0, B1], axis=-1) @ np.concatenate([T[b0], T[b1]], axis=1)
+    bridge = A[n_cam + n_inertial : n_data].reshape(-1, 6, n_cols)
+    _place_blocks(bridge, b0, B0)
+    _place_blocks(bridge, b1, B1)
+    gauge = A[n_data:].reshape(-1, 4, n_cols)
+    for (a, P, u), rows in zip(anchors, gauge):
+        rot, pos = slice(a * KF_DIM, a * KF_DIM + 3), slice(a * KF_DIM + 3, a * KF_DIM + 6)
+        A[:, rot] = A[:, rot] @ P
+        A[:, pos] = 0.0
+        rows[0, rot] = u
+        rows[1:, pos] = np.eye(3)
 
     R = scipy.linalg.qr(A, mode="r", check_finite=False)[0][:n_cols, :]
     diag_values = np.concatenate(diag_values + [np.abs(np.diag(R))])

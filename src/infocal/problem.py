@@ -12,9 +12,13 @@ State layout (minimal coordinates):
 Rotation deltas act by right-multiplied exponential retraction.
 
 Gauge freedom (global translation plus rotation about gravity, per
-partition) is fixed by masking the anchor keyframe's position coordinates
-and projecting its rotation delta to remove the component about the world
-gravity axis.
+partition) is fixed at each partition's anchor keyframe, and only there:
+its position is held fixed and its rotation delta is projected to remove
+the component about the world gravity axis (anchor_projectors).  Solver
+and scoring apply this one rule in one form: the anchor rotation columns
+are projected, the anchor position columns cleared, and unit information
+is added on the gravity axis and on the three position axes, columns that
+no data row touches.
 
 The solver is Levenberg-Marquardt on the whitened residuals.  Landmarks
 are eliminated per partition by dense Schur complement, then the
@@ -175,19 +179,10 @@ class CalibrationProblem:
     bridge_factors: list
     partitions: list
     noise: im.NoiseModel
-    constant_mask: dict = field(default_factory=dict)
     kf_partition: np.ndarray = None
     lm_partition: np.ndarray = None
 
     def __post_init__(self):
-        K = len(self.keyframes)
-        L = len(self.landmarks)
-        if not self.constant_mask:
-            self.constant_mask = {
-                "keyframes": np.zeros((K, KF_DIM), dtype=bool),
-                "landmarks": np.zeros((L, LM_DIM), dtype=bool),
-                "calibration": np.zeros(CALIB_DIM, dtype=bool),
-            }
         self._cam_kf = np.array([f.keyframe_id for f in self.camera_factors], dtype=int)
         self._cam_lm = np.array([f.landmark_id for f in self.camera_factors], dtype=int)
         self._cam_uv = (
@@ -252,11 +247,12 @@ class SolveReport:
 
 
 def _slice_imu_stream(imu_stream, t0, t1):
-    """Samples with t0 <= t <= t1 (tolerant at the ends)."""
+    """Per interval i, the samples with t0[i] <= t <= t1[i] (tolerant at
+    the ends); the stream's times are read once for all intervals."""
     ts = np.array([s.t for s in imu_stream])
-    lo = int(np.searchsorted(ts, t0 - 1e-9, side="left"))
-    hi = int(np.searchsorted(ts, t1 + 1e-9, side="right"))
-    return imu_stream[lo:hi]
+    lo = np.searchsorted(ts, np.asarray(t0, dtype=float) - 1e-9, side="left")
+    hi = np.searchsorted(ts, np.asarray(t1, dtype=float) + 1e-9, side="right")
+    return [imu_stream[a:b] for a, b in zip(lo.tolist(), hi.tolist())]
 
 
 def _interval_factor(k0, k1, samples):
@@ -293,13 +289,11 @@ def build_batch_problem(keyframes, landmarks, observations, imu_stream, calib_in
         cam_factors.append(replace(obs, landmark_id=lm_index[obs.landmark_id]))
     cam_factors.sort(key=lambda f: (f.keyframe_id, f.landmark_id))
 
-    inertial = []
-    for k in range(len(keyframes) - 1):
-        samples = _slice_imu_stream(imu_stream, keyframes[k].t, keyframes[k + 1].t)
-        inertial.append(_interval_factor(k, k + 1, samples))
+    slices = _slice_imu_stream(imu_stream, times[:-1], times[1:])
+    inertial = [_interval_factor(k, k + 1, samples) for k, samples in enumerate(slices)]
 
     part = Partition(segment_ids=(), keyframe_ranges=((0, len(keyframes) - 1),), anchor_keyframe_id=0)
-    problem = CalibrationProblem(
+    return CalibrationProblem(
         keyframes=list(keyframes),
         keyframe_ids=list(range(len(keyframes))),
         landmarks=list(landmarks),
@@ -312,13 +306,6 @@ def build_batch_problem(keyframes, landmarks, observations, imu_stream, calib_in
         kf_partition=np.zeros(len(keyframes), dtype=int),
         lm_partition=np.zeros(len(landmarks), dtype=int),
     )
-    _mask_anchor_positions(problem)
-    return problem
-
-
-def _mask_anchor_positions(problem):
-    for a in problem._anchor_local:
-        problem.constant_mask["keyframes"][a, 3:6] = True
 
 
 def _temporally_adjacent(a, b):
@@ -427,7 +414,12 @@ def build_segment_problem(segments, calib_init, noise, max_shared=10):
     cam_factors = []
     for s in segs:
         p_idx = seg_partition[s.id]
+        kf_ids = set(s.keyframe_ids)
         for obs in s.observations:
+            if obs.keyframe_id not in kf_ids:
+                raise ValueError(f"segment {s.id}: observation references unknown keyframe {obs.keyframe_id}")
+            if obs.landmark_id not in s.landmark_ids:
+                raise ValueError(f"segment {s.id}: observation references unknown landmark {obs.landmark_id}")
             cam_factors.append(
                 replace(
                     obs,
@@ -437,26 +429,27 @@ def build_segment_problem(segments, calib_init, noise, max_shared=10):
             )
     cam_factors.sort(key=lambda f: (f.keyframe_id, f.landmark_id))
 
-    inertial, bridges = [], []
-    for s in segs:
-        for kid0, kid1 in zip(s.keyframe_ids, s.keyframe_ids[1:]):
-            k0 = local_of[(s.session_id, kid0)]
-            k1 = local_of[(s.session_id, kid1)]
-            samples = _slice_imu_stream(s.imu_samples, keyframes[k0].t, keyframes[k1].t)
-            inertial.append(_interval_factor(k0, k1, samples))
-    for a, b in zip(segs, segs[1:]):
-        if a.session_id != b.session_id:
-            continue
-        k0 = local_of[(a.session_id, a.keyframe_ids[-1])]
-        k1 = local_of[(b.session_id, b.keyframe_ids[0])]
-        if _temporally_adjacent(a, b):
-            # no gap: the IMU span of `a` extends through the joint interval
-            samples = _slice_imu_stream(a.imu_samples, keyframes[k0].t, keyframes[k1].t)
-            inertial.append(_interval_factor(k0, k1, samples))
-        else:
-            bridges.append(BiasBridgeFactor(k0, k1, keyframes[k1].t - keyframes[k0].t))
+    # one slicing pass per segment stream: its own intervals, then the joint
+    # interval into a temporally adjacent successor, through which its IMU
+    # span extends; factor order stays segment intervals, then joint ones
+    inertial, joint, bridges = [], [], []
+    for a, b in zip(segs, segs[1:] + [None]):
+        ks = [local_of[(a.session_id, kid)] for kid in a.keyframe_ids]
+        pairs = list(zip(ks, ks[1:]))
+        if b is not None and a.session_id == b.session_id:
+            k1 = local_of[(b.session_id, b.keyframe_ids[0])]
+            if _temporally_adjacent(a, b):
+                pairs.append((ks[-1], k1))
+            else:
+                bridges.append(BiasBridgeFactor(ks[-1], k1, keyframes[k1].t - keyframes[ks[-1]].t))
+        ends = np.array([[keyframes[k0].t, keyframes[k1].t] for k0, k1 in pairs]).reshape(-1, 2)
+        slices = _slice_imu_stream(a.imu_samples, ends[:, 0], ends[:, 1])
+        factors = [_interval_factor(k0, k1, x) for (k0, k1), x in zip(pairs, slices)]
+        inertial += factors[: len(ks) - 1]
+        joint += factors[len(ks) - 1 :]
+    inertial += joint
 
-    problem = CalibrationProblem(
+    return CalibrationProblem(
         keyframes=keyframes,
         keyframe_ids=keyframe_ids,
         landmarks=landmarks,
@@ -469,8 +462,6 @@ def build_segment_problem(segments, calib_init, noise, max_shared=10):
         kf_partition=np.array(kf_part, dtype=int),
         lm_partition=np.array(lm_part, dtype=int),
     )
-    _mask_anchor_positions(problem)
-    return problem
 
 
 # ------------------------------------------------------------- evaluation
@@ -573,11 +564,13 @@ def bridge_blocks(problem, whiten=True):
 
 
 def anchor_projectors(problem):
-    """Per-partition (anchor index, rotation projector, gravity axis).
+    """The gauge: per partition (anchor index, rotation projector P,
+    gravity axis u).
 
-    The projector removes the rotation-delta component about the world
-    vertical expressed in the anchor body frame, evaluated at the current
-    anchor attitude.
+    u is the world vertical expressed in the anchor body frame at the
+    current anchor attitude, and P = I - u u^T removes the rotation-delta
+    component about it.  The anchor's position is fixed as well; no other
+    coordinate of a problem is ever held fixed.
     """
     out = []
     for a in problem._anchor_local:
@@ -587,19 +580,16 @@ def anchor_projectors(problem):
     return out
 
 
-def evaluate_residuals(problem, apply_gauge=True):
+def evaluate_residuals(problem):
     """Stacked residual, block weights, and the sparse Jacobian.
 
     Row order: camera factors sorted by (keyframe, landmark), then
     inertial-type factors by left keyframe.  Column order: keyframe
     blocks, landmark blocks, calibration last.  Residual and Jacobian are
     unweighted; the returned (offset, block) weight list is block-diagonal
-    and the cost is half of r^T W r.
-
-    With apply_gauge, gauge-fixed coordinates get their columns zeroed and
-    the anchor rotation columns are projected along the gravity axis.
-    Behind-camera observations contribute zero rows and are counted in the
-    `dropped` field.
+    and the cost is half of r^T W r.  No gauge is applied: every column is
+    the plain derivative.  Behind-camera observations contribute zero rows
+    and are counted in the `dropped` field.
     """
     refresh_preintegrations(problem)
     K = len(problem.keyframes)
@@ -646,19 +636,6 @@ def evaluate_residuals(problem, apply_gauge=True):
 
     data = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
     J = scipy.sparse.csr_matrix(data, shape=(residual.shape[0], n_cols))
-
-    if apply_gauge:
-        mask = np.zeros(n_cols, dtype=bool)
-        mask[: K * KF_DIM] = problem.constant_mask["keyframes"].reshape(-1)
-        mask[lm_base:th_base] = problem.constant_mask["landmarks"].reshape(-1)
-        mask[th_base:] = problem.constant_mask["calibration"]
-        scale = scipy.sparse.lil_matrix((n_cols, n_cols))
-        keep = np.flatnonzero(~mask)
-        scale[keep, keep] = 1.0
-        for a, P, _ in anchor_projectors(problem):
-            i0 = a * KF_DIM
-            scale[i0 : i0 + 3, i0 : i0 + 3] = P
-        J = (J @ scale.tocsr()).tocsr()
     return ResidualEvaluation(residual, weights, J, int((~valid).sum()))
 
 
@@ -790,13 +767,14 @@ def _add_keyframe_pairs(H, g, rows0, rows1, rw, J0, J1):
         np.add.at(g, (ra,), -np.einsum("fri,fr->fi", Ja, rw))
 
 
-def _gauge_partition(problem, s, Hkk, Hkl, Hkth, gk, P_rot):
-    """Apply gauge masking and the anchor yaw projection in place.
+def _gauge_partition(s, Hkk, Hkl, Hkth, gk, P_rot):
+    """Apply the anchor gauge of anchor_projectors in place.
 
-    Masked coordinates get zeroed rows/columns and a unit diagonal so
-    their update is exactly zero.  The projector removes the yaw direction
-    from the anchor rotation block; the lost rank is restored on the
-    diagonal so the factorization stays positive definite.
+    The projector removes the yaw direction from the anchor rotation block
+    and the anchor position rows/columns are cleared; unit information on
+    the gravity axis and on the position axes restores the lost rank, so
+    the factorization stays positive definite.  The anchor's position
+    update is exactly zero and its rotation update has no yaw component.
     """
     j = int(np.flatnonzero(s.kf_idx == s.anchor)[0])
     i0 = j * KF_DIM
@@ -808,15 +786,13 @@ def _gauge_partition(problem, s, Hkk, Hkl, Hkth, gk, P_rot):
     gk[i0 : i0 + 3] = P @ gk[i0 : i0 + 3]
     Hkl[j * POSE_DIM : j * POSE_DIM + 3, :] = P @ Hkl[j * POSE_DIM : j * POSE_DIM + 3, :]
 
-    flags = problem.constant_mask["keyframes"][s.kf_idx]
-    masked = np.flatnonzero(flags)
-    if masked.size:
-        Hkk[masked, :] = 0.0
-        Hkk[:, masked] = 0.0
-        Hkk[masked, masked] = 1.0
-        Hkl[np.flatnonzero(flags[:, :POSE_DIM]), :] = 0.0
-        Hkth[masked, :] = 0.0
-        gk[masked] = 0.0
+    pos = slice(i0 + 3, i0 + 6)
+    Hkk[pos, :] = 0.0
+    Hkk[:, pos] = 0.0
+    Hkk[pos, pos] = np.eye(3)
+    Hkl[j * POSE_DIM + 3 : j * POSE_DIM + 6, :] = 0.0
+    Hkth[pos, :] = 0.0
+    gk[pos] = 0.0
 
 
 def _solve_normal_equations(problem, systems, cross, lam, fix_calibration, anchors):
@@ -853,7 +829,7 @@ def _solve_normal_equations(problem, systems, cross, lam, fix_calibration, ancho
         gk = s.gk.copy()
         S[:CALIB_DIM, :CALIB_DIM] += lam * np.diag(np.diag(s.Hthth))
 
-        _gauge_partition(problem, s, Hkk, Hkl, Hkth, gk, anchor_of[s.anchor])
+        _gauge_partition(s, Hkk, Hkl, Hkth, gk, anchor_of[s.anchor])
 
         if n_lm:
             # landmark Schur update, in place on the pose rows: the only
@@ -904,15 +880,11 @@ def _solve_normal_equations(problem, systems, cross, lam, fix_calibration, ancho
         back.append((s, Cfac if nI else None, S_Xth, S_XX, g_X, nI, loc_i, loc_b, g_cols, Hll_inv, Hkl))
 
     S = 0.5 * (S + S.T)
-    cal_mask = problem.constant_mask["calibration"].copy()
     if fix_calibration:
-        cal_mask[:] = True
-    idx = np.flatnonzero(cal_mask)
-    if idx.size:
-        S[idx, :] = 0.0
-        S[:, idx] = 0.0
-        S[idx, idx] = 1.0
-        g[idx] = 0.0
+        S[:CALIB_DIM, :] = 0.0
+        S[:, :CALIB_DIM] = 0.0
+        S[:CALIB_DIM, :CALIB_DIM] = np.eye(CALIB_DIM)
+        g[:CALIB_DIM] = 0.0
     Ctop = scipy.linalg.cho_factor(S, lower=True, check_finite=False)
     x = scipy.linalg.cho_solve(Ctop, g, check_finite=False)
     d_th = x[:CALIB_DIM]
@@ -988,7 +960,9 @@ def solve(problem, options: SolveOptions = None):
     """Levenberg-Marquardt minimization of the whitened squared residual.
 
     Keyframes, landmarks, and calibration in the problem are updated in
-    place to the solution; gauge-masked coordinates are never touched.
+    place to the solution, except for the gauge of anchor_projectors: each
+    anchor keeps its position, and its rotation update has no component
+    about the gravity axis.
     Accepted steps strictly decrease the cost.
     """
     options = options or SolveOptions()

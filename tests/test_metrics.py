@@ -22,15 +22,15 @@ import support
 def dense_calibration_covariance(problem):
     """Calibration block of (J^T W J)^-1 over the gauge-free columns.
 
-    The anchor's masked position columns are removed and its rotation
-    columns kept on a 2-column basis perpendicular to the gravity axis (any
-    such basis gives the same calibration block).
+    The anchor's position columns are removed and its rotation columns
+    kept on a 2-column basis perpendicular to the gravity axis (any such
+    basis gives the same calibration block).
     The inverse is formed from an SVD of the whitened, column-normalized
     Jacobian rather than by inverting J^T W J, whose condition number is
     the square of the Jacobian's (chained positions and bias walks make
     it about 1e15 here).
     """
-    ev = evaluate_residuals(problem, apply_gauge=False)
+    ev = evaluate_residuals(problem)
     J = ev.jacobian.toarray()
     A = np.zeros_like(J)
     for off, W in ev.weights:
@@ -86,7 +86,8 @@ class TestSegmentMarginalCovariance:
         ref = dense_calibration_covariance(prob)
         # compared as correlations: entry (i, j) over the oracle's sigma_i sigma_j.
         # Measured on this scene: 9.6e-10 with one QR per landmark, 1.1e-9
-        # with the landmarks' QRs batched by observation count.
+        # with the landmarks' QRs batched by observation count, 1.3e-9 with
+        # the gauge applied as four unit rows instead of a reduced basis.
         e = 1.0 / np.sqrt(np.diag(ref))
         assert np.abs(e[:, None] * (cov.matrix - ref) * e[None, :]).max() < 1e-8
 

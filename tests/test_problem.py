@@ -23,6 +23,8 @@ from infocal.problem import (
     Landmark,
     SolveOptions,
     _model_decrease,
+    _slice_imu_stream,
+    anchor_projectors,
     bridge_blocks,
     build_batch_problem,
     build_segment_problem,
@@ -49,6 +51,16 @@ def build_from_scene(sc):
     )
 
 
+def slice_one_interval(imu_stream, t0, t1):
+    """Reference for _slice_imu_stream: one interval's samples with
+    t0 <= t <= t1 (tolerant at the ends), the stream's times rebuilt on
+    every call."""
+    ts = np.array([s.t for s in imu_stream])
+    lo = int(np.searchsorted(ts, t0 - 1e-9, side="left"))
+    hi = int(np.searchsorted(ts, t1 + 1e-9, side="right"))
+    return imu_stream[lo:hi]
+
+
 class TestBuildBatch:
     def test_counting_minimal(self):
         sc = support.make_scene(seed=2, n_keyframes=2, n_landmarks=1)
@@ -68,12 +80,6 @@ class TestBuildBatch:
         assert len(prob.camera_factors) == len(scene.observations)
         assert len(prob.partitions) == 1
         assert prob.partitions[0].anchor_keyframe_id == 0
-
-    def test_anchor_position_masked(self, scene):
-        prob = build_from_scene(scene)
-        assert prob.constant_mask["keyframes"][0, 3:6].all()
-        assert not prob.constant_mask["keyframes"][0, 0:3].any()
-        assert not prob.constant_mask["keyframes"][1:].any()
 
     def test_dangling_keyframe_raises(self, scene):
         bad = list(scene.observations) + [FeatureObservation(99, 0, np.zeros(2), 0.5)]
@@ -111,6 +117,20 @@ class TestBuildBatch:
         s = scene.imu_stream[25]
         with pytest.raises(ValueError, match="interval 2-3 has non-finite"):
             self._build_with_sample(scene, 25, ImuSample(s.t, s.omega_meas, [np.nan, 0.0, 0.0]))
+
+    def test_imu_slices_match_per_interval_reference(self, scene):
+        # interval ends on sample times, within the 1e-9 tolerance of one,
+        # and halfway between two
+        stream = scene.imu_stream
+        ts = np.array([s.t for s in stream])
+        rng = np.random.default_rng(3)
+        near = ts[5::11] + rng.uniform(-5e-10, 5e-10, size=ts[5::11].size)
+        ends = np.unique(np.concatenate([ts[::7], 0.5 * (ts[3::9] + ts[4::9]), near]))
+        got = _slice_imu_stream(stream, ends[:-1], ends[1:])
+        assert len(got) == ends.size - 1
+        for t0, t1, samples in zip(ends[:-1], ends[1:], got):
+            ref = slice_one_interval(stream, t0, t1)
+            assert len(samples) == len(ref) and all(a is b for a, b in zip(samples, ref))
 
     def test_mixed_interval_sample_counts(self, scene):
         # without keyframe 3 the interval 2-4 holds twice the samples of the
@@ -189,7 +209,7 @@ class TestResidualEvaluation:
         base_kf = list(prob.keyframes)
         base_lm = list(prob.landmarks)
         base_cal = prob.calibration
-        J = evaluate_residuals(prob, apply_gauge=False).jacobian.toarray()
+        J = evaluate_residuals(prob).jacobian.toarray()
 
         K, L = len(base_kf), len(base_lm)
         n_cols = K * KF_DIM + L * 3 + CALIB_DIM
@@ -205,7 +225,7 @@ class TestResidualEvaluation:
                 for i, lm in enumerate(base_lm)
             ]
             prob.calibration = base_cal.retract(delta[K * KF_DIM + 3 * L :])
-            return evaluate_residuals(prob, apply_gauge=False).residual
+            return evaluate_residuals(prob).residual
 
         J_fd = np.zeros_like(J)
         for c in range(n_cols):
@@ -216,18 +236,6 @@ class TestResidualEvaluation:
 
         scale = np.maximum(np.abs(J), 1.0)
         assert np.max(np.abs(J - J_fd) / scale) < 1e-4
-
-    def test_gauge_projection_kills_yaw_column(self, scene):
-        prob = build_from_scene(scene)
-        ev = evaluate_residuals(prob, apply_gauge=True)
-        J = ev.jacobian
-        # anchor position columns zeroed
-        assert abs(J[:, 3:6]).max() == 0.0
-        # anchor rotation columns have no component along the gravity axis
-        u = prob.keyframes[0].q_GI.matrix().T @ np.array([0.0, 0.0, 1.0])
-        u /= np.linalg.norm(u)
-        rot_cols = J[:, 0:3].toarray()
-        assert np.max(np.abs(rot_cols @ u)) < 1e-12
 
 
 class TestInertialWhitening:
@@ -327,6 +335,21 @@ class TestSolve:
         assert report.final_cost < report.initial_cost
         assert prob.keyframes[0].p_GI.tobytes() == p_anchor.tobytes()
 
+    @pytest.mark.parametrize("seed", [7, 8, 9])
+    def test_anchor_rotation_step_has_no_yaw(self, scene, seed):
+        # the anchor's rotation update lies perpendicular to the gravity
+        # axis expressed in the anchor body frame
+        prob = build_from_scene(scene)
+        rng = np.random.default_rng(seed)
+        prob.keyframes = [k.retract(rng.normal(scale=2e-3, size=KF_DIM)) for k in prob.keyframes]
+        q0 = prob.keyframes[0].q_GI
+        u = q0.matrix().T @ np.array([0.0, 0.0, 1.0])
+        prob, report = solve(prob, SolveOptions(max_iters=1))
+        assert len(report.cost_history) == 2
+        d = q0.local(prob.keyframes[0].q_GI)
+        assert np.linalg.norm(d) > 0.0
+        assert abs(u @ d) < 1e-6 * np.linalg.norm(d)
+
     def test_fix_calibration(self, scene):
         prob = build_from_scene(scene)
         rng = np.random.default_rng(8)
@@ -351,7 +374,7 @@ class TestLevenbergMarquardtModel:
         assert len(prob.bridge_factors) == 1
         rng = np.random.default_rng(14)
         prob.keyframes = [k.retract(rng.normal(scale=1e-3, size=KF_DIM)) for k in prob.keyframes]
-        ev = evaluate_residuals(prob, apply_gauge=False)
+        ev = evaluate_residuals(prob)
         K, L = len(prob.keyframes), len(prob.landmarks)
         delta = (
             rng.normal(scale=1e-3, size=(K, KF_DIM)),
@@ -379,7 +402,7 @@ class TestHuber:
         assert all(b < a for a, b in zip(hist, hist[1:]))
 
         # by hand: Huber on each camera factor's whitened norm, squares elsewhere
-        ev = evaluate_residuals(prob, apply_gauge=False)
+        ev = evaluate_residuals(prob)
         n_cam_rows = 2 * len(prob.camera_factors)
         expected, outliers = 0.0, 0
         for o, W in ev.weights:
@@ -506,6 +529,35 @@ class TestSegmentProblem:
         # mismatch against the fixed measurements
         assert got - base == pytest.approx(expected, rel=1e-3)
 
+    def test_single_segment_matches_batch_problem(self, scene):
+        # the two builders on the same data build the same problem
+        batch = build_from_scene(scene)
+        [seg] = support.scene_segments(scene, kf_per_segment=len(scene.keyframes))
+        segprob = build_segment_problem([seg], scene.calibration, scene.noise)
+        for name in ("camera_factors", "inertial_factors", "bridge_factors", "partitions"):
+            assert len(getattr(segprob, name)) == len(getattr(batch, name))
+        [(a_seg, _, u_seg)] = anchor_projectors(segprob)
+        [(a_batch, _, u_batch)] = anchor_projectors(batch)
+        assert a_seg == a_batch and np.array_equal(u_seg, u_batch)
+        rng = np.random.default_rng(10)
+        deltas = [rng.normal(scale=1e-3, size=KF_DIM) for _ in batch.keyframes]
+        batch.keyframes = [k.retract(d) for k, d in zip(batch.keyframes, deltas)]
+        segprob.keyframes = [k.retract(d) for k, d in zip(segprob.keyframes, deltas)]
+        assert problem_cost(segprob) == problem_cost(batch)
+
+    def test_unknown_keyframe_raises(self, scene):
+        segs = support.scene_segments(scene, kf_per_segment=3)
+        landmark = next(iter(segs[0].landmark_ids))
+        segs[0].observations.append(FeatureObservation(77, landmark, np.zeros(2), 0.5))
+        with pytest.raises(ValueError, match="segment 0: .*unknown keyframe 77"):
+            build_segment_problem(segs, scene.calibration, scene.noise)
+
+    def test_unknown_landmark_raises(self, scene):
+        segs = support.scene_segments(scene, kf_per_segment=3)
+        segs[1].observations.append(FeatureObservation(segs[1].keyframe_ids[0], 999, np.zeros(2), 0.5))
+        with pytest.raises(ValueError, match="segment 1: .*unknown landmark 999"):
+            build_segment_problem(segs, scene.calibration, scene.noise)
+
     def test_overlapping_segments_raise(self, scene):
         segs = support.scene_segments(scene, kf_per_segment=3)
         segs[1].keyframe_ids = segs[0].keyframe_ids
@@ -532,7 +584,7 @@ class TestSegmentProblem:
         base_kf = list(prob.keyframes)
         base_lm = list(prob.landmarks)
         base_cal = prob.calibration
-        J = evaluate_residuals(prob, apply_gauge=False).jacobian.toarray()
+        J = evaluate_residuals(prob).jacobian.toarray()
 
         K, L = len(base_kf), len(base_lm)
         n_cols = K * KF_DIM + L * 3 + CALIB_DIM
@@ -548,7 +600,7 @@ class TestSegmentProblem:
                 for i, lm in enumerate(base_lm)
             ]
             prob.calibration = base_cal.retract(delta[K * KF_DIM + 3 * L :])
-            return evaluate_residuals(prob, apply_gauge=False).residual
+            return evaluate_residuals(prob).residual
 
         J_fd = np.zeros_like(J)
         for c in range(n_cols):
