@@ -19,13 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Transform, compose, quat_to_matrix, so3_hat
+from .geometry import Transform, quat_to_matrix, so3_hat
 
 SERIES_SWITCH_R = 1e-4
-
-
-class BehindCameraError(ValueError):
-    """Raised when a point to be projected has non-positive camera-frame z."""
 
 
 @dataclass(frozen=True)
@@ -63,8 +59,10 @@ class FeatureObservation:
     def __post_init__(self):
         object.__setattr__(self, "uv", np.array(self.uv, dtype=float).reshape(2))
         object.__setattr__(self, "sigma", float(self.sigma))
-        if self.sigma <= 0.0:
-            raise ValueError("observation sigma must be positive")
+        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
+            raise ValueError("observation sigma must be positive and finite")
+        if not np.isfinite(self.uv).all():
+            raise ValueError("observation pixel coordinates must be finite")
 
 
 def distortion_factor(r, w):
@@ -104,60 +102,6 @@ def distortion_gradients(r, w):
     beta_r_over_r = np.where(small, series, general)
     dbeta_dw = a_w / (w * (1.0 + u2)) - beta / w
     return beta, beta_r_over_r, dbeta_dw
-
-
-def undistort_radius(r_d, w):
-    """Inverse of r -> beta(r) r, in closed form: tan(w r_d) / (2 tan(w/2))."""
-    r_d = np.asarray(r_d, dtype=float)
-    if np.any(w * r_d >= 0.5 * math.pi):
-        raise ValueError("distorted radius outside the invertible domain")
-    return np.tan(w * r_d) / (2.0 * math.tan(0.5 * w))
-
-
-def undistort_point(uv, intr: CameraIntrinsics):
-    """Pixel coordinates to undistorted normalized coordinates (unit z)."""
-    uv = np.asarray(uv, dtype=float)
-    pd = (uv - intr.c) / intr.f
-    r_d = np.linalg.norm(pd, axis=-1, keepdims=True)
-    r_u = undistort_radius(r_d, intr.w)
-    scale = np.where(r_d < 1e-12, 1.0, r_u / np.where(r_d == 0.0, 1.0, r_d))
-    return pd * scale
-
-
-def project_points(l_C, intr: CameraIntrinsics):
-    """Batched projection; returns (uv, valid) without raising.
-
-    valid is False where z <= 0; uv rows are zero there.
-    """
-    l_C = np.asarray(l_C, dtype=float)
-    z = l_C[..., 2]
-    valid = z > 0.0
-    zs = np.where(valid, z, 1.0)
-    p_bar = l_C[..., :2] / zs[..., None]
-    r = np.linalg.norm(p_bar, axis=-1)
-    beta = np.asarray(distortion_factor(r, intr.w))
-    uv = beta[..., None] * intr.f * p_bar + intr.c
-    uv = np.where(valid[..., None], uv, 0.0)
-    return uv, valid
-
-
-def project(l_C, intr: CameraIntrinsics):
-    """Project one camera-frame point to pixels; z must be positive."""
-    l_C = np.asarray(l_C, dtype=float).reshape(3)
-    if l_C[2] <= 0.0:
-        raise BehindCameraError("point behind camera: z=%g" % l_C[2])
-    uv, _ = project_points(l_C, intr)
-    return uv
-
-
-def predict_observation(T_IG_k: Transform, T_CI: Transform, l_G, intr: CameraIntrinsics):
-    """Noise-free pixel prediction of a global landmark from keyframe k.
-
-    T_IG_k maps global coordinates into the IMU frame (inverse of the
-    keyframe pose state), T_CI maps the IMU frame into the camera frame.
-    """
-    l_C = compose(T_CI, T_IG_k).apply(np.asarray(l_G, dtype=float))
-    return project(l_C, intr)
 
 
 def _uv_core_jacobians(l_C, intr: CameraIntrinsics):

@@ -308,39 +308,3 @@ class Transform:
 
     def __repr__(self):
         return "Transform(%r, %s)" % (self.rotation, self.translation)
-
-
-def transform_point(T: Transform, p):
-    """R p + t for a single point or a stack of points."""
-    return T.apply(p)
-
-
-def compose(T_AB: Transform, T_BC: Transform) -> Transform:
-    """T_AC such that transform_point(T_AC, p) chains the two inputs."""
-    rot = T_AB.rotation.multiply(T_BC.rotation)
-    trans = T_AB.rotation.rotate(T_BC.translation) + T_AB.translation
-    return Transform(rot, trans)
-
-
-def invert(T: Transform) -> Transform:
-    rot = T.rotation.conjugate()
-    return Transform(rot, -rot.rotate(T.translation))
-
-
-def average_quaternions(qs) -> UnitQuaternion:
-    """Chordal L2 mean: eigenvector maximizing sum of (q^T q_i)^2.
-
-    Sign-insensitive by construction (q q^T is even in q); the returned
-    quaternion is normalized with w >= 0.
-    """
-    if len(qs) == 0:
-        raise ValueError("average_quaternions needs a non-empty list")
-    acc = np.zeros((4, 4))
-    for q in qs:
-        arr = q.wxyz if isinstance(q, UnitQuaternion) else np.asarray(q, dtype=float)
-        acc += np.outer(arr, arr)
-    vals, vecs = np.linalg.eigh(acc)
-    best = vecs[:, np.argmax(vals)]
-    if best[0] < 0.0:
-        best = -best
-    return UnitQuaternion.from_array(best)

@@ -147,8 +147,8 @@ def _eliminate_landmarks(problem, counts, out):
     n_cols = out.shape[1]
     th0 = n_cols - CALIB_DIM
     _, Jp, Jl, Jth, _ = camera_blocks(problem)
-    ki = problem._cam_kf
-    by_landmark = np.argsort(problem._cam_lm, kind="stable")
+    ki = problem.camera_factors["kf"]
+    by_landmark = np.argsort(problem.camera_factors["lm"], kind="stable")
     first = np.concatenate([[0], np.cumsum(counts)[:-1]])
     diag_values = []
     row = 0
@@ -177,7 +177,7 @@ def segment_marginal_covariance(problem):
     b0, b1, _, B0, B1 = bridge_blocks(problem)
     anchors = anchor_projectors(problem)
     # a landmark seen n >= 2 times leaves 2n - 3 camera rows, one seen once none
-    counts = np.bincount(problem._cam_lm, minlength=len(problem.landmarks))
+    counts = np.bincount(problem.camera_factors["lm"], minlength=len(problem.landmarks))
     n_cam = int(np.maximum(2 * counts - 3, 0).sum())
     n_inertial = 15 * k0.size
     n_data = n_cam + n_inertial + 6 * b0.size

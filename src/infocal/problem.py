@@ -1,5 +1,9 @@
 """Factor-graph construction and the nonlinear least-squares solve.
 
+One builder, build_segment_problem, makes every CalibrationProblem from
+Segments; the batch problem is the same call on one segment that spans
+the whole session.
+
 State layout (minimal coordinates):
   keyframe (15): rotation delta, position, velocity, accel bias, gyro bias
   landmark (3):  position
@@ -30,12 +34,10 @@ back-substitutes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import NamedTuple
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
 from . import camera as cam
 from . import imu as im
@@ -51,6 +53,9 @@ IMU_BLOCK = slice(11, 26)
 
 _WORLD_Z = np.array([0.0, 0.0, 1.0])
 _LM_DIAG_FLOOR = 1e-12
+
+# one camera factor: local keyframe and landmark index, pixel, pixel sigma
+CAMERA_FACTOR_DTYPE = np.dtype([("kf", int), ("lm", int), ("uv", float, (2,)), ("sigma", float)])
 
 
 @dataclass(frozen=True)
@@ -155,11 +160,34 @@ class BiasBridgeFactor:
 
 
 @dataclass
+class Segment:
+    """Consecutive keyframes of one session and the measurements on them.
+
+    keyframe_ids are session keyframe ids, strictly increasing, one per
+    entry of keyframes.  imu_samples cover the segment's keyframe
+    intervals and, when the next segment of the session starts at the
+    following keyframe, the interval into it.  observations
+    (camera.FeatureObservation) reference keyframes by session id and
+    landmarks by id; landmarks maps every id of landmark_ids to a position.
+    """
+
+    id: int
+    session_id: str
+    keyframe_ids: list
+    keyframes: list
+    imu_samples: list
+    observations: list
+    landmark_ids: set
+    landmarks: dict
+
+
+@dataclass
 class CalibrationProblem:
     """A fully assembled calibration problem over one or more partitions.
 
-    camera_factors reference keyframes and landmarks by LOCAL index
-    (position in the keyframes/landmarks lists); keyframe_ids maps local
+    camera_factors is one CAMERA_FACTOR_DTYPE array, a row per
+    observation sorted by (kf, lm), whose kf and lm are LOCAL indices
+    (positions in the keyframes/landmarks lists); keyframe_ids maps local
     index back to the session-level id.  Landmarks observed from multiple
     partitions are instantiated once per partition so no camera term
     couples partitions.
@@ -174,22 +202,21 @@ class CalibrationProblem:
     keyframe_ids: list
     landmarks: list
     calibration: CalibrationState
-    camera_factors: list
+    camera_factors: np.ndarray
     inertial_factors: list
     bridge_factors: list
     partitions: list
     noise: im.NoiseModel
-    kf_partition: np.ndarray = None
-    lm_partition: np.ndarray = None
+    kf_partition: np.ndarray
+    lm_partition: np.ndarray
 
     def __post_init__(self):
-        self._cam_kf = np.array([f.keyframe_id for f in self.camera_factors], dtype=int)
-        self._cam_lm = np.array([f.landmark_id for f in self.camera_factors], dtype=int)
-        self._cam_uv = (
-            np.stack([f.uv for f in self.camera_factors]) if self.camera_factors else np.zeros((0, 2))
-        )
-        self._cam_sigma = np.array([f.sigma for f in self.camera_factors])
-        self._anchor_local = [self.keyframe_ids.index(p.anchor_keyframe_id) for p in self.partitions]
+        # looked up within the partition: sessions can repeat keyframe ids
+        ids = np.asarray(self.keyframe_ids)
+        self._anchor_local = [
+            int(np.flatnonzero((self.kf_partition == p) & (ids == part.anchor_keyframe_id))[0])
+            for p, part in enumerate(self.partitions)
+        ]
         self._inertial_k0 = np.array([f.k0 for f in self.inertial_factors], dtype=int)
         self._inertial_k1 = np.array([f.k1 for f in self.inertial_factors], dtype=int)
         # raw samples stacked once per sample count: refresh makes one
@@ -211,13 +238,6 @@ class CalibrationProblem:
     @property
     def num_states(self):
         return len(self.keyframes) * KF_DIM + len(self.landmarks) * LM_DIM + CALIB_DIM
-
-
-class ResidualEvaluation(NamedTuple):
-    residual: np.ndarray
-    weights: list  # (row offset, weight block) pairs, block-diagonal overall
-    jacobian: scipy.sparse.csr_matrix
-    dropped: int
 
 
 @dataclass
@@ -269,43 +289,49 @@ def _interval_factor(k0, k1, samples):
 
 
 def build_batch_problem(keyframes, landmarks, observations, imu_stream, calib_init, noise):
-    """One camera factor per observation, one inertial factor per interval.
+    """The whole session as one segment, through build_segment_problem.
 
-    Observations reference keyframes by index into `keyframes` and
-    landmarks by Landmark.id.  The first keyframe anchors the gauge.
+    The segment has keyframe ids range(K), the whole IMU stream and every
+    listed landmark, observed or not.  Observations reference keyframes by
+    index into `keyframes` and landmarks by Landmark.id.  The first
+    keyframe anchors the gauge.  Landmark columns come sorted by id,
+    whatever the order of `landmarks`.
     """
-    if not keyframes:
-        raise ValueError("empty keyframe list")
-    times = [k.t for k in keyframes]
-    if any(b <= a for a, b in zip(times, times[1:])):
-        raise ValueError("keyframes must be temporally ordered")
-    lm_index = {lm.id: i for i, lm in enumerate(landmarks)}
-    cam_factors = []
-    for obs in observations:
-        if not 0 <= obs.keyframe_id < len(keyframes):
-            raise ValueError(f"observation references unknown keyframe {obs.keyframe_id}")
-        if obs.landmark_id not in lm_index:
-            raise ValueError(f"observation references unknown landmark {obs.landmark_id}")
-        cam_factors.append(replace(obs, landmark_id=lm_index[obs.landmark_id]))
-    cam_factors.sort(key=lambda f: (f.keyframe_id, f.landmark_id))
-
-    slices = _slice_imu_stream(imu_stream, times[:-1], times[1:])
-    inertial = [_interval_factor(k, k + 1, samples) for k, samples in enumerate(slices)]
-
-    part = Partition(segment_ids=(), keyframe_ranges=((0, len(keyframes) - 1),), anchor_keyframe_id=0)
-    return CalibrationProblem(
-        keyframes=list(keyframes),
+    seg = Segment(
+        id=0,
+        session_id="batch",
         keyframe_ids=list(range(len(keyframes))),
-        landmarks=list(landmarks),
-        calibration=calib_init,
-        camera_factors=cam_factors,
-        inertial_factors=inertial,
-        bridge_factors=[],
-        partitions=[part],
-        noise=noise,
-        kf_partition=np.zeros(len(keyframes), dtype=int),
-        lm_partition=np.zeros(len(landmarks), dtype=int),
+        keyframes=list(keyframes),
+        imu_samples=imu_stream,
+        observations=observations,
+        landmark_ids={lm.id for lm in landmarks},
+        landmarks={lm.id: lm.l_G for lm in landmarks},
     )
+    return build_segment_problem([seg], calib_init, noise)
+
+
+def _check_segment(s):
+    """Reject a segment whose keyframes cannot be indexed by position."""
+    ids = np.asarray(s.keyframe_ids)
+    if not ids.size:
+        raise ValueError(f"segment {s.id}: no keyframes")
+    if ids.size != len(s.keyframes):
+        raise ValueError(f"segment {s.id}: {ids.size} keyframe ids for {len(s.keyframes)} keyframes")
+    if not np.all(np.diff(ids) > 0):
+        raise ValueError(f"segment {s.id}: keyframe ids must be strictly increasing")
+    if not np.all(np.diff([k.t for k in s.keyframes]) > 0.0):
+        raise ValueError(f"segment {s.id}: keyframes must be temporally ordered")
+
+
+def _positions(sorted_ids, ids, error):
+    """Index of each of `ids` in the strictly increasing `sorted_ids`;
+    ValueError(error + first missing id) if one is absent."""
+    pos = np.searchsorted(sorted_ids, ids)
+    found = pos < len(sorted_ids)
+    found[found] = sorted_ids[pos[found]] == ids[found]
+    if not found.all():
+        raise ValueError(f"{error} {ids[~found][0]}")
+    return pos
 
 
 def _temporally_adjacent(a, b):
@@ -373,17 +399,17 @@ def build_segment_problem(segments, calib_init, noise, max_shared=10):
     Within segments: full camera and inertial factors.  Between temporal
     neighbors separated by a gap: a bias-random-walk bridge only.  Each
     co-visibility partition gets its own gauge anchor and its own landmark
-    instances.
+    instances.  Segments are validated here, the batch problem's single
+    segment included.
     """
     if not segments:
         raise ValueError("empty segment list")
+    for s in segments:
+        _check_segment(s)
     segs = sorted(segments, key=lambda s: (s.session_id, s.keyframe_ids[0]))
-    seen = set()
-    for s in segs:
-        ids = set((s.session_id, k) for k in s.keyframe_ids)
-        if ids & seen:
-            raise ValueError("segments overlap in keyframe ids")
-        seen |= ids
+    for a, b in zip(segs, segs[1:]):
+        if a.session_id == b.session_id and b.keyframe_ids[0] <= a.keyframe_ids[-1]:
+            raise ValueError(f"segments {a.id} and {b.id} overlap in keyframe ids")
 
     partitions = partition_segments(segs, max_shared)
     seg_partition = {}
@@ -391,53 +417,41 @@ def build_segment_problem(segments, calib_init, noise, max_shared=10):
         for sid in part.segment_ids:
             seg_partition[sid] = p_idx
 
-    keyframes, keyframe_ids, kf_part = [], [], []
-    local_of = {}
-    for s in segs:
-        for kf, kid in zip(s.keyframes, s.keyframe_ids):
-            local_of[(s.session_id, kid)] = len(keyframes)
-            keyframes.append(kf)
-            keyframe_ids.append(kid)
-            kf_part.append(seg_partition[s.id])
+    # segment i holds the local keyframes first[i] .. first[i + 1] - 1
+    first = np.cumsum([0] + [len(s.keyframes) for s in segs]).tolist()
+    keyframes = [kf for s in segs for kf in s.keyframes]
+    keyframe_ids = [kid for s in segs for kid in s.keyframe_ids]
+    kf_part = np.repeat([seg_partition[s.id] for s in segs], np.diff(first))
 
-    landmarks, lm_part = [], []
+    landmarks, lm_part, cam_factors = [], [], []
     lm_local = {}
-    for s in segs:
+    for s, first_kf in zip(segs, first):
         p_idx = seg_partition[s.id]
-        for lid in sorted(s.landmark_ids):
-            key = (p_idx, lid)
-            if key not in lm_local:
-                lm_local[key] = len(landmarks)
-                landmarks.append(Landmark(np.asarray(s.landmarks[lid], dtype=float), lid))
+        ids = sorted(s.landmark_ids)
+        for lid in ids:
+            if (p_idx, lid) not in lm_local:
+                lm_local[(p_idx, lid)] = len(landmarks)
+                landmarks.append(Landmark(s.landmarks[lid], lid))
                 lm_part.append(p_idx)
-
-    cam_factors = []
-    for s in segs:
-        p_idx = seg_partition[s.id]
-        kf_ids = set(s.keyframe_ids)
-        for obs in s.observations:
-            if obs.keyframe_id not in kf_ids:
-                raise ValueError(f"segment {s.id}: observation references unknown keyframe {obs.keyframe_id}")
-            if obs.landmark_id not in s.landmark_ids:
-                raise ValueError(f"segment {s.id}: observation references unknown landmark {obs.landmark_id}")
-            cam_factors.append(
-                replace(
-                    obs,
-                    keyframe_id=local_of[(s.session_id, obs.keyframe_id)],
-                    landmark_id=lm_local[(p_idx, obs.landmark_id)],
-                )
-            )
-    cam_factors.sort(key=lambda f: (f.keyframe_id, f.landmark_id))
+        cols = np.array([lm_local[(p_idx, lid)] for lid in ids], dtype=int)
+        rows = [(o.keyframe_id, o.landmark_id, o.uv, o.sigma) for o in s.observations]
+        obs = np.array(rows, dtype=CAMERA_FACTOR_DTYPE)
+        unknown = f"segment {s.id}: observation references unknown"
+        obs["kf"] = first_kf + _positions(np.asarray(s.keyframe_ids), obs["kf"], unknown + " keyframe")
+        obs["lm"] = cols[_positions(np.array(ids, dtype=int), obs["lm"], unknown + " landmark")]
+        cam_factors.append(obs)
+    cam_factors = np.concatenate(cam_factors)
+    cam_factors = cam_factors[np.lexsort((cam_factors["lm"], cam_factors["kf"]))]
 
     # one slicing pass per segment stream: its own intervals, then the joint
     # interval into a temporally adjacent successor, through which its IMU
     # span extends; factor order stays segment intervals, then joint ones
     inertial, joint, bridges = [], [], []
-    for a, b in zip(segs, segs[1:] + [None]):
-        ks = [local_of[(a.session_id, kid)] for kid in a.keyframe_ids]
+    for i, (a, b) in enumerate(zip(segs, segs[1:] + [None])):
+        ks = list(range(first[i], first[i + 1]))
         pairs = list(zip(ks, ks[1:]))
         if b is not None and a.session_id == b.session_id:
-            k1 = local_of[(b.session_id, b.keyframe_ids[0])]
+            k1 = first[i + 1]
             if _temporally_adjacent(a, b):
                 pairs.append((ks[-1], k1))
             else:
@@ -459,7 +473,7 @@ def build_segment_problem(segments, calib_init, noise, max_shared=10):
         bridge_factors=bridges,
         partitions=partitions,
         noise=noise,
-        kf_partition=np.array(kf_part, dtype=int),
+        kf_partition=kf_part,
         lm_partition=np.array(lm_part, dtype=int),
     )
 
@@ -496,8 +510,8 @@ def camera_blocks(problem, whiten=True):
     Whitened by the pixel sigma, or raw.
     """
     calib = problem.calibration
-    N = problem._cam_kf.shape[0]
-    if N == 0:
+    cf = problem.camera_factors
+    if not len(cf):
         return (
             np.zeros((0, 2)),
             np.zeros((0, 2, POSE_DIM)),
@@ -507,16 +521,15 @@ def camera_blocks(problem, whiten=True):
         )
     x = im.StateStack.of(problem.keyframes)
     l_all = np.stack([lm.l_G for lm in problem.landmarks])
-    ki = problem._cam_kf
-    li = problem._cam_lm
+    ki, li = cf["kf"], cf["lm"]
     T = calib.extrinsics.T_CI
     uv_pred, valid, J_pose, J_l, J_extr, J_intr = cam.camera_factor_blocks(
         x.q_GI[ki], x.p_GI[ki], T.rotation.matrix(), T.translation, l_all[li], calib.camera
     )
-    r = np.where(valid[:, None], uv_pred - problem._cam_uv, 0.0)
+    r = np.where(valid[:, None], uv_pred - cf["uv"], 0.0)
     J_theta = np.concatenate([J_intr, J_extr], axis=-1)
     if whiten:
-        inv_sigma = 1.0 / problem._cam_sigma
+        inv_sigma = 1.0 / cf["sigma"]
         r = r * inv_sigma[:, None]
         s3 = inv_sigma[:, None, None]
         J_pose = J_pose * s3
@@ -578,65 +591,6 @@ def anchor_projectors(problem):
         u = u / np.linalg.norm(u)
         out.append((a, np.eye(3) - np.outer(u, u), u))
     return out
-
-
-def evaluate_residuals(problem):
-    """Stacked residual, block weights, and the sparse Jacobian.
-
-    Row order: camera factors sorted by (keyframe, landmark), then
-    inertial-type factors by left keyframe.  Column order: keyframe
-    blocks, landmark blocks, calibration last.  Residual and Jacobian are
-    unweighted; the returned (offset, block) weight list is block-diagonal
-    and the cost is half of r^T W r.  No gauge is applied: every column is
-    the plain derivative.  Behind-camera observations contribute zero rows
-    and are counted in the `dropped` field.
-    """
-    refresh_preintegrations(problem)
-    K = len(problem.keyframes)
-    L = len(problem.landmarks)
-    n_cols = K * KF_DIM + L * LM_DIM + CALIB_DIM
-    lm_base = K * KF_DIM
-    th_base = lm_base + L * LM_DIM
-
-    rows, cols, vals = [], [], []
-
-    def place(row0, col0, B):
-        """Blocks B (n, r, c) with top-left corners at (row0, col0)."""
-        rows.append(np.broadcast_to(row0[:, None, None] + np.arange(B.shape[1])[None, :, None], B.shape).ravel())
-        cols.append(np.broadcast_to(col0[:, None, None] + np.arange(B.shape[2])[None, None, :], B.shape).ravel())
-        vals.append(B.ravel())
-
-    r_c, Jp, Jl, Jth, valid = camera_blocks(problem, whiten=False)
-    N = r_c.shape[0]
-    place(2 * np.arange(N), problem._cam_kf * KF_DIM, Jp)
-    place(2 * np.arange(N), lm_base + problem._cam_lm * LM_DIM, Jl)
-    place(2 * np.arange(N), np.full(N, th_base), Jth)
-    weights = [(2 * i, np.eye(2) / s2) for i, s2 in enumerate(problem._cam_sigma**2)]
-
-    # inertial-type rows by left keyframe, an inertial factor before a bridge
-    k0, k1, r_i, J0, J1, Jth_i = inertial_blocks(problem, whiten=False)
-    b0, b1, r_b, B0, B1 = bridge_blocks(problem, whiten=False)
-    is_bridge = np.repeat([False, True], [k0.size, b0.size])
-    sizes = np.where(is_bridge, 6, 15)
-    order = np.lexsort((is_bridge, np.concatenate([k0, b0])))
-    start = np.empty_like(sizes)
-    start[order] = 2 * N + np.cumsum(sizes[order]) - sizes[order]
-    s_i, s_b = start[: k0.size], start[k0.size :]
-    place(s_i, k0 * KF_DIM, J0)
-    place(s_i, k1 * KF_DIM, J1)
-    place(s_i, np.full(k0.size, th_base + IMU_BLOCK.start), Jth_i)
-    place(s_b, b0 * KF_DIM, B0)
-    place(s_b, b1 * KF_DIM, B1)
-    residual = np.concatenate([r_c.reshape(-1), np.zeros(sizes.sum())])
-    residual[s_i[:, None] + np.arange(15)] = r_i
-    residual[s_b[:, None] + np.arange(6)] = r_b
-    W_i = im.inertial_weight(problem.preintegrated) if k0.size else []
-    W_b = [np.diag(w) for w in im.bias_walk_sigmas(problem.noise, problem._bridge_dt) ** -2.0]
-    weights += sorted([*zip(s_i.tolist(), W_i), *zip(s_b.tolist(), W_b)], key=lambda e: e[0])
-
-    data = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
-    J = scipy.sparse.csr_matrix(data, shape=(residual.shape[0], n_cols))
-    return ResidualEvaluation(residual, weights, J, int((~valid).sum()))
 
 
 def problem_cost(problem, huber=False, huber_threshold=2.0):
@@ -705,8 +659,7 @@ def _assemble_partition_systems(problem, cam, inertial, bridges):
 
     r_c, Jp, Jl, Jth, _ = cam
     if r_c.shape[0]:
-        ki = problem._cam_kf
-        li = problem._cam_lm
+        ki, li = problem.camera_factors["kf"], problem.camera_factors["lm"]
         pi = problem.kf_partition[ki]
         Hpp = np.einsum("nri,nrj->nij", Jp, Jp)
         Hpl = np.einsum("nri,nrj->nij", Jp, Jl)
@@ -931,8 +884,8 @@ def _model_decrease(problem, cam, inertial, bridges, delta):
     r_c, Jp, Jl, Jth, _ = cam
     if r_c.shape[0]:
         lin = (
-            np.einsum("nri,ni->nr", Jp, delta_kf[problem._cam_kf, :6])
-            + np.einsum("nri,ni->nr", Jl, delta_lm[problem._cam_lm])
+            np.einsum("nri,ni->nr", Jp, delta_kf[problem.camera_factors["kf"], :6])
+            + np.einsum("nri,ni->nr", Jl, delta_lm[problem.camera_factors["lm"]])
             + Jth @ d_th[CAM_BLOCK]
         )
         pred += 0.5 * float(np.sum(r_c**2) - np.sum((r_c + lin) ** 2))

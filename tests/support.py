@@ -1,15 +1,20 @@
-"""Shared scene construction for solver-level tests.
+"""Shared scene construction and reference evaluations for solver-level tests.
 
 Builds small consistent visual-inertial scenes with exactly zero residual
 at the ground truth: IMU measurements come from the forward measurement
 models, keyframe states are chained with the same midpoint integration the
 preintegration uses, and image observations are exact projections.
+evaluate_residuals is the unweighted residual, block weights and sparse
+Jacobian of a whole problem, the reference the finite-difference, model
+decrease and dense covariance tests compare against.
 """
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse
 
 from infocal.camera import CameraExtrinsics, CameraIntrinsics, FeatureObservation, camera_factor_blocks
 from infocal.geometry import Transform, UnitQuaternion, so3_exp
@@ -18,11 +23,26 @@ from infocal.imu import (
     ImuSample,
     NoiseModel,
     _bias_corrected_deltas,
+    bias_walk_sigmas,
+    inertial_weight,
     preintegrate,
     simulate_accel,
     simulate_gyro,
 )
-from infocal.problem import CalibrationState, KeyframeState, Landmark
+from infocal.problem import (
+    CALIB_DIM,
+    IMU_BLOCK,
+    KF_DIM,
+    LM_DIM,
+    CalibrationState,
+    KeyframeState,
+    Landmark,
+    Segment,
+    bridge_blocks,
+    camera_blocks,
+    inertial_blocks,
+    refresh_preintegrations,
+)
 
 
 def assert_same_preintegration(got, ref):
@@ -196,20 +216,6 @@ def make_scene(
     )
 
 
-class FakeSegment:
-    """Duck-typed stand-in for a motion segment."""
-
-    def __init__(self, id, session_id, keyframe_ids, keyframes, imu_samples, observations, landmark_ids, landmarks):
-        self.id = id
-        self.session_id = session_id
-        self.keyframe_ids = list(keyframe_ids)
-        self.keyframes = list(keyframes)
-        self.imu_samples = list(imu_samples)
-        self.observations = list(observations)
-        self.landmark_ids = set(landmark_ids)
-        self.landmarks = dict(landmarks)
-
-
 def scene_segments(scene, kf_per_segment, keep=None, session_id="s0"):
     """Chop a scene into consecutive segments of kf_per_segment keyframes.
 
@@ -229,10 +235,10 @@ def scene_segments(scene, kf_per_segment, keep=None, session_id="s0"):
         obs = [o for o in scene.observations if k0 <= o.keyframe_id <= k1]
         lm_ids = {o.landmark_id for o in obs}
         segments.append(
-            FakeSegment(
+            Segment(
                 id=s,
                 session_id=session_id,
-                keyframe_ids=range(k0, k1 + 1),
+                keyframe_ids=list(range(k0, k1 + 1)),
                 keyframes=scene.keyframes[k0 : k1 + 1],
                 imu_samples=scene.imu_stream[lo : hi + 1],
                 observations=obs,
@@ -243,3 +249,75 @@ def scene_segments(scene, kf_per_segment, keep=None, session_id="s0"):
     if keep is not None:
         segments = [segments[i] for i in keep]
     return segments
+
+
+class ResidualEvaluation(NamedTuple):
+    residual: np.ndarray
+    weights: list  # (row offset, weight block) pairs, block-diagonal overall
+    jacobian: scipy.sparse.csr_matrix
+    dropped: int
+
+
+def evaluate_residuals(problem):
+    """Stacked residual, block weights, and the sparse Jacobian.
+
+    Row order: camera factors sorted by (keyframe, landmark), then
+    inertial-type factors by left keyframe.  Column order: keyframe
+    blocks, landmark blocks, calibration last.  Residual and Jacobian are
+    unweighted; the returned (offset, block) weight list is block-diagonal
+    and the cost is half of r^T W r.  No gauge is applied: every column is
+    the plain derivative.  Behind-camera observations contribute zero rows
+    and are counted in the `dropped` field.
+    """
+    refresh_preintegrations(problem)
+    K = len(problem.keyframes)
+    L = len(problem.landmarks)
+    n_cols = K * KF_DIM + L * LM_DIM + CALIB_DIM
+    lm_base = K * KF_DIM
+    th_base = lm_base + L * LM_DIM
+
+    rows, cols, vals = [], [], []
+
+    def place(row0, col0, B):
+        """Blocks B (n, r, c) with top-left corners at (row0, col0)."""
+        rows.append(np.broadcast_to(row0[:, None, None] + np.arange(B.shape[1])[None, :, None], B.shape).ravel())
+        cols.append(np.broadcast_to(col0[:, None, None] + np.arange(B.shape[2])[None, None, :], B.shape).ravel())
+        vals.append(B.ravel())
+
+    r_c, Jp, Jl, Jth, valid = camera_blocks(problem, whiten=False)
+    N = r_c.shape[0]
+    place(2 * np.arange(N), problem.camera_factors["kf"] * KF_DIM, Jp)
+    place(2 * np.arange(N), lm_base + problem.camera_factors["lm"] * LM_DIM, Jl)
+    place(2 * np.arange(N), np.full(N, th_base), Jth)
+    weights = [(2 * i, np.eye(2) / s2) for i, s2 in enumerate(problem.camera_factors["sigma"] ** 2)]
+
+    # inertial-type rows by left keyframe, an inertial factor before a bridge
+    k0, k1, r_i, J0, J1, Jth_i = inertial_blocks(problem, whiten=False)
+    b0, b1, r_b, B0, B1 = bridge_blocks(problem, whiten=False)
+    is_bridge = np.repeat([False, True], [k0.size, b0.size])
+    sizes = np.where(is_bridge, 6, 15)
+    order = np.lexsort((is_bridge, np.concatenate([k0, b0])))
+    start = np.empty_like(sizes)
+    start[order] = 2 * N + np.cumsum(sizes[order]) - sizes[order]
+    s_i, s_b = start[: k0.size], start[k0.size :]
+    place(s_i, k0 * KF_DIM, J0)
+    place(s_i, k1 * KF_DIM, J1)
+    place(s_i, np.full(k0.size, th_base + IMU_BLOCK.start), Jth_i)
+    place(s_b, b0 * KF_DIM, B0)
+    place(s_b, b1 * KF_DIM, B1)
+    residual = np.concatenate([r_c.reshape(-1), np.zeros(sizes.sum())])
+    residual[s_i[:, None] + np.arange(15)] = r_i
+    residual[s_b[:, None] + np.arange(6)] = r_b
+    W_i = inertial_weight(problem.preintegrated) if k0.size else []
+    W_b = [np.diag(w) for w in bias_walk_sigmas(problem.noise, np.array([f.dt for f in problem.bridge_factors])) ** -2.0]
+    weights += sorted([*zip(s_i.tolist(), W_i), *zip(s_b.tolist(), W_b)], key=lambda e: e[0])
+
+    data = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
+    J = scipy.sparse.csr_matrix(data, shape=(residual.shape[0], n_cols))
+    return ResidualEvaluation(residual, weights, J, int((~valid).sum()))
+
+
+def invert(T: Transform) -> Transform:
+    """Reference inverse of a rigid transform."""
+    rot = T.rotation.conjugate()
+    return Transform(rot, -rot.rotate(T.translation))

@@ -1,17 +1,29 @@
-"""The names the benchmark takes from infocal still exist.
+"""The names and problem fields the benchmark takes from infocal still exist.
 
 bench/run.py wraps each (module, attribute) of its TRACED table with a
 tracer, which raises AttributeError for a missing name; bench/sim.py
 imports infocal names and bench/workloads.py calls them as module
-attributes.  The files are read with ast, not imported: run.py pins BLAS
-environment variables when it is imported.
+attributes.  Those files are read with ast, not imported: run.py pins BLAS
+environment variables when it is imported.  bench/workloads.py is
+imported to run its problem_shape and cost_per_dof, which read the fields
+of built problems, on problems from both builders.
 """
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
+import pytest
+
+from infocal.problem import build_batch_problem, build_segment_problem
+
+import support
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+sys.path[:0] = [str(BENCH)]
+
+import workloads  # noqa: E402
 
 
 def _tree(name):
@@ -61,3 +73,33 @@ def test_workload_calls_resolve():
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
             module = importlib.import_module(aliases[node.value.id])
             assert hasattr(module, node.attr), "%s.%s" % (module.__name__, node.attr)
+
+
+def _batch(sc):
+    return build_batch_problem(sc.keyframes, sc.landmarks, sc.observations, sc.imu_stream, sc.calibration, sc.noise)
+
+
+def _segments(sc):
+    # two segments with a gap between them: one bias bridge
+    segs = support.scene_segments(sc, kf_per_segment=2, keep=[0, 2])
+    return build_segment_problem(segs, sc.calibration, sc.noise)
+
+
+@pytest.mark.parametrize("build, keyframes, bridges", [(_batch, 6, 0), (_segments, 4, 1)])
+def test_problem_fields_the_benchmark_reads(build, keyframes, bridges):
+    scene = support.make_scene(seed=1, n_keyframes=6, n_landmarks=20)
+    prob = build(scene)
+    seen = [o for o in scene.observations if o.keyframe_id in prob.keyframe_ids]
+    landmarks = len({o.landmark_id for o in seen})
+    assert workloads.problem_shape([prob, prob]) == {
+        "keyframes": 2 * keyframes,
+        "landmarks": 2 * landmarks,
+        "observations": 2 * len(seen),
+        "partitions": 2,
+        "bridges": 2 * bridges,
+        "distinct_interval_lengths": 1,
+    }
+    # one observation dropped; four gauge coordinates in the one partition
+    rows = 2 * (len(seen) - 1) + 15 * (keyframes - 1 - bridges) + 6 * bridges
+    free = 15 * keyframes + 3 * landmarks + 26 - 4
+    assert workloads.cost_per_dof(prob, 3.0, 1) == pytest.approx(3.0 / (rows - free), rel=1e-15)

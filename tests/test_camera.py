@@ -4,20 +4,16 @@ import numpy as np
 import pytest
 
 from infocal.camera import (
-    BehindCameraError,
     CameraIntrinsics,
     FeatureObservation,
     camera_factor_blocks,
     distortion_factor,
     distortion_gradients,
-    predict_observation,
-    project,
-    project_points,
-    undistort_point,
-    undistort_radius,
     _uv_core_jacobians,
 )
-from infocal.geometry import Transform, UnitQuaternion, invert, quat_to_matrix, so3_hat
+from infocal.geometry import Transform, UnitQuaternion, quat_to_matrix, so3_hat
+
+from support import invert
 
 W_REF = 0.9203
 
@@ -29,6 +25,53 @@ def beta_oracle(r, w):
 
 def default_intr():
     return CameraIntrinsics(f=(256.0, 256.0), c=(313.0, 243.0), w=W_REF)
+
+
+def project(l_C, intr):
+    """Reference projection of one camera-frame point with positive z."""
+    l_C = np.asarray(l_C, dtype=float).reshape(3)
+    if l_C[2] <= 0.0:
+        raise ValueError("point behind camera: z=%g" % l_C[2])
+    p_bar = l_C[:2] / l_C[2]
+    return distortion_factor(np.linalg.norm(p_bar), intr.w) * intr.f * p_bar + intr.c
+
+
+def undistort_radius(r_d, w):
+    """Inverse of r -> beta(r) r, in closed form: tan(w r_d) / (2 tan(w/2))."""
+    r_d = np.asarray(r_d, dtype=float)
+    assert np.all(w * r_d < 0.5 * math.pi), "distorted radius outside the invertible domain"
+    return np.tan(w * r_d) / (2.0 * math.tan(0.5 * w))
+
+
+def undistort_point(uv, intr):
+    """Pixel coordinates to undistorted normalized coordinates (unit z)."""
+    pd = (np.asarray(uv, dtype=float) - intr.c) / intr.f
+    r_d = np.linalg.norm(pd)
+    return pd if r_d < 1e-12 else pd * undistort_radius(r_d, intr.w) / r_d
+
+
+def predict_observation(T_IG_k, T_CI, l_G, intr):
+    """Reference pixel prediction of a global landmark from keyframe k:
+    T_IG_k maps global coordinates into the IMU frame, T_CI the IMU frame
+    into the camera frame."""
+    return project(T_CI.apply(T_IG_k.apply(np.asarray(l_G, dtype=float))), intr)
+
+
+def predict(T_GIs, T_CI, l_Gs, intr):
+    """camera_factor_blocks' (uv, valid) for keyframe poses T_GIs (global
+    from IMU) and global landmarks l_Gs, one observation each."""
+    q = np.stack([T.rotation.wxyz for T in T_GIs])
+    p = np.stack([T.translation for T in T_GIs])
+    l_G = np.asarray(l_Gs, dtype=float).reshape(-1, 3)
+    uv, valid, _, _, _, _ = camera_factor_blocks(q, p, T_CI.rotation.matrix(), T_CI.translation, l_G, intr)
+    return uv, valid
+
+
+def observe(l_C, intr):
+    """camera_factor_blocks' (uv, valid) for camera-frame points: keyframe,
+    IMU and camera frames all at the origin."""
+    l_C = np.asarray(l_C, dtype=float).reshape(-1, 3)
+    return predict([Transform.identity()] * len(l_C), Transform.identity(), l_C, intr)
 
 
 class TestDistortionFactor:
@@ -71,13 +114,15 @@ class TestDistortionFactor:
 class TestProject:
     def test_optical_axis(self):
         intr = default_intr()
-        np.testing.assert_allclose(project([0.0, 0.0, 1.0], intr), intr.c, atol=1e-12)
+        uv, valid = observe([0.0, 0.0, 1.0], intr)
+        assert valid.all()
+        np.testing.assert_allclose(uv[0], intr.c, atol=1e-12)
 
     def test_offaxis_oracle(self):
         intr = default_intr()
-        uv = project([0.1, 0.0, 1.0], intr)
+        uv, _ = observe([0.1, 0.0, 1.0], intr)
         expected_u = intr.c[0] + 256.0 * 0.1 * beta_oracle(0.1, W_REF)
-        np.testing.assert_allclose(uv, [expected_u, intr.c[1]], atol=1e-10)
+        np.testing.assert_allclose(uv[0], [expected_u, intr.c[1]], atol=1e-10)
 
     def test_odd_symmetry(self):
         intr = default_intr()
@@ -85,22 +130,26 @@ class TestProject:
         for _ in range(20):
             x, y = rng.uniform(-0.8, 0.8, 2)
             z = rng.uniform(0.5, 3.0)
-            a = project([x, y, z], intr) - intr.c
-            b = project([-x, -y, z], intr) - intr.c
-            np.testing.assert_allclose(a, -b, atol=1e-10)
+            uv, _ = observe([[x, y, z], [-x, -y, z]], intr)
+            np.testing.assert_allclose(uv[0] - intr.c, -(uv[1] - intr.c), atol=1e-10)
 
     def test_behind_camera(self):
-        with pytest.raises(BehindCameraError):
-            project([0.1, 0.1, -0.5], default_intr())
-        with pytest.raises(BehindCameraError):
-            project([0.1, 0.1, 0.0], default_intr())
+        # not an error: the observation is flagged invalid and its rows are zero
+        n = 3
+        l_C = np.array([[0.1, 0.1, 1.0], [0.1, 0.1, -0.5], [0.1, 0.1, 0.0]])
+        uv, valid, J_pose, J_l, J_extr, J_intr = camera_factor_blocks(
+            np.tile([1.0, 0.0, 0.0, 0.0], (n, 1)), np.zeros((n, 3)), np.eye(3), np.zeros(3), l_C, default_intr()
+        )
+        assert valid.tolist() == [True, False, False]
+        for block in (uv, J_pose, J_l, J_extr, J_intr):
+            assert np.all(block[1:] == 0.0) and np.any(block[0] != 0.0)
 
     def test_batched_matches_single(self):
         intr = default_intr()
         rng = np.random.default_rng(1)
         pts = rng.uniform(-1, 1, (30, 3))
         pts[:, 2] = rng.uniform(0.3, 4.0, 30)
-        uv, valid = project_points(pts, intr)
+        uv, valid = observe(pts, intr)
         assert valid.all()
         for i in range(30):
             np.testing.assert_allclose(uv[i], project(pts[i], intr), atol=1e-12)
@@ -110,8 +159,12 @@ class TestProject:
             CameraIntrinsics(f=(0.0, 256.0), c=(0, 0), w=0.9)
         with pytest.raises(ValueError):
             CameraIntrinsics(f=(256.0, 256.0), c=(0, 0), w=3.5)
-        with pytest.raises(ValueError):
-            FeatureObservation(0, 0, (1.0, 2.0), 0.0)
+        for sigma in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="sigma"):
+                FeatureObservation(0, 0, (1.0, 2.0), sigma)
+        for uv in ((math.nan, 2.0), (1.0, -math.inf)):
+            with pytest.raises(ValueError, match="pixel"):
+                FeatureObservation(0, 0, uv, 0.5)
 
 
 class TestUndistort:
@@ -126,8 +179,8 @@ class TestUndistort:
         rng = np.random.default_rng(3)
         for _ in range(50):
             p = rng.uniform(-1.2, 1.2, 2)
-            uv, _ = project_points([p[0], p[1], 1.0], intr)
-            back = undistort_point(uv, intr)
+            uv, _ = observe([p[0], p[1], 1.0], intr)
+            back = undistort_point(uv[0], intr)
             np.testing.assert_allclose(back, p, atol=1e-9)
 
 
@@ -148,23 +201,24 @@ def random_config(rng):
 class TestPredictObservation:
     def test_identity(self):
         intr = default_intr()
-        uv = predict_observation(Transform.identity(), Transform.identity(), [0, 0, 1.0], intr)
-        np.testing.assert_allclose(uv, intr.c, atol=1e-12)
+        uv, _ = predict([Transform.identity()], Transform.identity(), [0, 0, 1.0], intr)
+        np.testing.assert_allclose(uv[0], intr.c, atol=1e-12)
 
     def test_translation_chain(self):
         intr = default_intr()
         T_GI = Transform(UnitQuaternion.identity(), [0.0, 0.0, -1.0])
-        uv = predict_observation(invert(T_GI), Transform.identity(), [0, 0, 1.0], intr)
-        np.testing.assert_allclose(uv, project([0.0, 0.0, 2.0], intr), atol=1e-12)
+        uv, _ = predict([T_GI], Transform.identity(), [0, 0, 1.0], intr)
+        np.testing.assert_allclose(uv[0], project([0.0, 0.0, 2.0], intr), atol=1e-12)
 
     def test_compositional_oracle(self):
         intr = default_intr()
         rng = np.random.default_rng(4)
         for _ in range(25):
             T_GI, T_CI, l_G = random_config(rng)
-            uv = predict_observation(invert(T_GI), T_CI, l_G, intr)
+            uv, valid = predict([T_GI], T_CI, l_G, intr)
             l_C = T_CI.apply(invert(T_GI).apply(l_G))
-            np.testing.assert_allclose(uv, project(l_C, intr), atol=1e-12)
+            assert valid.all()
+            np.testing.assert_allclose(uv[0], project(l_C, intr), atol=1e-10)
 
 
 def fd_jacobians(T_GI, T_CI, l_G, intr, eps=1e-6):
@@ -224,7 +278,7 @@ def projection_jacobians(T_IG_k: Transform, T_CI: Transform, l_G, intr: CameraIn
     l_I = T_IG_k.apply(l_G)
     l_C = T_CI.apply(l_I)
     if l_C[2] <= 0.0:
-        raise BehindCameraError("point behind camera: z=%g" % l_C[2])
+        raise ValueError("point behind camera: z=%g" % l_C[2])
     _, A, duv_df, duv_dw = _uv_core_jacobians(l_C, intr)
 
     R_CI = T_CI.rotation.matrix()

@@ -1,12 +1,8 @@
 import numpy as np
-import pytest
 
 from infocal.geometry import (
     Transform,
     UnitQuaternion,
-    average_quaternions,
-    compose,
-    invert,
     matrix_to_quat,
     quat_conj,
     quat_exp,
@@ -18,8 +14,9 @@ from infocal.geometry import (
     so3_exp,
     so3_right_jacobian,
     so3_right_jacobian_inv,
-    transform_point,
 )
+
+from support import invert
 
 
 def random_quat(rng):
@@ -31,21 +28,27 @@ def random_transform(rng, scale=1.0):
     return Transform(random_quat(rng), rng.standard_normal(3) * scale)
 
 
+def compose(T_AB, T_BC):
+    """Reference T_AC, whose apply chains T_AB.apply after T_BC.apply."""
+    rot = T_AB.rotation.multiply(T_BC.rotation)
+    return Transform(rot, T_AB.rotation.rotate(T_BC.translation) + T_AB.translation)
+
+
 class TestTransformPoint:
     def test_identity(self):
         T = Transform.identity()
-        np.testing.assert_allclose(transform_point(T, [1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
+        np.testing.assert_allclose(T.apply([1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
 
     def test_pure_translation(self):
         T = Transform(UnitQuaternion.identity(), [0.0, 0.0, 1.0])
-        np.testing.assert_allclose(transform_point(T, [0.0, 0.0, 0.0]), [0.0, 0.0, 1.0])
+        np.testing.assert_allclose(T.apply([0.0, 0.0, 0.0]), [0.0, 0.0, 1.0])
 
     def test_yaw_90(self):
         # Hand-evaluated rotation matrix for +90 deg about z:
         # [[0,-1,0],[1,0,0],[0,0,1]] maps (1,0,0) to (0,1,0).
         q = UnitQuaternion.from_rotation_vector([0.0, 0.0, np.pi / 2])
         T = Transform(q, np.zeros(3))
-        np.testing.assert_allclose(transform_point(T, [1.0, 0.0, 0.0]), [0.0, 1.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(T.apply([1.0, 0.0, 0.0]), [0.0, 1.0, 0.0], atol=1e-12)
         oracle = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         np.testing.assert_allclose(q.matrix(), oracle, atol=1e-12)
 
@@ -90,53 +93,6 @@ class TestCompose:
             right = compose(A, compose(B, C))
             pts = rng.standard_normal((5, 3))
             np.testing.assert_allclose(left.apply(pts), right.apply(pts), atol=1e-9)
-
-
-class TestAverageQuaternions:
-    def test_single(self):
-        rng = np.random.default_rng(4)
-        q = random_quat(rng)
-        avg = average_quaternions([q])
-        assert min(np.linalg.norm(avg.wxyz - q.wxyz), np.linalg.norm(avg.wxyz + q.wxyz)) < 1e-9
-
-    def test_repeated(self):
-        rng = np.random.default_rng(5)
-        q = random_quat(rng)
-        avg = average_quaternions([q, q, q])
-        assert min(np.linalg.norm(avg.wxyz - q.wxyz), np.linalg.norm(avg.wxyz + q.wxyz)) < 1e-9
-
-    def test_symmetric_pair_is_identity(self):
-        # Eigendecomposition oracle built from explicit half-angle entries.
-        ang = np.deg2rad(10.0)
-        qa = np.array([np.cos(ang / 2), 0.0, 0.0, np.sin(ang / 2)])
-        qb = np.array([np.cos(ang / 2), 0.0, 0.0, -np.sin(ang / 2)])
-        acc = np.outer(qa, qa) + np.outer(qb, qb)
-        vals, vecs = np.linalg.eigh(acc)
-        oracle = vecs[:, np.argmax(vals)]
-        if oracle[0] < 0:
-            oracle = -oracle
-        np.testing.assert_allclose(oracle, [1.0, 0.0, 0.0, 0.0], atol=1e-9)
-
-        avg = average_quaternions([UnitQuaternion.from_array(qa), UnitQuaternion.from_array(qb)])
-        np.testing.assert_allclose(avg.wxyz, [1.0, 0.0, 0.0, 0.0], atol=1e-9)
-
-    def test_sign_flip_invariance(self):
-        rng = np.random.default_rng(6)
-        qs = [random_quat(rng) for _ in range(8)]
-        flipped = [UnitQuaternion.from_array(-q.wxyz if i % 2 else q.wxyz) for i, q in enumerate(qs)]
-        a = average_quaternions(qs)
-        b = average_quaternions(flipped)
-        np.testing.assert_allclose(a.wxyz, b.wxyz, atol=1e-12)
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            average_quaternions([])
-
-    def test_w_nonnegative(self):
-        rng = np.random.default_rng(8)
-        for _ in range(20):
-            qs = [random_quat(rng) for _ in range(5)]
-            assert average_quaternions(qs).w >= 0.0
 
 
 class TestTangentSpace:

@@ -8,15 +8,17 @@ entropy of a diagonal covariance.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from infocal.metrics import MarginalCovariance, score, segment_marginal_covariance
-from infocal.problem import CALIB_DIM, KF_DIM, anchor_projectors, build_segment_problem, evaluate_residuals
+from infocal.problem import CALIB_DIM, KF_DIM, anchor_projectors, build_segment_problem
 
 import support
+from support import evaluate_residuals
 
 
 def dense_calibration_covariance(problem):
@@ -53,15 +55,11 @@ def thinned(segment, landmark_id, keep):
     observations; keep=0 drops the landmark."""
     seen = [o for o in segment.observations if o.landmark_id == landmark_id][:keep]
     ids = set(segment.landmark_ids) - ({landmark_id} if keep == 0 else set())
-    return support.FakeSegment(
-        segment.id,
-        segment.session_id,
-        segment.keyframe_ids,
-        segment.keyframes,
-        segment.imu_samples,
-        [o for o in segment.observations if o.landmark_id != landmark_id] + seen,
-        ids,
-        {i: segment.landmarks[i] for i in ids},
+    return replace(
+        segment,
+        observations=[o for o in segment.observations if o.landmark_id != landmark_id] + seen,
+        landmark_ids=ids,
+        landmarks={i: segment.landmarks[i] for i in ids},
     )
 
 
@@ -77,7 +75,7 @@ class TestSegmentMarginalCovariance:
         seg, calib, noise = seed4_segment()
         # landmark 0 seen exactly twice leaves one row after its elimination
         prob = build_segment_problem([thinned(seg, 0, 2)], calib, noise)
-        counts = np.bincount([f.landmark_id for f in prob.camera_factors])
+        counts = np.bincount(prob.camera_factors["lm"])
         assert 2 in counts and len(np.unique(counts)) >= 2
         rng = np.random.default_rng(5)
         prob.keyframes = [k.retract(rng.normal(scale=1e-3, size=KF_DIM)) for k in prob.keyframes]

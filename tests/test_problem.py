@@ -29,7 +29,6 @@ from infocal.problem import (
     build_batch_problem,
     build_segment_problem,
     camera_blocks,
-    evaluate_residuals,
     inertial_blocks,
     partition_segments,
     problem_cost,
@@ -38,6 +37,7 @@ from infocal.problem import (
 )
 
 import support
+from support import evaluate_residuals
 
 
 @pytest.fixture(scope="module")
@@ -190,10 +190,10 @@ class TestResidualEvaluation:
         # move one landmark far behind every camera
         prob.landmarks[0] = Landmark(np.array([0.0, 0.0, -50.0]), prob.landmarks[0].id)
         ev = evaluate_residuals(prob)
-        n_obs0 = int(np.sum(prob._cam_lm == 0))
+        n_obs0 = int(np.sum(prob.camera_factors["lm"] == 0))
         assert n_obs0 > 0
         assert ev.dropped == n_obs0
-        rows = np.flatnonzero(prob._cam_lm == 0)
+        rows = np.flatnonzero(prob.camera_factors["lm"] == 0)
         for i in rows:
             assert np.all(ev.residual[2 * i : 2 * i + 2] == 0.0)
 
@@ -557,6 +557,89 @@ class TestSegmentProblem:
         segs[1].observations.append(FeatureObservation(segs[1].keyframe_ids[0], 999, np.zeros(2), 0.5))
         with pytest.raises(ValueError, match="segment 1: .*unknown landmark 999"):
             build_segment_problem(segs, scene.calibration, scene.noise)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("keyframe_ids", [], "segment 1: no keyframes"),
+            ("keyframe_ids", [3, 5, 4], "segment 1: keyframe ids must be strictly increasing"),
+            ("keyframe_ids", [3, 3, 5], "segment 1: keyframe ids must be strictly increasing"),
+            ("keyframe_ids", [3, 4], "segment 1: 2 keyframe ids for 3 keyframes"),
+            ("keyframes", "swap", "segment 1: keyframes must be temporally ordered"),
+            ("keyframes", "repeat", "segment 1: keyframes must be temporally ordered"),
+        ],
+    )
+    def test_malformed_segment_raises(self, scene, field, value, message):
+        segs = support.scene_segments(scene, kf_per_segment=3)
+        kfs = segs[1].keyframes
+        if value == "swap":
+            value = [kfs[1], kfs[0], kfs[2]]
+        elif value == "repeat":
+            value = [kfs[0], kfs[0], kfs[2]]
+        if field == "keyframe_ids" and not value:
+            segs[1].keyframes = []
+        setattr(segs[1], field, value)
+        with pytest.raises(ValueError, match=message):
+            build_segment_problem(segs, scene.calibration, scene.noise)
+
+    def test_camera_factor_rows_map_to_local_indices(self, scene):
+        # landmark 9 is seen by both segments, which share no other landmark
+        # and so fall into two partitions joined by a bias bridge; each
+        # partition gets its own instance of it
+        segs = support.scene_segments(scene, kf_per_segment=2, keep=[0, 2])
+        rng = np.random.default_rng(16)
+        for seg, keep_ids in zip(segs, (set(range(10)), set(range(9, 20)))):
+            seg.observations = [o for o in seg.observations if o.landmark_id in keep_ids]
+            rng.shuffle(seg.observations)
+            seg.landmark_ids = {o.landmark_id for o in seg.observations}
+            seg.landmarks = {i: seg.landmarks[i] for i in seg.landmark_ids}
+        assert segs[0].landmark_ids & segs[1].landmark_ids == {9}
+        prob = build_segment_problem(segs[::-1], scene.calibration, scene.noise)
+        assert len(prob.partitions) == 2 and len(prob.bridge_factors) == 1
+
+        # reference: dict maps filled in the builder's documented order, segments
+        # by first keyframe, each segment's landmarks by id, first seen per partition
+        part_of = {sid: p for p, part in enumerate(prob.partitions) for sid in part.segment_ids}
+        kf_local, lm_local, ref = {}, {}, []
+        for seg in sorted(segs, key=lambda s: s.keyframe_ids[0]):
+            for kid in seg.keyframe_ids:
+                kf_local[(seg.session_id, kid)] = len(kf_local)
+            for lid in sorted(seg.landmark_ids):
+                lm_local.setdefault((part_of[seg.id], lid), len(lm_local))
+            for o in seg.observations:
+                kf, lm = kf_local[(seg.session_id, o.keyframe_id)], lm_local[(part_of[seg.id], o.landmark_id)]
+                ref.append((kf, lm, o.uv, o.sigma))
+        ref.sort(key=lambda row: row[:2])
+
+        assert [lm.id for lm in prob.landmarks].count(9) == 2
+        assert [lm.id for lm in prob.landmarks] == [lid for _, lid in lm_local]
+        assert prob.keyframe_ids == [kid for _, kid in kf_local]
+        assert len(prob.camera_factors) == len(ref)
+        for row, (kf, lm, uv, sigma) in zip(prob.camera_factors, ref):
+            assert (row["kf"], row["lm"], row["sigma"]) == (kf, lm, sigma)
+            assert row["uv"].tobytes() == uv.tobytes()
+
+    def test_sessions_repeating_keyframe_ids_anchor_their_own_partitions(self, scene):
+        # two sessions with the same keyframe ids and disjoint landmarks: two
+        # partitions, each anchored at its own first keyframe
+        segs = []
+        for i, keep_ids in enumerate((range(10), range(10, 20))):
+            [seg] = support.scene_segments(scene, kf_per_segment=3, keep=[0], session_id=f"s{i}")
+            seg.id = i
+            seg.observations = [o for o in seg.observations if o.landmark_id in keep_ids]
+            seg.landmark_ids = {o.landmark_id for o in seg.observations}
+            seg.landmarks = {i: seg.landmarks[i] for i in seg.landmark_ids}
+            segs.append(seg)
+        prob = build_segment_problem(segs, scene.calibration, scene.noise)
+        assert prob.keyframe_ids == [0, 1, 2, 0, 1, 2]
+        assert [a for a, _, _ in anchor_projectors(prob)] == [0, 3]
+        rng = np.random.default_rng(17)
+        prob.keyframes = [k.retract(rng.normal(scale=1e-3, size=KF_DIM)) for k in prob.keyframes]
+        p_anchors = [prob.keyframes[a].p_GI.copy() for a in (0, 3)]
+        prob, report = solve(prob, SolveOptions(max_iters=3))
+        assert report.final_cost < report.initial_cost
+        for a, p in zip((0, 3), p_anchors):
+            assert prob.keyframes[a].p_GI.tobytes() == p.tobytes()
 
     def test_overlapping_segments_raise(self, scene):
         segs = support.scene_segments(scene, kf_per_segment=3)
