@@ -11,16 +11,21 @@ frame, and g_G = (0, 0, -gravity_magnitude) in the gravity-aligned global
 frame.  Biases follow independent random walks.
 
 Preintegration integrates corrected samples over keyframe intervals with
-the midpoint rule, in one recursion batched over intervals of equal sample
-count (preintegrate_intervals, which returns a stack of PreintegratedImu;
-preintegrate is a batch of one).  The stored delta_velocity /
-delta_position include the nominal-gravity contribution evaluated as if
-the interval started at identity attitude, so a static interval integrates
-to exactly zero deltas; the inertial residual removes that contribution
-again using its gravity argument before comparing against the state
-difference.  The 9x9 covariance (rot, vel, pos) and the first-order
-sensitivities to the bias linearization point and to the IMU intrinsics are
-propagated step by step alongside the deltas.
+the midpoint rule, batched over intervals (preintegrate_intervals, which
+returns a stack of PreintegratedImu; preintegrate is a batch of one).  An
+interval with fewer samples than the longest is padded by repeating its
+last sample; a padded step has dt = 0 and its noise input masked to zero,
+so it changes nothing.  The stored delta_velocity / delta_position include
+the nominal-gravity contribution evaluated as if the interval started at
+identity attitude, so a static interval integrates to exactly zero deltas;
+the inertial residual removes that contribution again using its gravity
+argument before comparing against the state difference.  Alongside the
+deltas come the 9x9 covariance (rot, vel, pos) and the first-order
+sensitivities to the bias linearization point and to the IMU intrinsics.
+Two recursions remain step by step: the rotation chain with its
+sensitivities, and the covariance.  Every other term is computed for all
+steps at once, and the velocity and position deltas and sensitivities are
+weighted sums over the steps.
 
 The 15-dim inertial residual and its Jacobians are computed for a whole
 stack of factors in one vectorised pass (inertial_factor_blocks);
@@ -63,6 +68,9 @@ _P_SA = slice(9, 12)
 _P_MG = slice(12, 15)
 _P_MA = slice(15, 18)
 _P_QAI = slice(18, 21)
+# each sensor's scale and misalignment columns, in _correction_jacobian order
+_P_GYRO_SM = np.r_[_P_SG, _P_MG]
+_P_ACCEL_SM = np.r_[_P_SA, _P_MA]
 N_IMU_PARAMS = 15
 # d(bias random-walk residual rows (gyro, accel)) / d(right keyframe's
 # minimal delta), whose accel bias is at 9:12 and gyro bias at 12:15
@@ -197,11 +205,6 @@ class PreintegratedImu:
 
 
 _STACKED_FIELDS = tuple(f.name for f in fields(PreintegratedImu) if f.name != "noise")
-
-
-def concatenate_preintegrations(stacks):
-    """One stack holding the intervals of `stacks` in order."""
-    return replace(stacks[0], **{name: np.concatenate([getattr(s, name) for s in stacks]) for name in _STACKED_FIELDS})
 
 
 def preintegrate(samples, intr: ImuIntrinsics, bias_lin, noise: NoiseModel) -> PreintegratedImu:
@@ -375,135 +378,132 @@ def inertial_weight(pre: PreintegratedImu):
     return np.swapaxes(A, -1, -2) @ A
 
 
-def preintegrate_intervals(times, omega_meas, accel_meas, intr: ImuIntrinsics, bias_lin_g, bias_lin_a, noise: NoiseModel):
-    """Midpoint-rule preintegration of K intervals with equal sample counts.
+def _correction_jacobian(B, x):
+    """Derivative of A T^-1 z wrt the scale and misalignment entries of T
+    (correction_matrix order: s_0, s_1, s_2, m_01, m_02, m_12), given
+    B = A T^-1 and x = T^-1 z stacked (..., 3); returns (..., 3, 6).
+    Since d(T^-1) = -T^-1 dT T^-1, entry (r, c) contributes -B[:, r] x[c]."""
+    rows, cols = [0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]
+    return -B[:, rows] * x[..., None, cols]
 
-    times: (K, S+1), strictly increasing along each row; omega_meas and
-    accel_meas: (K, S+1, 3); bias_lin_g/a: (K, 3) per-interval
-    linearization biases.  Returns the stack of the K intervals'
-    PreintegratedImu (stack[k] is interval k).  The only preintegration
-    recursion: preintegrate is a batch of one, and
-    problem.refresh_preintegrations makes one call per sample count.
+
+def preintegrate_intervals(times, omega_meas, accel_meas, intr: ImuIntrinsics, bias_lin_g, bias_lin_a, noise: NoiseModel):
+    """Midpoint-rule preintegration of K intervals in one batch.
+
+    times: (K, S+1), strictly increasing along each row up to its padding;
+    omega_meas and accel_meas: (K, S+1, 3); bias_lin_g/a: (K, 3)
+    per-interval linearization biases.  Returns the stack of the K
+    intervals' PreintegratedImu (stack[k] is interval k).  The only
+    preintegration recursion: preintegrate is a batch of one, and
+    problem.refresh_preintegrations makes one call for all intervals.
+
+    An interval with fewer than S+1 samples is padded by repeating its last
+    sample.  A padded step has dt = 0 and its noise input (sigma / dt)
+    masked to zero, so it changes no output.  Only the rotation chain dR
+    with its sensitivity D_R, and the covariance P, are carried from step
+    to step.  Every other term is computed for all steps at once, and the
+    velocity and position deltas and sensitivities are weighted sums over
+    the steps.
     """
     K, S1 = times.shape
     Tg_inv = np.linalg.inv(intr.T_g())
     Ta_inv = np.linalg.inv(intr.T_a())
     R_IA = intr.R_AI().T
+    M = R_IA @ Ta_inv
     omega = np.einsum("ij,ksj->ksi", Tg_inv, omega_meas - bias_lin_g[:, None, :])
     z_a = np.einsum("ij,ksj->ksi", Ta_inv, accel_meas - bias_lin_a[:, None, :])
     f = np.einsum("ij,ksj->ksi", R_IA, z_a)
-
-    # per-sample derivatives of the corrected (omega, f) wrt the 21
-    # sensitivity parameters
-    M = R_IA @ Ta_inv
-    d_omega = np.zeros((K, S1, 3, 21))
-    d_f = np.zeros((K, S1, 3, 21))
-    d_omega[:, :, :, _P_BG] = -Tg_inv
-    d_f[:, :, :, _P_BA] = -M
-    # scale factors: derivative through T^{-1} is -T^{-1} E_jj (.)
-    for j in range(3):
-        d_omega[:, :, :, 6 + j] = -Tg_inv[:, j][None, None, :] * omega[:, :, j, None]
-        d_f[:, :, :, 9 + j] = -M[:, j][None, None, :] * z_a[:, :, j, None]
-    # misalignments occupy (0,1), (0,2), (1,2)
-    for j, (r, c) in enumerate(((0, 1), (0, 2), (1, 2))):
-        d_omega[:, :, :, 12 + j] = -Tg_inv[:, r][None, None, :] * omega[:, :, c, None]
-        d_f[:, :, :, 15 + j] = -M[:, r][None, None, :] * z_a[:, :, c, None]
-    # accelerometer frame rotation: f(delta) = Exp(-delta) f
     hat_f = so3_hat(f)
-    d_f[:, :, :, _P_QAI] = hat_f
 
-    sigma_w = Tg_inv @ Tg_inv.T * noise.sigma_g ** 2
-    sigma_f_dir = M @ M.T * noise.sigma_a ** 2
+    # continuous noise densities of the corrected gyro and accel samples
+    Q = np.zeros((6, 6))
+    Q[0:3, 0:3] = Tg_inv @ Tg_inv.T * noise.sigma_g ** 2
+    Q[3:6, 3:6] = M @ M.T * noise.sigma_a ** 2
 
-    # every factor that depends on the samples alone, for all S steps at
-    # once; the recursion below carries only dR, D, P, dv and dp
+    # step s turns from sample s to sample s + 1 at the mean of their rates
     dts = np.diff(times, axis=1)[:, :, None, None]
-    thetas = 0.5 * (omega[:, :-1] + omega[:, 1:]) * dts[..., 0]
+    omega_mid = 0.5 * (omega[:, :-1] + omega[:, 1:])
+    thetas = omega_mid * dts[..., 0]
     Rsteps = so3_exp(thetas)
     RstepTs = np.swapaxes(Rsteps, -1, -2)
     Jrs = so3_right_jacobian(thetas)
-    Jr_S_omegas = Jrs @ (0.5 * dts * (d_omega[:, :-1] + d_omega[:, 1:]))
+    # each step's rotation vector wrt the 21 sensitivity parameters; this
+    # and each array below of that size is freed after its last use, so
+    # that few are alive at once (peak memory)
+    d_theta = np.zeros((K, S1 - 1, 3, 21))
+    d_theta[..., _P_BG] = -Tg_inv
+    d_theta[..., _P_GYRO_SM] = _correction_jacobian(Tg_inv, omega_mid)
+    d_theta *= dts
+    Jr_d_thetas = Jrs @ d_theta
+    del d_theta
+
+    # the rotation chain and its sensitivity at every sample
+    dRs = np.empty((K, S1, 3, 3))
+    D_Rs = np.empty((K, S1, 3, 21))
+    dRs[:, 0] = np.eye(3)
+    D_Rs[:, 0] = 0.0
+    for s in range(S1 - 1):
+        dRs[:, s + 1] = dRs[:, s] @ Rsteps[:, s]
+        D_Rs[:, s + 1] = RstepTs[:, s] @ D_Rs[:, s] + Jr_d_thetas[:, s]
+    del Jr_d_thetas
+
+    # the corrected specific force (column 0) and its sensitivities at every
+    # sample, rotated by the chain and averaged over each step's two
+    # samples: the recursion v += dt y, p += dt v + dt^2/2 y sums to
+    # v = sum dt y and p = sum dt (t_end - t_mid) y
+    X = np.zeros((K, S1, 3, 22))
+    X[..., 0] = f
+    d_f = X[..., 1:]
+    d_f[..., _P_BA] = -M
+    d_f[..., _P_ACCEL_SM] = _correction_jacobian(M, z_a)
+    # accelerometer frame rotation: f(delta) = Exp(-delta) f
+    d_f[..., _P_QAI] = hat_f
+    d_f -= hat_f @ D_Rs
+    D_R = D_Rs[:, -1].copy()
+    del d_f, D_Rs
+    Y = dRs @ X
+    del X
+    Y = 0.5 * (Y[:, :-1] + Y[:, 1:]).reshape(K, S1 - 1, -1)
+    dt = dts[:, :, 0, 0]
+    t_left = times[:, -1:] - 0.5 * (times[:, :-1] + times[:, 1:])
+    vp = (np.stack([dt, dt * t_left], axis=1) @ Y).reshape(K, 2, 3, 22)
+    v, p = vp[:, 0], vp[:, 1]
+    del Y
+
+    # covariance: delta-state transition F and noise input G (columns gyro,
+    # accel) of every step; the discrete noise Q / dt is zero on the padded
+    # steps
+    H = dRs @ hat_f
     eye3 = np.eye(3)
-    # covariance: delta-state transition and noise input blocks; F's
-    # (vel, pos) x rot blocks depend on dR and are written per step
     Fs = np.zeros((K, S1 - 1, 9, 9))
+    F_vtheta = -0.5 * dts * (H[:, :-1] + H[:, 1:] @ RstepTs)
     Fs[..., 0:3, 0:3] = RstepTs
+    Fs[..., 3:6, 0:3] = F_vtheta
     Fs[..., 3:6, 3:6] = eye3
+    Fs[..., 6:9, 0:3] = 0.5 * dts * F_vtheta
     Fs[..., 6:9, 3:6] = dts * eye3
     Fs[..., 6:9, 6:9] = eye3
-    G_tws = dts * Jrs
-    # Q = blkdiag(sw, sf)
-    sws = sigma_w / dts
-    sfs = sigma_f_dir / dts
-    tw_sws = G_tws @ sws
-    GQG_rots = tw_sws @ np.swapaxes(G_tws, -1, -2)
-
-    dR = np.broadcast_to(np.eye(3), (K, 3, 3)).copy()
-    dv = np.zeros((K, 3))
-    dp = np.zeros((K, 3))
-    D = np.zeros((K, 9, 21))
+    G = np.zeros((K, S1 - 1, 9, 6))
+    G[..., 0:3, 0:3] = dts * Jrs
+    G[..., 3:6, 0:3] = -0.5 * dts * H[:, 1:] @ G[..., 0:3, 0:3]
+    G[..., 3:6, 3:6] = 0.5 * dts * (dRs[:, :-1] + dRs[:, 1:])
+    G[..., 6:9, :] = 0.5 * dts * G[..., 3:6, :]
+    inv_dts = np.divide(1.0, dts, out=np.zeros_like(dts), where=dts > 0.0)
+    GQG = G @ Q @ np.swapaxes(G, -1, -2)
+    GQG *= inv_dts
+    FsT = np.swapaxes(Fs, -1, -2)
     P = np.zeros((K, 9, 9))
     for s in range(S1 - 1):
-        dt = dts[:, s]
-        dt1 = dt[:, :, 0]
-        Rstep, RstepT = Rsteps[:, s], RstepTs[:, s]
-        dR_next = dR @ Rstep
-
-        fi = f[:, s]
-        fn = f[:, s + 1]
-        a_i = np.einsum("kij,kj->ki", dR, fi)
-        a_n = np.einsum("kij,kj->ki", dR_next, fn)
-        a_mid = 0.5 * (a_i + a_n)
-
-        # parameter sensitivities propagate through the same recursion
-        D_R = D[:, 0:3]
-        D_R_next = RstepT @ D_R + Jr_S_omegas[:, s]
-        hat_fi = hat_f[:, s]
-        hat_fn = hat_f[:, s + 1]
-        A_i = dR @ (d_f[:, s] - hat_fi @ D_R)
-        A_n = dR_next @ (d_f[:, s + 1] - hat_fn @ D_R_next)
-        S_a = 0.5 * (A_i + A_n)
-        D_next = np.empty_like(D)
-        D_next[:, 0:3] = D_R_next
-        D_next[:, 3:6] = D[:, 3:6] + dt * S_a
-        D_next[:, 6:9] = D[:, 6:9] + dt * D[:, 3:6] + 0.5 * dt * dt * S_a
-
-        F = Fs[:, s]
-        F_vtheta = -0.5 * dt * (dR @ hat_fi + dR_next @ hat_fn @ RstepT)
-        F[:, 3:6, 0:3] = F_vtheta
-        F[:, 6:9, 0:3] = 0.5 * dt * F_vtheta
-
-        G_tw = G_tws[:, s]
-        G_vw = -0.5 * dt * dR_next @ hat_fn @ G_tw
-        G_vf = 0.5 * dt * (dR + dR_next)
-        GQG = np.zeros((K, 9, 9))
-        # assemble G Q G^T blockwise
-        tw_sw = tw_sws[:, s]
-        vw_sw = G_vw @ sws[:, s]
-        vf_sf = G_vf @ sfs[:, s]
-        GQG[:, 0:3, 0:3] = GQG_rots[:, s]
-        GQG[:, 0:3, 3:6] = tw_sw @ np.swapaxes(G_vw, -1, -2)
-        GQG[:, 0:3, 6:9] = 0.5 * dt * GQG[:, 0:3, 3:6]
-        GQG[:, 3:6, 0:3] = np.swapaxes(GQG[:, 0:3, 3:6], -1, -2)
-        GQG[:, 3:6, 3:6] = vw_sw @ np.swapaxes(G_vw, -1, -2) + vf_sf @ np.swapaxes(G_vf, -1, -2)
-        GQG[:, 3:6, 6:9] = 0.5 * dt * GQG[:, 3:6, 3:6]
-        GQG[:, 6:9, 0:3] = np.swapaxes(GQG[:, 0:3, 6:9], -1, -2)
-        GQG[:, 6:9, 3:6] = np.swapaxes(GQG[:, 3:6, 6:9], -1, -2)
-        GQG[:, 6:9, 6:9] = 0.25 * dt * dt * GQG[:, 3:6, 3:6]
-        P = F @ P @ np.swapaxes(F, -1, -2) + GQG
+        P = Fs[:, s] @ P @ FsT[:, s] + GQG[:, s]
         P = 0.5 * (P + np.swapaxes(P, -1, -2))
 
-        dp = dp + dt1 * dv + 0.5 * dt1 * dt1 * a_mid
-        dv = dv + dt1 * a_mid
-        dR = dR_next
-        D = D_next
-
+    D = np.concatenate([D_R, v[..., 1:], p[..., 1:]], axis=1)
     durations = times[:, -1] - times[:, 0]
     g = noise.gravity_vector()
-    delta_velocity = dv + g * durations[:, None]
-    delta_position = dp + 0.5 * g * (durations ** 2)[:, None]
+    delta_velocity = v[..., 0] + g * durations[:, None]
+    delta_position = p[..., 0] + 0.5 * g * (durations ** 2)[:, None]
     return PreintegratedImu(
-        delta_rotation_matrix=dR,
+        delta_rotation_matrix=dRs[:, -1].copy(),
         delta_velocity=delta_velocity,
         delta_position=delta_position,
         duration=durations,

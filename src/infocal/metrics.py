@@ -17,10 +17,18 @@ parametrization.
 
 Landmark columns are eliminated first: each landmark's 2n x 3 Jacobian
 (n observations) is factored on its own, batched over the landmarks with
-equal n, and only its rows orthogonal to those three columns go on, so the
-final dense factorization spans keyframe and calibration columns alone.
-The trailing block of R is unaffected by the elimination order.  A
-landmark seen once leaves no rows and carries no calibration information.
+equal n, and only its rows orthogonal to those three columns go on.  The
+trailing block of R is unaffected by the elimination order.  A landmark
+seen once leaves no rows and carries no calibration information.
+
+The camera rows left touch only the 6 pose coordinates of their keyframes
+and the 11 camera calibration coordinates (CAM_BLOCK), never velocity,
+biases or IMU intrinsics.  One QR over those 6K + 11 columns (K keyframes)
+reduces them to a triangle of at most 6K + 11 rows before they meet the
+inertial, bridge and gauge rows, so the final QR of a segment has at most
+(6K + 11) + 15(K - 1) + 4 rows.  This is exact: left-multiplying a block of
+rows by an orthogonal matrix leaves R unchanged up to row signs, and the
+gauge is a column operation, which commutes with it.
 
 The scalar criteria on the normalized covariance: trace (a_opt),
 determinant (d_opt, log-domain internally), largest eigenvalue (e_opt),
@@ -41,6 +49,7 @@ from .problem import (
     CAM_BLOCK,
     IMU_BLOCK,
     KF_DIM,
+    POSE_DIM,
     anchor_projectors,
     bridge_blocks,
     camera_blocks,
@@ -124,75 +133,78 @@ def _covariance_from_triangle(R22):
     return MarginalCovariance(0.5 * (sigma + sigma.T))
 
 
-def _place_blocks(rows, k, J):
-    """Write the (n, r, c) blocks J into the first c columns of keyframe
-    k[i] in rows[i] (n, r, n_cols)."""
-    np.put_along_axis(rows, (k * KF_DIM)[:, None, None] + np.arange(J.shape[2]), J, axis=2)
+def _place_blocks(rows, cols, J):
+    """Write the (n, r, c) blocks J into columns cols[i] : cols[i] + c of
+    rows[i] (n, r, n_cols)."""
+    np.put_along_axis(rows, cols[:, None, None] + np.arange(J.shape[2]), J, axis=2)
 
 
-def _eliminate_landmarks(problem, counts, out):
-    """Write into `out` the camera rows left after eliminating every
-    landmark's three columns; returns the |diagonal| of each landmark's
+def _eliminate_landmarks(problem):
+    """The camera rows left after eliminating every landmark's three
+    columns, reduced to one triangle over [keyframe pose columns (6 per
+    keyframe) | CAM_BLOCK]; and the |diagonal| of each landmark's
     triangle, for the rank test, as one array per observation count.
-    counts holds each landmark's number of observations.
 
     Each landmark's 2n x 3 Jacobian (n observations) is factored on its
     own, batched over the landmarks seen n times; the rows orthogonal to
     its columns say what the landmark tells about keyframes and
     calibration, untouched by eliminating it first.  A landmark seen once
-    leaves no rows.  Rows are built one group at a time and written in
-    place, and the group temporaries are freed on return, so none of them
-    is alive during the final factorisation (peak memory).
+    leaves no rows.  The rows left touch no other column, and one QR
+    reduces them to at most 6K + 11 rows.
     """
-    n_cols = out.shape[1]
-    th0 = n_cols - CALIB_DIM
+    n_pose = len(problem.keyframes) * POSE_DIM
+    n_cols = n_pose + CAM_BLOCK.stop
     _, Jp, Jl, Jth, _ = camera_blocks(problem)
     ki = problem.camera_factors["kf"]
+    counts = np.bincount(problem.camera_factors["lm"], minlength=len(problem.landmarks))
     by_landmark = np.argsort(problem.camera_factors["lm"], kind="stable")
     first = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    # a landmark seen n >= 2 times leaves 2n - 3 rows, one seen once none
+    out = np.empty((int(np.maximum(2 * counts - 3, 0).sum()), n_cols))
     diag_values = []
     row = 0
     for n in np.unique(counts[counts >= 2]):
         obs = by_landmark[first[counts == n][:, None] + np.arange(n)].ravel()
-        m = obs.size
-        # whitened rows over [keyframe columns | calibration]
-        rows = np.zeros((m, 2, n_cols))
-        _place_blocks(rows, ki[obs], Jp[obs])
-        rows[:, :, th0 + CAM_BLOCK.start : th0 + CAM_BLOCK.stop] = Jth[obs]
+        # whitened rows over [keyframe pose columns | CAM_BLOCK]
+        rows = np.zeros((obs.size, 2, n_cols))
+        _place_blocks(rows, ki[obs] * POSE_DIM, Jp[obs])
+        rows[:, :, n_pose:] = Jth[obs]
         Q, R = np.linalg.qr(Jl[obs].reshape(-1, 2 * n, 3), mode="complete")
         diag_values.append(np.abs(np.diagonal(R, axis1=-2, axis2=-1)).ravel())
         rest = (np.swapaxes(Q[:, :, 3:], -1, -2) @ rows.reshape(-1, 2 * n, n_cols)).reshape(-1, n_cols)
         out[row : row + len(rest)] = rest
         row += len(rest)
-    return diag_values
+    R = scipy.linalg.qr(out, mode="r", overwrite_a=True, check_finite=False)[0][:n_cols]
+    return R, diag_values
 
 
 def segment_marginal_covariance(problem):
     """Calibration marginal covariance of one standalone segment problem,
     in the gauge of its anchor_projectors."""
     refresh_preintegrations(problem)
-    th0 = len(problem.keyframes) * KF_DIM
+    K = len(problem.keyframes)
+    th0 = K * KF_DIM
     n_cols = th0 + CALIB_DIM
     k0, k1, _, J0, J1, Jthi = inertial_blocks(problem)
     b0, b1, _, B0, B1 = bridge_blocks(problem)
     anchors = anchor_projectors(problem)
-    # a landmark seen n >= 2 times leaves 2n - 3 camera rows, one seen once none
-    counts = np.bincount(problem.camera_factors["lm"], minlength=len(problem.landmarks))
-    n_cam = int(np.maximum(2 * counts - 3, 0).sum())
+    R_cam, diag_values = _eliminate_landmarks(problem)
+    n_cam = R_cam.shape[0]
     n_inertial = 15 * k0.size
     n_data = n_cam + n_inertial + 6 * b0.size
     A = np.zeros((n_data + 4 * len(anchors), n_cols))
     if A.shape[0] < n_cols:
         return _deficient_covariance()
 
-    diag_values = _eliminate_landmarks(problem, counts, A[:n_cam])
+    pose_cols = (np.arange(K)[:, None] * KF_DIM + np.arange(POSE_DIM)).ravel()
+    A[:n_cam, np.concatenate([pose_cols, th0 + np.arange(CAM_BLOCK.start, CAM_BLOCK.stop)])] = R_cam
     inertial = A[n_cam : n_cam + n_inertial].reshape(-1, 15, n_cols)
-    _place_blocks(inertial, k0, J0)
-    _place_blocks(inertial, k1, J1)
+    _place_blocks(inertial, k0 * KF_DIM, J0)
+    _place_blocks(inertial, k1 * KF_DIM, J1)
     inertial[:, :, th0 + IMU_BLOCK.start : th0 + IMU_BLOCK.stop] = Jthi
     bridge = A[n_cam + n_inertial : n_data].reshape(-1, 6, n_cols)
-    _place_blocks(bridge, b0, B0)
-    _place_blocks(bridge, b1, B1)
+    _place_blocks(bridge, b0 * KF_DIM, B0)
+    _place_blocks(bridge, b1 * KF_DIM, B1)
     gauge = A[n_data:].reshape(-1, 4, n_cols)
     for (a, P, u), rows in zip(anchors, gauge):
         rot, pos = slice(a * KF_DIM, a * KF_DIM + 3), slice(a * KF_DIM + 3, a * KF_DIM + 6)

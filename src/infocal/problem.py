@@ -219,17 +219,18 @@ class CalibrationProblem:
         ]
         self._inertial_k0 = np.array([f.k0 for f in self.inertial_factors], dtype=int)
         self._inertial_k1 = np.array([f.k1 for f in self.inertial_factors], dtype=int)
-        # raw samples stacked once per sample count: refresh makes one
-        # preintegrate_intervals call per group, then restores factor order
-        groups = {}
-        for i, f in enumerate(self.inertial_factors):
-            groups.setdefault(f.times.shape[0], []).append(i)
-        self._imu_groups = []
-        for idx in groups.values():
-            facs = [self.inertial_factors[i] for i in idx]
-            stacked = (np.stack([getattr(f, a) for f in facs]) for a in ("times", "omega", "accel"))
-            self._imu_groups.append((np.array(idx), *stacked))
-        self._imu_order = np.argsort(np.concatenate(list(groups.values()))) if groups else None
+        # the factors' samples stacked once, each interval padded to the
+        # longest by repeating its last sample (a step of dt = 0, which
+        # preintegrate_intervals leaves without effect): one refresh is one
+        # preintegrate_intervals call
+        self._imu_samples = None
+        if self.inertial_factors:
+            counts = np.array([f.times.shape[0] for f in self.inertial_factors])
+            last = np.cumsum(counts) - 1
+            take = np.minimum((last - counts + 1)[:, None] + np.arange(counts.max()), last[:, None])
+            self._imu_samples = tuple(
+                np.concatenate([getattr(f, a) for f in self.inertial_factors])[take] for a in ("times", "omega", "accel")
+            )
         self._bridge_k0 = np.array([f.k0 for f in self.bridge_factors], dtype=int)
         self._bridge_k1 = np.array([f.k1 for f in self.bridge_factors], dtype=int)
         self._bridge_dt = np.array([f.dt for f in self.bridge_factors])
@@ -266,26 +267,41 @@ class SolveReport:
 # ---------------------------------------------------------------- building
 
 
-def _slice_imu_stream(imu_stream, t0, t1):
-    """Per interval i, the samples with t0[i] <= t <= t1[i] (tolerant at
-    the ends); the stream's times are read once for all intervals."""
-    ts = np.array([s.t for s in imu_stream])
+def _slice_imu_stream(ts, t0, t1):
+    """Per interval i, the bounds lo[i]:hi[i] of the samples of the stream
+    times ts with t0[i] <= t <= t1[i] (tolerant at the ends)."""
     lo = np.searchsorted(ts, np.asarray(t0, dtype=float) - 1e-9, side="left")
     hi = np.searchsorted(ts, np.asarray(t1, dtype=float) + 1e-9, side="right")
-    return [imu_stream[a:b] for a, b in zip(lo.tolist(), hi.tolist())]
+    return lo, hi
 
 
-def _interval_factor(k0, k1, samples):
-    if len(samples) < 2:
-        raise ValueError(f"keyframe interval {k0}-{k1} covered by fewer than 2 IMU samples")
-    times = np.array([s.t for s in samples])
-    omega = np.stack([s.omega_meas for s in samples])
-    accel = np.stack([s.accel_meas for s in samples])
-    if not (np.isfinite(times).all() and np.isfinite(omega).all() and np.isfinite(accel).all()):
-        raise ValueError(f"keyframe interval {k0}-{k1} has non-finite IMU samples")
-    if not np.all(np.diff(times) > 0.0):
+def _interval_factors(pairs, imu_stream, ends):
+    """InertialFactors of the keyframe pairs whose (n, 2) start and end
+    times are ends, from one IMU stream, stacked into arrays once; each
+    factor holds views of its interval's samples.  The first interval with
+    too few, non-finite or non-increasing samples raises a ValueError."""
+    ts = np.array([s.t for s in imu_stream], dtype=float)
+    omega = np.array([s.omega_meas for s in imu_stream], dtype=float).reshape(-1, 3)
+    accel = np.array([s.accel_meas for s in imu_stream], dtype=float).reshape(-1, 3)
+    lo, hi = _slice_imu_stream(ts, ends[:, 0], ends[:, 1])
+    # running counts of bad samples and of bad steps between samples, so an
+    # interval's count is a difference at its bounds
+    finite = np.isfinite(ts) & np.isfinite(omega).all(1) & np.isfinite(accel).all(1)
+    bad_samples = np.concatenate([[0], np.cumsum(~finite)])
+    bad_steps = np.concatenate([[0], np.cumsum(~(np.diff(ts) > 0.0))])
+    short = hi - lo < 2
+    non_finite = bad_samples[hi] > bad_samples[lo]
+    non_increasing = bad_steps[np.maximum(hi - 1, lo)] > bad_steps[lo]
+    bad = np.flatnonzero(short | non_finite | non_increasing)
+    if bad.size:
+        i = bad[0]
+        k0, k1 = pairs[i]
+        if short[i]:
+            raise ValueError(f"keyframe interval {k0}-{k1} covered by fewer than 2 IMU samples")
+        if non_finite[i]:
+            raise ValueError(f"keyframe interval {k0}-{k1} has non-finite IMU samples")
         raise ValueError(f"keyframe interval {k0}-{k1} has IMU timestamps that are not strictly increasing")
-    return InertialFactor(k0, k1, times, omega, accel)
+    return [InertialFactor(k0, k1, ts[a:b], omega[a:b], accel[a:b]) for (k0, k1), a, b in zip(pairs, lo, hi)]
 
 
 def build_batch_problem(keyframes, landmarks, observations, imu_stream, calib_init, noise):
@@ -457,8 +473,7 @@ def build_segment_problem(segments, calib_init, noise, max_shared=10):
             else:
                 bridges.append(BiasBridgeFactor(ks[-1], k1, keyframes[k1].t - keyframes[ks[-1]].t))
         ends = np.array([[keyframes[k0].t, keyframes[k1].t] for k0, k1 in pairs]).reshape(-1, 2)
-        slices = _slice_imu_stream(a.imu_samples, ends[:, 0], ends[:, 1])
-        factors = [_interval_factor(k0, k1, x) for (k0, k1), x in zip(pairs, slices)]
+        factors = _interval_factors(pairs, a.imu_samples, ends)
         inertial += factors[: len(ks) - 1]
         joint += factors[len(ks) - 1 :]
     inertial += joint
@@ -484,21 +499,18 @@ def build_segment_problem(segments, calib_init, noise, max_shared=10):
 def refresh_preintegrations(problem):
     """Re-preintegrate every inertial factor at its left keyframe's biases.
 
-    The only writer of problem.preintegrated: one batched
-    preintegrate_intervals call per sample count, stacked in factor order.
-    Keeps the bias linearization point equal to the current estimate so
-    the first-order bias correction inside the residual is exact.
+    The only writer of problem.preintegrated: one preintegrate_intervals
+    call over every factor's padded samples, in factor order.  Keeps the
+    bias linearization point equal to the current estimate so the
+    first-order bias correction inside the residual is exact.
     """
-    if not problem._imu_groups:
+    if not problem.inertial_factors:
         return
     x = im.StateStack.of(problem.keyframes)
     k0 = problem._inertial_k0
-    intr, noise = problem.calibration.imu, problem.noise
-    stacks = [
-        im.preintegrate_intervals(times, omega, accel, intr, x.b_g[k0[idx]], x.b_a[k0[idx]], noise)
-        for idx, times, omega, accel in problem._imu_groups
-    ]
-    problem.preintegrated = im.concatenate_preintegrations(stacks)[problem._imu_order]
+    problem.preintegrated = im.preintegrate_intervals(
+        *problem._imu_samples, problem.calibration.imu, x.b_g[k0], x.b_a[k0], problem.noise
+    )
 
 
 def camera_blocks(problem, whiten=True):

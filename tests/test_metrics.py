@@ -8,7 +8,9 @@ entropy of a diagonal covariance.
 """
 
 import math
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,10 @@ from infocal.problem import CALIB_DIM, KF_DIM, anchor_projectors, build_segment_
 
 import support
 from support import evaluate_residuals
+
+sys.path[:0] = [str(Path(__file__).resolve().parents[1] / "bench")]
+
+import workloads  # noqa: E402
 
 
 def dense_calibration_covariance(problem):
@@ -88,6 +94,33 @@ class TestSegmentMarginalCovariance:
         # the gauge applied as four unit rows instead of a reduced basis.
         e = 1.0 / np.sqrt(np.diag(ref))
         assert np.abs(e[:, None] * (cov.matrix - ref) * e[None, :]).max() < 1e-8
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_matches_dense_inverse_on_bench_segments(self, seed):
+        # the segment_scoring workload's scene, cut short to three segments
+        short = type("ShortScoring", (workloads.SegmentScoring,), {"N_SEGMENTS": 3})
+        inp = short().inputs(seed)
+        for seg in inp["segments"]:
+            prob = build_segment_problem([seg], inp["calibration"], inp["noise"])
+            cov = segment_marginal_covariance(prob)
+            assert not cov.rank_deficient
+            ref = dense_calibration_covariance(prob)
+            # measured on these six segments: at most 4.1e-9
+            e = 1.0 / np.sqrt(np.diag(ref))
+            assert np.abs(e[:, None] * (cov.matrix - ref) * e[None, :]).max() < 1e-8
+
+    def test_final_qr_spans_camera_triangle_only(self, monkeypatch):
+        # the camera rows reach the final QR as one triangle over the pose
+        # columns (6 per keyframe) and the 11 camera calibration columns
+        seg, calib, noise = seed4_segment()
+        prob = build_segment_problem([seg], calib, noise)
+        shapes = []
+        qr = scipy.linalg.qr
+        monkeypatch.setattr(scipy.linalg, "qr", lambda a, *args, **kw: shapes.append(a.shape) or qr(a, *args, **kw))
+        assert not segment_marginal_covariance(prob).rank_deficient
+        K = len(prob.keyframes)
+        [rows] = [m for m, n in shapes if n == K * KF_DIM + CALIB_DIM]
+        assert rows <= (6 * K + 11) + 15 * (K - 1) + 4
 
     def test_single_view_landmark_adds_nothing(self):
         # two image rows cannot pin a landmark's three coordinates, so a

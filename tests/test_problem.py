@@ -13,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from infocal import imu
 from infocal.camera import FeatureObservation
 from infocal.geometry import UnitQuaternion, so3_exp
 from infocal.imu import ImuSample, inertial_error, inertial_error_jacobians, preintegrate
@@ -118,6 +119,12 @@ class TestBuildBatch:
         with pytest.raises(ValueError, match="interval 2-3 has non-finite"):
             self._build_with_sample(scene, 25, ImuSample(s.t, s.omega_meas, [np.nan, 0.0, 0.0]))
 
+    def test_interval_without_two_samples_raises(self, scene):
+        # keyframe 2 is at sample 20: only that sample is left in interval 2-3
+        stream = scene.imu_stream[:21] + scene.imu_stream[31:]
+        with pytest.raises(ValueError, match="interval 2-3 covered by fewer than 2"):
+            build_batch_problem(scene.keyframes, scene.landmarks, scene.observations, stream, scene.calibration, scene.noise)
+
     def test_imu_slices_match_per_interval_reference(self, scene):
         # interval ends on sample times, within the 1e-9 tolerance of one,
         # and halfway between two
@@ -126,11 +133,12 @@ class TestBuildBatch:
         rng = np.random.default_rng(3)
         near = ts[5::11] + rng.uniform(-5e-10, 5e-10, size=ts[5::11].size)
         ends = np.unique(np.concatenate([ts[::7], 0.5 * (ts[3::9] + ts[4::9]), near]))
-        got = _slice_imu_stream(stream, ends[:-1], ends[1:])
-        assert len(got) == ends.size - 1
-        for t0, t1, samples in zip(ends[:-1], ends[1:], got):
+        lo, hi = _slice_imu_stream(ts, ends[:-1], ends[1:])
+        assert lo.size == hi.size == ends.size - 1
+        for t0, t1, a, b in zip(ends[:-1], ends[1:], lo, hi):
             ref = slice_one_interval(stream, t0, t1)
-            assert len(samples) == len(ref) and all(a is b for a, b in zip(samples, ref))
+            samples = stream[a:b]
+            assert len(samples) == len(ref) and all(x is y for x, y in zip(samples, ref))
 
     def test_mixed_interval_sample_counts(self, scene):
         # without keyframe 3 the interval 2-4 holds twice the samples of the
@@ -150,6 +158,18 @@ class TestBuildBatch:
             samples = [s for s in scene.imu_stream if kf0.t - 1e-9 <= s.t <= kf1.t + 1e-9]
             ref = preintegrate(samples, prob.calibration.imu, (kf0.b_g, kf0.b_a), prob.noise)
             support.assert_same_preintegration(prob.preintegrated[i], ref)
+
+    def test_mixed_interval_sample_counts_refresh_in_one_call(self, scene, monkeypatch):
+        # intervals of 11 and 21 samples go through one call, padded to 21
+        keyframes = scene.keyframes[:3] + scene.keyframes[4:]
+        obs = [replace(o, keyframe_id=o.keyframe_id - (o.keyframe_id > 3)) for o in scene.observations if o.keyframe_id != 3]
+        prob = build_batch_problem(keyframes, scene.landmarks, obs, scene.imu_stream, scene.calibration, scene.noise)
+        assert len({f.times.shape[0] for f in prob.inertial_factors}) == 2
+        calls = []
+        kernel = imu.preintegrate_intervals
+        monkeypatch.setattr(imu, "preintegrate_intervals", lambda *a: calls.append(a[0].shape) or kernel(*a))
+        refresh_preintegrations(prob)
+        assert calls == [(len(prob.inertial_factors), 21)]
 
 
 class TestResidualEvaluation:
