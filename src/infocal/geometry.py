@@ -95,11 +95,6 @@ def matrix_to_quat(m):
     return quat_normalize(np.where(q[..., :1] < 0.0, -q, q))
 
 
-def quat_rotate(q, p):
-    """Rotate point(s) p by quaternion(s) q."""
-    return np.einsum("...ij,...j->...i", quat_to_matrix(q), np.asarray(p, dtype=float))
-
-
 def quat_exp(phi):
     """Map a rotation vector (axis * angle, rad) to a unit quaternion."""
     phi = np.asarray(phi, dtype=float)
@@ -200,11 +195,6 @@ def quat_retract(q, delta):
     return quat_normalize(quat_mul(q, quat_exp(delta)))
 
 
-def quat_local(q_ref, q):
-    """Tangent delta with quat_retract(q_ref, delta) == q."""
-    return quat_log(quat_mul(quat_conj(q_ref), q))
-
-
 def rotation_angle(q):
     """Absolute rotation angle of q in radians, in [0, pi]."""
     return np.linalg.norm(quat_log(q), axis=-1)
@@ -239,43 +229,11 @@ class UnitQuaternion:
     def from_matrix(cls, m):
         return cls.from_array(matrix_to_quat(m))
 
-    @property
-    def w(self):
-        return self.wxyz[0]
-
-    @property
-    def x(self):
-        return self.wxyz[1]
-
-    @property
-    def y(self):
-        return self.wxyz[2]
-
-    @property
-    def z(self):
-        return self.wxyz[3]
-
     def matrix(self):
         return quat_to_matrix(self.wxyz)
 
-    def rotate(self, p):
-        return quat_rotate(self.wxyz, p)
-
-    def multiply(self, other):
-        return UnitQuaternion.from_array(quat_mul(self.wxyz, other.wxyz))
-
-    def conjugate(self):
-        return UnitQuaternion.from_array(quat_conj(self.wxyz))
-
     def retract(self, delta):
         return UnitQuaternion.from_array(quat_retract(self.wxyz, delta))
-
-    def local(self, other):
-        """Delta with self.retract(delta) == other (as rotations)."""
-        return quat_local(self.wxyz, other.wxyz)
-
-    def rotation_vector(self):
-        return quat_log(self.wxyz)
 
     def angle_to(self, other):
         return float(rotation_angle(quat_mul(quat_conj(self.wxyz), other.wxyz)))
@@ -292,19 +250,6 @@ class Transform:
     def __init__(self, rotation: UnitQuaternion, translation):
         self.rotation = rotation
         self.translation = np.array(translation, dtype=float).reshape(3)
-
-    @classmethod
-    def identity(cls):
-        return cls(UnitQuaternion.identity(), np.zeros(3))
-
-    def apply(self, p):
-        return self.rotation.rotate(p) + self.translation
-
-    def matrix(self):
-        out = np.eye(4)
-        out[:3, :3] = self.rotation.matrix()
-        out[:3, 3] = self.translation
-        return out
 
     def __repr__(self):
         return "Transform(%r, %s)" % (self.rotation, self.translation)

@@ -28,8 +28,9 @@ steps at once, and the velocity and position deltas and sensitivities are
 weighted sums over the steps.
 
 The 15-dim inertial residual and its Jacobians are computed for a whole
-stack of factors in one vectorised pass (inertial_factor_blocks);
-inertial_error and inertial_error_jacobians are batches of one.
+stack of factors in one vectorised pass (inertial_factor_blocks), on
+keyframe states held as arrays (StateStack); inertial_error_jacobians is a
+batch of one.
 
 The noise model of the 15-dim inertial residual (preintegration covariance,
 then the gyro- and accel-bias random walks over the interval, in residual
@@ -40,14 +41,14 @@ and every whitened inertial block derive from it.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 
 from .geometry import (
     UnitQuaternion,
-    matrix_to_quat,
+    matrix_to_quat,  # noqa: F401  (traced as imu.matrix_to_quat by the benchmark)
+    quat_retract,
     quat_to_matrix,
     so3_exp,
     so3_hat,
@@ -195,10 +196,6 @@ class PreintegratedImu:
         if np.any(np.asarray(self.duration) <= 0.0):
             raise ValueError("preintegration duration must be positive")
 
-    @property
-    def delta_rotation(self) -> UnitQuaternion:
-        return UnitQuaternion.from_array(matrix_to_quat(self.delta_rotation_matrix))
-
     def __getitem__(self, index):
         """Interval(s) `index` of a stack; pre[None] is a stack of one."""
         return replace(self, **{name: np.asarray(getattr(self, name))[index] for name in _STACKED_FIELDS})
@@ -231,15 +228,28 @@ def preintegrate(samples, intr: ImuIntrinsics, bias_lin, noise: NoiseModel) -> P
     )[0]
 
 
-class StateStack(NamedTuple):
-    """Keyframe states on a leading axis, fields named as KeyframeState's:
-    q_GI (..., 4) as (w, x, y, z); p_GI, v_GI, b_a, b_g (..., 3)."""
+@dataclass(frozen=True, eq=False)
+class StateStack:
+    """Keyframe states as arrays on a leading keyframe axis, fields named
+    as KeyframeState's: q_GI (K, 4) as (w, x, y, z); p_GI, v_GI, b_a, b_g
+    (K, 3).  len() counts keyframes.
+
+    A problem's keyframe estimate is one StateStack, and every kernel reads
+    its arrays.  take and retract return new arrays and nothing writes into
+    them, so a stack can be kept and restored by reference.
+    """
 
     q_GI: np.ndarray
     p_GI: np.ndarray
     v_GI: np.ndarray
     b_a: np.ndarray
     b_g: np.ndarray
+
+    def __len__(self):
+        return self.q_GI.shape[0]
+
+    def arrays(self):
+        return self.q_GI, self.p_GI, self.v_GI, self.b_a, self.b_g
 
     @classmethod
     def of(cls, states):
@@ -248,11 +258,25 @@ class StateStack(NamedTuple):
         quats = [x.q_GI.wxyz if isinstance(x.q_GI, UnitQuaternion) else x.q_GI for x in states]
         return cls(
             np.asarray(quats, dtype=float),
-            *(np.asarray([getattr(x, name) for x in states], dtype=float) for name in cls._fields[1:]),
+            *(np.asarray([getattr(x, f.name) for x in states], dtype=float) for f in fields(cls)[1:]),
         )
 
     def take(self, index):
-        return StateStack(*(a[index] for a in self))
+        return StateStack(*(a[index] for a in self.arrays()))
+
+    def retract(self, delta):
+        """The states moved by minimal deltas (K, 15) ordered (rotation,
+        position, velocity, accel bias, gyro bias): rotations by
+        right-multiplied exponential, the rest by addition.  The only
+        keyframe retraction."""
+        d = np.asarray(delta, dtype=float).reshape(len(self), 15)
+        return StateStack(
+            quat_retract(self.q_GI, d[:, 0:3]),
+            self.p_GI + d[:, 3:6],
+            self.v_GI + d[:, 6:9],
+            self.b_a + d[:, 9:12],
+            self.b_g + d[:, 12:15],
+        )
 
 
 def _mv(A, x):
@@ -285,8 +309,8 @@ def inertial_factor_blocks(x_k, x_k1, pre: PreintegratedImu, gravity):
     minimal deltas, ordered (rotation, position, velocity, accel bias, gyro
     bias), and wrt the IMU intrinsics in calibration order.  Rotation
     deltas act by right-multiplied exponential.  The only implementation
-    of the inertial residual and its Jacobians; inertial_error and
-    inertial_error_jacobians are batches of one.
+    of the inertial residual and its Jacobians; inertial_error_jacobians is
+    a batch of one.
     """
     # orientation: preintegrated delta minus the state-implied delta, so a
     # position bump on x_k1 moves the position block by -R_k^T delta; bias
@@ -329,18 +353,6 @@ def inertial_factor_blocks(x_k, x_k1, pre: PreintegratedImu, gravity):
     J_imu[:, 0:3] = inv_jr @ np.swapaxes(so3_exp(xi), -1, -2) @ Dp[:, 0:3]
     J_imu[:, 3:9] = Dp[:, 3:9]
     return r, J_k, J_k1, J_imu
-
-
-def inertial_error(x_k, x_k1, pre: PreintegratedImu, gravity):
-    """15-residual (rot, vel, pos, gyro-bias walk, accel-bias walk) + weight.
-
-    x_k and x_k1 expose q_GI, p_GI, v_GI, b_a, b_g.  The weight is the
-    inverse of blockdiag(preintegration covariance, bias random-walk
-    covariances over the interval).  A batch of one for
-    inertial_factor_blocks.
-    """
-    r = inertial_factor_blocks(StateStack.of([x_k]), StateStack.of([x_k1]), pre[None], gravity)[0]
-    return r[0], inertial_weight(pre)
 
 
 def inertial_error_jacobians(x_k, x_k1, pre: PreintegratedImu, gravity):

@@ -2,7 +2,12 @@
 
 One builder, build_segment_problem, makes every CalibrationProblem from
 Segments; the batch problem is the same call on one segment that spans
-the whole session.
+the whole session.  The input records (KeyframeState, Landmark, Segment)
+are stacked into arrays once, by the builder: a problem's estimate is one
+imu.StateStack of keyframe states, an (L, 3) array of landmark positions
+and the CalibrationState, and its camera and bridge factors are structured
+arrays.  Only the inertial factors stay objects (InertialFactor), each
+holding its interval's samples.
 
 State layout (minimal coordinates):
   keyframe (15): rotation delta, position, velocity, accel bias, gyro bias
@@ -41,7 +46,7 @@ import scipy.linalg
 
 from . import camera as cam
 from . import imu as im
-from .geometry import Transform, UnitQuaternion
+from .geometry import Transform, UnitQuaternion, quat_to_matrix
 
 KF_DIM = 15
 POSE_DIM = 6  # rotation and position, the keyframe coords camera factors touch
@@ -53,14 +58,24 @@ IMU_BLOCK = slice(11, 26)
 
 _WORLD_Z = np.array([0.0, 0.0, 1.0])
 _LM_DIAG_FLOOR = 1e-12
+# Levenberg-Marquardt damping: its start, and the limit beyond which no
+# step is sought; and the absolute cost below which iteration is pointless
+_LAMBDA_INIT = 1e-4
+_MAX_LAMBDA = 1e12
+_COST_FLOOR = 1e-18
+# whitened pixel-residual norm beyond which the Huber cost grows linearly
+HUBER_THRESHOLD = 2.0
 
 # one camera factor: local keyframe and landmark index, pixel, pixel sigma
 CAMERA_FACTOR_DTYPE = np.dtype([("kf", int), ("lm", int), ("uv", float, (2,)), ("sigma", float)])
+# one bias bridge across a removed gap: local keyframe indices, gap length (s)
+BRIDGE_DTYPE = np.dtype([("k0", int), ("k1", int), ("dt", float)])
 
 
 @dataclass(frozen=True)
 class KeyframeState:
-    """Pose, velocity, and biases of the sensor system at one timestep."""
+    """Pose, velocity, and biases of the sensor system at one timestep; an
+    input record, stacked into an imu.StateStack by the builder."""
 
     q_GI: UnitQuaternion
     p_GI: np.ndarray
@@ -74,19 +89,16 @@ class KeyframeState:
             object.__setattr__(self, name, np.array(getattr(self, name), dtype=float).reshape(3))
 
     def retract(self, delta):
-        delta = np.asarray(delta, dtype=float).reshape(KF_DIM)
-        return KeyframeState(
-            q_GI=self.q_GI.retract(delta[0:3]),
-            p_GI=self.p_GI + delta[3:6],
-            v_GI=self.v_GI + delta[6:9],
-            b_a=self.b_a + delta[9:12],
-            b_g=self.b_g + delta[12:15],
-            t=self.t,
-        )
+        """A batch of one of StateStack.retract."""
+        x = im.StateStack.of([self]).retract(delta)
+        return KeyframeState(UnitQuaternion.from_array(x.q_GI[0]), x.p_GI[0], x.v_GI[0], x.b_a[0], x.b_g[0], self.t)
 
 
 @dataclass(frozen=True)
 class Landmark:
+    """A landmark's position and id; an input record, stacked into the
+    problem's landmark array by the builder."""
+
     l_G: np.ndarray
     id: int
 
@@ -146,19 +158,6 @@ class InertialFactor:
         self.accel = np.asarray(accel, dtype=float)
 
 
-class BiasBridgeFactor:
-    """Bias-random-walk-only constraint across a removed gap."""
-
-    __slots__ = ("k0", "k1", "dt")
-
-    def __init__(self, k0, k1, dt):
-        self.k0 = int(k0)
-        self.k1 = int(k1)
-        self.dt = float(dt)
-        if self.dt <= 0.0:
-            raise ValueError("bridge gap must be positive")
-
-
 @dataclass
 class Segment:
     """Consecutive keyframes of one session and the measurements on them.
@@ -185,12 +184,20 @@ class Segment:
 class CalibrationProblem:
     """A fully assembled calibration problem over one or more partitions.
 
+    The estimate is arrays: keyframes is an imu.StateStack (K keyframes),
+    landmarks an (L, 3) array of positions, with landmark_ids (L,) their
+    ids, and calibration a CalibrationState.  Solving replaces these with
+    retracted copies and never writes into them, so a rejected trial step
+    restores the estimate by reference.
+
     camera_factors is one CAMERA_FACTOR_DTYPE array, a row per
     observation sorted by (kf, lm), whose kf and lm are LOCAL indices
-    (positions in the keyframes/landmarks lists); keyframe_ids maps local
-    index back to the session-level id.  Landmarks observed from multiple
-    partitions are instantiated once per partition so no camera term
-    couples partitions.
+    (positions along the keyframe and landmark axes); keyframe_ids maps
+    local index back to the session-level id.  Landmarks observed from
+    multiple partitions are instantiated once per partition so no camera
+    term couples partitions.  bridge_factors is one BRIDGE_DTYPE array, a
+    row per bias bridge.  inertial_factors is a list of InertialFactor,
+    whose times also give each interval's real sample count.
 
     preintegrated is the stack of the inertial factors' preintegrations in
     factor order, at the current bias estimates of their left keyframes
@@ -198,13 +205,14 @@ class CalibrationProblem:
     it; it is None until the first refresh.
     """
 
-    keyframes: list
+    keyframes: im.StateStack
     keyframe_ids: list
-    landmarks: list
+    landmarks: np.ndarray
+    landmark_ids: np.ndarray
     calibration: CalibrationState
     camera_factors: np.ndarray
     inertial_factors: list
-    bridge_factors: list
+    bridge_factors: np.ndarray
     partitions: list
     noise: im.NoiseModel
     kf_partition: np.ndarray
@@ -231,9 +239,6 @@ class CalibrationProblem:
             self._imu_samples = tuple(
                 np.concatenate([getattr(f, a) for f in self.inertial_factors])[take] for a in ("times", "omega", "accel")
             )
-        self._bridge_k0 = np.array([f.k0 for f in self.bridge_factors], dtype=int)
-        self._bridge_k1 = np.array([f.k1 for f in self.bridge_factors], dtype=int)
-        self._bridge_dt = np.array([f.dt for f in self.bridge_factors])
         self.preintegrated = None
 
     @property
@@ -244,13 +249,9 @@ class CalibrationProblem:
 @dataclass
 class SolveOptions:
     max_iters: int = 50
-    lambda_init: float = 1e-4
     tol: float = 1e-9
-    cost_floor: float = 1e-18  # absolute cost below which iteration is pointless
-    max_lambda: float = 1e12
     fix_calibration: bool = False
-    huber: bool = False
-    huber_threshold: float = 2.0
+    huber: bool = False  # Huber cost on the camera factors, at HUBER_THRESHOLD
 
 
 @dataclass
@@ -435,19 +436,21 @@ def build_segment_problem(segments, calib_init, noise, max_shared=10):
 
     # segment i holds the local keyframes first[i] .. first[i + 1] - 1
     first = np.cumsum([0] + [len(s.keyframes) for s in segs]).tolist()
-    keyframes = [kf for s in segs for kf in s.keyframes]
+    states = [kf for s in segs for kf in s.keyframes]
+    times = np.array([kf.t for kf in states], dtype=float)
     keyframe_ids = [kid for s in segs for kid in s.keyframe_ids]
     kf_part = np.repeat([seg_partition[s.id] for s in segs], np.diff(first))
 
-    landmarks, lm_part, cam_factors = [], [], []
+    positions, landmark_ids, lm_part, cam_factors = [], [], [], []
     lm_local = {}
     for s, first_kf in zip(segs, first):
         p_idx = seg_partition[s.id]
         ids = sorted(s.landmark_ids)
         for lid in ids:
             if (p_idx, lid) not in lm_local:
-                lm_local[(p_idx, lid)] = len(landmarks)
-                landmarks.append(Landmark(s.landmarks[lid], lid))
+                lm_local[(p_idx, lid)] = len(positions)
+                positions.append(s.landmarks[lid])
+                landmark_ids.append(lid)
                 lm_part.append(p_idx)
         cols = np.array([lm_local[(p_idx, lid)] for lid in ids], dtype=int)
         rows = [(o.keyframe_id, o.landmark_id, o.uv, o.sigma) for o in s.observations]
@@ -458,6 +461,9 @@ def build_segment_problem(segments, calib_init, noise, max_shared=10):
         cam_factors.append(obs)
     cam_factors = np.concatenate(cam_factors)
     cam_factors = cam_factors[np.lexsort((cam_factors["lm"], cam_factors["kf"]))]
+    landmarks = np.array(positions, dtype=float).reshape(len(positions), LM_DIM)
+    if not np.isfinite(landmarks).all():
+        raise ValueError("landmark coordinates must be finite")
 
     # one slicing pass per segment stream: its own intervals, then the joint
     # interval into a temporally adjacent successor, through which its IMU
@@ -471,21 +477,24 @@ def build_segment_problem(segments, calib_init, noise, max_shared=10):
             if _temporally_adjacent(a, b):
                 pairs.append((ks[-1], k1))
             else:
-                bridges.append(BiasBridgeFactor(ks[-1], k1, keyframes[k1].t - keyframes[ks[-1]].t))
-        ends = np.array([[keyframes[k0].t, keyframes[k1].t] for k0, k1 in pairs]).reshape(-1, 2)
-        factors = _interval_factors(pairs, a.imu_samples, ends)
+                gap = times[k1] - times[ks[-1]]
+                if gap <= 0.0:
+                    raise ValueError(f"segments {a.id} and {b.id}: bridge gap must be positive")
+                bridges.append((ks[-1], k1, gap))
+        factors = _interval_factors(pairs, a.imu_samples, times[np.array(pairs, dtype=int).reshape(-1, 2)])
         inertial += factors[: len(ks) - 1]
         joint += factors[len(ks) - 1 :]
     inertial += joint
 
     return CalibrationProblem(
-        keyframes=keyframes,
+        keyframes=im.StateStack.of(states),
         keyframe_ids=keyframe_ids,
         landmarks=landmarks,
+        landmark_ids=np.array(landmark_ids, dtype=int),
         calibration=calib_init,
         camera_factors=cam_factors,
         inertial_factors=inertial,
-        bridge_factors=bridges,
+        bridge_factors=np.array(bridges, dtype=BRIDGE_DTYPE),
         partitions=partitions,
         noise=noise,
         kf_partition=kf_part,
@@ -506,7 +515,7 @@ def refresh_preintegrations(problem):
     """
     if not problem.inertial_factors:
         return
-    x = im.StateStack.of(problem.keyframes)
+    x = problem.keyframes
     k0 = problem._inertial_k0
     problem.preintegrated = im.preintegrate_intervals(
         *problem._imu_samples, problem.calibration.imu, x.b_g[k0], x.b_a[k0], problem.noise
@@ -531,12 +540,11 @@ def camera_blocks(problem, whiten=True):
             np.zeros((0, 2, 11)),
             np.ones(0, dtype=bool),
         )
-    x = im.StateStack.of(problem.keyframes)
-    l_all = np.stack([lm.l_G for lm in problem.landmarks])
+    x = problem.keyframes
     ki, li = cf["kf"], cf["lm"]
     T = calib.extrinsics.T_CI
     uv_pred, valid, J_pose, J_l, J_extr, J_intr = cam.camera_factor_blocks(
-        x.q_GI[ki], x.p_GI[ki], T.rotation.matrix(), T.translation, l_all[li], calib.camera
+        x.q_GI[ki], x.p_GI[ki], T.rotation.matrix(), T.translation, problem.landmarks[li], calib.camera
     )
     r = np.where(valid[:, None], uv_pred - cf["uv"], 0.0)
     J_theta = np.concatenate([J_intr, J_extr], axis=-1)
@@ -563,7 +571,7 @@ def inertial_blocks(problem, whiten=True):
     if not k0.size:
         empty = np.zeros((0, 15, 15))
         return k0, k1, np.zeros((0, 15)), empty, empty, empty
-    x = im.StateStack.of(problem.keyframes)
+    x = problem.keyframes
     pre = problem.preintegrated
     r, J0, J1, Jth = im.inertial_factor_blocks(x.take(k0), x.take(k1), pre, problem.noise.gravity_vector())
     if whiten:
@@ -580,10 +588,11 @@ def bridge_blocks(problem, whiten=True):
     Returns (k0, k1, r, J0, J1) stacked over the bridges: the two keyframe
     indices, the 6-dim residuals and their 6x15 Jacobians; whitened or raw.
     """
-    k0, k1 = problem._bridge_k0, problem._bridge_k1
-    x = im.StateStack.of(problem.keyframes)
+    bf = problem.bridge_factors
+    k0, k1 = bf["k0"], bf["k1"]
+    x = problem.keyframes
     r = np.concatenate([x.b_g[k1] - x.b_g[k0], x.b_a[k1] - x.b_a[k0]], axis=-1)
-    w = 1.0 / im.bias_walk_sigmas(problem.noise, problem._bridge_dt) if whiten else np.ones_like(r)
+    w = 1.0 / im.bias_walk_sigmas(problem.noise, bf["dt"]) if whiten else np.ones_like(r)
     J1 = w[:, :, None] * im.BIAS_WALK_ROWS
     return k0, k1, w * r, -J1, J1
 
@@ -599,23 +608,23 @@ def anchor_projectors(problem):
     """
     out = []
     for a in problem._anchor_local:
-        u = problem.keyframes[a].q_GI.matrix().T @ _WORLD_Z
+        u = quat_to_matrix(problem.keyframes.q_GI[a]).T @ _WORLD_Z
         u = u / np.linalg.norm(u)
         out.append((a, np.eye(3) - np.outer(u, u), u))
     return out
 
 
-def problem_cost(problem, huber=False, huber_threshold=2.0):
+def problem_cost(problem, huber=False):
     """Half squared whitened residual norm at the current states."""
     refresh_preintegrations(problem)
-    return _cost_from_blocks(problem, huber, huber_threshold)
+    return _cost_from_blocks(problem, huber)
 
 
-def _cost_from_blocks(problem, huber=False, huber_threshold=2.0):
+def _cost_from_blocks(problem, huber=False):
     r_c, _, _, _, _ = camera_blocks(problem)
     if huber and r_c.shape[0]:
         nrm = np.linalg.norm(r_c, axis=1)
-        k = huber_threshold
+        k = HUBER_THRESHOLD
         cost = float(np.sum(np.where(nrm <= k, 0.5 * nrm**2, k * nrm - 0.5 * k * k)))
     else:
         cost = 0.5 * float(np.sum(r_c**2))
@@ -877,9 +886,10 @@ def _solve_normal_equations(problem, systems, cross, lam, fix_calibration, ancho
     return delta_kf, delta_lm, d_th
 
 
-def _huberize(cam, k):
+def _huberize(cam):
     r_c, Jp, Jl, Jth, valid = cam
     nrm = np.linalg.norm(r_c, axis=1)
+    k = HUBER_THRESHOLD
     scale = np.sqrt(np.where(nrm > k, k / np.maximum(nrm, 1e-300), 1.0))
     s3 = scale[:, None, None]
     return r_c * scale[:, None], Jp * s3, Jl * s3, Jth * s3, valid
@@ -909,11 +919,14 @@ def _model_decrease(problem, cam, inertial, bridges, delta):
 
 
 def _retract_problem(problem, delta):
-    """Trial states from an update triple; None if a constraint is violated."""
+    """Trial states from an update triple, as new arrays; None if a state
+    is not finite or the calibration leaves its domain."""
     delta_kf, delta_lm, d_th = delta
+    keyframes = problem.keyframes.retract(delta_kf)
+    landmarks = problem.landmarks + delta_lm
+    if not all(np.isfinite(a).all() for a in (*keyframes.arrays(), landmarks)):
+        return None
     try:
-        keyframes = [k.retract(d) for k, d in zip(problem.keyframes, delta_kf)]
-        landmarks = [Landmark(lm.l_G + d, lm.id) for lm, d in zip(problem.landmarks, delta_lm)]
         # an exactly-zero calibration update (fixed calibration) keeps the object
         calibration = problem.calibration.retract(d_th) if d_th.any() else problem.calibration
     except ValueError:
@@ -924,26 +937,26 @@ def _retract_problem(problem, delta):
 def solve(problem, options: SolveOptions = None):
     """Levenberg-Marquardt minimization of the whitened squared residual.
 
-    Keyframes, landmarks, and calibration in the problem are updated in
-    place to the solution, except for the gauge of anchor_projectors: each
-    anchor keeps its position, and its rotation update has no component
-    about the gravity axis.
+    The problem's keyframes, landmarks, and calibration are replaced by
+    the solution (new arrays; the old ones are left as they were), except
+    for the gauge of anchor_projectors: each anchor keeps its position, and
+    its rotation update has no component about the gravity axis.
     Accepted steps strictly decrease the cost.
     """
     options = options or SolveOptions()
     refresh_preintegrations(problem)
-    cost = _cost_from_blocks(problem, options.huber, options.huber_threshold)
+    cost = _cost_from_blocks(problem, options.huber)
     if not np.isfinite(cost):
         raise ValueError("non-finite cost at the initial estimate")
     initial_cost = cost
     history = [cost]
-    lam = options.lambda_init
+    lam = _LAMBDA_INIT
     n_iters = 0
     converged = False
     reason = "max_iters"
     dropped = 0
 
-    if cost <= options.cost_floor:
+    if cost <= _COST_FLOOR:
         # Already at (numerical) zero; any further step only reshuffles
         # floating-point noise.
         cam = camera_blocks(problem)
@@ -961,7 +974,7 @@ def solve(problem, options: SolveOptions = None):
         cam = camera_blocks(problem)
         dropped = int((~cam[4]).sum())
         if options.huber:
-            cam = _huberize(cam, options.huber_threshold)
+            cam = _huberize(cam)
         inertial = inertial_blocks(problem)
         bridges = bridge_blocks(problem)
         systems, cross = _assemble_partition_systems(problem, cam, inertial, bridges)
@@ -969,7 +982,7 @@ def solve(problem, options: SolveOptions = None):
 
         step_accepted = False
         nu = 2.0
-        while lam <= options.max_lambda and not step_accepted:
+        while lam <= _MAX_LAMBDA and not step_accepted:
             try:
                 delta = _solve_normal_equations(problem, systems, cross, lam, options.fix_calibration, anchors)
             except np.linalg.LinAlgError:
@@ -986,7 +999,7 @@ def solve(problem, options: SolveOptions = None):
                 pre_save = problem.preintegrated
                 problem.keyframes, problem.landmarks, problem.calibration = trial
                 refresh_preintegrations(problem)
-                new_cost = _cost_from_blocks(problem, options.huber, options.huber_threshold)
+                new_cost = _cost_from_blocks(problem, options.huber)
                 if np.isfinite(new_cost) and new_cost < cost:
                     step_accepted = True
                     pred = _model_decrease(problem, cam, inertial, bridges, scaled)
@@ -1001,7 +1014,7 @@ def solve(problem, options: SolveOptions = None):
                     if rel < options.tol:
                         converged = True
                         reason = "relative cost decrease below tol"
-                    elif cost <= options.cost_floor:
+                    elif cost <= _COST_FLOOR:
                         converged = True
                         reason = "cost below absolute floor"
                     break

@@ -1,4 +1,5 @@
-"""Shared scene construction and reference evaluations for solver-level tests.
+"""Shared scene construction, reference evaluations and small geometry
+helpers for the tests.
 
 Builds small consistent visual-inertial scenes with exactly zero residual
 at the ground truth: IMU measurements come from the forward measurement
@@ -6,7 +7,9 @@ models, keyframe states are chained with the same midpoint integration the
 preintegration uses, and image observations are exact projections.
 evaluate_residuals is the unweighted residual, block weights and sparse
 Jacobian of a whole problem, the reference the finite-difference, model
-decrease and dense covariance tests compare against.
+decrease and dense covariance tests compare against.  The remaining
+helpers (quat_rotate, quat_local, apply, identity_transform, invert,
+delta_rotation, inertial_error) are conveniences only tests use.
 """
 
 import math
@@ -17,13 +20,15 @@ import numpy as np
 import scipy.sparse
 
 from infocal.camera import CameraExtrinsics, CameraIntrinsics, FeatureObservation, camera_factor_blocks
-from infocal.geometry import Transform, UnitQuaternion, so3_exp
+from infocal.geometry import Transform, UnitQuaternion, quat_conj, quat_log, quat_mul, quat_to_matrix, so3_exp
 from infocal.imu import (
     ImuIntrinsics,
     ImuSample,
     NoiseModel,
+    StateStack,
     _bias_corrected_deltas,
     bias_walk_sigmas,
+    inertial_factor_blocks,
     inertial_weight,
     preintegrate,
     simulate_accel,
@@ -309,7 +314,7 @@ def evaluate_residuals(problem):
     residual[s_i[:, None] + np.arange(15)] = r_i
     residual[s_b[:, None] + np.arange(6)] = r_b
     W_i = inertial_weight(problem.preintegrated) if k0.size else []
-    W_b = [np.diag(w) for w in bias_walk_sigmas(problem.noise, np.array([f.dt for f in problem.bridge_factors])) ** -2.0]
+    W_b = [np.diag(w) for w in bias_walk_sigmas(problem.noise, problem.bridge_factors["dt"]) ** -2.0]
     weights += sorted([*zip(s_i.tolist(), W_i), *zip(s_b.tolist(), W_b)], key=lambda e: e[0])
 
     data = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
@@ -317,7 +322,44 @@ def evaluate_residuals(problem):
     return ResidualEvaluation(residual, weights, J, int((~valid).sum()))
 
 
+def quat_rotate(q, p):
+    """Rotate point(s) p by quaternion(s) q, stored (w, x, y, z)."""
+    return np.einsum("...ij,...j->...i", quat_to_matrix(q), np.asarray(p, dtype=float))
+
+
+def quat_local(q_ref, q):
+    """Tangent delta with quat_retract(q_ref, delta) == q."""
+    return quat_log(quat_mul(quat_conj(q_ref), q))
+
+
+def apply(T: Transform, p):
+    """T_AB applied to point(s) p given in frame B."""
+    return quat_rotate(T.rotation.wxyz, p) + T.translation
+
+
+def identity_transform():
+    return Transform(UnitQuaternion.identity(), np.zeros(3))
+
+
 def invert(T: Transform) -> Transform:
     """Reference inverse of a rigid transform."""
-    rot = T.rotation.conjugate()
-    return Transform(rot, -rot.rotate(T.translation))
+    rot = UnitQuaternion.from_array(quat_conj(T.rotation.wxyz))
+    return Transform(rot, -quat_rotate(rot.wxyz, T.translation))
+
+
+def delta_rotation(pre) -> UnitQuaternion:
+    """The preintegrated rotation of one interval as a UnitQuaternion."""
+    return UnitQuaternion.from_matrix(pre.delta_rotation_matrix)
+
+
+def inertial_error(x_k, x_k1, pre, gravity):
+    """15-residual (rot, vel, pos, gyro-bias walk, accel-bias walk) + weight
+    of one inertial factor.
+
+    x_k and x_k1 expose q_GI, p_GI, v_GI, b_a, b_g.  The weight is the
+    inverse of blockdiag(preintegration covariance, bias random-walk
+    covariances over the interval).  A batch of one for
+    inertial_factor_blocks.
+    """
+    r = inertial_factor_blocks(StateStack.of([x_k]), StateStack.of([x_k1]), pre[None], gravity)[0]
+    return r[0], inertial_weight(pre)

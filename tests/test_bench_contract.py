@@ -3,14 +3,16 @@
 bench/run.py wraps each (module, attribute) of its TRACED table with a
 tracer, which raises AttributeError for a missing name; bench/sim.py
 imports infocal names and bench/workloads.py calls them as module
-attributes.  Those files are read with ast, not imported: run.py pins BLAS
-environment variables when it is imported.  bench/workloads.py is
+attributes, and every keyword argument either passes must be a parameter
+of the callable it is passed to.  Those files are read with ast, not
+imported: run.py pins BLAS environment variables when it is imported.  bench/workloads.py is
 imported to run its problem_shape and cost_per_dof, which read the fields
 of built problems, on problems from both builders.
 """
 
 import ast
 import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -73,6 +75,44 @@ def test_workload_calls_resolve():
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
             module = importlib.import_module(aliases[node.value.id])
             assert hasattr(module, node.attr), "%s.%s" % (module.__name__, node.attr)
+
+
+def _infocal_names(tree):
+    """Local name -> infocal object, for each `from infocal import <module>
+    [as name]` and `from infocal.<module> import <name>`."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "infocal":
+            for a in node.names:
+                if node.module == "infocal":
+                    names[a.asname or a.name] = importlib.import_module("infocal." + a.name)
+                else:
+                    names[a.asname or a.name] = getattr(importlib.import_module(node.module), a.name)
+    return names
+
+
+@pytest.mark.parametrize("name", ["workloads.py", "sim.py"])
+def test_keyword_arguments_are_parameters(name):
+    tree = _tree(name)
+    names = _infocal_names(tree)
+    checked = 0
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        head, *attrs = ast.unparse(node.func).split(".")
+        if head not in names:
+            continue
+        target = names[head]
+        for attr in attrs:
+            target = getattr(target, attr)
+        params = inspect.signature(target).parameters
+        if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()):
+            continue
+        for k in node.keywords:
+            if k.arg is not None:
+                assert k.arg in params, "%s: %s(%s=...)" % (name, ast.unparse(node.func), k.arg)
+                checked += 1
+    assert checked
 
 
 def _batch(sc):

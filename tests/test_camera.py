@@ -13,7 +13,7 @@ from infocal.camera import (
 )
 from infocal.geometry import Transform, UnitQuaternion, quat_to_matrix, so3_hat
 
-from support import invert
+from support import apply, identity_transform, invert
 
 W_REF = 0.9203
 
@@ -54,7 +54,7 @@ def predict_observation(T_IG_k, T_CI, l_G, intr):
     """Reference pixel prediction of a global landmark from keyframe k:
     T_IG_k maps global coordinates into the IMU frame, T_CI the IMU frame
     into the camera frame."""
-    return project(T_CI.apply(T_IG_k.apply(np.asarray(l_G, dtype=float))), intr)
+    return project(apply(T_CI, apply(T_IG_k, np.asarray(l_G, dtype=float))), intr)
 
 
 def predict(T_GIs, T_CI, l_Gs, intr):
@@ -71,7 +71,7 @@ def observe(l_C, intr):
     """camera_factor_blocks' (uv, valid) for camera-frame points: keyframe,
     IMU and camera frames all at the origin."""
     l_C = np.asarray(l_C, dtype=float).reshape(-1, 3)
-    return predict([Transform.identity()] * len(l_C), Transform.identity(), l_C, intr)
+    return predict([identity_transform()] * len(l_C), identity_transform(), l_C, intr)
 
 
 class TestDistortionFactor:
@@ -193,21 +193,21 @@ def random_config(rng):
     T_CI = Transform(UnitQuaternion.from_array(qe / np.linalg.norm(qe)), rng.uniform(-0.05, 0.05, 3))
     # landmark drawn in front of the camera, then mapped to global coords
     l_C = np.array([rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8), rng.uniform(0.5, 5.0)])
-    l_I = invert(T_CI).apply(l_C)
-    l_G = T_GI.apply(l_I)
+    l_I = apply(invert(T_CI), l_C)
+    l_G = apply(T_GI, l_I)
     return T_GI, T_CI, l_G
 
 
 class TestPredictObservation:
     def test_identity(self):
         intr = default_intr()
-        uv, _ = predict([Transform.identity()], Transform.identity(), [0, 0, 1.0], intr)
+        uv, _ = predict([identity_transform()], identity_transform(), [0, 0, 1.0], intr)
         np.testing.assert_allclose(uv[0], intr.c, atol=1e-12)
 
     def test_translation_chain(self):
         intr = default_intr()
         T_GI = Transform(UnitQuaternion.identity(), [0.0, 0.0, -1.0])
-        uv, _ = predict([T_GI], Transform.identity(), [0, 0, 1.0], intr)
+        uv, _ = predict([T_GI], identity_transform(), [0, 0, 1.0], intr)
         np.testing.assert_allclose(uv[0], project([0.0, 0.0, 2.0], intr), atol=1e-12)
 
     def test_compositional_oracle(self):
@@ -216,7 +216,7 @@ class TestPredictObservation:
         for _ in range(25):
             T_GI, T_CI, l_G = random_config(rng)
             uv, valid = predict([T_GI], T_CI, l_G, intr)
-            l_C = T_CI.apply(invert(T_GI).apply(l_G))
+            l_C = apply(T_CI, apply(invert(T_GI), l_G))
             assert valid.all()
             np.testing.assert_allclose(uv[0], project(l_C, intr), atol=1e-10)
 
@@ -275,8 +275,8 @@ def projection_jacobians(T_IG_k: Transform, T_CI: Transform, l_G, intr: CameraIn
       duv_dintr: 2x5 wrt (f_x, f_y, c_x, c_y, w).
     """
     l_G = np.asarray(l_G, dtype=float).reshape(3)
-    l_I = T_IG_k.apply(l_G)
-    l_C = T_CI.apply(l_I)
+    l_I = apply(T_IG_k, l_G)
+    l_C = apply(T_CI, l_I)
     if l_C[2] <= 0.0:
         raise ValueError("point behind camera: z=%g" % l_C[2])
     _, A, duv_df, duv_dw = _uv_core_jacobians(l_C, intr)
@@ -308,7 +308,7 @@ class TestProjectionJacobians:
     def test_axis_point_focal_block(self):
         intr = default_intr()
         _, _, _, J_intr = projection_jacobians(
-            Transform.identity(), Transform.identity(), [0.0, 0.0, 2.0], intr
+            identity_transform(), identity_transform(), [0.0, 0.0, 2.0], intr
         )
         np.testing.assert_allclose(J_intr[:, :2], 0.0, atol=1e-12)
 

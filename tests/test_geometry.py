@@ -6,7 +6,6 @@ from infocal.geometry import (
     matrix_to_quat,
     quat_conj,
     quat_exp,
-    quat_local,
     quat_log,
     quat_mul,
     quat_retract,
@@ -16,7 +15,7 @@ from infocal.geometry import (
     so3_right_jacobian_inv,
 )
 
-from support import invert
+from support import apply, identity_transform, invert, quat_local, quat_rotate
 
 
 def random_quat(rng):
@@ -30,25 +29,25 @@ def random_transform(rng, scale=1.0):
 
 def compose(T_AB, T_BC):
     """Reference T_AC, whose apply chains T_AB.apply after T_BC.apply."""
-    rot = T_AB.rotation.multiply(T_BC.rotation)
-    return Transform(rot, T_AB.rotation.rotate(T_BC.translation) + T_AB.translation)
+    rot = UnitQuaternion.from_array(quat_mul(T_AB.rotation.wxyz, T_BC.rotation.wxyz))
+    return Transform(rot, apply(T_AB, T_BC.translation))
 
 
 class TestTransformPoint:
     def test_identity(self):
-        T = Transform.identity()
-        np.testing.assert_allclose(T.apply([1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
+        T = identity_transform()
+        np.testing.assert_allclose(apply(T, [1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
 
     def test_pure_translation(self):
         T = Transform(UnitQuaternion.identity(), [0.0, 0.0, 1.0])
-        np.testing.assert_allclose(T.apply([0.0, 0.0, 0.0]), [0.0, 0.0, 1.0])
+        np.testing.assert_allclose(apply(T, [0.0, 0.0, 0.0]), [0.0, 0.0, 1.0])
 
     def test_yaw_90(self):
         # Hand-evaluated rotation matrix for +90 deg about z:
         # [[0,-1,0],[1,0,0],[0,0,1]] maps (1,0,0) to (0,1,0).
         q = UnitQuaternion.from_rotation_vector([0.0, 0.0, np.pi / 2])
         T = Transform(q, np.zeros(3))
-        np.testing.assert_allclose(T.apply([1.0, 0.0, 0.0]), [0.0, 1.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(apply(T, [1.0, 0.0, 0.0]), [0.0, 1.0, 0.0], atol=1e-12)
         oracle = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         np.testing.assert_allclose(q.matrix(), oracle, atol=1e-12)
 
@@ -57,14 +56,14 @@ class TestTransformPoint:
         for _ in range(50):
             q = random_quat(rng)
             p = rng.standard_normal(3)
-            np.testing.assert_allclose(np.linalg.norm(q.rotate(p)), np.linalg.norm(p), atol=1e-12)
+            np.testing.assert_allclose(np.linalg.norm(quat_rotate(q.wxyz, p)), np.linalg.norm(p), atol=1e-12)
 
 
 class TestCompose:
     def test_identity(self):
         rng = np.random.default_rng(0)
         T = random_transform(rng)
-        C = compose(Transform.identity(), T)
+        C = compose(identity_transform(), T)
         np.testing.assert_allclose(C.rotation.wxyz, T.rotation.wxyz, atol=1e-12)
         np.testing.assert_allclose(C.translation, T.translation, atol=1e-12)
 
@@ -72,7 +71,7 @@ class TestCompose:
         rng = np.random.default_rng(1)
         T = random_transform(rng)
         C = compose(T, invert(T))
-        np.testing.assert_allclose(abs(C.rotation.w), 1.0, atol=1e-9)
+        np.testing.assert_allclose(abs(C.rotation.wxyz[0]), 1.0, atol=1e-9)
         np.testing.assert_allclose(C.translation, np.zeros(3), atol=1e-9)
 
     def test_pointwise_oracle(self):
@@ -82,8 +81,8 @@ class TestCompose:
         T_bc = random_transform(rng)
         T_ac = compose(T_ab, T_bc)
         pts = rng.standard_normal((100, 3))
-        chained = T_ab.apply(T_bc.apply(pts))
-        np.testing.assert_allclose(T_ac.apply(pts), chained, atol=1e-9)
+        chained = apply(T_ab, apply(T_bc, pts))
+        np.testing.assert_allclose(apply(T_ac, pts), chained, atol=1e-9)
 
     def test_associativity(self):
         rng = np.random.default_rng(3)
@@ -92,7 +91,7 @@ class TestCompose:
             left = compose(compose(A, B), C)
             right = compose(A, compose(B, C))
             pts = rng.standard_normal((5, 3))
-            np.testing.assert_allclose(left.apply(pts), right.apply(pts), atol=1e-9)
+            np.testing.assert_allclose(apply(left, pts), apply(right, pts), atol=1e-9)
 
 
 class TestTangentSpace:
@@ -103,7 +102,7 @@ class TestTangentSpace:
             delta = rng.uniform(-1, 1, 3)
             delta *= rng.uniform(0.0, 0.1) / max(np.linalg.norm(delta), 1e-12)
             q2 = q.retract(delta)
-            np.testing.assert_allclose(q.local(q2), delta, atol=1e-9)
+            np.testing.assert_allclose(quat_local(q.wxyz, q2.wxyz), delta, atol=1e-9)
 
     def test_exp_log_roundtrip_raw(self):
         rng = np.random.default_rng(10)
@@ -150,7 +149,7 @@ class TestTangentSpace:
         q_neg = UnitQuaternion.from_array(-q.wxyz)
         assert q.angle_to(q_neg) < 1e-9
         p = rng.standard_normal(3)
-        np.testing.assert_allclose(q.rotate(p), q_neg.rotate(p), atol=1e-12)
+        np.testing.assert_allclose(quat_rotate(q.wxyz, p), quat_rotate(q_neg.wxyz, p), atol=1e-12)
 
 
 def _matrix_to_quat_loop(m):

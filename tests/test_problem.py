@@ -15,15 +15,17 @@ import pytest
 
 from infocal import imu
 from infocal.camera import FeatureObservation
-from infocal.geometry import UnitQuaternion, so3_exp
-from infocal.imu import ImuSample, inertial_error, inertial_error_jacobians, preintegrate
+from infocal.geometry import UnitQuaternion, quat_mul, quat_to_matrix, so3_exp
+from infocal.imu import ImuSample, inertial_error_jacobians, preintegrate
 from infocal.problem import (
     CALIB_DIM,
+    HUBER_THRESHOLD,
     KF_DIM,
     KeyframeState,
     Landmark,
     SolveOptions,
     _model_decrease,
+    _retract_problem,
     _slice_imu_stream,
     anchor_projectors,
     bridge_blocks,
@@ -38,7 +40,7 @@ from infocal.problem import (
 )
 
 import support
-from support import evaluate_residuals
+from support import evaluate_residuals, inertial_error, quat_local
 
 
 @pytest.fixture(scope="module")
@@ -154,7 +156,7 @@ class TestBuildBatch:
         assert sorted(f.times.shape[0] for f in prob.inertial_factors) == [11, 11, 11, 21]
         assert problem_cost(prob) < 1e-12
         for i, f in enumerate(prob.inertial_factors):
-            kf0, kf1 = prob.keyframes[f.k0], prob.keyframes[f.k1]
+            kf0, kf1 = keyframes[f.k0], keyframes[f.k1]
             samples = [s for s in scene.imu_stream if kf0.t - 1e-9 <= s.t <= kf1.t + 1e-9]
             ref = preintegrate(samples, prob.calibration.imu, (kf0.b_g, kf0.b_a), prob.noise)
             support.assert_same_preintegration(prob.preintegrated[i], ref)
@@ -195,9 +197,7 @@ class TestResidualEvaluation:
         prob = build_from_scene(scene)
         rng = np.random.default_rng(0)
         # perturb states so the residual is non-trivial
-        prob.keyframes = [
-            k.retract(rng.normal(scale=1e-3, size=KF_DIM)) for k in prob.keyframes
-        ]
+        prob.keyframes = prob.keyframes.retract(rng.normal(scale=1e-3, size=(len(prob.keyframes), KF_DIM)))
         ev = evaluate_residuals(prob)
         cost = 0.0
         for off, W in ev.weights:
@@ -208,7 +208,7 @@ class TestResidualEvaluation:
     def test_behind_camera_dropped_and_counted(self, scene):
         prob = build_from_scene(scene)
         # move one landmark far behind every camera
-        prob.landmarks[0] = Landmark(np.array([0.0, 0.0, -50.0]), prob.landmarks[0].id)
+        prob.landmarks = np.vstack([[0.0, 0.0, -50.0], prob.landmarks[1:]])
         ev = evaluate_residuals(prob)
         n_obs0 = int(np.sum(prob.camera_factors["lm"] == 0))
         assert n_obs0 > 0
@@ -222,12 +222,10 @@ class TestResidualEvaluation:
         prob = build_from_scene(sc)
         rng = np.random.default_rng(4)
         # move off the optimum so second-order terms are exercised
-        prob.keyframes = [k.retract(rng.normal(scale=2e-3, size=KF_DIM)) for k in prob.keyframes]
-        prob.landmarks = [
-            Landmark(lm.l_G + rng.normal(scale=2e-3, size=3), lm.id) for lm in prob.landmarks
-        ]
-        base_kf = list(prob.keyframes)
-        base_lm = list(prob.landmarks)
+        prob.keyframes = prob.keyframes.retract(rng.normal(scale=2e-3, size=(len(prob.keyframes), KF_DIM)))
+        prob.landmarks = prob.landmarks + rng.normal(scale=2e-3, size=(len(prob.landmarks), 3))
+        base_kf = prob.keyframes
+        base_lm = prob.landmarks
         base_cal = prob.calibration
         J = evaluate_residuals(prob).jacobian.toarray()
 
@@ -236,14 +234,9 @@ class TestResidualEvaluation:
         h = 1e-6
 
         def residual_at(delta):
-            prob.keyframes = [
-                k.retract(delta[i * KF_DIM : (i + 1) * KF_DIM]) for i, k in enumerate(base_kf)
-            ]
+            prob.keyframes = base_kf.retract(delta[: K * KF_DIM])
             lm0 = K * KF_DIM
-            prob.landmarks = [
-                Landmark(lm.l_G + delta[lm0 + 3 * i : lm0 + 3 * i + 3], lm.id)
-                for i, lm in enumerate(base_lm)
-            ]
+            prob.landmarks = base_lm + delta[lm0 : lm0 + 3 * L].reshape(L, 3)
             prob.calibration = base_cal.retract(delta[K * KF_DIM + 3 * L :])
             return evaluate_residuals(prob).residual
 
@@ -263,10 +256,8 @@ class TestInertialWhitening:
         # bias steps that grow along the trajectory leave non-zero gyro- and
         # accel-bias walk residuals on every inertial factor
         prob = build_from_scene(scene)
-        prob.keyframes = [
-            KeyframeState(k.q_GI, k.p_GI, k.v_GI, k.b_a + 1e-3 * i, k.b_g + 1e-4 * i, k.t)
-            for i, k in enumerate(prob.keyframes)
-        ]
+        x, i = prob.keyframes, np.arange(len(prob.keyframes))[:, None]
+        prob.keyframes = replace(x, b_a=x.b_a + 1e-3 * i, b_g=x.b_g + 1e-4 * i)
         refresh_preintegrations(prob)
         g = prob.noise.gravity_vector()
         # all factors in one pass against each factor through the batch-of-one adapters
@@ -274,7 +265,7 @@ class TestInertialWhitening:
         assert k0.tolist() == [f.k0 for f in prob.inertial_factors]
         assert k1.tolist() == [f.k1 for f in prob.inertial_factors]
         for i, f in enumerate(prob.inertial_factors):
-            x0, x1 = prob.keyframes[f.k0], prob.keyframes[f.k1]
+            x0, x1 = prob.keyframes.take(f.k0), prob.keyframes.take(f.k1)
             r, W = inertial_error(x0, x1, prob.preintegrated[i], g)
             assert np.all(r[9:15] != 0.0)
             assert 0.5 * rw[i] @ rw[i] == pytest.approx(0.5 * r @ W @ r, rel=1e-12)
@@ -288,7 +279,7 @@ class TestGaugeInvariance:
     def test_cost_invariant_under_gauge_transform(self, scene):
         prob = build_from_scene(scene)
         rng = np.random.default_rng(5)
-        prob.keyframes = [k.retract(rng.normal(scale=1e-3, size=KF_DIM)) for k in prob.keyframes]
+        prob.keyframes = prob.keyframes.retract(rng.normal(scale=1e-3, size=(len(prob.keyframes), KF_DIM)))
         c0 = problem_cost(prob)
         assert c0 > 1e-4
 
@@ -296,18 +287,9 @@ class TestGaugeInvariance:
         t = np.array([0.4, -1.2, 2.0])
         R_y = so3_exp(np.array([0.0, 0.0, yaw]))
         q_y = UnitQuaternion.from_matrix(R_y)
-        prob.keyframes = [
-            KeyframeState(
-                q_GI=q_y.multiply(k.q_GI),
-                p_GI=R_y @ k.p_GI + t,
-                v_GI=R_y @ k.v_GI,
-                b_a=k.b_a,
-                b_g=k.b_g,
-                t=k.t,
-            )
-            for k in prob.keyframes
-        ]
-        prob.landmarks = [Landmark(R_y @ lm.l_G + t, lm.id) for lm in prob.landmarks]
+        x = prob.keyframes
+        prob.keyframes = replace(x, q_GI=quat_mul(q_y.wxyz, x.q_GI), p_GI=x.p_GI @ R_y.T + t, v_GI=x.v_GI @ R_y.T)
+        prob.landmarks = prob.landmarks @ R_y.T + t
         c1 = problem_cost(prob)
         assert c1 == pytest.approx(c0, rel=1e-9)
 
@@ -334,10 +316,8 @@ class TestSolve:
     def test_accepted_costs_monotone(self, scene):
         prob = build_from_scene(scene)
         rng = np.random.default_rng(6)
-        prob.keyframes = [k.retract(rng.normal(scale=3e-3, size=KF_DIM)) for k in prob.keyframes]
-        prob.landmarks = [
-            Landmark(lm.l_G + rng.normal(scale=5e-3, size=3), lm.id) for lm in prob.landmarks
-        ]
+        prob.keyframes = prob.keyframes.retract(rng.normal(scale=3e-3, size=(len(prob.keyframes), KF_DIM)))
+        prob.landmarks = prob.landmarks + rng.normal(scale=5e-3, size=(len(prob.landmarks), 3))
         prob, report = solve(prob, SolveOptions(max_iters=40))
         hist = report.cost_history
         assert len(hist) >= 2
@@ -349,11 +329,11 @@ class TestSolve:
     def test_anchor_position_bitwise_unchanged(self, scene):
         prob = build_from_scene(scene)
         rng = np.random.default_rng(7)
-        prob.keyframes = [k.retract(rng.normal(scale=2e-3, size=KF_DIM)) for k in prob.keyframes]
-        p_anchor = prob.keyframes[0].p_GI.copy()
+        prob.keyframes = prob.keyframes.retract(rng.normal(scale=2e-3, size=(len(prob.keyframes), KF_DIM)))
+        p_anchor = prob.keyframes.p_GI[0].copy()
         prob, report = solve(prob, SolveOptions())
         assert report.final_cost < report.initial_cost
-        assert prob.keyframes[0].p_GI.tobytes() == p_anchor.tobytes()
+        assert prob.keyframes.p_GI[0].tobytes() == p_anchor.tobytes()
 
     @pytest.mark.parametrize("seed", [7, 8, 9])
     def test_anchor_rotation_step_has_no_yaw(self, scene, seed):
@@ -361,19 +341,52 @@ class TestSolve:
         # axis expressed in the anchor body frame
         prob = build_from_scene(scene)
         rng = np.random.default_rng(seed)
-        prob.keyframes = [k.retract(rng.normal(scale=2e-3, size=KF_DIM)) for k in prob.keyframes]
-        q0 = prob.keyframes[0].q_GI
-        u = q0.matrix().T @ np.array([0.0, 0.0, 1.0])
+        prob.keyframes = prob.keyframes.retract(rng.normal(scale=2e-3, size=(len(prob.keyframes), KF_DIM)))
+        q0 = prob.keyframes.q_GI[0]
+        u = quat_to_matrix(q0).T @ np.array([0.0, 0.0, 1.0])
         prob, report = solve(prob, SolveOptions(max_iters=1))
         assert len(report.cost_history) == 2
-        d = q0.local(prob.keyframes[0].q_GI)
+        d = quat_local(q0, prob.keyframes.q_GI[0])
         assert np.linalg.norm(d) > 0.0
         assert abs(u @ d) < 1e-6 * np.linalg.norm(d)
+
+    def test_solve_works_on_arrays_only(self, scene, monkeypatch):
+        # a solve builds no state records and restacks no states; it
+        # retracts into new arrays, leaving those it started from as they were
+        prob = build_from_scene(scene)
+        rng = np.random.default_rng(6)
+        prob.keyframes = prob.keyframes.retract(rng.normal(scale=3e-3, size=(len(prob.keyframes), KF_DIM)))
+        prob.landmarks = prob.landmarks + rng.normal(scale=5e-3, size=prob.landmarks.shape)
+        start = [*prob.keyframes.arrays(), prob.landmarks]
+        saved = [a.copy() for a in start]
+        calls = []
+        for cls in (KeyframeState, Landmark):
+            monkeypatch.setattr(cls, "__post_init__", lambda self, f=cls.__post_init__: calls.append(type(self)) or f(self))
+        of = imu.StateStack.of
+        monkeypatch.setattr(imu.StateStack, "of", classmethod(lambda cls, states: calls.append(cls) or of(states)))
+        prob, report = solve(prob, SolveOptions(max_iters=5))
+        assert len(report.cost_history) >= 2
+        assert calls == []
+        for a, b in zip(start, saved):
+            assert a.tobytes() == b.tobytes()
+        # the counters count: a record's retraction restacks and rebuilds it
+        scene.keyframes[0].retract(np.zeros(KF_DIM))
+        assert calls == [imu.StateStack, KeyframeState]
+
+    def test_non_finite_trial_rejected(self, scene):
+        prob = build_from_scene(scene)
+        zero = (np.zeros((len(prob.keyframes), KF_DIM)), np.zeros((len(prob.landmarks), 3)), np.zeros(CALIB_DIM))
+        assert _retract_problem(prob, zero) is not None
+        # a rotation, a position and a landmark delta that leave the reals
+        for part, index, value in ((0, (2, 0), np.nan), (0, (3, 4), np.inf), (1, (1, 2), np.nan)):
+            delta = [d.copy() for d in zero]
+            delta[part][index] = value
+            assert _retract_problem(prob, tuple(delta)) is None
 
     def test_fix_calibration(self, scene):
         prob = build_from_scene(scene)
         rng = np.random.default_rng(8)
-        prob.keyframes = [k.retract(rng.normal(scale=1e-3, size=KF_DIM)) for k in prob.keyframes]
+        prob.keyframes = prob.keyframes.retract(rng.normal(scale=1e-3, size=(len(prob.keyframes), KF_DIM)))
         cal_before = prob.calibration
         prob, report = solve(prob, SolveOptions(fix_calibration=True, max_iters=60))
         assert prob.calibration is cal_before
@@ -393,7 +406,7 @@ class TestLevenbergMarquardtModel:
         prob = build_segment_problem(segs, scene.calibration, scene.noise)
         assert len(prob.bridge_factors) == 1
         rng = np.random.default_rng(14)
-        prob.keyframes = [k.retract(rng.normal(scale=1e-3, size=KF_DIM)) for k in prob.keyframes]
+        prob.keyframes = prob.keyframes.retract(rng.normal(scale=1e-3, size=(len(prob.keyframes), KF_DIM)))
         ev = evaluate_residuals(prob)
         K, L = len(prob.keyframes), len(prob.landmarks)
         delta = (
@@ -414,8 +427,8 @@ class TestHuber:
         obs[7] = replace(obs[7], uv=obs[7].uv + np.array([40.0, 0.0]))
         prob = build_batch_problem(scene.keyframes, scene.landmarks, obs, scene.imu_stream, scene.calibration, scene.noise)
         rng = np.random.default_rng(15)
-        prob.keyframes = [k.retract(rng.normal(scale=1e-3, size=KF_DIM)) for k in prob.keyframes]
-        k = SolveOptions().huber_threshold
+        prob.keyframes = prob.keyframes.retract(rng.normal(scale=1e-3, size=(len(prob.keyframes), KF_DIM)))
+        k = HUBER_THRESHOLD
         prob, report = solve(prob, SolveOptions(huber=True, max_iters=20))
         hist = report.cost_history
         assert len(hist) >= 2
@@ -504,7 +517,7 @@ class TestSegmentProblem:
         assert len(segprob.partitions) == 1
         assert len(segprob.keyframes) == len(batch.keyframes)
         assert len(segprob.inertial_factors) == len(batch.inertial_factors)
-        assert not segprob.bridge_factors
+        assert len(segprob.bridge_factors) == 0
         c_batch = problem_cost(batch)
         c_seg = problem_cost(segprob)
         assert c_seg == pytest.approx(c_batch, rel=1e-12, abs=1e-18)
@@ -515,9 +528,9 @@ class TestSegmentProblem:
         segs = support.scene_segments(scene, kf_per_segment=3)
         segprob = build_segment_problem(segs, scene.calibration, scene.noise)
         rng = np.random.default_rng(10)
-        deltas = [rng.normal(scale=1e-3, size=KF_DIM) for _ in batch.keyframes]
-        batch.keyframes = [k.retract(d) for k, d in zip(batch.keyframes, deltas)]
-        segprob.keyframes = [k.retract(d) for k, d in zip(segprob.keyframes, deltas)]
+        deltas = rng.normal(scale=1e-3, size=(len(batch.keyframes), KF_DIM))
+        batch.keyframes = batch.keyframes.retract(deltas)
+        segprob.keyframes = segprob.keyframes.retract(deltas)
         assert problem_cost(segprob) == pytest.approx(problem_cost(batch), rel=1e-12)
 
     def test_gap_becomes_bias_bridge(self, scene):
@@ -526,7 +539,7 @@ class TestSegmentProblem:
         assert len(segprob.bridge_factors) == 1
         br = segprob.bridge_factors[0]
         gap = scene.keyframes[4].t - scene.keyframes[1].t
-        assert br.dt == pytest.approx(gap)
+        assert br["dt"] == pytest.approx(gap)
         # full inertial factors only inside segments
         assert len(segprob.inertial_factors) == 2
 
@@ -536,13 +549,11 @@ class TestSegmentProblem:
         base = problem_cost(segprob)
         # shift the biases of the second block only
         db_g = np.array([3e-4, 0.0, 0.0])
-        new_kfs = list(segprob.keyframes)
-        for i in range(2, 4):
-            k = new_kfs[i]
-            new_kfs[i] = KeyframeState(k.q_GI, k.p_GI, k.v_GI, k.b_a, k.b_g + db_g, k.t)
-        segprob.keyframes = new_kfs
+        shift = np.zeros((len(segprob.keyframes), 3))
+        shift[2:4] = db_g
+        segprob.keyframes = replace(segprob.keyframes, b_g=segprob.keyframes.b_g + shift)
         br = segprob.bridge_factors[0]
-        expected = 0.5 * float(db_g @ db_g) / (scene.noise.sigma_bg**2 * br.dt)
+        expected = 0.5 * float(db_g @ db_g) / (scene.noise.sigma_bg**2 * br["dt"])
         got = problem_cost(segprob)
         # the bridge term dominates; the second segment's internal factor
         # re-preintegrates at the shifted bias and leaks a ~1e-4 relative
@@ -560,9 +571,9 @@ class TestSegmentProblem:
         [(a_batch, _, u_batch)] = anchor_projectors(batch)
         assert a_seg == a_batch and np.array_equal(u_seg, u_batch)
         rng = np.random.default_rng(10)
-        deltas = [rng.normal(scale=1e-3, size=KF_DIM) for _ in batch.keyframes]
-        batch.keyframes = [k.retract(d) for k, d in zip(batch.keyframes, deltas)]
-        segprob.keyframes = [k.retract(d) for k, d in zip(segprob.keyframes, deltas)]
+        deltas = rng.normal(scale=1e-3, size=(len(batch.keyframes), KF_DIM))
+        batch.keyframes = batch.keyframes.retract(deltas)
+        segprob.keyframes = segprob.keyframes.retract(deltas)
         assert problem_cost(segprob) == problem_cost(batch)
 
     def test_unknown_keyframe_raises(self, scene):
@@ -631,8 +642,8 @@ class TestSegmentProblem:
                 ref.append((kf, lm, o.uv, o.sigma))
         ref.sort(key=lambda row: row[:2])
 
-        assert [lm.id for lm in prob.landmarks].count(9) == 2
-        assert [lm.id for lm in prob.landmarks] == [lid for _, lid in lm_local]
+        assert prob.landmark_ids.tolist().count(9) == 2
+        assert prob.landmark_ids.tolist() == [lid for _, lid in lm_local]
         assert prob.keyframe_ids == [kid for _, kid in kf_local]
         assert len(prob.camera_factors) == len(ref)
         for row, (kf, lm, uv, sigma) in zip(prob.camera_factors, ref):
@@ -654,12 +665,29 @@ class TestSegmentProblem:
         assert prob.keyframe_ids == [0, 1, 2, 0, 1, 2]
         assert [a for a, _, _ in anchor_projectors(prob)] == [0, 3]
         rng = np.random.default_rng(17)
-        prob.keyframes = [k.retract(rng.normal(scale=1e-3, size=KF_DIM)) for k in prob.keyframes]
-        p_anchors = [prob.keyframes[a].p_GI.copy() for a in (0, 3)]
+        prob.keyframes = prob.keyframes.retract(rng.normal(scale=1e-3, size=(len(prob.keyframes), KF_DIM)))
+        p_anchors = [prob.keyframes.p_GI[a].copy() for a in (0, 3)]
         prob, report = solve(prob, SolveOptions(max_iters=3))
         assert report.final_cost < report.initial_cost
         for a, p in zip((0, 3), p_anchors):
-            assert prob.keyframes[a].p_GI.tobytes() == p.tobytes()
+            assert prob.keyframes.p_GI[a].tobytes() == p.tobytes()
+
+    def test_non_finite_landmark_raises(self, scene):
+        segs = support.scene_segments(scene, kf_per_segment=3)
+        landmark = next(iter(segs[0].landmark_ids))
+        segs[0].landmarks = {**segs[0].landmarks, landmark: np.array([np.nan, 0.0, 3.0])}
+        with pytest.raises(ValueError, match="landmark coordinates must be finite"):
+            build_segment_problem(segs, scene.calibration, scene.noise)
+
+    def test_bridge_gap_must_be_positive(self, scene):
+        # a later segment of the session whose keyframes start before the
+        # earlier segment ends
+        segs = support.scene_segments(scene, kf_per_segment=2, keep=[0, 2])
+        late = segs[1]
+        late.keyframes = [replace(k, t=k.t - 10.0) for k in late.keyframes]
+        late.imu_samples = [replace(s, t=s.t - 10.0) for s in late.imu_samples]
+        with pytest.raises(ValueError, match="segments 0 and 2: bridge gap must be positive"):
+            build_segment_problem(segs, scene.calibration, scene.noise)
 
     def test_overlapping_segments_raise(self, scene):
         segs = support.scene_segments(scene, kf_per_segment=3)
@@ -673,7 +701,7 @@ class TestSegmentProblem:
         # both segments observe the same wall, so sharing merges them
         assert len(segprob.partitions) == 1
         rng = np.random.default_rng(11)
-        segprob.keyframes = [k.retract(rng.normal(scale=1e-3, size=KF_DIM)) for k in segprob.keyframes]
+        segprob.keyframes = segprob.keyframes.retract(rng.normal(scale=1e-3, size=(len(segprob.keyframes), KF_DIM)))
         segprob, report = solve(segprob, SolveOptions(max_iters=60))
         assert report.final_cost < 1e-7
 
@@ -683,9 +711,9 @@ class TestSegmentProblem:
         prob = build_segment_problem(segs, scene.calibration, scene.noise)
         assert len(prob.bridge_factors) == 1
         rng = np.random.default_rng(13)
-        prob.keyframes = [k.retract(rng.normal(scale=1e-3, size=KF_DIM)) for k in prob.keyframes]
-        base_kf = list(prob.keyframes)
-        base_lm = list(prob.landmarks)
+        prob.keyframes = prob.keyframes.retract(rng.normal(scale=1e-3, size=(len(prob.keyframes), KF_DIM)))
+        base_kf = prob.keyframes
+        base_lm = prob.landmarks
         base_cal = prob.calibration
         J = evaluate_residuals(prob).jacobian.toarray()
 
@@ -694,14 +722,9 @@ class TestSegmentProblem:
         h = 1e-6
 
         def residual_at(delta):
-            prob.keyframes = [
-                k.retract(delta[i * KF_DIM : (i + 1) * KF_DIM]) for i, k in enumerate(base_kf)
-            ]
+            prob.keyframes = base_kf.retract(delta[: K * KF_DIM])
             lm0 = K * KF_DIM
-            prob.landmarks = [
-                Landmark(lm.l_G + delta[lm0 + 3 * i : lm0 + 3 * i + 3], lm.id)
-                for i, lm in enumerate(base_lm)
-            ]
+            prob.landmarks = base_lm + delta[lm0 : lm0 + 3 * L].reshape(L, 3)
             prob.calibration = base_cal.retract(delta[K * KF_DIM + 3 * L :])
             return evaluate_residuals(prob).residual
 
@@ -728,6 +751,6 @@ class TestSegmentProblem:
         assert len(segprob.bridge_factors) == 1
         assert problem_cost(segprob) < 1e-12
         rng = np.random.default_rng(12)
-        segprob.keyframes = [k.retract(rng.normal(scale=1e-3, size=KF_DIM)) for k in segprob.keyframes]
+        segprob.keyframes = segprob.keyframes.retract(rng.normal(scale=1e-3, size=(len(segprob.keyframes), KF_DIM)))
         segprob, report = solve(segprob, SolveOptions(max_iters=60))
         assert report.final_cost < 1e-7
