@@ -5,15 +5,15 @@ measured through the marginal covariance of the calibration parameters in
 that segment's own estimation problem.  The chain is:
 
     whitened Jacobian over [keyframe columns | calibration columns],
-    with the gauge of problem.anchor_projectors applied as in the solver
+    in the gauge of problem.gauged_blocks
       -> QR  ->  trailing 26x26 triangle R22  ->  Sigma = R22^-1 R22^-T
       -> normalization by reference sigmas  ->  scalar criteria
 
-The gauge: each anchor's rotation columns are projected perpendicular to
-its gravity axis u and its position columns cleared, and four unit rows
-(u on the rotation columns, one per position axis) restore the rank.  No
-data row touches those four directions, so R22 is that of the gauge-free
-parametrization.
+The gauge is the solver's: the blocks come with each anchor's rotation
+columns projected perpendicular to its gravity axis u and its position
+columns cleared, and scoring only appends four unit rows per anchor (u on
+the rotation columns, one per position axis).  No data row touches those
+four directions, so R22 is that of the gauge-free parametrization.
 
 Landmark columns are eliminated first: each landmark's 2n x 3 Jacobian
 (n observations) is factored on its own, batched over the landmarks with
@@ -23,12 +23,12 @@ seen once leaves no rows and carries no calibration information.
 
 The camera rows left touch only the 6 pose coordinates of their keyframes
 and the 11 camera calibration coordinates (CAM_BLOCK), never velocity,
-biases or IMU intrinsics.  One QR over those 6K + 11 columns (K keyframes)
-reduces them to a triangle of at most 6K + 11 rows before they meet the
-inertial, bridge and gauge rows, so the final QR of a segment has at most
-(6K + 11) + 15(K - 1) + 4 rows.  This is exact: left-multiplying a block of
-rows by an orthogonal matrix leaves R unchanged up to row signs, and the
-gauge is a column operation, which commutes with it.
+biases or IMU intrinsics; so do the gauge rows.  One QR over those 6K + 11
+columns (K keyframes) reduces camera and gauge rows to a triangle of at
+most 6K + 11 rows before they meet the inertial and bridge rows, so the
+final QR of a segment has at most (6K + 11) + 15(K - 1) rows.  This is
+exact: left-multiplying a block of rows by an orthogonal matrix leaves R
+unchanged up to row signs.
 
 The scalar criteria on the normalized covariance: trace (a_opt),
 determinant (d_opt, log-domain internally), largest eigenvalue (e_opt),
@@ -51,9 +51,7 @@ from .problem import (
     KF_DIM,
     POSE_DIM,
     anchor_projectors,
-    bridge_blocks,
-    camera_blocks,
-    inertial_blocks,
+    gauged_blocks,
     refresh_preintegrations,
 )
 
@@ -139,28 +137,33 @@ def _place_blocks(rows, cols, J):
     np.put_along_axis(rows, cols[:, None, None] + np.arange(J.shape[2]), J, axis=2)
 
 
-def _eliminate_landmarks(problem):
+def _camera_triangle(problem, cam, anchors):
     """The camera rows left after eliminating every landmark's three
-    columns, reduced to one triangle over [keyframe pose columns (6 per
-    keyframe) | CAM_BLOCK]; and the |diagonal| of each landmark's
-    triangle, for the rank test, as one array per observation count.
+    columns, with the gauge's four unit rows per anchor, reduced to one
+    triangle over [keyframe pose columns (6 per keyframe) | CAM_BLOCK];
+    and the |diagonal| of each landmark's triangle, for the rank test, as
+    one array per observation count.
 
-    Each landmark's 2n x 3 Jacobian (n observations) is factored on its
-    own, batched over the landmarks seen n times; the rows orthogonal to
-    its columns say what the landmark tells about keyframes and
-    calibration, untouched by eliminating it first.  A landmark seen once
-    leaves no rows.  The rows left touch no other column, and one QR
-    reduces them to at most 6K + 11 rows.
+    cam are the gauged camera blocks.  Each landmark's 2n x 3 Jacobian (n
+    observations) is factored on its own, batched over the landmarks seen
+    n times; the rows orthogonal to its columns say what the landmark
+    tells about keyframes and calibration, untouched by eliminating it
+    first.  A landmark seen once leaves no rows.  The rows left touch no
+    other column, and one QR reduces them to at most 6K + 11 rows.  The
+    gauge rows touch only anchor pose columns; without them the anchor's
+    gauged columns are rank-deficient, and the non-pivoted QR's pivot on
+    rounding noise costs accuracy (2-4x on ill-conditioned segments).
     """
     n_pose = len(problem.keyframes) * POSE_DIM
     n_cols = n_pose + CAM_BLOCK.stop
-    _, Jp, Jl, Jth, _ = camera_blocks(problem)
+    _, Jp, Jl, Jth, _ = cam
     ki = problem.camera_factors["kf"]
     counts = np.bincount(problem.camera_factors["lm"], minlength=len(problem.landmarks))
     by_landmark = np.argsort(problem.camera_factors["lm"], kind="stable")
     first = np.concatenate([[0], np.cumsum(counts)[:-1]])
     # a landmark seen n >= 2 times leaves 2n - 3 rows, one seen once none
-    out = np.empty((int(np.maximum(2 * counts - 3, 0).sum()), n_cols))
+    n_rows = int(np.maximum(2 * counts - 3, 0).sum())
+    out = np.zeros((n_rows + 4 * len(anchors), n_cols))
     diag_values = []
     row = 0
     for n in np.unique(counts[counts >= 2]):
@@ -174,6 +177,9 @@ def _eliminate_landmarks(problem):
         rest = (np.swapaxes(Q[:, :, 3:], -1, -2) @ rows.reshape(-1, 2 * n, n_cols)).reshape(-1, n_cols)
         out[row : row + len(rest)] = rest
         row += len(rest)
+    for (a, _, u), gauge in zip(anchors, out[n_rows:].reshape(-1, 4, n_cols)):
+        gauge[0, a * POSE_DIM : a * POSE_DIM + 3] = u
+        gauge[1:, a * POSE_DIM + 3 : a * POSE_DIM + 6] = np.eye(3)
     R = scipy.linalg.qr(out, mode="r", overwrite_a=True, check_finite=False)[0][:n_cols]
     return R, diag_values
 
@@ -185,14 +191,11 @@ def segment_marginal_covariance(problem):
     K = len(problem.keyframes)
     th0 = K * KF_DIM
     n_cols = th0 + CALIB_DIM
-    k0, k1, _, J0, J1, Jthi = inertial_blocks(problem)
-    b0, b1, _, B0, B1 = bridge_blocks(problem)
-    anchors = anchor_projectors(problem)
-    R_cam, diag_values = _eliminate_landmarks(problem)
+    cam, (k0, k1, _, J0, J1, Jthi), (b0, b1, _, B0, B1) = gauged_blocks(problem)
+    R_cam, diag_values = _camera_triangle(problem, cam, anchor_projectors(problem))
     n_cam = R_cam.shape[0]
     n_inertial = 15 * k0.size
-    n_data = n_cam + n_inertial + 6 * b0.size
-    A = np.zeros((n_data + 4 * len(anchors), n_cols))
+    A = np.zeros((n_cam + n_inertial + 6 * b0.size, n_cols))
     if A.shape[0] < n_cols:
         return _deficient_covariance()
 
@@ -202,16 +205,9 @@ def segment_marginal_covariance(problem):
     _place_blocks(inertial, k0 * KF_DIM, J0)
     _place_blocks(inertial, k1 * KF_DIM, J1)
     inertial[:, :, th0 + IMU_BLOCK.start : th0 + IMU_BLOCK.stop] = Jthi
-    bridge = A[n_cam + n_inertial : n_data].reshape(-1, 6, n_cols)
+    bridge = A[n_cam + n_inertial :].reshape(-1, 6, n_cols)
     _place_blocks(bridge, b0 * KF_DIM, B0)
     _place_blocks(bridge, b1 * KF_DIM, B1)
-    gauge = A[n_data:].reshape(-1, 4, n_cols)
-    for (a, P, u), rows in zip(anchors, gauge):
-        rot, pos = slice(a * KF_DIM, a * KF_DIM + 3), slice(a * KF_DIM + 3, a * KF_DIM + 6)
-        A[:, rot] = A[:, rot] @ P
-        A[:, pos] = 0.0
-        rows[0, rot] = u
-        rows[1:, pos] = np.eye(3)
 
     R = scipy.linalg.qr(A, mode="r", check_finite=False)[0][:n_cols, :]
     diag_values = np.concatenate(diag_values + [np.abs(np.diag(R))])

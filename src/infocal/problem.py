@@ -23,18 +23,20 @@ Rotation deltas act by right-multiplied exponential retraction.
 Gauge freedom (global translation plus rotation about gravity, per
 partition) is fixed at each partition's anchor keyframe, and only there:
 its position is held fixed and its rotation delta is projected to remove
-the component about the world gravity axis (anchor_projectors).  Solver
-and scoring apply this one rule in one form: the anchor rotation columns
-are projected, the anchor position columns cleared, and unit information
-is added on the gravity axis and on the three position axes, columns that
-no data row touches.
+the component about the world gravity axis (anchor_projectors).  The gauge
+is applied once, to the whitened Jacobian blocks (gauged_blocks): each
+anchor's rotation columns are projected and its position columns cleared.
+Solver and scoring then add unit information on the gravity axis and on
+the three position axes, the four directions no data row touches.
 
-The solver is Levenberg-Marquardt on the whitened residuals.  Landmarks
-are eliminated per partition by dense Schur complement, then the
-partition's interior keyframes; keyframes touched by a cross-partition
-bias bridge survive into a small dense system over [calibration |
-boundary keyframes] that is solved last, after which everything
-back-substitutes.
+The solver is Levenberg-Marquardt on the whitened residuals.  Each trial
+eliminates the landmarks per partition by dense Schur complement into the
+keyframe block, held as one LAPACK lower band over all keyframes whose
+half-bandwidth is the widest keyframe span of a partition, an inertial
+factor or a bias bridge; a bridge is an ordinary pair factor in that band,
+within a partition or across two.  One banded Cholesky factors the
+keyframes, the calibration is reduced onto a dense 26x26 system, and
+keyframes and landmarks back-substitute.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 
 from . import camera as cam
 from . import imu as im
@@ -446,12 +449,15 @@ def build_segment_problem(segments, calib_init, noise, max_shared=10):
     for s, first_kf in zip(segs, first):
         p_idx = seg_partition[s.id]
         ids = sorted(s.landmark_ids)
-        for lid in ids:
-            if (p_idx, lid) not in lm_local:
-                lm_local[(p_idx, lid)] = len(positions)
-                positions.append(s.landmarks[lid])
-                landmark_ids.append(lid)
-                lm_part.append(p_idx)
+        listed = np.array([s.landmarks[lid] for lid in ids], dtype=float).reshape(len(ids), LM_DIM)
+        if not np.isfinite(listed).all():
+            raise ValueError(f"segment {s.id}: landmark coordinates must be finite")
+        new = [i for i, lid in enumerate(ids) if (p_idx, lid) not in lm_local]
+        for i in new:
+            lm_local[(p_idx, ids[i])] = len(landmark_ids)
+            landmark_ids.append(ids[i])
+            lm_part.append(p_idx)
+        positions.append(listed[new])
         cols = np.array([lm_local[(p_idx, lid)] for lid in ids], dtype=int)
         rows = [(o.keyframe_id, o.landmark_id, o.uv, o.sigma) for o in s.observations]
         obs = np.array(rows, dtype=CAMERA_FACTOR_DTYPE)
@@ -461,9 +467,7 @@ def build_segment_problem(segments, calib_init, noise, max_shared=10):
         cam_factors.append(obs)
     cam_factors = np.concatenate(cam_factors)
     cam_factors = cam_factors[np.lexsort((cam_factors["lm"], cam_factors["kf"]))]
-    landmarks = np.array(positions, dtype=float).reshape(len(positions), LM_DIM)
-    if not np.isfinite(landmarks).all():
-        raise ValueError("landmark coordinates must be finite")
+    landmarks = np.concatenate(positions)
 
     # one slicing pass per segment stream: its own intervals, then the joint
     # interval into a temporally adjacent successor, through which its IMU
@@ -522,13 +526,13 @@ def refresh_preintegrations(problem):
     )
 
 
-def camera_blocks(problem, whiten=True):
-    """Residuals and Jacobian blocks of all camera factors.
+def camera_blocks(problem):
+    """Whitened residuals and Jacobian blocks of all camera factors.
 
     Returns (r, J_pose, J_lm, J_theta, valid) stacked over the factors;
     J_pose covers the keyframe pose coords [0:6], J_theta calibration
     coords [0:11].  Rows of behind-camera observations are zero.
-    Whitened by the pixel sigma, or raw.
+    Whitened by the pixel sigma.
     """
     calib = problem.calibration
     cf = problem.camera_factors
@@ -548,24 +552,20 @@ def camera_blocks(problem, whiten=True):
     )
     r = np.where(valid[:, None], uv_pred - cf["uv"], 0.0)
     J_theta = np.concatenate([J_intr, J_extr], axis=-1)
-    if whiten:
-        inv_sigma = 1.0 / cf["sigma"]
-        r = r * inv_sigma[:, None]
-        s3 = inv_sigma[:, None, None]
-        J_pose = J_pose * s3
-        J_l = J_l * s3
-        J_theta = J_theta * s3
-    return r, J_pose, J_l, J_theta, valid
+    inv_sigma = 1.0 / cf["sigma"]
+    s3 = inv_sigma[:, None, None]
+    return r * inv_sigma[:, None], J_pose * s3, J_l * s3, J_theta * s3, valid
 
 
-def inertial_blocks(problem, whiten=True):
-    """Residuals and Jacobian blocks of all inertial factors, in one pass.
+def inertial_blocks(problem):
+    """Whitened residuals and Jacobian blocks of all inertial factors, in
+    one pass.
 
     Returns (k0, k1, r, J0, J1, J_theta) stacked over the factors in
     factor order: the two keyframe indices, the 15-dim residuals, and their
     15x15 Jacobians wrt the two keyframes and wrt the IMU intrinsics
-    (calibration coords [11:26]).  Whitened by inertial_sqrt_information,
-    or raw.  Reads the preintegrations of the last refresh.
+    (calibration coords [11:26]).  Whitened by inertial_sqrt_information.
+    Reads the preintegrations of the last refresh.
     """
     k0, k1 = problem._inertial_k0, problem._inertial_k1
     if not k0.size:
@@ -574,25 +574,22 @@ def inertial_blocks(problem, whiten=True):
     x = problem.keyframes
     pre = problem.preintegrated
     r, J0, J1, Jth = im.inertial_factor_blocks(x.take(k0), x.take(k1), pre, problem.noise.gravity_vector())
-    if whiten:
-        A = im.inertial_sqrt_information(pre)
-        r = np.einsum("fij,fj->fi", A, r)
-        J0, J1, Jth = A @ J0, A @ J1, A @ Jth
-    return k0, k1, r, J0, J1, Jth
+    A = im.inertial_sqrt_information(pre)
+    return k0, k1, np.einsum("fij,fj->fi", A, r), A @ J0, A @ J1, A @ Jth
 
 
-def bridge_blocks(problem, whiten=True):
-    """Bias random-walk residuals of all bridges, rows (gyro, accel) like
-    inertial rows 9:15, with their keyframe Jacobians.
+def bridge_blocks(problem):
+    """Whitened bias random-walk residuals of all bridges, rows (gyro,
+    accel) like inertial rows 9:15, with their keyframe Jacobians.
 
     Returns (k0, k1, r, J0, J1) stacked over the bridges: the two keyframe
-    indices, the 6-dim residuals and their 6x15 Jacobians; whitened or raw.
+    indices, the 6-dim residuals and their 6x15 Jacobians.
     """
     bf = problem.bridge_factors
     k0, k1 = bf["k0"], bf["k1"]
     x = problem.keyframes
     r = np.concatenate([x.b_g[k1] - x.b_g[k0], x.b_a[k1] - x.b_a[k0]], axis=-1)
-    w = 1.0 / im.bias_walk_sigmas(problem.noise, bf["dt"]) if whiten else np.ones_like(r)
+    w = 1.0 / im.bias_walk_sigmas(problem.noise, bf["dt"])
     J1 = w[:, :, None] * im.BIAS_WALK_ROWS
     return k0, k1, w * r, -J1, J1
 
@@ -612,6 +609,32 @@ def anchor_projectors(problem):
         u = u / np.linalg.norm(u)
         out.append((a, np.eye(3) - np.outer(u, u), u))
     return out
+
+
+def gauged_blocks(problem):
+    """camera_blocks, inertial_blocks and bridge_blocks in the gauge of
+    anchor_projectors: the Jacobian columns of each anchor's rotation are
+    projected by P and those of its position cleared.
+
+    No data row then touches an anchor's gravity axis or position; solve
+    and the scoring add unit information on exactly those four directions.
+    """
+    cam = camera_blocks(problem)
+    inertial = inertial_blocks(problem)
+    bridges = bridge_blocks(problem)
+    keyed = (
+        (problem.camera_factors["kf"], cam[1]),
+        (inertial[0], inertial[3]),
+        (inertial[1], inertial[4]),
+        (bridges[0], bridges[3]),
+        (bridges[1], bridges[4]),
+    )
+    for a, P, _ in anchor_projectors(problem):
+        for k, J in keyed:
+            at = k == a
+            J[at, :, 0:3] = J[at, :, 0:3] @ P
+            J[at, :, 3:6] = 0.0
+    return cam, inertial, bridges
 
 
 def problem_cost(problem, huber=False):
@@ -636,254 +659,185 @@ def _cost_from_blocks(problem, huber=False):
 # ------------------------------------------------------------------ solve
 
 
-class _PartitionSystem:
-    """Undamped normal-equation pieces of one partition (whitened blocks).
+def _keyframe_band(problem):
+    """Half-bandwidth, in keyframes, of the keyframe system once the
+    landmarks are eliminated: the widest keyframe span of a partition
+    (eliminating its landmarks couples all its keyframes), of an inertial
+    factor or of a bridge."""
+    spans = [problem._inertial_k1 - problem._inertial_k0, problem.bridge_factors["k1"] - problem.bridge_factors["k0"]]
+    for p in range(len(problem.partitions)):
+        kf = np.flatnonzero(problem.kf_partition == p)
+        spans.append([kf[-1] - kf[0]])
+    return int(np.concatenate(spans).max())
 
-    Hkl keeps only the pose rows (POSE_DIM per keyframe) of the
-    keyframe-landmark block: camera factors, its only source, touch no
-    other keyframe coordinate.
+
+def _band_entries(rows, cols, n):
+    """Flat positions, in a LAPACK lower band of order n, of the entries
+    (rows[..., :, None], cols[..., None, :]) on or below the diagonal, and
+    the mask that selects those entries."""
+    r, c = rows[..., :, None], cols[..., None, :]
+    lower = r >= c
+    return ((r - c) * n + c)[lower], lower
+
+
+@dataclass
+class _NormalEquations:
+    """Undamped normal equations of the gauged, whitened blocks.
+
+    band holds the keyframe block H_kk (n = 15K coordinates) as a LAPACK
+    lower band, band[i - j, j] = H_kk[i, j] for 0 <= i - j < 15(w + 1), w
+    the width of _keyframe_band; the landmark blocks are per landmark (Hll
+    (L, 3, 3), Hlt (L, 3, 26), gl (L, 3)).  partitions lists, per partition
+    with landmarks, the pose coordinates of its keyframes, its landmarks,
+    the pose rows of its keyframe-landmark block Hkl (camera factors touch
+    no other keyframe coordinate), and where the lower entries of a
+    pose-pose product land in the band (with the mask selecting them).
     """
 
-    __slots__ = ("kf_idx", "lm_idx", "Hkk", "Hkl", "Hll", "Hkth", "Hlth", "Hthth", "gk", "gl", "gth", "anchor")
+    band: np.ndarray
+    Hkt: np.ndarray
+    gk: np.ndarray
+    Hll: np.ndarray
+    Hlt: np.ndarray
+    gl: np.ndarray
+    Htt: np.ndarray
+    gt: np.ndarray
+    partitions: list
 
 
-def _assemble_partition_systems(problem, cam, inertial, bridges):
-    """Accumulate dense per-partition normal equations; returns also the
-    bridge blocks of the cross-partition bridges, which cannot live inside
-    one partition."""
-    n_p = len(problem.partitions)
-    kf_of = [np.flatnonzero(problem.kf_partition == p) for p in range(n_p)]
-    lm_of = [np.flatnonzero(problem.lm_partition == p) for p in range(n_p)]
-    kf_pos = np.zeros(len(problem.keyframes), dtype=int)
-    lm_pos = np.zeros(max(len(problem.landmarks), 1), dtype=int)
-    for p in range(n_p):
-        kf_pos[kf_of[p]] = np.arange(len(kf_of[p]))
-        lm_pos[lm_of[p]] = np.arange(len(lm_of[p]))
+def _normal_equations(problem, cam, inertial, bridges, width):
+    """Accumulate the normal equations of the gauged blocks, the keyframe
+    block into a band of `width` keyframes (_keyframe_band)."""
+    K, L = len(problem.keyframes), len(problem.landmarks)
+    n = K * KF_DIM
+    u = (width + 1) * KF_DIM - 1
+    Hkt = np.zeros((n, CALIB_DIM))
+    gk = np.zeros(n)
+    Hll = np.zeros((L, LM_DIM, LM_DIM))
+    Hlt = np.zeros((L, LM_DIM, CALIB_DIM))
+    gl = np.zeros((L, LM_DIM))
+    Htt = np.zeros((CALIB_DIM, CALIB_DIM))
+    gt = np.zeros(CALIB_DIM)
+    at, values = [], []
 
-    systems = []
-    for p in range(n_p):
-        s = _PartitionSystem()
-        s.kf_idx = kf_of[p]
-        s.lm_idx = lm_of[p]
-        nk, nl = len(s.kf_idx) * KF_DIM, len(s.lm_idx) * LM_DIM
-        s.Hkk = np.zeros((nk, nk))
-        s.Hkl = np.zeros((len(s.kf_idx) * POSE_DIM, nl))
-        s.Hll = np.zeros((len(s.lm_idx), LM_DIM, LM_DIM))
-        s.Hkth = np.zeros((nk, CALIB_DIM))
-        s.Hlth = np.zeros((nl, CALIB_DIM))
-        s.Hthth = np.zeros((CALIB_DIM, CALIB_DIM))
-        s.gk = np.zeros(nk)
-        s.gl = np.zeros(nl)
-        s.gth = np.zeros(CALIB_DIM)
-        s.anchor = problem._anchor_local[p]
-        systems.append(s)
+    def add_pairs(k0, k1, r, J0, J1):
+        # a factor on two keyframes: its blocks on or below the diagonal
+        rows = [(k * KF_DIM)[:, None] + np.arange(KF_DIM) for k in (k0, k1)]
+        for ra, Ja in zip(rows, (J0, J1)):
+            for rb, Jb in zip(rows, (J0, J1)):
+                idx, lower = _band_entries(ra, rb, n)
+                at.append(idx)
+                values.append(np.einsum("fri,frj->fij", Ja, Jb)[lower])
+            np.add.at(gk, (ra,), -np.einsum("fri,fr->fi", Ja, r))
+        return rows
 
     r_c, Jp, Jl, Jth, _ = cam
-    if r_c.shape[0]:
-        ki, li = problem.camera_factors["kf"], problem.camera_factors["lm"]
-        pi = problem.kf_partition[ki]
-        Hpp = np.einsum("nri,nrj->nij", Jp, Jp)
-        Hpl = np.einsum("nri,nrj->nij", Jp, Jl)
-        Hll_o = np.einsum("nri,nrj->nij", Jl, Jl)
-        Hpt = np.einsum("nri,nrj->nij", Jp, Jth)
-        Hlt = np.einsum("nri,nrj->nij", Jl, Jth)
-        gp = -np.einsum("nri,nr->ni", Jp, r_c)
-        glo = -np.einsum("nri,nr->ni", Jl, r_c)
-        gto = -np.einsum("nri,nr->ni", Jth, r_c)
-        for p, s in enumerate(systems):
-            sel = np.flatnonzero(pi == p)
-            if not sel.size:
-                continue
-            # camera factors touch only the pose coords of a keyframe
-            r6 = (kf_pos[ki[sel]] * KF_DIM)[:, None] + np.arange(POSE_DIM)[None, :]
-            p6 = (kf_pos[ki[sel]] * POSE_DIM)[:, None] + np.arange(POSE_DIM)[None, :]
-            c3 = (lm_pos[li[sel]] * LM_DIM)[:, None] + np.arange(3)[None, :]
-            np.add.at(s.Hkk, (r6[:, :, None], r6[:, None, :]), Hpp[sel])
-            np.add.at(s.Hkl, (p6[:, :, None], c3[:, None, :]), Hpl[sel])
-            np.add.at(s.Hll, (lm_pos[li[sel]],), Hll_o[sel])
-            np.add.at(s.Hkth[:, CAM_BLOCK], (r6,), Hpt[sel])
-            np.add.at(s.Hlth[:, CAM_BLOCK], (c3,), Hlt[sel])
-            s.Hthth[CAM_BLOCK, CAM_BLOCK] += np.einsum("nri,nrj->ij", Jth[sel], Jth[sel])
-            np.add.at(s.gk, (r6,), gp[sel])
-            np.add.at(s.gl, (c3,), glo[sel])
-            s.gth[CAM_BLOCK] += gto[sel].sum(axis=0)
+    ki, li = problem.camera_factors["kf"], problem.camera_factors["lm"]
+    pose = (ki * KF_DIM)[:, None] + np.arange(POSE_DIM)
+    idx, lower = _band_entries(pose, pose, n)
+    at.append(idx)
+    values.append(np.einsum("nri,nrj->nij", Jp, Jp)[lower])
+    np.add.at(Hkt[:, CAM_BLOCK], (pose,), np.einsum("nri,nrj->nij", Jp, Jth))
+    np.add.at(gk, (pose,), -np.einsum("nri,nr->ni", Jp, r_c))
+    np.add.at(Hll, (li,), np.einsum("nri,nrj->nij", Jl, Jl))
+    np.add.at(Hlt[:, :, CAM_BLOCK], (li,), np.einsum("nri,nrj->nij", Jl, Jth))
+    np.add.at(gl, (li,), -np.einsum("nri,nr->ni", Jl, r_c))
+    Htt[CAM_BLOCK, CAM_BLOCK] += np.einsum("nri,nrj->ij", Jth, Jth)
+    gt[CAM_BLOCK] -= np.einsum("nri,nr->i", Jth, r_c)
 
-    k0, k1, rw, J0w, J1w, Jthw = inertial
-    for p, s in enumerate(systems):
-        sel = np.flatnonzero(problem.kf_partition[k0] == p)
-        rows0, rows1 = _kf_rows(kf_pos[k0[sel]]), _kf_rows(kf_pos[k1[sel]])
-        Jth_s = Jthw[sel]
-        _add_keyframe_pairs(s.Hkk, s.gk, rows0, rows1, rw[sel], J0w[sel], J1w[sel])
-        np.add.at(s.Hkth[:, IMU_BLOCK], (rows0,), np.einsum("fri,frj->fij", J0w[sel], Jth_s))
-        np.add.at(s.Hkth[:, IMU_BLOCK], (rows1,), np.einsum("fri,frj->fij", J1w[sel], Jth_s))
-        s.Hthth[IMU_BLOCK, IMU_BLOCK] += np.einsum("fri,frj->ij", Jth_s, Jth_s)
-        s.gth[IMU_BLOCK] -= np.einsum("fri,fr->i", Jth_s, rw[sel])
+    k0, k1, rw, J0, J1, Jti = inertial
+    rows0, rows1 = add_pairs(k0, k1, rw, J0, J1)
+    np.add.at(Hkt[:, IMU_BLOCK], (rows0,), np.einsum("fri,frj->fij", J0, Jti))
+    np.add.at(Hkt[:, IMU_BLOCK], (rows1,), np.einsum("fri,frj->fij", J1, Jti))
+    Htt[IMU_BLOCK, IMU_BLOCK] += np.einsum("fri,frj->ij", Jti, Jti)
+    gt[IMU_BLOCK] -= np.einsum("fri,fr->i", Jti, rw)
+    add_pairs(*bridges)
+    band = np.bincount(np.concatenate(at), np.concatenate(values), minlength=(u + 1) * n).reshape(u + 1, n)
 
-    k0, k1, rw, J0, J1 = bridges
-    p0, p1 = problem.kf_partition[k0], problem.kf_partition[k1]
-    for p, s in enumerate(systems):
-        sel = np.flatnonzero((p0 == p) & (p1 == p))
-        _add_keyframe_pairs(s.Hkk, s.gk, _kf_rows(kf_pos[k0[sel]]), _kf_rows(kf_pos[k1[sel]]), rw[sel], J0[sel], J1[sel])
-    return systems, tuple(a[p0 != p1] for a in bridges)
+    partitions = []
+    Hpl = np.einsum("nri,nrj->nij", Jp, Jl)
+    # positions within the partition; partitions share no keyframe or landmark
+    kf_pos = np.zeros(K, dtype=int)
+    lm_pos = np.zeros(L, dtype=int)
+    for p in range(len(problem.partitions)):
+        kf = np.flatnonzero(problem.kf_partition == p)
+        lm = np.flatnonzero(problem.lm_partition == p)
+        if not lm.size:
+            continue
+        kf_pos[kf] = np.arange(kf.size)
+        lm_pos[lm] = np.arange(lm.size)
+        sel = np.flatnonzero(problem.kf_partition[ki] == p)
+        Hkl = np.zeros((kf.size * POSE_DIM, lm.size * LM_DIM))
+        p6 = (kf_pos[ki[sel]] * POSE_DIM)[:, None, None] + np.arange(POSE_DIM)[:, None]
+        c3 = (lm_pos[li[sel]] * LM_DIM)[:, None, None] + np.arange(LM_DIM)
+        np.add.at(Hkl, (p6, c3), Hpl[sel])
+        pose_p = ((kf * KF_DIM)[:, None] + np.arange(POSE_DIM)).ravel()
+        partitions.append((pose_p, lm, Hkl, *_band_entries(pose_p, pose_p, n)))
+    return _NormalEquations(band, Hkt, gk, Hll, Hlt, gl, Htt, gt, partitions)
 
 
-def _kf_rows(pos):
-    """(n, 15) rows of the keyframes at block positions pos."""
-    return (pos * KF_DIM)[:, None] + np.arange(KF_DIM)[None, :]
+def _band_solve(cb, b, trans):
+    """Solve with the lower band Cholesky factor cb of a keyframe system,
+    L x = b (trans "N") or L^T x = b (trans "T")."""
+    x, info = scipy.linalg.lapack.dtbtrs(cb, b, uplo="L", trans=trans)
+    if info:
+        raise np.linalg.LinAlgError(f"dtbtrs: info {info}")
+    return x
 
 
-def _add_keyframe_pairs(H, g, rows0, rows1, rw, J0, J1):
-    """Add J^T J and -J^T r of factors on keyframe pairs to H and g;
-    rows0, rows1 (F, 15) index the rows of each factor's two keyframes."""
-    for ra, Ja in ((rows0, J0), (rows1, J1)):
-        for rb, Jb in ((rows0, J0), (rows1, J1)):
-            np.add.at(H, (ra[:, :, None], rb[:, None, :]), np.einsum("fri,frj->fij", Ja, Jb))
-        np.add.at(g, (ra,), -np.einsum("fri,fr->fi", Ja, rw))
+def _damped_step(ne, lam, fix_calibration, anchors):
+    """One damped elimination of the normal equations ne; returns the
+    update triple (keyframes, landmarks, calibration).
 
-
-def _gauge_partition(s, Hkk, Hkl, Hkth, gk, P_rot):
-    """Apply the anchor gauge of anchor_projectors in place.
-
-    The projector removes the yaw direction from the anchor rotation block
-    and the anchor position rows/columns are cleared; unit information on
-    the gravity axis and on the position axes restores the lost rank, so
-    the factorization stays positive definite.  The anchor's position
-    update is exactly zero and its rotation update has no yaw component.
+    Damping adds lam times the diagonal.  The gauge: each anchor's damped
+    rotation block B becomes P B P + u u^T and its position block the
+    identity, so the anchor's position update is exactly zero and its
+    rotation update has no component about u.  Landmarks are eliminated per
+    partition into the keyframe band, which one banded Cholesky factors; the
+    calibration is reduced by S -= Y^T Y with Y = L^-1 H_k,theta, and the
+    keyframes and landmarks back-substitute.
     """
-    j = int(np.flatnonzero(s.kf_idx == s.anchor)[0])
-    i0 = j * KF_DIM
-    P, u = P_rot
-    Hkk[i0 : i0 + 3, :] = P @ Hkk[i0 : i0 + 3, :]
-    Hkk[:, i0 : i0 + 3] = Hkk[:, i0 : i0 + 3] @ P
-    Hkk[i0 : i0 + 3, i0 : i0 + 3] += np.outer(u, u)
-    Hkth[i0 : i0 + 3] = P @ Hkth[i0 : i0 + 3]
-    gk[i0 : i0 + 3] = P @ gk[i0 : i0 + 3]
-    Hkl[j * POSE_DIM : j * POSE_DIM + 3, :] = P @ Hkl[j * POSE_DIM : j * POSE_DIM + 3, :]
+    band = ne.band.copy()
+    band[0] *= 1.0 + lam
+    i, j = np.tril_indices(3)
+    for a, P, u in anchors:
+        rot = (i - j, a * KF_DIM + j)
+        B = np.zeros((3, 3))
+        B[i, j] = band[rot]
+        B[j, i] = band[rot]
+        band[rot] = (P @ B @ P + np.outer(u, u))[i, j]
+        band[0, a * KF_DIM + 3 : a * KF_DIM + 6] += 1.0
 
-    pos = slice(i0 + 3, i0 + 6)
-    Hkk[pos, :] = 0.0
-    Hkk[:, pos] = 0.0
-    Hkk[pos, pos] = np.eye(3)
-    Hkl[j * POSE_DIM + 3 : j * POSE_DIM + 6, :] = 0.0
-    Hkth[pos, :] = 0.0
-    gk[pos] = 0.0
+    ii = np.arange(LM_DIM)
+    Hll = ne.Hll.copy()
+    Hll[:, ii, ii] += lam * ne.Hll[:, ii, ii] + _LM_DIAG_FLOOR
+    Hll_inv = np.linalg.inv(Hll)
+    Hkt = ne.Hkt.copy()
+    gk = ne.gk.copy()
+    S = ne.Htt + lam * np.diag(np.diag(ne.Htt)) - np.einsum("nic,nij,njd->cd", ne.Hlt, Hll_inv, ne.Hlt)
+    gt = ne.gt - np.einsum("nic,nij,nj->c", ne.Hlt, Hll_inv, ne.gl)
+    flat = band.reshape(-1)
+    for pose, lm, Hkl, at, lower in ne.partitions:
+        # landmark Schur update, on the pose rows: the only rows of Hkl
+        T = (Hkl.reshape(-1, lm.size, LM_DIM).transpose(1, 0, 2) @ Hll_inv[lm]).transpose(1, 0, 2).reshape(Hkl.shape)
+        flat[at] -= (T @ Hkl.T)[lower]
+        Hkt[pose] -= T @ ne.Hlt[lm].reshape(-1, CALIB_DIM)
+        gk[pose] -= T @ ne.gl[lm].reshape(-1)
 
+    cb = scipy.linalg.cholesky_banded(band, overwrite_ab=True, lower=True, check_finite=False)
+    Y = _band_solve(cb, np.column_stack([Hkt, gk]), "N")
+    Yt, y = Y[:, :CALIB_DIM], Y[:, CALIB_DIM]
+    d_th = np.zeros(CALIB_DIM)
+    if not fix_calibration:
+        S -= Yt.T @ Yt
+        c = scipy.linalg.cho_factor(0.5 * (S + S.T), lower=True, check_finite=False)
+        d_th = scipy.linalg.cho_solve(c, gt - Yt.T @ y, check_finite=False)
+    x = _band_solve(cb, (y - Yt @ d_th)[:, None], "T")[:, 0]
 
-def _solve_normal_equations(problem, systems, cross, lam, fix_calibration, anchors):
-    """Damped elimination: landmarks, interior keyframes, then a dense
-    [calibration | boundary keyframe] system.  Returns the update triple."""
-    k0, k1, rw, J0, J1 = cross
-    boundary = np.unique(np.concatenate([k0, k1]))
-    b_of = {int(k): i for i, k in enumerate(boundary)}
-    nB = len(boundary) * KF_DIM
-    S = np.zeros((CALIB_DIM + nB, CALIB_DIM + nB))
-    g = np.zeros(CALIB_DIM + nB)
-    anchor_of = {a: (P, u) for a, P, u in anchors}
-
-    # the cross-partition bridges couple boundary keyframes directly
-    B = np.zeros((nB, nB))
-    rows0, rows1 = (_kf_rows(np.searchsorted(boundary, k)) for k in (k0, k1))
-    _add_keyframe_pairs(B, g[CALIB_DIM:], rows0, rows1, rw, J0, J1)
-    S[CALIB_DIM:, CALIB_DIM:] = B + lam * np.diag(np.diag(B))
-
-    back = []
-    for s in systems:
-        nk = s.Hkk.shape[0]
-        n_lm = len(s.lm_idx)
-
-        Hll_d = s.Hll.copy()
-        ii = np.arange(LM_DIM)
-        Hll_d[:, ii, ii] += lam * s.Hll[:, ii, ii] + _LM_DIAG_FLOOR
-        Hll_inv = np.linalg.inv(Hll_d) if n_lm else np.zeros((0, 3, 3))
-
-        Hkk = s.Hkk.copy()
-        Hkk[np.diag_indices(nk)] += lam * np.diag(s.Hkk)
-        Hkl = s.Hkl.copy()
-        Hkth = s.Hkth.copy()
-        gk = s.gk.copy()
-        S[:CALIB_DIM, :CALIB_DIM] += lam * np.diag(np.diag(s.Hthth))
-
-        _gauge_partition(s, Hkk, Hkl, Hkth, gk, anchor_of[s.anchor])
-
-        if n_lm:
-            # landmark Schur update, in place on the pose rows: the only
-            # rows where Hkl is non-zero, also after the gauge projection
-            nkf = len(s.kf_idx)
-            T = (Hkl.reshape(-1, n_lm, 3).transpose(1, 0, 2) @ Hll_inv).transpose(1, 0, 2).reshape(-1, n_lm * 3)
-            Hkk_pose = Hkk.reshape(nkf, KF_DIM, nkf, KF_DIM)[:, :POSE_DIM, :, :POSE_DIM]
-            Hkk_pose -= (T @ Hkl.T).reshape(Hkk_pose.shape)
-            Hkth.reshape(nkf, KF_DIM, CALIB_DIM)[:, :POSE_DIM] -= (T @ s.Hlth).reshape(nkf, POSE_DIM, CALIB_DIM)
-            gk.reshape(nkf, KF_DIM)[:, :POSE_DIM] -= (T @ s.gl).reshape(nkf, POSE_DIM)
-            Hlth_r = s.Hlth.reshape(n_lm, 3, CALIB_DIM)
-            gl_r = s.gl.reshape(n_lm, 3)
-            S[:CALIB_DIM, :CALIB_DIM] += s.Hthth - np.einsum("nic,nij,njd->cd", Hlth_r, Hll_inv, Hlth_r)
-            g[:CALIB_DIM] += s.gth - np.einsum("nic,nij,nj->c", Hlth_r, Hll_inv, gl_r)
-        else:
-            S[:CALIB_DIM, :CALIB_DIM] += s.Hthth
-            g[:CALIB_DIM] += s.gth
-        S_XX, S_Xth, g_X = Hkk, Hkth, gk
-
-        loc_b = [j for j, k in enumerate(s.kf_idx) if int(k) in b_of]
-        loc_i = [j for j, k in enumerate(s.kf_idx) if int(k) not in b_of]
-        if loc_b:
-            idx = np.concatenate([j * KF_DIM + np.arange(KF_DIM) for j in loc_i + loc_b]).astype(int)
-            S_XX = S_XX[np.ix_(idx, idx)]
-            S_Xth = S_Xth[idx]
-            g_X = g_X[idx]
-            g_cols = np.concatenate(
-                [CALIB_DIM + b_of[int(s.kf_idx[j])] * KF_DIM + np.arange(KF_DIM) for j in loc_b]
-            ).astype(int)
-        else:
-            g_cols = np.zeros(0, dtype=int)
-        nI = len(loc_i) * KF_DIM
-
-        if loc_b:
-            # pieces of [th | B] untouched by interior elimination
-            S[np.ix_(g_cols, np.arange(CALIB_DIM))] += S_Xth[nI:]
-            S[np.ix_(np.arange(CALIB_DIM), g_cols)] += S_Xth[nI:].T
-            S[np.ix_(g_cols, g_cols)] += S_XX[nI:, nI:]
-            g[g_cols] += g_X[nI:]
-        if nI:
-            Cfac = scipy.linalg.cho_factor(S_XX[:nI, :nI], lower=True, check_finite=False)
-            M = np.hstack([S_Xth[:nI], S_XX[:nI, nI:], g_X[:nI, None]])
-            sol = scipy.linalg.cho_solve(Cfac, M, check_finite=False)
-            red = M.T @ sol
-            cols_all = np.concatenate([np.arange(CALIB_DIM), g_cols]).astype(int)
-            S[np.ix_(cols_all, cols_all)] -= red[:-1, :-1]
-            g[cols_all] -= red[:-1, -1]
-        back.append((s, Cfac if nI else None, S_Xth, S_XX, g_X, nI, loc_i, loc_b, g_cols, Hll_inv, Hkl))
-
-    S = 0.5 * (S + S.T)
-    if fix_calibration:
-        S[:CALIB_DIM, :] = 0.0
-        S[:, :CALIB_DIM] = 0.0
-        S[:CALIB_DIM, :CALIB_DIM] = np.eye(CALIB_DIM)
-        g[:CALIB_DIM] = 0.0
-    Ctop = scipy.linalg.cho_factor(S, lower=True, check_finite=False)
-    x = scipy.linalg.cho_solve(Ctop, g, check_finite=False)
-    d_th = x[:CALIB_DIM]
-
-    K = len(problem.keyframes)
-    delta_kf = np.zeros((K, KF_DIM))
-    for i, k in enumerate(boundary):
-        delta_kf[k] = x[CALIB_DIM + i * KF_DIM : CALIB_DIM + (i + 1) * KF_DIM]
-
-    L = len(problem.landmarks)
-    delta_lm = np.zeros((L, LM_DIM))
-    for s, Cfac, S_Xth, S_XX, g_X, nI, loc_i, loc_b, g_cols, Hll_inv, Hkl in back:
-        if nI:
-            rhs = g_X[:nI] - S_Xth[:nI] @ d_th
-            if loc_b:
-                rhs = rhs - S_XX[:nI, nI:] @ x[g_cols]
-            dI = scipy.linalg.cho_solve(Cfac, rhs, check_finite=False).reshape(-1, KF_DIM)
-            for j, loc in enumerate(loc_i):
-                delta_kf[s.kf_idx[loc]] = dI[j]
-        n_lm = len(s.lm_idx)
-        if n_lm:
-            dX = delta_kf[s.kf_idx, :POSE_DIM].reshape(-1)
-            rhs_l = s.gl.reshape(n_lm, 3) - s.Hlth.reshape(n_lm, 3, CALIB_DIM) @ d_th - (Hkl.T @ dX).reshape(n_lm, 3)
-            delta_lm[s.lm_idx] = np.einsum("nij,nj->ni", Hll_inv, rhs_l)
-    return delta_kf, delta_lm, d_th
+    rhs = ne.gl - ne.Hlt @ d_th
+    for pose, lm, Hkl, _, _ in ne.partitions:
+        rhs[lm] -= (Hkl.T @ x[pose]).reshape(-1, LM_DIM)
+    return x.reshape(-1, KF_DIM), np.einsum("nij,nj->ni", Hll_inv, rhs), d_th
 
 
 def _huberize(cam):
@@ -970,21 +924,20 @@ def solve(problem, options: SolveOptions = None):
             cost_history=history,
         )
 
+    width = _keyframe_band(problem)
     for n_iters in range(1, options.max_iters + 1):
-        cam = camera_blocks(problem)
+        cam, inertial, bridges = gauged_blocks(problem)
         dropped = int((~cam[4]).sum())
         if options.huber:
             cam = _huberize(cam)
-        inertial = inertial_blocks(problem)
-        bridges = bridge_blocks(problem)
-        systems, cross = _assemble_partition_systems(problem, cam, inertial, bridges)
+        ne = _normal_equations(problem, cam, inertial, bridges, width)
         anchors = anchor_projectors(problem)
 
         step_accepted = False
         nu = 2.0
         while lam <= _MAX_LAMBDA and not step_accepted:
             try:
-                delta = _solve_normal_equations(problem, systems, cross, lam, options.fix_calibration, anchors)
+                delta = _damped_step(ne, lam, options.fix_calibration, anchors)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue

@@ -7,7 +7,7 @@ models, keyframe states are chained with the same midpoint integration the
 preintegration uses, and image observations are exact projections.
 evaluate_residuals is the unweighted residual, block weights and sparse
 Jacobian of a whole problem, the reference the finite-difference, model
-decrease and dense covariance tests compare against.  The remaining
+decrease, damped step and dense covariance tests compare against.  The remaining
 helpers (quat_rotate, quat_local, apply, identity_transform, invert,
 delta_rotation, inertial_error) are conveniences only tests use.
 """
@@ -45,7 +45,6 @@ from infocal.problem import (
     Segment,
     bridge_blocks,
     camera_blocks,
-    inertial_blocks,
     refresh_preintegrations,
 )
 
@@ -289,7 +288,11 @@ def evaluate_residuals(problem):
         cols.append(np.broadcast_to(col0[:, None, None] + np.arange(B.shape[2])[None, None, :], B.shape).ravel())
         vals.append(B.ravel())
 
-    r_c, Jp, Jl, Jth, valid = camera_blocks(problem, whiten=False)
+    # the solver's blocks are whitened: camera and bridge rows are
+    # un-whitened by their sigmas, inertial rows come from the raw kernel
+    r_c, Jp, Jl, Jth, valid = camera_blocks(problem)
+    sigma = problem.camera_factors["sigma"]
+    r_c, Jp, Jl, Jth = r_c * sigma[:, None], Jp * sigma[:, None, None], Jl * sigma[:, None, None], Jth * sigma[:, None, None]
     N = r_c.shape[0]
     place(2 * np.arange(N), problem.camera_factors["kf"] * KF_DIM, Jp)
     place(2 * np.arange(N), lm_base + problem.camera_factors["lm"] * LM_DIM, Jl)
@@ -297,8 +300,13 @@ def evaluate_residuals(problem):
     weights = [(2 * i, np.eye(2) / s2) for i, s2 in enumerate(problem.camera_factors["sigma"] ** 2)]
 
     # inertial-type rows by left keyframe, an inertial factor before a bridge
-    k0, k1, r_i, J0, J1, Jth_i = inertial_blocks(problem, whiten=False)
-    b0, b1, r_b, B0, B1 = bridge_blocks(problem, whiten=False)
+    k0 = np.array([f.k0 for f in problem.inertial_factors], dtype=int)
+    k1 = np.array([f.k1 for f in problem.inertial_factors], dtype=int)
+    x = problem.keyframes
+    r_i, J0, J1, Jth_i = inertial_factor_blocks(x.take(k0), x.take(k1), problem.preintegrated, problem.noise.gravity_vector())
+    b0, b1, r_b, B0, B1 = bridge_blocks(problem)
+    walk = bias_walk_sigmas(problem.noise, problem.bridge_factors["dt"])
+    r_b, B0, B1 = r_b * walk, B0 * walk[:, :, None], B1 * walk[:, :, None]
     is_bridge = np.repeat([False, True], [k0.size, b0.size])
     sizes = np.where(is_bridge, 6, 15)
     order = np.lexsort((is_bridge, np.concatenate([k0, b0])))
@@ -314,7 +322,7 @@ def evaluate_residuals(problem):
     residual[s_i[:, None] + np.arange(15)] = r_i
     residual[s_b[:, None] + np.arange(6)] = r_b
     W_i = inertial_weight(problem.preintegrated) if k0.size else []
-    W_b = [np.diag(w) for w in bias_walk_sigmas(problem.noise, problem.bridge_factors["dt"]) ** -2.0]
+    W_b = [np.diag(w) for w in walk**-2.0]
     weights += sorted([*zip(s_i.tolist(), W_i), *zip(s_b.tolist(), W_b)], key=lambda e: e[0])
 
     data = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))

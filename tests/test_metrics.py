@@ -122,8 +122,9 @@ class TestSegmentMarginalCovariance:
             assert np.abs(correlation_scaled(cov.matrix - ref, ref)).max() < 1e-8
 
     def test_final_qr_spans_camera_triangle_only(self, monkeypatch):
-        # the camera rows reach the final QR as one triangle over the pose
-        # columns (6 per keyframe) and the 11 camera calibration columns
+        # the camera rows, with the gauge rows, reach the final QR as one
+        # triangle over the pose columns (6 per keyframe) and the 11 camera
+        # calibration columns
         seg, calib, noise = seed4_segment()
         prob = build_segment_problem([seg], calib, noise)
         shapes = []
@@ -132,7 +133,7 @@ class TestSegmentMarginalCovariance:
         assert not segment_marginal_covariance(prob).rank_deficient
         K = len(prob.keyframes)
         [rows] = [m for m, n in shapes if n == K * KF_DIM + CALIB_DIM]
-        assert rows <= (6 * K + 11) + 15 * (K - 1) + 4
+        assert rows <= (6 * K + 11) + 15 * (K - 1)
 
     def test_single_view_landmark_adds_nothing(self):
         # two image rows cannot pin a landmark's three coordinates, so a

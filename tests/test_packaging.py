@@ -1,5 +1,7 @@
-"""Tests that pyproject.toml declares only what the package can deliver."""
+"""Tests that pyproject.toml declares only what the package can deliver,
+and that the package's modules share only public names."""
 
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -9,6 +11,7 @@ import pytest
 tomllib = pytest.importorskip("tomllib")
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "infocal"
 
 
 def project_table():
@@ -29,3 +32,35 @@ def test_script_targets_resolve():
         for attr in attrs.split("."):
             obj = getattr(obj, attr)
         assert callable(obj), script
+
+
+def private_cross_module_imports(source):
+    """`from <infocal module> import _name` in source, and `alias._name`
+    where alias is an infocal module imported as `from . import mod as alias`."""
+    found, modules = [], set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "infocal"):
+            path = [part for part in (node.module or "").split(".") if part]
+            found += [part for part in path if part.startswith("_")]
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    found.append(alias.name)
+                elif not node.module or node.module == "infocal":
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            if node.attr.startswith("_") and not node.attr.startswith("__"):
+                found.append(f"{node.value.id}.{node.attr}")
+    return found
+
+
+def test_no_private_cross_module_imports():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) >= 5
+    found = {p.name: private_cross_module_imports(p.read_text()) for p in modules}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_private_import_finder_finds_them():
+    source = "from .problem import _damped_step, solve\nfrom . import imu as im\nim._mv(1, 2)\nfrom infocal._x import y\n"
+    assert private_cross_module_imports(source) == ["_damped_step", "_x", "im._mv"]
