@@ -4,8 +4,10 @@ How much a segment of trajectory would sharpen the calibration estimate is
 measured through the marginal covariance of the calibration parameters in
 that segment's own estimation problem.  The chain is:
 
-    whitened Jacobian over [keyframe columns | calibration columns],
-    in the gauge of problem.gauged_blocks
+    problem.gauged_blocks: camera rows and one stack of pair-factor rows
+    (inertial factors, then bias bridges) with the gauge's anchors
+      -> camera rows with landmarks eliminated, reduced to one triangle
+      -> that triangle over the pair rows, [keyframe | calibration] columns
       -> QR  ->  trailing 26x26 triangle R22  ->  Sigma = R22^-1 R22^-T
       -> normalization by reference sigmas  ->  scalar criteria
 
@@ -25,10 +27,10 @@ The camera rows left touch only the 6 pose coordinates of their keyframes
 and the 11 camera calibration coordinates (CAM_BLOCK), never velocity,
 biases or IMU intrinsics; so do the gauge rows.  One QR over those 6K + 11
 columns (K keyframes) reduces camera and gauge rows to a triangle of at
-most 6K + 11 rows before they meet the inertial and bridge rows, so the
-final QR of a segment has at most (6K + 11) + 15(K - 1) rows.  This is
-exact: left-multiplying a block of rows by an orthogonal matrix leaves R
-unchanged up to row signs.
+most 6K + 11 rows before they meet the pair rows, 15 per inertial factor
+or bridge, so the final QR of a segment without bridges has at most
+(6K + 11) + 15(K - 1) rows.  This is exact: left-multiplying a block of
+rows by an orthogonal matrix leaves R unchanged up to row signs.
 
 The scalar criteria on the normalized covariance: trace (a_opt),
 determinant (d_opt, log-domain internally), largest eigenvalue (e_opt),
@@ -50,7 +52,6 @@ from .problem import (
     IMU_BLOCK,
     KF_DIM,
     POSE_DIM,
-    anchor_projectors,
     gauged_blocks,
     refresh_preintegrations,
 )
@@ -117,12 +118,6 @@ class SegmentScore:
     e_opt: float
     entropy: float
     rank_deficient: bool = False
-
-    def value(self, metric):
-        """Scalar for ranking; metric is one of a_opt / d_opt / e_opt."""
-        if metric not in ("a_opt", "d_opt", "e_opt"):
-            raise ValueError(f"unknown metric {metric!r}")
-        return getattr(self, metric)
 
 
 def _covariance_from_triangle(R22):
@@ -191,23 +186,19 @@ def segment_marginal_covariance(problem):
     K = len(problem.keyframes)
     th0 = K * KF_DIM
     n_cols = th0 + CALIB_DIM
-    cam, (k0, k1, _, J0, J1, Jthi), (b0, b1, _, B0, B1) = gauged_blocks(problem)
-    R_cam, diag_values = _camera_triangle(problem, cam, anchor_projectors(problem))
+    cam, (k0, k1, _, J0, J1, Jthi), anchors = gauged_blocks(problem)
+    R_cam, diag_values = _camera_triangle(problem, cam, anchors)
     n_cam = R_cam.shape[0]
-    n_inertial = 15 * k0.size
-    A = np.zeros((n_cam + n_inertial + 6 * b0.size, n_cols))
+    A = np.zeros((n_cam + 15 * k0.size, n_cols))
     if A.shape[0] < n_cols:
         return _deficient_covariance()
 
     pose_cols = (np.arange(K)[:, None] * KF_DIM + np.arange(POSE_DIM)).ravel()
     A[:n_cam, np.concatenate([pose_cols, th0 + np.arange(CAM_BLOCK.start, CAM_BLOCK.stop)])] = R_cam
-    inertial = A[n_cam : n_cam + n_inertial].reshape(-1, 15, n_cols)
-    _place_blocks(inertial, k0 * KF_DIM, J0)
-    _place_blocks(inertial, k1 * KF_DIM, J1)
-    inertial[:, :, th0 + IMU_BLOCK.start : th0 + IMU_BLOCK.stop] = Jthi
-    bridge = A[n_cam + n_inertial :].reshape(-1, 6, n_cols)
-    _place_blocks(bridge, b0 * KF_DIM, B0)
-    _place_blocks(bridge, b1 * KF_DIM, B1)
+    pairs = A[n_cam:].reshape(-1, 15, n_cols)
+    _place_blocks(pairs, k0 * KF_DIM, J0)
+    _place_blocks(pairs, k1 * KF_DIM, J1)
+    pairs[:, :, th0 + IMU_BLOCK.start : th0 + IMU_BLOCK.stop] = Jthi
 
     R = scipy.linalg.qr(A, mode="r", check_finite=False)[0][:n_cols, :]
     diag_values = np.concatenate(diag_values + [np.abs(np.diag(R))])

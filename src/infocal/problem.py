@@ -29,14 +29,23 @@ anchor's rotation columns are projected and its position columns cleared.
 Solver and scoring then add unit information on the gravity axis and on
 the three position axes, the four directions no data row touches.
 
-The solver is Levenberg-Marquardt on the whitened residuals.  Each trial
-eliminates the landmarks per partition by dense Schur complement into the
-keyframe block, held as one LAPACK lower band over all keyframes whose
-half-bandwidth is the widest keyframe span of a partition, an inertial
-factor or a bias bridge; a bridge is an ordinary pair factor in that band,
-within a partition or across two.  One banded Cholesky factors the
-keyframes, the calibration is reduced onto a dense 26x26 system, and
-keyframes and landmarks back-substitute.
+A bias bridge, the bias random walk across a gap between two retained
+segments of a session, is a pair factor like an inertial factor: its
+whitened rows are rows 9:15 of an inertial factor over the gap, and
+bridge_blocks returns them in the inertial factors' 15-row form with rows
+0:9 and the calibration Jacobian zero.  gauged_blocks stacks the inertial
+factors, then the bridges, into one pair stack, and the cost, the normal
+equations, the model decrease and the scoring read only that stack.
+
+The solver is Levenberg-Marquardt on the whitened residuals.  Each
+evaluated state, the start and every trial, is linearised once
+(gauged_blocks): its blocks give its cost and, once accepted, the next
+step.  Each trial eliminates the landmarks per partition by dense Schur
+complement into the keyframe block, held as one LAPACK lower band over all
+keyframes whose half-bandwidth is the widest keyframe span of a partition
+or a pair factor, within a partition or across two.  One banded Cholesky
+factors the keyframes, the calibration is reduced onto a dense 26x26
+system, and keyframes and landmarks back-substitute.
 """
 
 from __future__ import annotations
@@ -140,7 +149,6 @@ class Partition:
     """Gauge unit of a problem: co-observing, inertially chained segments."""
 
     segment_ids: tuple
-    keyframe_ranges: tuple  # ((first_id, last_id), ...) in session keyframe ids
     anchor_keyframe_id: int
 
 
@@ -253,7 +261,6 @@ class CalibrationProblem:
 class SolveOptions:
     max_iters: int = 50
     tol: float = 1e-9
-    fix_calibration: bool = False
     huber: bool = False  # Huber cost on the camera factors, at HUBER_THRESHOLD
 
 
@@ -264,7 +271,7 @@ class SolveReport:
     final_cost: float
     converged: bool
     reason: str = ""
-    dropped_observations: int = 0
+    dropped_observations: int = 0  # behind-camera observations at the final estimate
     cost_history: list = field(default_factory=list)  # accepted costs, initial first
 
 
@@ -363,7 +370,8 @@ def partition_segments(segments, max_shared):
 
     Two segments join the same partition when they are temporally adjacent
     (inertial connectivity) or share strictly more than max_shared
-    landmarks, transitively.
+    landmarks, transitively.  Partitions come in the (session, first
+    keyframe) order of their first segment.
     """
     n = len(segments)
     parent = list(range(n))
@@ -388,29 +396,14 @@ def partition_segments(segments, max_shared):
             if len(segments[i].landmark_ids & segments[j].landmark_ids) > max_shared:
                 union(i, j)
 
+    # partitions, and segments within one, in (session, first keyframe) order
     groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    partitions = []
-    for members in groups.values():
-        segs = sorted((segments[i] for i in members), key=lambda s: (s.session_id, s.keyframe_ids[0]))
-        ranges = []
-        for s in segs:
-            first, last = s.keyframe_ids[0], s.keyframe_ids[-1]
-            if ranges and ranges[-1][2] == s.session_id and ranges[-1][1] + 1 == first:
-                ranges[-1] = (ranges[-1][0], last, s.session_id)
-            else:
-                ranges.append((first, last, s.session_id))
-        anchor = min(s.keyframe_ids[0] for s in segs)
-        partitions.append(
-            Partition(
-                segment_ids=tuple(s.id for s in segs),
-                keyframe_ranges=tuple((r[0], r[1]) for r in ranges),
-                anchor_keyframe_id=anchor,
-            )
-        )
-    partitions.sort(key=lambda p: p.keyframe_ranges[0][0])
-    return partitions
+    for i in order:
+        groups.setdefault(find(i), []).append(segments[i])
+    return [
+        Partition(segment_ids=tuple(s.id for s in segs), anchor_keyframe_id=min(s.keyframe_ids[0] for s in segs))
+        for segs in groups.values()
+    ]
 
 
 def build_segment_problem(segments, calib_init, noise, max_shared=10):
@@ -439,8 +432,12 @@ def build_segment_problem(segments, calib_init, noise, max_shared=10):
 
     # segment i holds the local keyframes first[i] .. first[i + 1] - 1
     first = np.cumsum([0] + [len(s.keyframes) for s in segs]).tolist()
-    states = [kf for s in segs for kf in s.keyframes]
-    times = np.array([kf.t for kf in states], dtype=float)
+    keyframes = im.StateStack.of([kf for s in segs for kf in s.keyframes])
+    bad = np.flatnonzero(~np.all([np.isfinite(a).all(1) for a in keyframes.arrays()], axis=0))
+    if bad.size:
+        seg = segs[np.searchsorted(first, bad[0], side="right") - 1]
+        raise ValueError(f"segment {seg.id}: keyframe states must be finite")
+    times = np.array([kf.t for s in segs for kf in s.keyframes], dtype=float)
     keyframe_ids = [kid for s in segs for kid in s.keyframe_ids]
     kf_part = np.repeat([seg_partition[s.id] for s in segs], np.diff(first))
 
@@ -491,7 +488,7 @@ def build_segment_problem(segments, calib_init, noise, max_shared=10):
     inertial += joint
 
     return CalibrationProblem(
-        keyframes=im.StateStack.of(states),
+        keyframes=keyframes,
         keyframe_ids=keyframe_ids,
         landmarks=landmarks,
         landmark_ids=np.array(landmark_ids, dtype=int),
@@ -579,19 +576,22 @@ def inertial_blocks(problem):
 
 
 def bridge_blocks(problem):
-    """Whitened bias random-walk residuals of all bridges, rows (gyro,
-    accel) like inertial rows 9:15, with their keyframe Jacobians.
+    """Whitened blocks of all bias bridges as pair factors, in the form of
+    inertial_blocks.
 
-    Returns (k0, k1, r, J0, J1) stacked over the bridges: the two keyframe
-    indices, the 6-dim residuals and their 6x15 Jacobians.
+    Returns (k0, k1, r, J0, J1, J_theta) stacked over the bridges.  Rows
+    9:15 hold the whitened bias random walk over the gap, (gyro, accel) like
+    an inertial factor's rows 9:15; rows 0:9 and J_theta are zero.
     """
     bf = problem.bridge_factors
     k0, k1 = bf["k0"], bf["k1"]
     x = problem.keyframes
-    r = np.concatenate([x.b_g[k1] - x.b_g[k0], x.b_a[k1] - x.b_a[k0]], axis=-1)
     w = 1.0 / im.bias_walk_sigmas(problem.noise, bf["dt"])
-    J1 = w[:, :, None] * im.BIAS_WALK_ROWS
-    return k0, k1, w * r, -J1, J1
+    r = np.zeros((k0.size, 15))
+    r[:, 9:15] = w * np.concatenate([x.b_g[k1] - x.b_g[k0], x.b_a[k1] - x.b_a[k0]], axis=-1)
+    J1 = np.zeros((k0.size, 15, 15))
+    J1[:, 9:15] = w[:, :, None] * im.BIAS_WALK_ROWS
+    return k0, k1, r, -J1, J1, np.zeros_like(J1)
 
 
 def anchor_projectors(problem):
@@ -612,48 +612,46 @@ def anchor_projectors(problem):
 
 
 def gauged_blocks(problem):
-    """camera_blocks, inertial_blocks and bridge_blocks in the gauge of
-    anchor_projectors: the Jacobian columns of each anchor's rotation are
-    projected by P and those of its position cleared.
+    """The one linearisation of the current state: (camera, pairs,
+    anchors).
 
-    No data row then touches an anchor's gravity axis or position; solve
-    and the scoring add unit information on exactly those four directions.
+    camera is camera_blocks; pairs is inertial_blocks followed by
+    bridge_blocks, stacked into one (k0, k1, r, J0, J1, J_theta); anchors is
+    anchor_projectors.  The Jacobian columns of each anchor's rotation are
+    projected by P and those of its position cleared, so no data row
+    touches an anchor's gravity axis or position; solve and the scoring add
+    unit information on exactly those four directions.  Reads the
+    preintegrations of the last refresh.
     """
     cam = camera_blocks(problem)
-    inertial = inertial_blocks(problem)
-    bridges = bridge_blocks(problem)
-    keyed = (
-        (problem.camera_factors["kf"], cam[1]),
-        (inertial[0], inertial[3]),
-        (inertial[1], inertial[4]),
-        (bridges[0], bridges[3]),
-        (bridges[1], bridges[4]),
-    )
-    for a, P, _ in anchor_projectors(problem):
+    pairs = tuple(np.concatenate(b) for b in zip(inertial_blocks(problem), bridge_blocks(problem)))
+    anchors = anchor_projectors(problem)
+    keyed = ((problem.camera_factors["kf"], cam[1]), (pairs[0], pairs[3]), (pairs[1], pairs[4]))
+    for a, P, _ in anchors:
         for k, J in keyed:
             at = k == a
             J[at, :, 0:3] = J[at, :, 0:3] @ P
             J[at, :, 3:6] = 0.0
-    return cam, inertial, bridges
+    return cam, pairs, anchors
 
 
 def problem_cost(problem, huber=False):
     """Half squared whitened residual norm at the current states."""
     refresh_preintegrations(problem)
-    return _cost_from_blocks(problem, huber)
+    return _cost(gauged_blocks(problem), huber)
 
 
-def _cost_from_blocks(problem, huber=False):
-    r_c, _, _, _, _ = camera_blocks(problem)
+def _cost(blocks, huber=False):
+    """Half squared whitened residual norm of gauged_blocks, with the
+    Huber cost on the camera factors if huber."""
+    (r_c, *_), pairs, _ = blocks
     if huber and r_c.shape[0]:
         nrm = np.linalg.norm(r_c, axis=1)
         k = HUBER_THRESHOLD
         cost = float(np.sum(np.where(nrm <= k, 0.5 * nrm**2, k * nrm - 0.5 * k * k)))
     else:
         cost = 0.5 * float(np.sum(r_c**2))
-    for blocks in (inertial_blocks(problem), bridge_blocks(problem)):
-        cost += 0.5 * float(np.sum(blocks[2] ** 2))
-    return cost
+    return cost + 0.5 * float(np.sum(pairs[2] ** 2))
 
 
 # ------------------------------------------------------------------ solve
@@ -705,7 +703,7 @@ class _NormalEquations:
     partitions: list
 
 
-def _normal_equations(problem, cam, inertial, bridges, width):
+def _normal_equations(problem, cam, pairs, width):
     """Accumulate the normal equations of the gauged blocks, the keyframe
     block into a band of `width` keyframes (_keyframe_band)."""
     K, L = len(problem.keyframes), len(problem.landmarks)
@@ -719,17 +717,6 @@ def _normal_equations(problem, cam, inertial, bridges, width):
     Htt = np.zeros((CALIB_DIM, CALIB_DIM))
     gt = np.zeros(CALIB_DIM)
     at, values = [], []
-
-    def add_pairs(k0, k1, r, J0, J1):
-        # a factor on two keyframes: its blocks on or below the diagonal
-        rows = [(k * KF_DIM)[:, None] + np.arange(KF_DIM) for k in (k0, k1)]
-        for ra, Ja in zip(rows, (J0, J1)):
-            for rb, Jb in zip(rows, (J0, J1)):
-                idx, lower = _band_entries(ra, rb, n)
-                at.append(idx)
-                values.append(np.einsum("fri,frj->fij", Ja, Jb)[lower])
-            np.add.at(gk, (ra,), -np.einsum("fri,fr->fi", Ja, r))
-        return rows
 
     r_c, Jp, Jl, Jth, _ = cam
     ki, li = problem.camera_factors["kf"], problem.camera_factors["lm"]
@@ -745,13 +732,19 @@ def _normal_equations(problem, cam, inertial, bridges, width):
     Htt[CAM_BLOCK, CAM_BLOCK] += np.einsum("nri,nrj->ij", Jth, Jth)
     gt[CAM_BLOCK] -= np.einsum("nri,nr->i", Jth, r_c)
 
-    k0, k1, rw, J0, J1, Jti = inertial
-    rows0, rows1 = add_pairs(k0, k1, rw, J0, J1)
-    np.add.at(Hkt[:, IMU_BLOCK], (rows0,), np.einsum("fri,frj->fij", J0, Jti))
-    np.add.at(Hkt[:, IMU_BLOCK], (rows1,), np.einsum("fri,frj->fij", J1, Jti))
+    # pair factors on two keyframes: their keyframe blocks on or below the
+    # diagonal, and their IMU-intrinsics columns
+    k0, k1, rw, J0, J1, Jti = pairs
+    rows = [(k * KF_DIM)[:, None] + np.arange(KF_DIM) for k in (k0, k1)]
+    for ra, Ja in zip(rows, (J0, J1)):
+        for rb, Jb in zip(rows, (J0, J1)):
+            idx, lower = _band_entries(ra, rb, n)
+            at.append(idx)
+            values.append(np.einsum("fri,frj->fij", Ja, Jb)[lower])
+        np.add.at(gk, (ra,), -np.einsum("fri,fr->fi", Ja, rw))
+        np.add.at(Hkt[:, IMU_BLOCK], (ra,), np.einsum("fri,frj->fij", Ja, Jti))
     Htt[IMU_BLOCK, IMU_BLOCK] += np.einsum("fri,frj->ij", Jti, Jti)
     gt[IMU_BLOCK] -= np.einsum("fri,fr->i", Jti, rw)
-    add_pairs(*bridges)
     band = np.bincount(np.concatenate(at), np.concatenate(values), minlength=(u + 1) * n).reshape(u + 1, n)
 
     partitions = []
@@ -785,7 +778,7 @@ def _band_solve(cb, b, trans):
     return x
 
 
-def _damped_step(ne, lam, fix_calibration, anchors):
+def _damped_step(ne, lam, anchors):
     """One damped elimination of the normal equations ne; returns the
     update triple (keyframes, landmarks, calibration).
 
@@ -827,11 +820,9 @@ def _damped_step(ne, lam, fix_calibration, anchors):
     cb = scipy.linalg.cholesky_banded(band, overwrite_ab=True, lower=True, check_finite=False)
     Y = _band_solve(cb, np.column_stack([Hkt, gk]), "N")
     Yt, y = Y[:, :CALIB_DIM], Y[:, CALIB_DIM]
-    d_th = np.zeros(CALIB_DIM)
-    if not fix_calibration:
-        S -= Yt.T @ Yt
-        c = scipy.linalg.cho_factor(0.5 * (S + S.T), lower=True, check_finite=False)
-        d_th = scipy.linalg.cho_solve(c, gt - Yt.T @ y, check_finite=False)
+    S -= Yt.T @ Yt
+    c = scipy.linalg.cho_factor(0.5 * (S + S.T), lower=True, check_finite=False)
+    d_th = scipy.linalg.cho_solve(c, gt - Yt.T @ y, check_finite=False)
     x = _band_solve(cb, (y - Yt @ d_th)[:, None], "T")[:, 0]
 
     rhs = ne.gl - ne.Hlt @ d_th
@@ -849,7 +840,7 @@ def _huberize(cam):
     return r_c * scale[:, None], Jp * s3, Jl * s3, Jth * s3, valid
 
 
-def _model_decrease(problem, cam, inertial, bridges, delta):
+def _model_decrease(problem, cam, pairs, delta):
     """Cost drop the linearized model predicts for this step.
 
     Evaluates 0.5*||r||^2 - 0.5*||r + J d||^2 on the whitened blocks; the
@@ -865,11 +856,9 @@ def _model_decrease(problem, cam, inertial, bridges, delta):
             + Jth @ d_th[CAM_BLOCK]
         )
         pred += 0.5 * float(np.sum(r_c**2) - np.sum((r_c + lin) ** 2))
-    # inertial factors, then bridges, which do not touch the calibration
-    for (k0, k1, rw, J0w, J1w), lin in ((inertial[:5], inertial[5] @ d_th[IMU_BLOCK]), (bridges, 0.0)):
-        lin = lin + np.einsum("fri,fi->fr", J0w, delta_kf[k0]) + np.einsum("fri,fi->fr", J1w, delta_kf[k1])
-        pred += 0.5 * float(np.sum(rw**2) - np.sum((rw + lin) ** 2))
-    return pred
+    k0, k1, rw, J0, J1, Jti = pairs
+    lin = Jti @ d_th[IMU_BLOCK] + np.einsum("fri,fi->fr", J0, delta_kf[k0]) + np.einsum("fri,fi->fr", J1, delta_kf[k1])
+    return pred + 0.5 * float(np.sum(rw**2) - np.sum((rw + lin) ** 2))
 
 
 def _retract_problem(problem, delta):
@@ -881,8 +870,7 @@ def _retract_problem(problem, delta):
     if not all(np.isfinite(a).all() for a in (*keyframes.arrays(), landmarks)):
         return None
     try:
-        # an exactly-zero calibration update (fixed calibration) keeps the object
-        calibration = problem.calibration.retract(d_th) if d_th.any() else problem.calibration
+        calibration = problem.calibration.retract(d_th)
     except ValueError:
         return None
     return keyframes, landmarks, calibration
@@ -895,49 +883,37 @@ def solve(problem, options: SolveOptions = None):
     the solution (new arrays; the old ones are left as they were), except
     for the gauge of anchor_projectors: each anchor keeps its position, and
     its rotation update has no component about the gravity axis.
-    Accepted steps strictly decrease the cost.
+    Accepted steps strictly decrease the cost.  Each evaluated state is
+    linearised once: the blocks that give a trial's cost give, once it is
+    accepted, the next step.
     """
     options = options or SolveOptions()
     refresh_preintegrations(problem)
-    cost = _cost_from_blocks(problem, options.huber)
+    blocks = gauged_blocks(problem)
+    cost = _cost(blocks, options.huber)
     if not np.isfinite(cost):
         raise ValueError("non-finite cost at the initial estimate")
-    initial_cost = cost
     history = [cost]
     lam = _LAMBDA_INIT
     n_iters = 0
-    converged = False
-    reason = "max_iters"
-    dropped = 0
-
-    if cost <= _COST_FLOOR:
-        # Already at (numerical) zero; any further step only reshuffles
-        # floating-point noise.
-        cam = camera_blocks(problem)
-        return problem, SolveReport(
-            iterations=0,
-            initial_cost=initial_cost,
-            final_cost=cost,
-            converged=True,
-            reason="cost below absolute floor",
-            dropped_observations=int((~cam[4]).sum()),
-            cost_history=history,
-        )
+    # at (numerical) zero cost any further step only reshuffles
+    # floating-point noise
+    converged = cost <= _COST_FLOOR
+    reason = "cost below absolute floor" if converged else "max_iters"
 
     width = _keyframe_band(problem)
-    for n_iters in range(1, options.max_iters + 1):
-        cam, inertial, bridges = gauged_blocks(problem)
-        dropped = int((~cam[4]).sum())
+    while not converged and n_iters < options.max_iters:
+        n_iters += 1
+        cam, pairs, anchors = blocks
         if options.huber:
             cam = _huberize(cam)
-        ne = _normal_equations(problem, cam, inertial, bridges, width)
-        anchors = anchor_projectors(problem)
+        ne = _normal_equations(problem, cam, pairs, width)
 
         step_accepted = False
         nu = 2.0
         while lam <= _MAX_LAMBDA and not step_accepted:
             try:
-                delta = _damped_step(ne, lam, options.fix_calibration, anchors)
+                delta = _damped_step(ne, lam, anchors)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
@@ -952,13 +928,15 @@ def solve(problem, options: SolveOptions = None):
                 pre_save = problem.preintegrated
                 problem.keyframes, problem.landmarks, problem.calibration = trial
                 refresh_preintegrations(problem)
-                new_cost = _cost_from_blocks(problem, options.huber)
+                trial_blocks = gauged_blocks(problem)
+                new_cost = _cost(trial_blocks, options.huber)
                 if np.isfinite(new_cost) and new_cost < cost:
                     step_accepted = True
-                    pred = _model_decrease(problem, cam, inertial, bridges, scaled)
+                    pred = _model_decrease(problem, cam, pairs, scaled)
                     ratio = (cost - new_cost) / pred if pred > 0 else 1.0
                     rel = (cost - new_cost) / max(cost, 1e-300)
                     cost = new_cost
+                    blocks = trial_blocks
                     history.append(cost)
                     if alpha == 1.0:
                         # grows the damping when the quadratic model
@@ -979,16 +957,13 @@ def solve(problem, options: SolveOptions = None):
         if not step_accepted:
             converged = True
             reason = "no cost-decreasing step within the damping limit"
-            break
-        if converged:
-            break
 
     return problem, SolveReport(
         iterations=n_iters,
-        initial_cost=initial_cost,
+        initial_cost=history[0],
         final_cost=cost,
         converged=converged,
         reason=reason,
-        dropped_observations=dropped,
+        dropped_observations=int((~blocks[0][4]).sum()),
         cost_history=history,
     )

@@ -304,9 +304,10 @@ def evaluate_residuals(problem):
     k1 = np.array([f.k1 for f in problem.inertial_factors], dtype=int)
     x = problem.keyframes
     r_i, J0, J1, Jth_i = inertial_factor_blocks(x.take(k0), x.take(k1), problem.preintegrated, problem.noise.gravity_vector())
-    b0, b1, r_b, B0, B1 = bridge_blocks(problem)
+    # a bridge's rows are the bias-walk rows 9:15 of its pair-factor blocks
+    b0, b1, r_b, B0, B1, _ = bridge_blocks(problem)
     walk = bias_walk_sigmas(problem.noise, problem.bridge_factors["dt"])
-    r_b, B0, B1 = r_b * walk, B0 * walk[:, :, None], B1 * walk[:, :, None]
+    r_b, B0, B1 = r_b[:, 9:15] * walk, B0[:, 9:15] * walk[:, :, None], B1[:, 9:15] * walk[:, :, None]
     is_bridge = np.repeat([False, True], [k0.size, b0.size])
     sizes = np.where(is_bridge, 6, 15)
     order = np.lexsort((is_bridge, np.concatenate([k0, b0])))

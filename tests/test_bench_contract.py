@@ -7,7 +7,8 @@ attributes, and every keyword argument either passes must be a parameter
 of the callable it is passed to.  Those files are read with ast, not
 imported: run.py pins BLAS environment variables when it is imported.  bench/workloads.py is
 imported to run its problem_shape and cost_per_dof, which read the fields
-of built problems, on problems from both builders.
+of built problems, on problems from both builders, and to run each
+workload's timed path once.
 """
 
 import ast
@@ -143,3 +144,16 @@ def test_problem_fields_the_benchmark_reads(build, keyframes, bridges):
     rows = 2 * (len(seen) - 1) + 15 * (keyframes - 1 - bridges) + 6 * bridges
     free = 15 * keyframes + 3 * landmarks + 26 - 4
     assert workloads.cost_per_dof(prob, 3.0, 1) == pytest.approx(3.0 / (rows - free), rel=1e-15)
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_timed_path_runs(name):
+    # one unchecked repetition at seed 0, segment_scoring cut to three
+    # segments: it reads SolveReport and problem fields as the benchmark does
+    workload = workloads.WORKLOADS[name]()
+    if name == "segment_scoring":
+        workload.N_SEGMENTS = 3
+    outcome = workload.run(workload.inputs(0), check=False)
+    assert outcome.attempted >= 1
+    assert outcome.failed == 0
+    assert not outcome.details.get("checks_failed")

@@ -8,17 +8,20 @@ hand from the unweighted residual evaluation.
 """
 
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import infocal.problem
 from infocal import imu
 from infocal.camera import FeatureObservation
 from infocal.geometry import UnitQuaternion, quat_mul, quat_to_matrix, so3_exp
 from infocal.imu import ImuSample, inertial_error_jacobians, preintegrate
 from infocal.problem import (
     CALIB_DIM,
+    BRIDGE_DTYPE,
     HUBER_THRESHOLD,
     KF_DIM,
     KeyframeState,
@@ -388,14 +391,23 @@ class TestSolve:
             delta[part][index] = value
             assert _retract_problem(prob, tuple(delta)) is None
 
-    def test_fix_calibration(self, scene):
-        prob = build_from_scene(scene)
-        rng = np.random.default_rng(8)
+    def test_each_state_is_linearised_once(self, scene, monkeypatch):
+        # one refresh, one set of blocks and one gauge per evaluated state
+        # (the start and each trial): an accepted trial's blocks are the
+        # next iteration's linearisation
+        segs = support.scene_segments(scene, kf_per_segment=2, keep=[0, 2])
+        prob = build_segment_problem(segs, scene.calibration, scene.noise)
+        assert len(prob.bridge_factors) == 1
+        rng = np.random.default_rng(11)
         prob.keyframes = prob.keyframes.retract(rng.normal(scale=1e-3, size=(len(prob.keyframes), KF_DIM)))
-        cal_before = prob.calibration
-        prob, report = solve(prob, SolveOptions(fix_calibration=True, max_iters=60))
-        assert prob.calibration is cal_before
-        assert report.final_cost < 1e-8
+        calls = Counter()
+        for name in ("refresh_preintegrations", "camera_blocks", "anchor_projectors"):
+            f = getattr(infocal.problem, name)
+            monkeypatch.setattr(infocal.problem, name, lambda problem, f=f, name=name: calls.update([name]) or f(problem))
+        prob, report = solve(prob, SolveOptions(max_iters=5))
+        assert report.iterations == 5 and len(report.cost_history) == 6
+        assert calls["camera_blocks"] == calls["refresh_preintegrations"] >= 6
+        assert calls["anchor_projectors"] == calls["refresh_preintegrations"]
 
 
 def _weighted_cost(ev, step):
@@ -421,7 +433,8 @@ class TestLevenbergMarquardtModel:
         )
         flat = np.concatenate([d.ravel() for d in delta])
         expected = _weighted_cost(ev, np.zeros_like(flat)) - _weighted_cost(ev, flat)
-        pred = _model_decrease(prob, camera_blocks(prob), inertial_blocks(prob), bridge_blocks(prob), delta)
+        pairs = tuple(np.concatenate(b) for b in zip(inertial_blocks(prob), bridge_blocks(prob)))
+        pred = _model_decrease(prob, camera_blocks(prob), pairs, delta)
         assert abs(expected) > 1.0
         assert pred == pytest.approx(expected, rel=1e-9)
 
@@ -485,10 +498,10 @@ class TestDampedElimination:
         width = _keyframe_band(prob)
         assert width == len(prob.keyframes) - 1
         lam = 1e-3
-        ne = _normal_equations(prob, *gauged_blocks(prob), width)
-        got = _damped_step(ne, lam, False, anchor_projectors(prob))
+        cam, pairs, anchors = gauged_blocks(prob)
+        got = _damped_step(_normal_equations(prob, cam, pairs, width), lam, anchors)
         ref = dense_damped_step(prob, lam)
-        for a, P, u in anchor_projectors(prob):
+        for a, P, u in anchors:
             # an anchor's yaw step is zero up to rounding (about 1e-11 here,
             # in both), so the comparison projects it out
             for d in (got[0], ref[0]):
@@ -553,7 +566,6 @@ class TestPartitioning:
         assert len(parts) == 1
         assert parts[0].segment_ids == (0, 1, 2, 3)
         assert parts[0].anchor_keyframe_id == 0
-        assert parts[0].keyframe_ranges == ((0, 39),)
 
     def test_transitive_sharing_chain(self):
         a = _Seg(0, "s", 0, 10, range(0, 20))
@@ -759,6 +771,17 @@ class TestSegmentProblem:
         with pytest.raises(ValueError, match=f"segment {bad}: landmark coordinates must be finite"):
             build_segment_problem(segs, scene.calibration, scene.noise)
 
+    @pytest.mark.parametrize("field, value", [("p_GI", np.nan), ("v_GI", np.inf), ("b_a", np.nan), ("b_g", -np.inf)])
+    def test_non_finite_keyframe_state_raises(self, scene, field, value):
+        # keyframe 4, the second of segment 1
+        segs = support.scene_segments(scene, kf_per_segment=3)
+        kf = segs[1].keyframes[1]
+        bad = getattr(kf, field).copy()
+        bad[1] = value
+        segs[1].keyframes = [segs[1].keyframes[0], replace(kf, **{field: bad}), *segs[1].keyframes[2:]]
+        with pytest.raises(ValueError, match="segment 1: keyframe states must be finite"):
+            build_segment_problem(segs, scene.calibration, scene.noise)
+
     def test_bridge_gap_must_be_positive(self, scene):
         # a later segment of the session whose keyframes start before the
         # earlier segment ends
@@ -784,6 +807,25 @@ class TestSegmentProblem:
         segprob.keyframes = segprob.keyframes.retract(rng.normal(scale=1e-3, size=(len(segprob.keyframes), KF_DIM)))
         segprob, report = solve(segprob, SolveOptions(max_iters=60))
         assert report.final_cost < 1e-7
+
+    def test_bridge_is_bias_walk_rows_of_inertial_factor(self, scene):
+        # a bridge over an inertial factor's own keyframes and duration
+        # gives that factor's whitened rows 9:15; its other rows are zero
+        prob = build_from_scene(scene)
+        x, i = prob.keyframes, np.arange(len(prob.keyframes))[:, None]
+        prob.keyframes = replace(x, b_a=x.b_a + 1e-3 * i, b_g=x.b_g + 1e-4 * i)
+        refresh_preintegrations(prob)
+        f = 2
+        k0, k1, r, J0, J1, _ = inertial_blocks(prob)
+        bridge = np.array([(k0[f], k1[f], prob.preintegrated.duration[f])], dtype=BRIDGE_DTYPE)
+        b0, b1, rb, B0, B1, Bth = bridge_blocks(replace(prob, bridge_factors=bridge))
+        assert (b0.tolist(), b1.tolist()) == ([k0[f]], [k1[f]])
+        assert np.all(r[f, 9:15] != 0.0)
+        np.testing.assert_allclose(rb[0, 9:15], r[f, 9:15], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(B0[0, 9:15], J0[f, 9:15], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(B1[0, 9:15], J1[f, 9:15], rtol=1e-12, atol=0.0)
+        for block in (rb[:, :9], B0[:, :9], B1[:, :9], Bth):
+            assert not block.any()
 
     def test_bridge_jacobian_matches_finite_differences(self, scene):
         # the batch FD test never sees a bridge factor; this one does
