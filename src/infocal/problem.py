@@ -40,16 +40,31 @@ equations, the model decrease and the scoring read only that stack.
 The solver is Levenberg-Marquardt on the whitened residuals.  Each
 evaluated state, the start and every trial, is linearised once
 (gauged_blocks): its blocks give its cost and, once accepted, the next
-step.  Each trial eliminates the landmarks per partition by dense Schur
-complement into the keyframe block, held as one LAPACK lower band over all
-keyframes whose half-bandwidth is the widest keyframe span of a partition
-or a pair factor, within a partition or across two.  One banded Cholesky
-factors the keyframes, the calibration is reduced onto a dense 26x26
-system, and keyframes and landmarks back-substitute.
+step.  Each trial solves the damped, gauged normal equations by block
+elimination in one of two orders, chosen once per solve from the
+problem's sizes (_keyframes_first):
+
+  landmarks first: the landmarks are eliminated per partition by dense
+    Schur complement into the keyframe block, held as one LAPACK lower
+    band over all keyframes whose half-bandwidth w is the widest keyframe
+    span of a partition or a pair factor, within a partition or across
+    two.  One banded Cholesky factors the keyframes, the calibration is
+    reduced onto a dense 26x26 system, and keyframes and landmarks
+    back-substitute.
+  keyframes first, when the landmarks and the calibration (3L + 26
+    coordinates) are fewer than the 15 (w + 1) rows of that band: the
+    keyframe block alone, coupled only by pair factors, is a band of pair
+    width.  One banded Cholesky and one band solve eliminate it, the
+    landmarks and the calibration are solved as one dense system, and the
+    keyframes back-substitute.  A bounded scene then costs
+    O(K (3L + 26)^2), linear in K (Triggs et al., "Bundle Adjustment: A
+    Modern Synthesis", 2000).
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -262,6 +277,12 @@ class SolveOptions:
     max_iters: int = 50
     tol: float = 1e-9
     huber: bool = False  # Huber cost on the camera factors, at HUBER_THRESHOLD
+
+    def __post_init__(self):
+        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 0:
+            raise ValueError(f"max_iters must be a non-negative integer, got {self.max_iters!r}")
+        if not (math.isfinite(self.tol) and self.tol >= 0):
+            raise ValueError(f"tol must be finite and non-negative, got {self.tol!r}")
 
 
 @dataclass
@@ -657,16 +678,25 @@ def _cost(blocks, huber=False):
 # ------------------------------------------------------------------ solve
 
 
-def _keyframe_band(problem):
-    """Half-bandwidth, in keyframes, of the keyframe system once the
-    landmarks are eliminated: the widest keyframe span of a partition
-    (eliminating its landmarks couples all its keyframes), of an inertial
-    factor or of a bridge."""
+def _keyframe_band(problem, keyframes_first=False):
+    """Half-bandwidth, in keyframes, of the keyframe block that an
+    elimination order factors: the widest keyframe span of an inertial
+    factor or a bridge and, when the landmarks are eliminated first, of a
+    partition (eliminating its landmarks couples all its keyframes)."""
     spans = [problem._inertial_k1 - problem._inertial_k0, problem.bridge_factors["k1"] - problem.bridge_factors["k0"]]
-    for p in range(len(problem.partitions)):
-        kf = np.flatnonzero(problem.kf_partition == p)
-        spans.append([kf[-1] - kf[0]])
-    return int(np.concatenate(spans).max())
+    if not keyframes_first:
+        for p in range(len(problem.partitions)):
+            kf = np.flatnonzero(problem.kf_partition == p)
+            spans.append([kf[-1] - kf[0]])
+    return int(np.concatenate(spans).max(initial=0))
+
+
+def _keyframes_first(problem):
+    """The elimination order of a solve, from the problem's sizes:
+    keyframes first when the landmark and calibration system (3L + 26
+    coordinates) is narrower than the band that eliminating the landmarks
+    first leaves (15 (w + 1) rows, w = _keyframe_band(problem))."""
+    return LM_DIM * len(problem.landmarks) + CALIB_DIM < KF_DIM * (_keyframe_band(problem) + 1)
 
 
 def _band_entries(rows, cols, n):
@@ -680,16 +710,20 @@ def _band_entries(rows, cols, n):
 
 @dataclass
 class _NormalEquations:
-    """Undamped normal equations of the gauged, whitened blocks.
+    """Undamped normal equations of the gauged, whitened blocks, laid out
+    for one elimination order (_keyframes_first).
 
     band holds the keyframe block H_kk (n = 15K coordinates) as a LAPACK
     lower band, band[i - j, j] = H_kk[i, j] for 0 <= i - j < 15(w + 1), w
-    the width of _keyframe_band; the landmark blocks are per landmark (Hll
-    (L, 3, 3), Hlt (L, 3, 26), gl (L, 3)).  partitions lists, per partition
-    with landmarks, the pose coordinates of its keyframes, its landmarks,
-    the pose rows of its keyframe-landmark block Hkl (camera factors touch
-    no other keyframe coordinate), and where the lower entries of a
-    pose-pose product land in the band (with the mask selecting them).
+    = _keyframe_band(problem, keyframes_first); the landmark blocks are per
+    landmark (Hll (L, 3, 3), Hlt (L, 3, 26), gl (L, 3)).  The
+    keyframe-landmark block H_kl is held as its order reads it.  Keyframes
+    first: Hkl is H_kl, one dense (n, 3L) array, and partitions is empty.
+    Landmarks first: Hkl is None, and partitions lists, per partition with
+    landmarks, the pose coordinates of its keyframes, its landmarks, the
+    pose rows of its H_kl (camera factors touch no other keyframe
+    coordinate), and where the lower entries of a pose-pose product land in
+    the band (with the mask selecting them).
     """
 
     band: np.ndarray
@@ -700,15 +734,16 @@ class _NormalEquations:
     gl: np.ndarray
     Htt: np.ndarray
     gt: np.ndarray
+    Hkl: np.ndarray
     partitions: list
 
 
-def _normal_equations(problem, cam, pairs, width):
-    """Accumulate the normal equations of the gauged blocks, the keyframe
-    block into a band of `width` keyframes (_keyframe_band)."""
+def _normal_equations(problem, cam, pairs, keyframes_first):
+    """Accumulate the normal equations of the gauged blocks for the
+    elimination order keyframes_first (_NormalEquations)."""
     K, L = len(problem.keyframes), len(problem.landmarks)
     n = K * KF_DIM
-    u = (width + 1) * KF_DIM - 1
+    u = (_keyframe_band(problem, keyframes_first) + 1) * KF_DIM - 1
     Hkt = np.zeros((n, CALIB_DIM))
     gk = np.zeros(n)
     Hll = np.zeros((L, LM_DIM, LM_DIM))
@@ -747,8 +782,14 @@ def _normal_equations(problem, cam, pairs, width):
     gt[IMU_BLOCK] -= np.einsum("fri,fr->i", Jti, rw)
     band = np.bincount(np.concatenate(at), np.concatenate(values), minlength=(u + 1) * n).reshape(u + 1, n)
 
-    partitions = []
     Hpl = np.einsum("nri,nrj->nij", Jp, Jl)
+    if keyframes_first:
+        # each (6 x 3) pose-landmark block straight into the dense H_kl
+        flat = (pose * (L * LM_DIM))[:, :, None] + (li * LM_DIM)[:, None, None] + np.arange(LM_DIM)
+        Hkl = np.bincount(flat.ravel(), Hpl.ravel(), minlength=n * L * LM_DIM).reshape(n, L * LM_DIM)
+        return _NormalEquations(band, Hkt, gk, Hll, Hlt, gl, Htt, gt, Hkl, [])
+
+    partitions = []
     # positions within the partition; partitions share no keyframe or landmark
     kf_pos = np.zeros(K, dtype=int)
     lm_pos = np.zeros(L, dtype=int)
@@ -766,7 +807,7 @@ def _normal_equations(problem, cam, pairs, width):
         np.add.at(Hkl, (p6, c3), Hpl[sel])
         pose_p = ((kf * KF_DIM)[:, None] + np.arange(POSE_DIM)).ravel()
         partitions.append((pose_p, lm, Hkl, *_band_entries(pose_p, pose_p, n)))
-    return _NormalEquations(band, Hkt, gk, Hll, Hlt, gl, Htt, gt, partitions)
+    return _NormalEquations(band, Hkt, gk, Hll, Hlt, gl, Htt, gt, None, partitions)
 
 
 def _band_solve(cb, b, trans):
@@ -779,16 +820,17 @@ def _band_solve(cb, b, trans):
 
 
 def _damped_step(ne, lam, anchors):
-    """One damped elimination of the normal equations ne; returns the
-    update triple (keyframes, landmarks, calibration).
+    """One damped elimination of the normal equations ne, in the order ne
+    is laid out for; returns the update triple (keyframes, landmarks,
+    calibration).
 
-    Damping adds lam times the diagonal.  The gauge: each anchor's damped
-    rotation block B becomes P B P + u u^T and its position block the
-    identity, so the anchor's position update is exactly zero and its
-    rotation update has no component about u.  Landmarks are eliminated per
-    partition into the keyframe band, which one banded Cholesky factors; the
-    calibration is reduced by S -= Y^T Y with Y = L^-1 H_k,theta, and the
-    keyframes and landmarks back-substitute.
+    Damping adds lam times the diagonal, and _LM_DIAG_FLOOR to the
+    landmarks'.  The gauge: each anchor's damped rotation block B becomes
+    P B P + u u^T and its position block the identity, so the anchor's
+    position update is exactly zero and its rotation update has no
+    component about u.  Both orders share this damped, gauged system and
+    differ only in how they eliminate it (_landmarks_first_step,
+    _keyframes_first_step).
     """
     band = ne.band.copy()
     band[0] *= 1.0 + lam
@@ -804,11 +846,22 @@ def _damped_step(ne, lam, anchors):
     ii = np.arange(LM_DIM)
     Hll = ne.Hll.copy()
     Hll[:, ii, ii] += lam * ne.Hll[:, ii, ii] + _LM_DIAG_FLOOR
+    Htt = ne.Htt + lam * np.diag(np.diag(ne.Htt))
+    step = _landmarks_first_step if ne.Hkl is None else _keyframes_first_step
+    return step(ne, band, Hll, Htt)
+
+
+def _landmarks_first_step(ne, band, Hll, Htt):
+    """Landmarks eliminated first, per landmark and per partition, into the
+    keyframe band, which one banded Cholesky factors; the calibration is
+    reduced by S -= Y^T Y with Y = L^-1 H_k,theta, and the keyframes and
+    landmarks back-substitute.  band, Hll and Htt are damped and gauged."""
     Hll_inv = np.linalg.inv(Hll)
+    Tt = (Hll_inv @ ne.Hlt).reshape(-1, CALIB_DIM)
+    S = Htt - ne.Hlt.reshape(-1, CALIB_DIM).T @ Tt
+    gt = ne.gt - Tt.T @ ne.gl.reshape(-1)
     Hkt = ne.Hkt.copy()
     gk = ne.gk.copy()
-    S = ne.Htt + lam * np.diag(np.diag(ne.Htt)) - np.einsum("nic,nij,njd->cd", ne.Hlt, Hll_inv, ne.Hlt)
-    gt = ne.gt - np.einsum("nic,nij,nj->c", ne.Hlt, Hll_inv, ne.gl)
     flat = band.reshape(-1)
     for pose, lm, Hkl, at, lower in ne.partitions:
         # landmark Schur update, on the pose rows: the only rows of Hkl
@@ -829,6 +882,28 @@ def _damped_step(ne, lam, anchors):
     for pose, lm, Hkl, _, _ in ne.partitions:
         rhs[lm] -= (Hkl.T @ x[pose]).reshape(-1, LM_DIM)
     return x.reshape(-1, KF_DIM), np.einsum("nij,nj->ni", Hll_inv, rhs), d_th
+
+
+def _keyframes_first_step(ne, band, Hll, Htt):
+    """Keyframes eliminated first: one banded Cholesky L L^T factors the
+    keyframe band, which holds only pair couplings; one band solve gives
+    Z = L^-1 [H_kl H_k,theta g_k]; the dense landmark and calibration
+    system less Z^T Z (3L + 26 coordinates) is Cholesky-factored, and the
+    keyframes back-substitute.  band, Hll and Htt are damped and gauged."""
+    n_lm = ne.gl.size
+    cb = scipy.linalg.cholesky_banded(band, overwrite_ab=True, lower=True, check_finite=False)
+    Z = _band_solve(cb, np.column_stack([ne.Hkl, ne.Hkt, ne.gk]), "N")
+    Zs, z = Z[:, :-1], Z[:, -1]
+    S = -(Zs.T @ Zs)
+    base = (LM_DIM * np.arange(len(Hll)))[:, None, None]
+    S[base + np.arange(LM_DIM)[:, None], base + np.arange(LM_DIM)] += Hll
+    # cho_factor reads only the lower triangle
+    S[n_lm:, :n_lm] += ne.Hlt.reshape(n_lm, CALIB_DIM).T
+    S[n_lm:, n_lm:] += Htt
+    c = scipy.linalg.cho_factor(S, lower=True, check_finite=False)
+    d = scipy.linalg.cho_solve(c, np.concatenate([ne.gl.reshape(-1), ne.gt]) - Zs.T @ z, check_finite=False)
+    x = _band_solve(cb, (z - Zs @ d)[:, None], "T")[:, 0]
+    return x.reshape(-1, KF_DIM), d[:n_lm].reshape(-1, LM_DIM), d[n_lm:]
 
 
 def _huberize(cam):
@@ -901,13 +976,13 @@ def solve(problem, options: SolveOptions = None):
     converged = cost <= _COST_FLOOR
     reason = "cost below absolute floor" if converged else "max_iters"
 
-    width = _keyframe_band(problem)
+    keyframes_first = _keyframes_first(problem)
     while not converged and n_iters < options.max_iters:
         n_iters += 1
         cam, pairs, anchors = blocks
         if options.huber:
             cam = _huberize(cam)
-        ne = _normal_equations(problem, cam, pairs, width)
+        ne = _normal_equations(problem, cam, pairs, keyframes_first)
 
         step_accepted = False
         nu = 2.0

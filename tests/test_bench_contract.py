@@ -7,8 +7,9 @@ attributes, and every keyword argument either passes must be a parameter
 of the callable it is passed to.  Those files are read with ast, not
 imported: run.py pins BLAS environment variables when it is imported.  bench/workloads.py is
 imported to run its problem_shape and cost_per_dof, which read the fields
-of built problems, on problems from both builders, and to run each
-workload's timed path once.
+of built problems, on problems from both builders, to run each workload's
+timed path once, and to check that its two LM workloads fall on opposite
+sides of the solver's elimination-order rule.
 """
 
 import ast
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from infocal.problem import build_batch_problem, build_segment_problem
+from infocal.problem import _keyframes_first, build_batch_problem, build_segment_problem
 
 import support
 
@@ -157,3 +158,10 @@ def test_timed_path_runs(name):
     assert outcome.attempted >= 1
     assert outcome.failed == 0
     assert not outcome.details.get("checks_failed")
+
+
+@pytest.mark.parametrize("name, keyframes_first", [("batch_session", True), ("segment_calib", False)])
+def test_lm_workloads_straddle_the_elimination_order(name, keyframes_first):
+    # one LM workload on each side of the size rule, so both orders stay measured
+    problem = workloads.WORKLOADS[name]().inputs(0)["build"]()
+    assert _keyframes_first(problem) == keyframes_first

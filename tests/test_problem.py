@@ -381,6 +381,13 @@ class TestSolve:
         scene.keyframes[0].retract(np.zeros(KF_DIM))
         assert calls == [imu.StateStack, KeyframeState]
 
+    @pytest.mark.parametrize(
+        "field, value", [("max_iters", 2.5), ("max_iters", -1), ("tol", math.nan), ("tol", math.inf), ("tol", -1e-9)]
+    )
+    def test_options_fail_at_the_boundary(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SolveOptions(**{field: value})
+
     def test_non_finite_trial_rejected(self, scene):
         prob = build_from_scene(scene)
         zero = (np.zeros((len(prob.keyframes), KF_DIM)), np.zeros((len(prob.landmarks), 3)), np.zeros(CALIB_DIM))
@@ -487,19 +494,22 @@ def bridged_partitions():
 
 
 class TestDampedElimination:
+    # each order's step on the same state, whatever _keyframes_first picks
+    @pytest.mark.parametrize("keyframes_first", [False, True], ids=["landmarks_first", "keyframes_first"])
     @pytest.mark.parametrize("case", ["batch", "bridged"])
-    def test_step_matches_dense_solution(self, scene, case):
+    def test_step_matches_dense_solution(self, scene, case, keyframes_first):
         prob = build_from_scene(scene) if case == "batch" else bridged_partitions()
         rng = np.random.default_rng(18)
         prob.keyframes = prob.keyframes.retract(rng.normal(scale=1e-3, size=(len(prob.keyframes), KF_DIM)))
         prob.landmarks = prob.landmarks + rng.normal(scale=1e-3, size=prob.landmarks.shape)
         prob.calibration = prob.calibration.retract(rng.normal(scale=1e-3, size=CALIB_DIM))
         refresh_preintegrations(prob)
-        width = _keyframe_band(prob)
-        assert width == len(prob.keyframes) - 1
+        assert _keyframe_band(prob) == len(prob.keyframes) - 1
         lam = 1e-3
         cam, pairs, anchors = gauged_blocks(prob)
-        got = _damped_step(_normal_equations(prob, cam, pairs, width), lam, anchors)
+        ne = _normal_equations(prob, cam, pairs, keyframes_first)
+        assert (ne.Hkl is not None) == keyframes_first
+        got = _damped_step(ne, lam, anchors)
         ref = dense_damped_step(prob, lam)
         for a, P, u in anchors:
             # an anchor's yaw step is zero up to rounding (about 1e-11 here,
