@@ -44,21 +44,21 @@ step.  Each trial solves the damped, gauged normal equations by block
 elimination in one of two orders, chosen once per solve from the
 problem's sizes (_keyframes_first):
 
-  landmarks first: the landmarks are eliminated per partition by dense
-    Schur complement into the keyframe block, held as one LAPACK lower
-    band over all keyframes whose half-bandwidth w is the widest keyframe
-    span of a partition or a pair factor, within a partition or across
-    two.  One banded Cholesky factors the keyframes, the calibration is
-    reduced onto a dense 26x26 system, and keyframes and landmarks
-    back-substitute.
+  landmarks first: a landmark's Schur complement is one 6x6 pose block
+    per pair of its observations, so the keyframe block is one LAPACK
+    lower band whose half-bandwidth w is the widest keyframe span of one
+    landmark's observations or of a pair factor, and the calibration is
+    the dense block.  A corridor, whose landmarks are seen over a bounded
+    span, costs O(K w^2).
   keyframes first, when the landmarks and the calibration (3L + 26
     coordinates) are fewer than the 15 (w + 1) rows of that band: the
-    keyframe block alone, coupled only by pair factors, is a band of pair
-    width.  One banded Cholesky and one band solve eliminate it, the
-    landmarks and the calibration are solved as one dense system, and the
-    keyframes back-substitute.  A bounded scene then costs
-    O(K (3L + 26)^2), linear in K (Triggs et al., "Bundle Adjustment: A
-    Modern Synthesis", 2000).
+    keyframe band holds only the pair factors, and the landmarks and the
+    calibration are the dense block.  A bounded scene then costs
+    O(K (3L + 26)^2) (Triggs et al., "Bundle Adjustment: A Modern
+    Synthesis", 2000).
+
+Either way one banded Cholesky eliminates the keyframes from the dense
+block, which is Cholesky-factored, and the rest back-substitutes.
 """
 
 from __future__ import annotations
@@ -143,6 +143,13 @@ class CalibrationState:
     extrinsics: cam.CameraExtrinsics
     imu: im.ImuIntrinsics
 
+    def __post_init__(self):
+        # the fields whose own types let NaN and inf through
+        fields = {"c": self.camera.c, "p_CI": self.extrinsics.T_CI.translation, "m_g": self.imu.m_g, "m_a": self.imu.m_a}
+        for name, v in fields.items():
+            if not np.isfinite(v).all():
+                raise ValueError(f"calibration {name} must be finite")
+
     def retract(self, delta):
         d = np.asarray(delta, dtype=float).reshape(CALIB_DIM)
         intr = cam.CameraIntrinsics(self.camera.f + d[0:2], self.camera.c + d[2:4], self.camera.w + d[4])
@@ -223,7 +230,8 @@ class CalibrationProblem:
     multiple partitions are instantiated once per partition so no camera
     term couples partitions.  bridge_factors is one BRIDGE_DTYPE array, a
     row per bias bridge.  inertial_factors is a list of InertialFactor,
-    whose times also give each interval's real sample count.
+    whose times also give each interval's real sample count.  anchors holds
+    the local index of each partition's anchor keyframe, in partition order.
 
     preintegrated is the stack of the inertial factors' preintegrations in
     factor order, at the current bias estimates of their left keyframes
@@ -240,17 +248,10 @@ class CalibrationProblem:
     inertial_factors: list
     bridge_factors: np.ndarray
     partitions: list
+    anchors: list
     noise: im.NoiseModel
-    kf_partition: np.ndarray
-    lm_partition: np.ndarray
 
     def __post_init__(self):
-        # looked up within the partition: sessions can repeat keyframe ids
-        ids = np.asarray(self.keyframe_ids)
-        self._anchor_local = [
-            int(np.flatnonzero((self.kf_partition == p) & (ids == part.anchor_keyframe_id))[0])
-            for p, part in enumerate(self.partitions)
-        ]
         self._inertial_k0 = np.array([f.k0 for f in self.inertial_factors], dtype=int)
         self._inertial_k1 = np.array([f.k1 for f in self.inertial_factors], dtype=int)
         # the factors' samples stacked once, each interval padded to the
@@ -446,10 +447,7 @@ def build_segment_problem(segments, calib_init, noise, max_shared=10):
             raise ValueError(f"segments {a.id} and {b.id} overlap in keyframe ids")
 
     partitions = partition_segments(segs, max_shared)
-    seg_partition = {}
-    for p_idx, part in enumerate(partitions):
-        for sid in part.segment_ids:
-            seg_partition[sid] = p_idx
+    seg_partition = {sid: p for p, part in enumerate(partitions) for sid in part.segment_ids}
 
     # segment i holds the local keyframes first[i] .. first[i + 1] - 1
     first = np.cumsum([0] + [len(s.keyframes) for s in segs]).tolist()
@@ -460,9 +458,12 @@ def build_segment_problem(segments, calib_init, noise, max_shared=10):
         raise ValueError(f"segment {seg.id}: keyframe states must be finite")
     times = np.array([kf.t for s in segs for kf in s.keyframes], dtype=float)
     keyframe_ids = [kid for s in segs for kid in s.keyframe_ids]
-    kf_part = np.repeat([seg_partition[s.id] for s in segs], np.diff(first))
+    # each anchor is the first keyframe of one of its partition's segments;
+    # sessions can repeat keyframe ids, so ties go to the first local one
+    start = {s.id: (s.keyframe_ids[0], f) for s, f in zip(segs, first)}
+    anchors = [min(start[sid] for sid in part.segment_ids)[1] for part in partitions]
 
-    positions, landmark_ids, lm_part, cam_factors = [], [], [], []
+    positions, landmark_ids, cam_factors = [], [], []
     lm_local = {}
     for s, first_kf in zip(segs, first):
         p_idx = seg_partition[s.id]
@@ -474,7 +475,6 @@ def build_segment_problem(segments, calib_init, noise, max_shared=10):
         for i in new:
             lm_local[(p_idx, ids[i])] = len(landmark_ids)
             landmark_ids.append(ids[i])
-            lm_part.append(p_idx)
         positions.append(listed[new])
         cols = np.array([lm_local[(p_idx, lid)] for lid in ids], dtype=int)
         rows = [(o.keyframe_id, o.landmark_id, o.uv, o.sigma) for o in s.observations]
@@ -518,9 +518,8 @@ def build_segment_problem(segments, calib_init, noise, max_shared=10):
         inertial_factors=inertial,
         bridge_factors=np.array(bridges, dtype=BRIDGE_DTYPE),
         partitions=partitions,
+        anchors=anchors,
         noise=noise,
-        kf_partition=kf_part,
-        lm_partition=np.array(lm_part, dtype=int),
     )
 
 
@@ -625,7 +624,7 @@ def anchor_projectors(problem):
     coordinate of a problem is ever held fixed.
     """
     out = []
-    for a in problem._anchor_local:
+    for a in problem.anchors:
         u = quat_to_matrix(problem.keyframes.q_GI[a]).T @ _WORLD_Z
         u = u / np.linalg.norm(u)
         out.append((a, np.eye(3) - np.outer(u, u), u))
@@ -678,16 +677,13 @@ def _cost(blocks, huber=False):
 # ------------------------------------------------------------------ solve
 
 
-def _keyframe_band(problem, keyframes_first=False):
-    """Half-bandwidth, in keyframes, of the keyframe block that an
-    elimination order factors: the widest keyframe span of an inertial
-    factor or a bridge and, when the landmarks are eliminated first, of a
-    partition (eliminating its landmarks couples all its keyframes)."""
-    spans = [problem._inertial_k1 - problem._inertial_k0, problem.bridge_factors["k1"] - problem.bridge_factors["k0"]]
-    if not keyframes_first:
-        for p in range(len(problem.partitions)):
-            kf = np.flatnonzero(problem.kf_partition == p)
-            spans.append([kf[-1] - kf[0]])
+def _keyframe_band(problem):
+    """Half-bandwidth w, in keyframes, of the keyframe block once the
+    landmarks are eliminated: the widest keyframe span of a landmark pair
+    (_landmark_pairs) or of a pair factor."""
+    kf = problem.camera_factors["kf"]
+    a, b = _landmark_pairs(kf, problem.camera_factors["lm"])
+    spans = (kf[a] - kf[b], problem._inertial_k1 - problem._inertial_k0, problem.bridge_factors["k1"] - problem.bridge_factors["k0"])
     return int(np.concatenate(spans).max(initial=0))
 
 
@@ -699,6 +695,27 @@ def _keyframes_first(problem):
     return LM_DIM * len(problem.landmarks) + CALIB_DIM < KF_DIM * (_keyframe_band(problem) + 1)
 
 
+def _landmark_pairs(kf, lm):
+    """The ordered pairs (a, b) of camera factors on one landmark with
+    kf[a] >= kf[b], each factor with itself included, as two index arrays
+    sorted by (kf[a], kf[b]): the landmark Schur blocks on or below the
+    keyframe band's diagonal."""
+    order = np.argsort(lm, kind="stable")
+    _, starts, size = np.unique(lm[order], return_index=True, return_counts=True)
+    # every ordered pair (i, j) within each landmark's run of sorted factors
+    run = np.repeat(np.arange(starts.size), size**2)
+    t = np.arange(run.size) - np.repeat(np.cumsum(size**2) - size**2, size**2)
+    a, b = order[starts[run] + t // size[run]], order[starts[run] + t % size[run]]
+    a, b = a[kf[a] >= kf[b]], b[kf[a] >= kf[b]]
+    by_pair = np.lexsort((kf[b], kf[a]))
+    return a[by_pair], b[by_pair]
+
+
+def _run_starts(key):
+    """Where each run of equal entries of key starts."""
+    return np.flatnonzero(np.diff(key, prepend=key[:1] - 1))
+
+
 def _band_entries(rows, cols, n):
     """Flat positions, in a LAPACK lower band of order n, of the entries
     (rows[..., :, None], cols[..., None, :]) on or below the diagonal, and
@@ -708,22 +725,33 @@ def _band_entries(rows, cols, n):
     return ((r - c) * n + c)[lower], lower
 
 
+def _sum_by(index, values, n):
+    """values (N, ...) summed over equal entries of index (N,) into (n,
+    ...); np.bincount, which returns ints when there are no values."""
+    m = math.prod(values.shape[1:])
+    flat = (index[:, None] * m + np.arange(m)).ravel()
+    return np.bincount(flat, values.ravel(), minlength=n * m).astype(float, copy=False).reshape((n,) + values.shape[1:])
+
+
+def _keyframe_sums(kf, values, K):
+    """values (N, ...) summed per keyframe into (K, ...); kf (N,) sorted."""
+    out = np.zeros((K,) + values.shape[1:])
+    first = _run_starts(kf)
+    out[kf[first]] = np.add.reduceat(values, first, axis=0)
+    return out
+
+
 @dataclass
 class _NormalEquations:
-    """Undamped normal equations of the gauged, whitened blocks, laid out
-    for one elimination order (_keyframes_first).
+    """Undamped normal equations of the gauged, whitened blocks, read by
+    both elimination orders.
 
     band holds the keyframe block H_kk (n = 15K coordinates) as a LAPACK
     lower band, band[i - j, j] = H_kk[i, j] for 0 <= i - j < 15(w + 1), w
-    = _keyframe_band(problem, keyframes_first); the landmark blocks are per
-    landmark (Hll (L, 3, 3), Hlt (L, 3, 26), gl (L, 3)).  The
-    keyframe-landmark block H_kl is held as its order reads it.  Keyframes
-    first: Hkl is H_kl, one dense (n, 3L) array, and partitions is empty.
-    Landmarks first: Hkl is None, and partitions lists, per partition with
-    landmarks, the pose coordinates of its keyframes, its landmarks, the
-    pose rows of its H_kl (camera factors touch no other keyframe
-    coordinate), and where the lower entries of a pose-pose product land in
-    the band (with the mask selecting them).
+    the widest pair-factor span.  The landmark blocks are per landmark
+    (Hll (L, 3, 3), Hlt (L, 3, 26), gl (L, 3)), and H_kl per camera factor:
+    Hpl (N, 6, 3) = J_pose^T J_lm on the pose of keyframe kf (N,) and on
+    landmark lm (N,), the camera factors' indices, sorted by keyframe.
     """
 
     band: np.ndarray
@@ -734,94 +762,71 @@ class _NormalEquations:
     gl: np.ndarray
     Htt: np.ndarray
     gt: np.ndarray
-    Hkl: np.ndarray
-    partitions: list
+    Hpl: np.ndarray
+    kf: np.ndarray
+    lm: np.ndarray
 
 
-def _normal_equations(problem, cam, pairs, keyframes_first):
-    """Accumulate the normal equations of the gauged blocks for the
-    elimination order keyframes_first (_NormalEquations)."""
+def _normal_equations(problem, cam, pairs):
+    """Accumulate the normal equations of the gauged blocks
+    (_NormalEquations)."""
     K, L = len(problem.keyframes), len(problem.landmarks)
     n = K * KF_DIM
-    u = (_keyframe_band(problem, keyframes_first) + 1) * KF_DIM - 1
-    Hkt = np.zeros((n, CALIB_DIM))
-    gk = np.zeros(n)
-    Hll = np.zeros((L, LM_DIM, LM_DIM))
-    Hlt = np.zeros((L, LM_DIM, CALIB_DIM))
-    gl = np.zeros((L, LM_DIM))
-    Htt = np.zeros((CALIB_DIM, CALIB_DIM))
-    gt = np.zeros(CALIB_DIM)
-    at, values = [], []
-
     r_c, Jp, Jl, Jth, _ = cam
     ki, li = problem.camera_factors["kf"], problem.camera_factors["lm"]
-    pose = (ki * KF_DIM)[:, None] + np.arange(POSE_DIM)
-    idx, lower = _band_entries(pose, pose, n)
-    at.append(idx)
-    values.append(np.einsum("nri,nrj->nij", Jp, Jp)[lower])
-    np.add.at(Hkt[:, CAM_BLOCK], (pose,), np.einsum("nri,nrj->nij", Jp, Jth))
-    np.add.at(gk, (pose,), -np.einsum("nri,nr->ni", Jp, r_c))
-    np.add.at(Hll, (li,), np.einsum("nri,nrj->nij", Jl, Jl))
-    np.add.at(Hlt[:, :, CAM_BLOCK], (li,), np.einsum("nri,nrj->nij", Jl, Jth))
-    np.add.at(gl, (li,), -np.einsum("nri,nr->ni", Jl, r_c))
-    Htt[CAM_BLOCK, CAM_BLOCK] += np.einsum("nri,nrj->ij", Jth, Jth)
-    gt[CAM_BLOCK] -= np.einsum("nri,nr->i", Jth, r_c)
+    k0, k1, rw, J0, J1, Jti = pairs
+    u = (int((k1 - k0).max(initial=0)) + 1) * KF_DIM - 1
 
+    Hkt = np.zeros((n, CALIB_DIM))
+    Hkt.reshape(K, KF_DIM, CALIB_DIM)[:, :POSE_DIM, CAM_BLOCK] = _keyframe_sums(ki, np.einsum("nri,nrj->nij", Jp, Jth), K)
+    gk = np.zeros(n)
+    gk.reshape(K, KF_DIM)[:, :POSE_DIM] = -_keyframe_sums(ki, np.einsum("nri,nr->ni", Jp, r_c), K)
+    Hll = _sum_by(li, np.einsum("nri,nrj->nij", Jl, Jl), L)
+    Hlt = np.zeros((L, LM_DIM, CALIB_DIM))
+    Hlt[:, :, CAM_BLOCK] = _sum_by(li, np.einsum("nri,nrj->nij", Jl, Jth), L)
+    gl = -_sum_by(li, np.einsum("nri,nr->ni", Jl, r_c), L)
+    Htt = np.zeros((CALIB_DIM, CALIB_DIM))
+    Htt[CAM_BLOCK, CAM_BLOCK] = np.einsum("nri,nrj->ij", Jth, Jth)
+    Htt[IMU_BLOCK, IMU_BLOCK] = np.einsum("fri,frj->ij", Jti, Jti)
+    gt = -np.concatenate([np.einsum("nri,nr->i", Jth, r_c), np.einsum("fri,fr->i", Jti, rw)])
+
+    # the camera factors' pose blocks, summed per keyframe, on the diagonal
+    pose = (np.arange(K) * KF_DIM)[:, None] + np.arange(POSE_DIM)
+    idx, lower = _band_entries(pose, pose, n)
+    at, values = [idx], [_keyframe_sums(ki, np.einsum("nri,nrj->nij", Jp, Jp), K)[lower]]
     # pair factors on two keyframes: their keyframe blocks on or below the
     # diagonal, and their IMU-intrinsics columns
-    k0, k1, rw, J0, J1, Jti = pairs
     rows = [(k * KF_DIM)[:, None] + np.arange(KF_DIM) for k in (k0, k1)]
-    for ra, Ja in zip(rows, (J0, J1)):
+    for k, ra, Ja in zip((k0, k1), rows, (J0, J1)):
         for rb, Jb in zip(rows, (J0, J1)):
             idx, lower = _band_entries(ra, rb, n)
             at.append(idx)
             values.append(np.einsum("fri,frj->fij", Ja, Jb)[lower])
-        np.add.at(gk, (ra,), -np.einsum("fri,fr->fi", Ja, rw))
-        np.add.at(Hkt[:, IMU_BLOCK], (ra,), np.einsum("fri,frj->fij", Ja, Jti))
-    Htt[IMU_BLOCK, IMU_BLOCK] += np.einsum("fri,frj->ij", Jti, Jti)
-    gt[IMU_BLOCK] -= np.einsum("fri,fr->i", Jti, rw)
-    band = np.bincount(np.concatenate(at), np.concatenate(values), minlength=(u + 1) * n).reshape(u + 1, n)
-
-    Hpl = np.einsum("nri,nrj->nij", Jp, Jl)
-    if keyframes_first:
-        # each (6 x 3) pose-landmark block straight into the dense H_kl
-        flat = (pose * (L * LM_DIM))[:, :, None] + (li * LM_DIM)[:, None, None] + np.arange(LM_DIM)
-        Hkl = np.bincount(flat.ravel(), Hpl.ravel(), minlength=n * L * LM_DIM).reshape(n, L * LM_DIM)
-        return _NormalEquations(band, Hkt, gk, Hll, Hlt, gl, Htt, gt, Hkl, [])
-
-    partitions = []
-    # positions within the partition; partitions share no keyframe or landmark
-    kf_pos = np.zeros(K, dtype=int)
-    lm_pos = np.zeros(L, dtype=int)
-    for p in range(len(problem.partitions)):
-        kf = np.flatnonzero(problem.kf_partition == p)
-        lm = np.flatnonzero(problem.lm_partition == p)
-        if not lm.size:
-            continue
-        kf_pos[kf] = np.arange(kf.size)
-        lm_pos[lm] = np.arange(lm.size)
-        sel = np.flatnonzero(problem.kf_partition[ki] == p)
-        Hkl = np.zeros((kf.size * POSE_DIM, lm.size * LM_DIM))
-        p6 = (kf_pos[ki[sel]] * POSE_DIM)[:, None, None] + np.arange(POSE_DIM)[:, None]
-        c3 = (lm_pos[li[sel]] * LM_DIM)[:, None, None] + np.arange(LM_DIM)
-        np.add.at(Hkl, (p6, c3), Hpl[sel])
-        pose_p = ((kf * KF_DIM)[:, None] + np.arange(POSE_DIM)).ravel()
-        partitions.append((pose_p, lm, Hkl, *_band_entries(pose_p, pose_p, n)))
-    return _NormalEquations(band, Hkt, gk, Hll, Hlt, gl, Htt, gt, None, partitions)
+        gk -= _sum_by(k, np.einsum("fri,fr->fi", Ja, rw), K).reshape(n)
+        Hkt[:, IMU_BLOCK] += _sum_by(k, np.einsum("fri,frj->fij", Ja, Jti), K).reshape(n, -1)
+    band = _sum_by(np.concatenate(at), np.concatenate(values), (u + 1) * n).reshape(u + 1, n)
+    return _NormalEquations(band, Hkt, gk, Hll, Hlt, gl, Htt, gt, np.einsum("nri,nrj->nij", Jp, Jl), ki, li)
 
 
-def _band_solve(cb, b, trans):
-    """Solve with the lower band Cholesky factor cb of a keyframe system,
-    L x = b (trans "N") or L^T x = b (trans "T")."""
-    x, info = scipy.linalg.lapack.dtbtrs(cb, b, uplo="L", trans=trans)
-    if info:
-        raise np.linalg.LinAlgError(f"dtbtrs: info {info}")
-    return x
+def _band_schur_solve(band, Cg, D, gd):
+    """(x, d) solving [[H, C], [C^T, D]] [x; d] = [g; gd], H the lower
+    band band (overwritten) and Cg = [C g]: a banded Cholesky L L^T of H,
+    one band solve Y = L^-1 Cg, a Cholesky of D - Y^T Y (its lower
+    triangle), and x back-substituted."""
+    cb = scipy.linalg.cholesky_banded(band, overwrite_ab=True, lower=True, check_finite=False)
+    Y, info_y = scipy.linalg.lapack.dtbtrs(cb, Cg, uplo="L")
+    Yc, y = Y[:, :-1], Y[:, -1]
+    c = scipy.linalg.cho_factor(D - Yc.T @ Yc, lower=True, check_finite=False)
+    d = scipy.linalg.cho_solve(c, gd - Yc.T @ y, check_finite=False)
+    x, info_x = scipy.linalg.lapack.dtbtrs(cb, (y - Yc @ d)[:, None], uplo="L", trans="T")
+    if info_y or info_x:
+        raise np.linalg.LinAlgError(f"dtbtrs: info {info_y or info_x}")
+    return x[:, 0], d
 
 
-def _damped_step(ne, lam, anchors):
-    """One damped elimination of the normal equations ne, in the order ne
-    is laid out for; returns the update triple (keyframes, landmarks,
+def _damped_step(ne, lam, anchors, keyframes_first):
+    """One damped elimination of the normal equations ne in the order
+    keyframes_first; returns the update triple (keyframes, landmarks,
     calibration).
 
     Damping adds lam times the diagonal, and _LM_DIAG_FLOOR to the
@@ -838,8 +843,7 @@ def _damped_step(ne, lam, anchors):
     for a, P, u in anchors:
         rot = (i - j, a * KF_DIM + j)
         B = np.zeros((3, 3))
-        B[i, j] = band[rot]
-        B[j, i] = band[rot]
+        B[i, j] = B[j, i] = band[rot]
         band[rot] = (P @ B @ P + np.outer(u, u))[i, j]
         band[0, a * KF_DIM + 3 : a * KF_DIM + 6] += 1.0
 
@@ -847,62 +851,56 @@ def _damped_step(ne, lam, anchors):
     Hll = ne.Hll.copy()
     Hll[:, ii, ii] += lam * ne.Hll[:, ii, ii] + _LM_DIAG_FLOOR
     Htt = ne.Htt + lam * np.diag(np.diag(ne.Htt))
-    step = _landmarks_first_step if ne.Hkl is None else _keyframes_first_step
+    step = _keyframes_first_step if keyframes_first else _landmarks_first_step
     return step(ne, band, Hll, Htt)
 
 
 def _landmarks_first_step(ne, band, Hll, Htt):
-    """Landmarks eliminated first, per landmark and per partition, into the
-    keyframe band, which one banded Cholesky factors; the calibration is
-    reduced by S -= Y^T Y with Y = L^-1 H_k,theta, and the keyframes and
-    landmarks back-substitute.  band, Hll and Htt are damped and gauged."""
+    """Landmarks eliminated first: their Schur complement, one 6x6 block
+    H_pl,a Hll^-1 H_pl,b^T per pair of camera factors on one landmark
+    (_landmark_pairs), widens the keyframe band to _keyframe_band, the
+    calibration is the dense block of _band_schur_solve, and the landmarks
+    back-substitute.  band, Hll and Htt are damped and gauged."""
+    n, K, L = ne.gk.size, ne.gk.size // KF_DIM, len(Hll)
     Hll_inv = np.linalg.inv(Hll)
-    Tt = (Hll_inv @ ne.Hlt).reshape(-1, CALIB_DIM)
-    S = Htt - ne.Hlt.reshape(-1, CALIB_DIM).T @ Tt
-    gt = ne.gt - Tt.T @ ne.gl.reshape(-1)
-    Hkt = ne.Hkt.copy()
-    gk = ne.gk.copy()
-    flat = band.reshape(-1)
-    for pose, lm, Hkl, at, lower in ne.partitions:
-        # landmark Schur update, on the pose rows: the only rows of Hkl
-        T = (Hkl.reshape(-1, lm.size, LM_DIM).transpose(1, 0, 2) @ Hll_inv[lm]).transpose(1, 0, 2).reshape(Hkl.shape)
-        flat[at] -= (T @ Hkl.T)[lower]
-        Hkt[pose] -= T @ ne.Hlt[lm].reshape(-1, CALIB_DIM)
-        gk[pose] -= T @ ne.gl[lm].reshape(-1)
+    Hlg = np.concatenate([ne.Hlt, ne.gl[..., None]], axis=-1)  # [H_l,theta g_l]
+    R = ne.Hlt.reshape(-1, CALIB_DIM).T @ (Hll_inv @ Hlg).reshape(-1, CALIB_DIM + 1)
+    S, gt = Htt - R[:, :-1], ne.gt - R[:, -1]
 
-    cb = scipy.linalg.cholesky_banded(band, overwrite_ab=True, lower=True, check_finite=False)
-    Y = _band_solve(cb, np.column_stack([Hkt, gk]), "N")
-    Yt, y = Y[:, :CALIB_DIM], Y[:, CALIB_DIM]
-    S -= Yt.T @ Yt
-    c = scipy.linalg.cho_factor(0.5 * (S + S.T), lower=True, check_finite=False)
-    d_th = scipy.linalg.cho_solve(c, gt - Yt.T @ y, check_finite=False)
-    x = _band_solve(cb, (y - Yt @ d_th)[:, None], "T")[:, 0]
+    T = ne.Hpl @ Hll_inv[ne.lm]
+    # the pairs' blocks summed per keyframe pair, then scattered
+    a, b = _landmark_pairs(ne.kf, ne.lm)
+    first = _run_starts(ne.kf[a] * K + ne.kf[b])
+    blocks = np.add.reduceat(T[a] @ ne.Hpl[b].transpose(0, 2, 1), first, axis=0)
+    a, b = ne.kf[a[first]], ne.kf[b[first]]
+    at, lower = _band_entries((a * KF_DIM)[:, None] + np.arange(POSE_DIM), (b * KF_DIM)[:, None] + np.arange(POSE_DIM), n)
+    height = max(band.shape[0], (int((a - b).max(initial=0)) + 1) * KF_DIM)
+    full = -_sum_by(at, blocks[lower], height * n).reshape(height, n)
+    full[: band.shape[0]] += band
+    # [H_k,theta g_k] less the landmarks' Schur terms, per camera factor
+    Hkg = np.column_stack([ne.Hkt, ne.gk])
+    Hkg.reshape(K, KF_DIM, -1)[:, :POSE_DIM] -= _keyframe_sums(ne.kf, T @ Hlg[ne.lm], K)
 
-    rhs = ne.gl - ne.Hlt @ d_th
-    for pose, lm, Hkl, _, _ in ne.partitions:
-        rhs[lm] -= (Hkl.T @ x[pose]).reshape(-1, LM_DIM)
+    x, d_th = _band_schur_solve(full, Hkg, S, gt)
+    x_pose = x.reshape(K, KF_DIM)[ne.kf, :POSE_DIM]
+    rhs = ne.gl - ne.Hlt @ d_th - _sum_by(ne.lm, np.einsum("nij,ni->nj", ne.Hpl, x_pose), L)
     return x.reshape(-1, KF_DIM), np.einsum("nij,nj->ni", Hll_inv, rhs), d_th
 
 
 def _keyframes_first_step(ne, band, Hll, Htt):
-    """Keyframes eliminated first: one banded Cholesky L L^T factors the
-    keyframe band, which holds only pair couplings; one band solve gives
-    Z = L^-1 [H_kl H_k,theta g_k]; the dense landmark and calibration
-    system less Z^T Z (3L + 26 coordinates) is Cholesky-factored, and the
-    keyframes back-substitute.  band, Hll and Htt are damped and gauged."""
-    n_lm = ne.gl.size
-    cb = scipy.linalg.cholesky_banded(band, overwrite_ab=True, lower=True, check_finite=False)
-    Z = _band_solve(cb, np.column_stack([ne.Hkl, ne.Hkt, ne.gk]), "N")
-    Zs, z = Z[:, :-1], Z[:, -1]
-    S = -(Zs.T @ Zs)
-    base = (LM_DIM * np.arange(len(Hll)))[:, None, None]
-    S[base + np.arange(LM_DIM)[:, None], base + np.arange(LM_DIM)] += Hll
-    # cho_factor reads only the lower triangle
-    S[n_lm:, :n_lm] += ne.Hlt.reshape(n_lm, CALIB_DIM).T
-    S[n_lm:, n_lm:] += Htt
-    c = scipy.linalg.cho_factor(S, lower=True, check_finite=False)
-    d = scipy.linalg.cho_solve(c, np.concatenate([ne.gl.reshape(-1), ne.gt]) - Zs.T @ z, check_finite=False)
-    x = _band_solve(cb, (z - Zs @ d)[:, None], "T")[:, 0]
+    """Keyframes eliminated first: the keyframe band holds only pair
+    couplings, and the landmarks and the calibration (3L + 26 coordinates)
+    are the dense block of _band_schur_solve.  band, Hll and Htt are damped
+    and gauged."""
+    n, n_lm = ne.gk.size, ne.gl.size
+    # H_kl, dense: each camera factor's pose-landmark block
+    pose = (ne.kf * KF_DIM)[:, None] + np.arange(POSE_DIM)
+    flat = (pose * n_lm)[:, :, None] + (ne.lm * LM_DIM)[:, None, None] + np.arange(LM_DIM)
+    Hkl = _sum_by(flat.ravel(), ne.Hpl.ravel(), n * n_lm).reshape(n, n_lm)
+    # the landmark and calibration system, lower triangle
+    D = scipy.linalg.block_diag(*Hll, Htt)
+    D[n_lm:, :n_lm] = ne.Hlt.reshape(n_lm, CALIB_DIM).T
+    x, d = _band_schur_solve(band, np.column_stack([Hkl, ne.Hkt, ne.gk]), D, np.concatenate([ne.gl.reshape(-1), ne.gt]))
     return x.reshape(-1, KF_DIM), d[:n_lm].reshape(-1, LM_DIM), d[n_lm:]
 
 
@@ -982,13 +980,13 @@ def solve(problem, options: SolveOptions = None):
         cam, pairs, anchors = blocks
         if options.huber:
             cam = _huberize(cam)
-        ne = _normal_equations(problem, cam, pairs, keyframes_first)
+        ne = _normal_equations(problem, cam, pairs)
 
         step_accepted = False
         nu = 2.0
         while lam <= _MAX_LAMBDA and not step_accepted:
             try:
-                delta = _damped_step(ne, lam, anchors)
+                delta = _damped_step(ne, lam, anchors, keyframes_first)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue

@@ -8,8 +8,10 @@ hand from the unweighted residual evaluation.
 """
 
 import math
+import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ import pytest
 import infocal.problem
 from infocal import imu
 from infocal.camera import FeatureObservation
-from infocal.geometry import UnitQuaternion, quat_mul, quat_to_matrix, so3_exp
+from infocal.geometry import Transform, UnitQuaternion, quat_mul, quat_to_matrix, so3_exp
 from infocal.imu import ImuSample, inertial_error_jacobians, preintegrate
 from infocal.problem import (
     CALIB_DIM,
@@ -30,6 +32,7 @@ from infocal.problem import (
     _LM_DIAG_FLOOR,
     _damped_step,
     _keyframe_band,
+    _landmark_pairs,
     _model_decrease,
     _normal_equations,
     _retract_problem,
@@ -49,6 +52,10 @@ from infocal.problem import (
 
 import support
 from support import evaluate_residuals, inertial_error, quat_local
+
+sys.path[:0] = [str(Path(__file__).resolve().parents[1] / "bench")]
+
+import sim  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -493,23 +500,33 @@ def bridged_partitions():
     return prob
 
 
+def corridor_batch():
+    """A 50-keyframe batch problem on the bench's corridor: no landmark is
+    seen across more than 25 consecutive keyframes, so the landmark band is
+    narrower than the session."""
+    s = sim.make_session(0, n_keyframes=50, steps=10, corridor=True)
+    return build_batch_problem(s.keyframes, sim.landmark_list(s.landmarks), s.observations, s.imu, s.calibration, s.noise)
+
+
 class TestDampedElimination:
-    # each order's step on the same state, whatever _keyframes_first picks
+    # each order's step on the same state, whatever _keyframes_first picks;
+    # band is the widest landmark or pair-factor span
     @pytest.mark.parametrize("keyframes_first", [False, True], ids=["landmarks_first", "keyframes_first"])
-    @pytest.mark.parametrize("case", ["batch", "bridged"])
-    def test_step_matches_dense_solution(self, scene, case, keyframes_first):
-        prob = build_from_scene(scene) if case == "batch" else bridged_partitions()
+    @pytest.mark.parametrize(
+        "case, band", [("batch", 5), ("bridged", 4), ("corridor", 24)], ids=["batch", "bridged", "corridor"]
+    )
+    def test_step_matches_dense_solution(self, scene, case, band, keyframes_first):
+        build = {"batch": lambda: build_from_scene(scene), "bridged": bridged_partitions, "corridor": corridor_batch}
+        prob = build[case]()
         rng = np.random.default_rng(18)
         prob.keyframes = prob.keyframes.retract(rng.normal(scale=1e-3, size=(len(prob.keyframes), KF_DIM)))
         prob.landmarks = prob.landmarks + rng.normal(scale=1e-3, size=prob.landmarks.shape)
         prob.calibration = prob.calibration.retract(rng.normal(scale=1e-3, size=CALIB_DIM))
         refresh_preintegrations(prob)
-        assert _keyframe_band(prob) == len(prob.keyframes) - 1
+        assert _keyframe_band(prob) == band
         lam = 1e-3
         cam, pairs, anchors = gauged_blocks(prob)
-        ne = _normal_equations(prob, cam, pairs, keyframes_first)
-        assert (ne.Hkl is not None) == keyframes_first
-        got = _damped_step(ne, lam, anchors)
+        got = _damped_step(_normal_equations(prob, cam, pairs), lam, anchors, keyframes_first)
         ref = dense_damped_step(prob, lam)
         for a, P, u in anchors:
             # an anchor's yaw step is zero up to rounding (about 1e-11 here,
@@ -519,6 +536,46 @@ class TestDampedElimination:
                 d[a, :3] = P @ d[a, :3]
         for g, e in zip(got, ref):
             assert np.linalg.norm(g - e) <= 1e-9 * np.linalg.norm(e)
+
+    @pytest.mark.parametrize("keyframes_first", [False, True], ids=["landmarks_first", "keyframes_first"])
+    def test_step_without_camera_factors(self, scene, keyframes_first):
+        # no observation and no landmark: the camera calibration then has no
+        # information, so it gets unit information, as from a prior
+        prob = build_batch_problem(scene.keyframes, [], [], scene.imu_stream, scene.calibration, scene.noise)
+        assert not len(prob.camera_factors)
+        refresh_preintegrations(prob)
+        cam, pairs, anchors = gauged_blocks(prob)
+        ne = _normal_equations(prob, cam, pairs)
+        ne.Htt[:11, :11] += np.eye(11)
+        got = _damped_step(ne, 1e-3, anchors, keyframes_first)
+        assert [d.shape for d in got] == [(len(prob.keyframes), KF_DIM), (0, 3), (CALIB_DIM,)]
+        assert all(np.isfinite(d).all() for d in got)
+        assert np.linalg.norm(got[0]) > 0.0
+
+
+class TestLandmarkPairs:
+    @staticmethod
+    def brute_force(kf, lm):
+        return sorted((a, b) for a in range(len(lm)) for b in range(len(lm)) if lm[a] == lm[b] and kf[a] >= kf[b])
+
+    def test_pairs_match_double_loop(self):
+        # sorted by (kf, lm): landmark 1 and 2 are seen once, landmark 0 from
+        # keyframes 0, 1, 3 and twice from 5, landmark 3 from 0 and 2
+        kf = np.array([0, 0, 1, 2, 2, 3, 5, 5, 5])
+        lm = np.array([0, 3, 0, 1, 3, 0, 0, 0, 2])
+        a, b = _landmark_pairs(kf, lm)
+        assert sorted(zip(a.tolist(), b.tolist())) == self.brute_force(kf, lm)
+        by_pair = list(zip(kf[a].tolist(), kf[b].tolist()))
+        assert by_pair == sorted(by_pair)
+
+    def test_problem_pairs_match_double_loop(self):
+        cf = bridged_partitions().camera_factors
+        a, b = _landmark_pairs(cf["kf"], cf["lm"])
+        assert sorted(zip(a.tolist(), b.tolist())) == self.brute_force(cf["kf"], cf["lm"])
+
+    def test_no_camera_factors(self):
+        a, b = _landmark_pairs(np.zeros(0, dtype=int), np.zeros(0, dtype=int))
+        assert a.size == 0 and b.size == 0
 
 
 class TestHuber:
@@ -791,6 +848,19 @@ class TestSegmentProblem:
         segs[1].keyframes = [segs[1].keyframes[0], replace(kf, **{field: bad}), *segs[1].keyframes[2:]]
         with pytest.raises(ValueError, match="segment 1: keyframe states must be finite"):
             build_segment_problem(segs, scene.calibration, scene.noise)
+
+    @pytest.mark.parametrize("field", ["c", "p_CI", "m_g"])
+    def test_non_finite_calibration_raises(self, scene, field):
+        cal = scene.calibration
+        with pytest.raises(ValueError, match=f"calibration {field} must be finite"):
+            if field == "c":
+                cal = replace(cal, camera=replace(cal.camera, c=np.array([np.nan, 240.0])))
+            elif field == "p_CI":
+                T = cal.extrinsics.T_CI
+                cal = replace(cal, extrinsics=replace(cal.extrinsics, T_CI=Transform(T.rotation, [0.0, np.inf, 0.0])))
+            else:
+                cal = replace(cal, imu=replace(cal.imu, m_g=np.array([0.0, 0.0, -np.inf])))
+            build_segment_problem(support.scene_segments(scene, kf_per_segment=3), cal, scene.noise)
 
     def test_bridge_gap_must_be_positive(self, scene):
         # a later segment of the session whose keyframes start before the
