@@ -146,18 +146,18 @@ def camera_factor_blocks(q_GI, p_GI, R_CI, p_CI, l_G, intr: CameraIntrinsics):
     """
     R_GI = quat_to_matrix(q_GI)
     d = l_G - p_GI
-    l_I = np.einsum("nji,nj->ni", R_GI, d)  # R_GI^T d
+    l_I = (d[:, None, :] @ R_GI)[:, 0]  # R_GI^T d
     l_C = l_I @ R_CI.T + p_CI
     z = l_C[:, 2]
     valid = z > 0.0
     uv, A, duv_df, duv_dw = _uv_core_jacobians(l_C, intr)
 
-    R_CIG = np.einsum("ij,nkj->nik", R_CI, R_GI)  # R_CI @ R_GI^T per row
-    li_hat = so3_hat(l_I)
+    R_CIG = R_CI @ R_GI.swapaxes(-1, -2)  # R_CI @ R_GI^T per row
     A_RCI = A @ R_CI
-    J_l = np.einsum("nij,njk->nik", A, R_CIG)
-    J_pose = np.concatenate([np.einsum("nij,njk->nik", A_RCI, li_hat), -J_l], axis=-1)
-    J_extr = np.concatenate([-np.einsum("nij,njk->nik", A_RCI, li_hat), A], axis=-1)
+    J_l = A @ R_CIG
+    A_RCI_li = A_RCI @ so3_hat(l_I)
+    J_pose = np.concatenate([A_RCI_li, -J_l], axis=-1)
+    J_extr = np.concatenate([-A_RCI_li, A], axis=-1)
     eye2 = np.broadcast_to(np.eye(2), duv_df.shape).copy()
     J_intr = np.concatenate([duv_df, eye2, duv_dw[:, :, None]], axis=-1)
 

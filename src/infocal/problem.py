@@ -57,8 +57,17 @@ problem's sizes (_keyframes_first):
     O(K (3L + 26)^2) (Triggs et al., "Bundle Adjustment: A Modern
     Synthesis", 2000).
 
-Either way one banded Cholesky eliminates the keyframes from the dense
-block, which is Cholesky-factored, and the rest back-substitutes.
+Either way one banded Cholesky L L^T eliminates the keyframes from the
+dense block, which is Cholesky-factored, and the rest back-substitutes.
+The forward solve Y = L^-1 [H_k,dense g_k] has two forms, picked by the
+width of its right-hand side (_forward_solve).  No wider than the band,
+as the 27 columns of landmarks first on a corridor, it is one LAPACK band
+solve (dtbtrs), which solves one column at a time.  Wider, as the
+3L + 27 columns of keyframes first on a bounded scene, it is a sweep over
+blocks of band height, one matrix product per block
+(_block_forward_solve).  The
+landmark Schur complement's place in the band depends only on the camera
+factors, so a solve builds it once (_landmark_schur).
 """
 
 from __future__ import annotations
@@ -84,6 +93,9 @@ CAM_BLOCK = slice(0, 11)
 IMU_BLOCK = slice(11, 26)
 
 _WORLD_Z = np.array([0.0, 0.0, 1.0])
+# the least pivot of the damped system: added to each landmark diagonal
+# entry, and the floor of every other, so that a coordinate without
+# information still factors
 _LM_DIAG_FLOOR = 1e-12
 # Levenberg-Marquardt damping: its start, and the limit beyond which no
 # step is sought; and the absolute cost below which iteration is pointless
@@ -592,7 +604,7 @@ def inertial_blocks(problem):
     pre = problem.preintegrated
     r, J0, J1, Jth = im.inertial_factor_blocks(x.take(k0), x.take(k1), pre, problem.noise.gravity_vector())
     A = im.inertial_sqrt_information(pre)
-    return k0, k1, np.einsum("fij,fj->fi", A, r), A @ J0, A @ J1, A @ Jth
+    return k0, k1, (A @ r[..., None])[..., 0], A @ J0, A @ J1, A @ Jth
 
 
 def bridge_blocks(problem):
@@ -679,11 +691,16 @@ def _cost(blocks, huber=False):
 
 def _keyframe_band(problem):
     """Half-bandwidth w, in keyframes, of the keyframe block once the
-    landmarks are eliminated: the widest keyframe span of a landmark pair
-    (_landmark_pairs) or of a pair factor."""
-    kf = problem.camera_factors["kf"]
-    a, b = _landmark_pairs(kf, problem.camera_factors["lm"])
-    spans = (kf[a] - kf[b], problem._inertial_k1 - problem._inertial_k0, problem.bridge_factors["k1"] - problem.bridge_factors["k0"])
+    landmarks are eliminated: the widest keyframe span of one landmark's
+    observations or of a pair factor."""
+    cf = problem.camera_factors
+    by_lm = np.argsort(cf["lm"], kind="stable")
+    kf, first = cf["kf"][by_lm], _run_starts(cf["lm"][by_lm])
+    spans = (
+        np.maximum.reduceat(kf, first) - np.minimum.reduceat(kf, first),
+        problem._inertial_k1 - problem._inertial_k0,
+        problem.bridge_factors["k1"] - problem.bridge_factors["k0"],
+    )
     return int(np.concatenate(spans).max(initial=0))
 
 
@@ -725,6 +742,11 @@ def _band_entries(rows, cols, n):
     return ((r - c) * n + c)[lower], lower
 
 
+def _tmul(A, B):
+    """A^T B per factor: the last two axes of A transposed, times B."""
+    return A.swapaxes(-1, -2) @ B
+
+
 def _sum_by(index, values, n):
     """values (N, ...) summed over equal entries of index (N,) into (n,
     ...); np.bincount, which returns ints when there are no values."""
@@ -741,6 +763,24 @@ def _keyframe_sums(kf, values, K):
     return out
 
 
+def _landmark_schur(problem):
+    """Where the landmark Schur complement goes in the keyframe band; it
+    depends only on the camera factors, so a solve builds it once.
+
+    Returns (a, b, first, at, lower, height): the factor pairs of
+    _landmark_pairs, the start of each keyframe pair's run of them, and the
+    flat positions and mask (_band_entries) of the runs' summed 6x6 blocks
+    in a LAPACK lower band of height rows, 15 (w + 1) for w =
+    _keyframe_band.
+    """
+    kf, K = problem.camera_factors["kf"], len(problem.keyframes)
+    a, b = _landmark_pairs(kf, problem.camera_factors["lm"])
+    first = _run_starts(kf[a] * K + kf[b])
+    pose = [(kf[c[first]] * KF_DIM)[:, None] + np.arange(POSE_DIM) for c in (a, b)]
+    at, lower = _band_entries(*pose, K * KF_DIM)
+    return a, b, first, at, lower, KF_DIM * (_keyframe_band(problem) + 1)
+
+
 @dataclass
 class _NormalEquations:
     """Undamped normal equations of the gauged, whitened blocks, read by
@@ -751,7 +791,7 @@ class _NormalEquations:
     the widest pair-factor span.  The landmark blocks are per landmark
     (Hll (L, 3, 3), Hlt (L, 3, 26), gl (L, 3)), and H_kl per camera factor:
     Hpl (N, 6, 3) = J_pose^T J_lm on the pose of keyframe kf (N,) and on
-    landmark lm (N,), the camera factors' indices, sorted by keyframe.
+    landmark lm (N,), the camera factors' indices, sorted by (kf, lm).
     """
 
     band: np.ndarray
@@ -778,22 +818,24 @@ def _normal_equations(problem, cam, pairs):
     u = (int((k1 - k0).max(initial=0)) + 1) * KF_DIM - 1
 
     Hkt = np.zeros((n, CALIB_DIM))
-    Hkt.reshape(K, KF_DIM, CALIB_DIM)[:, :POSE_DIM, CAM_BLOCK] = _keyframe_sums(ki, np.einsum("nri,nrj->nij", Jp, Jth), K)
+    Hkt.reshape(K, KF_DIM, CALIB_DIM)[:, :POSE_DIM, CAM_BLOCK] = _keyframe_sums(ki, _tmul(Jp, Jth), K)
     gk = np.zeros(n)
-    gk.reshape(K, KF_DIM)[:, :POSE_DIM] = -_keyframe_sums(ki, np.einsum("nri,nr->ni", Jp, r_c), K)
-    Hll = _sum_by(li, np.einsum("nri,nrj->nij", Jl, Jl), L)
+    gk.reshape(K, KF_DIM)[:, :POSE_DIM] = -_keyframe_sums(ki, _tmul(Jp, r_c[..., None])[..., 0], K)
+    Hll = _sum_by(li, _tmul(Jl, Jl), L)
     Hlt = np.zeros((L, LM_DIM, CALIB_DIM))
-    Hlt[:, :, CAM_BLOCK] = _sum_by(li, np.einsum("nri,nrj->nij", Jl, Jth), L)
-    gl = -_sum_by(li, np.einsum("nri,nr->ni", Jl, r_c), L)
+    Hlt[:, :, CAM_BLOCK] = _sum_by(li, _tmul(Jl, Jth), L)
+    gl = -_sum_by(li, _tmul(Jl, r_c[..., None])[..., 0], L)
+    # the calibration blocks sum over all rows: one product of the stacked rows
+    Jth2, Jti2 = (J.reshape(-1, J.shape[-1]) for J in (Jth, Jti))
     Htt = np.zeros((CALIB_DIM, CALIB_DIM))
-    Htt[CAM_BLOCK, CAM_BLOCK] = np.einsum("nri,nrj->ij", Jth, Jth)
-    Htt[IMU_BLOCK, IMU_BLOCK] = np.einsum("fri,frj->ij", Jti, Jti)
-    gt = -np.concatenate([np.einsum("nri,nr->i", Jth, r_c), np.einsum("fri,fr->i", Jti, rw)])
+    Htt[CAM_BLOCK, CAM_BLOCK] = _tmul(Jth2, Jth2)
+    Htt[IMU_BLOCK, IMU_BLOCK] = _tmul(Jti2, Jti2)
+    gt = -np.concatenate([_tmul(Jth2, r_c.reshape(-1)), _tmul(Jti2, rw.reshape(-1))])
 
     # the camera factors' pose blocks, summed per keyframe, on the diagonal
     pose = (np.arange(K) * KF_DIM)[:, None] + np.arange(POSE_DIM)
     idx, lower = _band_entries(pose, pose, n)
-    at, values = [idx], [_keyframe_sums(ki, np.einsum("nri,nrj->nij", Jp, Jp), K)[lower]]
+    at, values = [idx], [_keyframe_sums(ki, _tmul(Jp, Jp), K)[lower]]
     # pair factors on two keyframes: their keyframe blocks on or below the
     # diagonal, and their IMU-intrinsics columns
     rows = [(k * KF_DIM)[:, None] + np.arange(KF_DIM) for k in (k0, k1)]
@@ -801,41 +843,103 @@ def _normal_equations(problem, cam, pairs):
         for rb, Jb in zip(rows, (J0, J1)):
             idx, lower = _band_entries(ra, rb, n)
             at.append(idx)
-            values.append(np.einsum("fri,frj->fij", Ja, Jb)[lower])
-        gk -= _sum_by(k, np.einsum("fri,fr->fi", Ja, rw), K).reshape(n)
-        Hkt[:, IMU_BLOCK] += _sum_by(k, np.einsum("fri,frj->fij", Ja, Jti), K).reshape(n, -1)
+            values.append(_tmul(Ja, Jb)[lower])
+        gk -= _sum_by(k, _tmul(Ja, rw[..., None])[..., 0], K).reshape(n)
+        Hkt[:, IMU_BLOCK] += _sum_by(k, _tmul(Ja, Jti), K).reshape(n, -1)
     band = _sum_by(np.concatenate(at), np.concatenate(values), (u + 1) * n).reshape(u + 1, n)
-    return _NormalEquations(band, Hkt, gk, Hll, Hlt, gl, Htt, gt, np.einsum("nri,nrj->nij", Jp, Jl), ki, li)
+    return _NormalEquations(band, Hkt, gk, Hll, Hlt, gl, Htt, gt, _tmul(Jp, Jl), ki, li)
 
 
-def _band_schur_solve(band, Cg, D, gd):
-    """(x, d) solving [[H, C], [C^T, D]] [x; d] = [g; gd], H the lower
-    band band (overwritten) and Cg = [C g]: a banded Cholesky L L^T of H,
-    one band solve Y = L^-1 Cg, a Cholesky of D - Y^T Y (its lower
-    triangle), and x back-substituted."""
+def _keyframe_rhs(ne, lead):
+    """A new [0 H_k,theta g_k] with lead zero columns first: the right-hand
+    side of _band_schur_solve, which each step completes in place."""
+    C = np.zeros((ne.gk.size, lead + CALIB_DIM + 1))
+    C[:, lead:-1] = ne.Hkt
+    C[:, -1] = ne.gk
+    return C
+
+
+def _forward_solve(cb, C):
+    """L^-1 C for the lower band Cholesky factor L stored in cb.  dtbtrs
+    solves one column at a time, at LAPACK level 2, which suits a
+    right-hand side no wider than the band; a wider one goes to
+    _block_forward_solve, at level 3."""
+    if C.shape[1] > cb.shape[0]:
+        return _block_forward_solve(cb, C)
+    Y, info = scipy.linalg.lapack.dtbtrs(cb, C, uplo="L")
+    if info:
+        raise np.linalg.LinAlgError(f"dtbtrs: info {info}")
+    return Y
+
+
+def _block_forward_solve(cb, C):
+    """L^-1 C as _forward_solve, in blocks of m = cb.shape[0] rows.
+
+    L's half-bandwidth is below m, so in those blocks L is block lower
+    bidiagonal, with lower triangular diagonal blocks L_i and subdiagonal
+    blocks S_i.  With the inverses of the L_i, Z_i = L_i^-1 C_i and
+    M_i = L_i^-1 S_i are batched products up front, and a sweep of one
+    GEMM per block, Y_i = Z_i - M_i Y_(i-1), gives Y = L^-1 C.
+    """
+    m, n = cb.shape
+    blocks, whole = -(-n // m), n // m
+    # the band over m zero rows, so that offsets past it read zero, padded
+    # to whole blocks with a unit diagonal; a padded block's inverse holds
+    # the inverse of its leading block
+    ext = np.zeros((2 * m, blocks * m))
+    ext[:m, :n] = cb
+    ext[0, n:] = 1.0
+    i, j = np.arange(m)[:, None], np.arange(m)
+    cols = (np.arange(blocks) * m)[:, None, None] + j
+    Linv = ext[i - j, cols]
+    for k in range(blocks):
+        Linv[k], info = scipy.linalg.lapack.dtrtri(Linv[k], lower=1)
+        if info:
+            raise np.linalg.LinAlgError(f"dtrtri: info {info}")
+    M = Linv[1:] @ ext[m + i - j, cols[:-1]]
+    Y = np.empty_like(C)
+    stack = (whole, m, C.shape[1])
+    np.matmul(Linv[:whole], C[: whole * m].reshape(stack), out=Y[: whole * m].reshape(stack))
+    Y[whole * m :] = Linv[-1, : n - whole * m, : n - whole * m] @ C[whole * m :]
+    for k in range(1, blocks):
+        rows = slice(k * m, min(k * m + m, n))
+        Y[rows] -= M[k - 1, : rows.stop - rows.start] @ Y[rows.start - m : rows.start]
+    return Y
+
+
+def _band_schur_solve(band, C, D, gd):
+    """(x, d) solving [[H, Ck], [Ck^T, D]] [x; d] = [g; gd], H the lower
+    band band (overwritten), C = [Ck g] and D read in its lower triangle: a
+    banded Cholesky L L^T of H, Y = L^-1 C, a Cholesky of D - Y^T Y, and x
+    back-substituted.  The forward solve (_forward_solve) is one dtbtrs
+    when C is no wider than the band, else a sweep over blocks of band
+    height (_block_forward_solve)."""
     cb = scipy.linalg.cholesky_banded(band, overwrite_ab=True, lower=True, check_finite=False)
-    Y, info_y = scipy.linalg.lapack.dtbtrs(cb, Cg, uplo="L")
+    Y = _forward_solve(cb, C)
     Yc, y = Y[:, :-1], Y[:, -1]
     c = scipy.linalg.cho_factor(D - Yc.T @ Yc, lower=True, check_finite=False)
     d = scipy.linalg.cho_solve(c, gd - Yc.T @ y, check_finite=False)
-    x, info_x = scipy.linalg.lapack.dtbtrs(cb, (y - Yc @ d)[:, None], uplo="L", trans="T")
-    if info_y or info_x:
-        raise np.linalg.LinAlgError(f"dtbtrs: info {info_y or info_x}")
+    x, info = scipy.linalg.lapack.dtbtrs(cb, (y - Yc @ d)[:, None], uplo="L", trans="T")
+    if info:
+        raise np.linalg.LinAlgError(f"dtbtrs: info {info}")
     return x[:, 0], d
 
 
-def _damped_step(ne, lam, anchors, keyframes_first):
-    """One damped elimination of the normal equations ne in the order
-    keyframes_first; returns the update triple (keyframes, landmarks,
-    calibration).
+def _damped_step(ne, lam, anchors, schur):
+    """One damped elimination of the normal equations ne; returns the
+    update triple (keyframes, landmarks, calibration).  schur is the
+    problem's _landmark_schur to eliminate the landmarks first
+    (_landmarks_first_step), None to eliminate the keyframes first
+    (_keyframes_first_step).
 
     Damping adds lam times the diagonal, and _LM_DIAG_FLOOR to the
     landmarks'.  The gauge: each anchor's damped rotation block B becomes
     P B P + u u^T and its position block the identity, so the anchor's
     position update is exactly zero and its rotation update has no
-    component about u.  Both orders share this damped, gauged system and
-    differ only in how they eliminate it (_landmarks_first_step,
-    _keyframes_first_step).
+    component about u.  Any other keyframe or calibration diagonal entry
+    below _LM_DIAG_FLOOR is raised to it, so a coordinate without
+    information still factors and gets no update.  Both orders share this
+    damped, gauged system and differ only in how they eliminate it.
     """
     band = ne.band.copy()
     band[0] *= 1.0 + lam
@@ -846,61 +950,70 @@ def _damped_step(ne, lam, anchors, keyframes_first):
         B[i, j] = B[j, i] = band[rot]
         band[rot] = (P @ B @ P + np.outer(u, u))[i, j]
         band[0, a * KF_DIM + 3 : a * KF_DIM + 6] += 1.0
+    np.maximum(band[0], _LM_DIAG_FLOOR, out=band[0])
 
     ii = np.arange(LM_DIM)
     Hll = ne.Hll.copy()
     Hll[:, ii, ii] += lam * ne.Hll[:, ii, ii] + _LM_DIAG_FLOOR
     Htt = ne.Htt + lam * np.diag(np.diag(ne.Htt))
-    step = _keyframes_first_step if keyframes_first else _landmarks_first_step
-    return step(ne, band, Hll, Htt)
+    np.fill_diagonal(Htt, np.maximum(np.diag(Htt), _LM_DIAG_FLOOR))
+    if schur is None:
+        return _keyframes_first_step(ne, band, Hll, Htt)
+    return _landmarks_first_step(ne, band, Hll, Htt, schur)
 
 
-def _landmarks_first_step(ne, band, Hll, Htt):
+def _landmarks_first_step(ne, band, Hll, Htt, schur):
     """Landmarks eliminated first: their Schur complement, one 6x6 block
-    H_pl,a Hll^-1 H_pl,b^T per pair of camera factors on one landmark
-    (_landmark_pairs), widens the keyframe band to _keyframe_band, the
+    H_pl,a Hll^-1 H_pl,b^T per pair of camera factors on one landmark,
+    placed by schur (_landmark_schur), widens the keyframe band, the
     calibration is the dense block of _band_schur_solve, and the landmarks
-    back-substitute.  band, Hll and Htt are damped and gauged."""
+    back-substitute.  The right-hand side [H_k,theta g_k] is 27 columns,
+    narrower than the band, so the forward solve is one dtbtrs.  band, Hll
+    and Htt are damped and gauged."""
     n, K, L = ne.gk.size, ne.gk.size // KF_DIM, len(Hll)
     Hll_inv = np.linalg.inv(Hll)
     Hlg = np.concatenate([ne.Hlt, ne.gl[..., None]], axis=-1)  # [H_l,theta g_l]
-    R = ne.Hlt.reshape(-1, CALIB_DIM).T @ (Hll_inv @ Hlg).reshape(-1, CALIB_DIM + 1)
+    R = _tmul(ne.Hlt.reshape(-1, CALIB_DIM), (Hll_inv @ Hlg).reshape(-1, CALIB_DIM + 1))
     S, gt = Htt - R[:, :-1], ne.gt - R[:, -1]
 
     T = ne.Hpl @ Hll_inv[ne.lm]
     # the pairs' blocks summed per keyframe pair, then scattered
-    a, b = _landmark_pairs(ne.kf, ne.lm)
-    first = _run_starts(ne.kf[a] * K + ne.kf[b])
-    blocks = np.add.reduceat(T[a] @ ne.Hpl[b].transpose(0, 2, 1), first, axis=0)
-    a, b = ne.kf[a[first]], ne.kf[b[first]]
-    at, lower = _band_entries((a * KF_DIM)[:, None] + np.arange(POSE_DIM), (b * KF_DIM)[:, None] + np.arange(POSE_DIM), n)
-    height = max(band.shape[0], (int((a - b).max(initial=0)) + 1) * KF_DIM)
+    a, b, first, at, lower, height = schur
+    blocks = np.add.reduceat(T[a] @ ne.Hpl[b].swapaxes(-1, -2), first, axis=0)
     full = -_sum_by(at, blocks[lower], height * n).reshape(height, n)
     full[: band.shape[0]] += band
     # [H_k,theta g_k] less the landmarks' Schur terms, per camera factor
-    Hkg = np.column_stack([ne.Hkt, ne.gk])
+    Hkg = _keyframe_rhs(ne, 0)
     Hkg.reshape(K, KF_DIM, -1)[:, :POSE_DIM] -= _keyframe_sums(ne.kf, T @ Hlg[ne.lm], K)
 
     x, d_th = _band_schur_solve(full, Hkg, S, gt)
     x_pose = x.reshape(K, KF_DIM)[ne.kf, :POSE_DIM]
-    rhs = ne.gl - ne.Hlt @ d_th - _sum_by(ne.lm, np.einsum("nij,ni->nj", ne.Hpl, x_pose), L)
-    return x.reshape(-1, KF_DIM), np.einsum("nij,nj->ni", Hll_inv, rhs), d_th
+    rhs = ne.gl - ne.Hlt @ d_th - _sum_by(ne.lm, _tmul(ne.Hpl, x_pose[..., None])[..., 0], L)
+    return x.reshape(-1, KF_DIM), (Hll_inv @ rhs[..., None])[..., 0], d_th
 
 
 def _keyframes_first_step(ne, band, Hll, Htt):
     """Keyframes eliminated first: the keyframe band holds only pair
     couplings, and the landmarks and the calibration (3L + 26 coordinates)
-    are the dense block of _band_schur_solve.  band, Hll and Htt are damped
-    and gauged."""
-    n, n_lm = ne.gk.size, ne.gl.size
-    # H_kl, dense: each camera factor's pose-landmark block
-    pose = (ne.kf * KF_DIM)[:, None] + np.arange(POSE_DIM)
-    flat = (pose * n_lm)[:, :, None] + (ne.lm * LM_DIM)[:, None, None] + np.arange(LM_DIM)
-    Hkl = _sum_by(flat.ravel(), ne.Hpl.ravel(), n * n_lm).reshape(n, n_lm)
+    are the dense block of _band_schur_solve.  Its right-hand side
+    [H_kl H_k,theta g_k] is wider than the band whenever 3L + 27 exceeds
+    15 (w + 1) for the pair span w, and is then forward-solved in blocks.
+    band, Hll and Htt are damped and gauged."""
+    n_lm, L = ne.gl.size, len(Hll)
+    # H_kl in place: each camera factor's pose-landmark block, those of a
+    # keyframe's repeated observations of one landmark summed
+    C = _keyframe_rhs(ne, n_lm)
+    first = _run_starts(ne.kf * L + ne.lm)
+    rows = (ne.kf[first] * KF_DIM)[:, None, None] + np.arange(POSE_DIM)[:, None]
+    cols = (ne.lm[first] * LM_DIM)[:, None, None] + np.arange(LM_DIM)
+    C[rows, cols] = np.add.reduceat(ne.Hpl, first, axis=0)
     # the landmark and calibration system, lower triangle
-    D = scipy.linalg.block_diag(*Hll, Htt)
+    D = np.zeros((n_lm + CALIB_DIM, n_lm + CALIB_DIM))
+    lm = np.arange(n_lm).reshape(L, LM_DIM)
+    D[lm[:, :, None], lm[:, None, :]] = Hll
     D[n_lm:, :n_lm] = ne.Hlt.reshape(n_lm, CALIB_DIM).T
-    x, d = _band_schur_solve(band, np.column_stack([Hkl, ne.Hkt, ne.gk]), D, np.concatenate([ne.gl.reshape(-1), ne.gt]))
+    D[n_lm:, n_lm:] = Htt
+    x, d = _band_schur_solve(band, C, D, np.concatenate([ne.gl.reshape(-1), ne.gt]))
     return x.reshape(-1, KF_DIM), d[:n_lm].reshape(-1, LM_DIM), d[n_lm:]
 
 
@@ -924,13 +1037,13 @@ def _model_decrease(problem, cam, pairs, delta):
     r_c, Jp, Jl, Jth, _ = cam
     if r_c.shape[0]:
         lin = (
-            np.einsum("nri,ni->nr", Jp, delta_kf[problem.camera_factors["kf"], :6])
-            + np.einsum("nri,ni->nr", Jl, delta_lm[problem.camera_factors["lm"]])
+            (Jp @ delta_kf[problem.camera_factors["kf"], :POSE_DIM, None])[..., 0]
+            + (Jl @ delta_lm[problem.camera_factors["lm"], :, None])[..., 0]
             + Jth @ d_th[CAM_BLOCK]
         )
         pred += 0.5 * float(np.sum(r_c**2) - np.sum((r_c + lin) ** 2))
     k0, k1, rw, J0, J1, Jti = pairs
-    lin = Jti @ d_th[IMU_BLOCK] + np.einsum("fri,fi->fr", J0, delta_kf[k0]) + np.einsum("fri,fi->fr", J1, delta_kf[k1])
+    lin = Jti @ d_th[IMU_BLOCK] + (J0 @ delta_kf[k0, :, None])[..., 0] + (J1 @ delta_kf[k1, :, None])[..., 0]
     return pred + 0.5 * float(np.sum(rw**2) - np.sum((rw + lin) ** 2))
 
 
@@ -974,7 +1087,7 @@ def solve(problem, options: SolveOptions = None):
     converged = cost <= _COST_FLOOR
     reason = "cost below absolute floor" if converged else "max_iters"
 
-    keyframes_first = _keyframes_first(problem)
+    schur = None if _keyframes_first(problem) else _landmark_schur(problem)
     while not converged and n_iters < options.max_iters:
         n_iters += 1
         cam, pairs, anchors = blocks
@@ -986,7 +1099,7 @@ def solve(problem, options: SolveOptions = None):
         nu = 2.0
         while lam <= _MAX_LAMBDA and not step_accepted:
             try:
-                delta = _damped_step(ne, lam, anchors, keyframes_first)
+                delta = _damped_step(ne, lam, anchors, schur)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue

@@ -9,7 +9,7 @@ imported: run.py pins BLAS environment variables when it is imported.  bench/wor
 imported to run its problem_shape and cost_per_dof, which read the fields
 of built problems, on problems from both builders, to run each workload's
 timed path once, and to check that its two LM workloads fall on opposite
-sides of the solver's elimination-order rule.
+sides of the solver's elimination-order and forward-solve rules.
 """
 
 import ast
@@ -20,7 +20,8 @@ from pathlib import Path
 
 import pytest
 
-from infocal.problem import _keyframes_first, build_batch_problem, build_segment_problem
+import infocal.problem
+from infocal.problem import SolveOptions, _keyframes_first, build_batch_problem, build_segment_problem, solve
 
 import support
 
@@ -161,7 +162,20 @@ def test_timed_path_runs(name):
 
 
 @pytest.mark.parametrize("name, keyframes_first", [("batch_session", True), ("segment_calib", False)])
-def test_lm_workloads_straddle_the_elimination_order(name, keyframes_first):
-    # one LM workload on each side of the size rule, so both orders stay measured
+def test_lm_workloads_straddle_the_elimination_order(name, keyframes_first, monkeypatch):
+    # one LM workload on each side of the size rule, so both orders stay
+    # measured; and so of the forward-solve rule: keyframes first, the
+    # right-hand side is wider than the band (the block sweep), landmarks
+    # first narrower (dtbtrs)
     problem = workloads.WORKLOADS[name]().inputs(0)["build"]()
     assert _keyframes_first(problem) == keyframes_first
+    shapes, forward = [], infocal.problem._forward_solve
+
+    def spy(cb, C):
+        shapes.append((C.shape[1], cb.shape[0]))
+        return forward(cb, C)
+
+    monkeypatch.setattr(infocal.problem, "_forward_solve", spy)
+    solve(problem, SolveOptions(max_iters=1))
+    assert shapes
+    assert all((width > height) == keyframes_first for width, height in shapes)

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import infocal.problem
 from infocal import imu
@@ -31,8 +32,12 @@ from infocal.problem import (
     SolveOptions,
     _LM_DIAG_FLOOR,
     _damped_step,
+    _block_forward_solve,
+    _forward_solve,
     _keyframe_band,
+    _keyframes_first,
     _landmark_pairs,
+    _landmark_schur,
     _model_decrease,
     _normal_equations,
     _retract_problem,
@@ -56,6 +61,7 @@ from support import evaluate_residuals, inertial_error, quat_local
 sys.path[:0] = [str(Path(__file__).resolve().parents[1] / "bench")]
 
 import sim  # noqa: E402
+import workloads  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -423,6 +429,39 @@ class TestSolve:
         assert calls["camera_blocks"] == calls["refresh_preintegrations"] >= 6
         assert calls["anchor_projectors"] == calls["refresh_preintegrations"]
 
+    def test_landmark_pairs_built_once_per_solve(self, scene, monkeypatch):
+        # the landmark Schur layout depends only on the camera factors, so a
+        # landmark-first solve builds it once, not once per trial
+        segs = support.scene_segments(scene, kf_per_segment=2, keep=[0, 2])
+        prob = build_segment_problem(segs, scene.calibration, scene.noise)
+        assert not _keyframes_first(prob)
+        rng = np.random.default_rng(11)
+        prob.keyframes = prob.keyframes.retract(rng.normal(scale=1e-3, size=(len(prob.keyframes), KF_DIM)))
+        calls = []
+        monkeypatch.setattr(infocal.problem, "_landmark_pairs", lambda kf, lm: calls.append(kf.size) or _landmark_pairs(kf, lm))
+        prob, report = solve(prob, SolveOptions(max_iters=5))
+        assert report.iterations == 5 and len(report.cost_history) == 6
+        assert calls == [len(prob.camera_factors)]
+
+    def test_steps_without_camera_information(self, scene):
+        # no observation: the camera calibration has no information, and its
+        # damped diagonal is zero until floored; the keyframes and the IMU
+        # intrinsics still step, and the camera calibration stays as it was
+        prob = build_batch_problem(scene.keyframes, [], [], scene.imu_stream, scene.calibration, scene.noise)
+        rng = np.random.default_rng(6)
+        prob.keyframes = prob.keyframes.retract(rng.normal(scale=3e-3, size=(len(prob.keyframes), KF_DIM)))
+        start = prob.calibration
+        prob, report = solve(prob, SolveOptions(max_iters=5))
+        assert len(report.cost_history) >= 2
+        assert report.final_cost < 1e-3 * report.initial_cost
+
+        def camera(c):
+            T = c.extrinsics.T_CI
+            return np.concatenate([c.camera.f, c.camera.c, [c.camera.w], T.rotation.wxyz, T.translation])
+
+        assert camera(prob.calibration).tobytes() == camera(start).tobytes()
+        assert np.abs(prob.calibration.imu.s_g - start.imu.s_g).max() > 0.0
+
 
 def _weighted_cost(ev, step):
     """0.5 (r + J step)^T W (r + J step) from an unweighted evaluation."""
@@ -508,15 +547,32 @@ def corridor_batch():
     return build_batch_problem(s.keyframes, sim.landmark_list(s.landmarks), s.observations, s.imu, s.calibration, s.noise)
 
 
+def repeated_observations(sc):
+    """The batch problem with two observations each made twice from the
+    same keyframe, with other pixels: repeated (kf, lm) camera factors."""
+    extra = [replace(o, uv=o.uv + np.array([0.7, -0.4])) for o in sc.observations[3:5]]
+    prob = build_batch_problem(sc.keyframes, sc.landmarks, sc.observations + extra, sc.imu_stream, sc.calibration, sc.noise)
+    keys = prob.camera_factors[["kf", "lm"]].tolist()
+    assert len(keys) - len(set(keys)) == 2
+    return prob
+
+
 class TestDampedElimination:
     # each order's step on the same state, whatever _keyframes_first picks;
     # band is the widest landmark or pair-factor span
     @pytest.mark.parametrize("keyframes_first", [False, True], ids=["landmarks_first", "keyframes_first"])
     @pytest.mark.parametrize(
-        "case, band", [("batch", 5), ("bridged", 4), ("corridor", 24)], ids=["batch", "bridged", "corridor"]
+        "case, band",
+        [("batch", 5), ("bridged", 4), ("corridor", 24), ("repeated", 5)],
+        ids=["batch", "bridged", "corridor", "repeated"],
     )
     def test_step_matches_dense_solution(self, scene, case, band, keyframes_first):
-        build = {"batch": lambda: build_from_scene(scene), "bridged": bridged_partitions, "corridor": corridor_batch}
+        build = {
+            "batch": lambda: build_from_scene(scene),
+            "bridged": bridged_partitions,
+            "corridor": corridor_batch,
+            "repeated": lambda: repeated_observations(scene),
+        }
         prob = build[case]()
         rng = np.random.default_rng(18)
         prob.keyframes = prob.keyframes.retract(rng.normal(scale=1e-3, size=(len(prob.keyframes), KF_DIM)))
@@ -526,7 +582,8 @@ class TestDampedElimination:
         assert _keyframe_band(prob) == band
         lam = 1e-3
         cam, pairs, anchors = gauged_blocks(prob)
-        got = _damped_step(_normal_equations(prob, cam, pairs), lam, anchors, keyframes_first)
+        schur = None if keyframes_first else _landmark_schur(prob)
+        got = _damped_step(_normal_equations(prob, cam, pairs), lam, anchors, schur)
         ref = dense_damped_step(prob, lam)
         for a, P, u in anchors:
             # an anchor's yaw step is zero up to rounding (about 1e-11 here,
@@ -547,10 +604,60 @@ class TestDampedElimination:
         cam, pairs, anchors = gauged_blocks(prob)
         ne = _normal_equations(prob, cam, pairs)
         ne.Htt[:11, :11] += np.eye(11)
-        got = _damped_step(ne, 1e-3, anchors, keyframes_first)
+        got = _damped_step(ne, 1e-3, anchors, None if keyframes_first else _landmark_schur(prob))
         assert [d.shape for d in got] == [(len(prob.keyframes), KF_DIM), (0, 3), (CALIB_DIM,)]
         assert all(np.isfinite(d).all() for d in got)
         assert np.linalg.norm(got[0]) > 0.0
+
+
+def random_band(rng, n, m):
+    """A random SPD matrix of order n and half-bandwidth m - 1 as a LAPACK
+    lower band (m, n), entries past the matrix zero; diagonally dominant."""
+    band = rng.uniform(-1.0, 1.0, size=(m, n))
+    band[0] = 2.0 * m + rng.uniform(0.0, 1.0, size=n)
+    band[np.arange(m)[:, None] + np.arange(n) >= n] = 0.0
+    return band
+
+
+def band_solve(cb, C):
+    Y, info = scipy.linalg.lapack.dtbtrs(cb, C, uplo="L")
+    assert info == 0
+    return Y
+
+
+class TestForwardSolve:
+    # the block sweep against dtbtrs, column by column; m = 30 is the
+    # height of a band whose pair factors span one keyframe
+    @pytest.mark.parametrize("n, m", [(15, 30), (30, 30), (105, 30), (120, 30), (150, 45)])
+    @pytest.mark.parametrize("width", [3, 31, 97])
+    def test_block_sweep_matches_band_solve(self, n, m, width, monkeypatch):
+        rng = np.random.default_rng(n + width)
+        cb = scipy.linalg.cholesky_banded(random_band(rng, n, m), lower=True)
+        C = rng.normal(size=(n, width))
+        ref = band_solve(cb, C)
+        assert np.linalg.norm(_block_forward_solve(cb, C) - ref) <= 1e-12 * np.linalg.norm(ref)
+        # _forward_solve sweeps exactly when C is wider than the band
+        swept = []
+        monkeypatch.setattr(infocal.problem, "_block_forward_solve", lambda cb, C: swept.append(C) or _block_forward_solve(cb, C))
+        assert np.linalg.norm(_forward_solve(cb, C) - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert len(swept) == (width > m)
+
+    def test_batch_session_band(self, monkeypatch):
+        # the band and right-hand side of a keyframes-first step of the
+        # benchmark's batch session, which takes the block sweep; and their
+        # leading n - 7 rows, n then no multiple of m, with entries of L
+        # below the leading block left in the band
+        prob = workloads.WORKLOADS["batch_session"]().inputs(0)["build"]()
+        refresh_preintegrations(prob)
+        cam, pairs, anchors = gauged_blocks(prob)
+        seen = []
+        monkeypatch.setattr(infocal.problem, "_forward_solve", lambda cb, C: seen.append((cb, C)) or _forward_solve(cb, C))
+        _damped_step(_normal_equations(prob, cam, pairs), 1e-4, anchors, None)
+        ((cb, C),) = seen
+        assert C.shape[1] > cb.shape[0] and cb.shape[1] % cb.shape[0] == 0
+        ref = band_solve(cb, C)
+        for got in (_block_forward_solve(cb, C), _block_forward_solve(cb[:, :-7], C[:-7])):
+            assert np.linalg.norm(got - ref[: len(got)]) <= 1e-12 * np.linalg.norm(ref[: len(got)])
 
 
 class TestLandmarkPairs:
