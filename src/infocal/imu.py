@@ -204,23 +204,47 @@ class PreintegratedImu:
 _STACKED_FIELDS = tuple(f.name for f in fields(PreintegratedImu) if f.name != "noise")
 
 
+def check_sample_runs(times, omega_meas, accel_meas, lo, hi, name):
+    """Raise a ValueError for the first of the runs lo[i]:hi[i] of one
+    sample stream (times (n,), omega_meas and accel_meas (n, 3)) that
+    preintegration cannot take: fewer than two samples, a non-finite
+    sample, or timestamps that do not strictly increase.  name(i) names run
+    i in the message.  The one check of the sample-run contract."""
+    # running counts of bad samples and of bad steps between samples, so a
+    # run's count is a difference at its bounds; one more step count, so
+    # that a run starting past the last sample (a short one) indexes it too
+    finite = np.isfinite(times) & np.isfinite(omega_meas).all(1) & np.isfinite(accel_meas).all(1)
+    bad_samples = np.concatenate([[0], np.cumsum(~finite)])
+    bad_steps = np.concatenate([[0], np.cumsum(~(np.diff(times) > 0.0)), [0]])
+    short = hi - lo < 2
+    non_finite = bad_samples[hi] > bad_samples[lo]
+    non_increasing = bad_steps[np.maximum(hi - 1, lo)] > bad_steps[lo]
+    bad = np.flatnonzero(short | non_finite | non_increasing)
+    if bad.size:
+        i = bad[0]
+        if short[i]:
+            raise ValueError(f"{name(i)} covered by fewer than 2 IMU samples")
+        if non_finite[i]:
+            raise ValueError(f"{name(i)} has non-finite IMU samples")
+        raise ValueError(f"{name(i)} has IMU timestamps that are not strictly increasing")
+
+
 def preintegrate(samples, intr: ImuIntrinsics, bias_lin, noise: NoiseModel) -> PreintegratedImu:
     """Midpoint-rule preintegration of one keyframe interval.
 
-    samples must hold at least two entries with strictly increasing
-    timestamps; bias_lin = (b_g, b_a) is the linearization point baked into
-    the deltas and recorded for later first-order re-correction.  A batch of
-    one for preintegrate_intervals.
+    samples must hold at least two finite entries with strictly increasing
+    timestamps (check_sample_runs); bias_lin = (b_g, b_a) is the
+    linearization point baked into the deltas and recorded for later
+    first-order re-correction.  A batch of one for preintegrate_intervals.
     """
-    if len(samples) < 2:
-        raise ValueError("need at least two samples to integrate")
-    t = np.array([s.t for s in samples])
-    if not np.all(np.diff(t) > 0.0):
-        raise ValueError("sample timestamps must be strictly increasing")
+    t = np.array([s.t for s in samples], dtype=float)
+    omega = np.array([s.omega_meas for s in samples], dtype=float).reshape(-1, 3)
+    accel = np.array([s.accel_meas for s in samples], dtype=float).reshape(-1, 3)
+    check_sample_runs(t, omega, accel, np.array([0]), np.array([t.size]), lambda i: "sample run")
     return preintegrate_intervals(
         t[None],
-        np.stack([s.omega_meas for s in samples])[None],
-        np.stack([s.accel_meas for s in samples])[None],
+        omega[None],
+        accel[None],
         intr,
         np.asarray(bias_lin[0], dtype=float).reshape(1, 3),
         np.asarray(bias_lin[1], dtype=float).reshape(1, 3),

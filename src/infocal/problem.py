@@ -21,9 +21,11 @@ State layout (minimal coordinates):
 Rotation deltas act by right-multiplied exponential retraction.
 
 Gauge freedom (global translation plus rotation about gravity, per
-partition) is fixed at each partition's anchor keyframe, and only there:
-its position is held fixed and its rotation delta is projected to remove
-the component about the world gravity axis (anchor_projectors).  The gauge
+partition, partition_segments) is fixed at each partition's anchor
+keyframe, the first keyframe of its first segment in (session, first
+keyframe) order, and only there: its position is held fixed and its
+rotation delta is projected to remove the component about the world
+gravity axis (anchor_projectors).  The gauge
 is applied once, to the whitened Jacobian blocks (gauged_blocks): each
 anchor's rotation columns are projected and its position columns cleared.
 Solver and scoring then add unit information on the gravity axis and on
@@ -75,6 +77,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -104,6 +107,8 @@ _MAX_LAMBDA = 1e12
 _COST_FLOOR = 1e-18
 # whitened pixel-residual norm beyond which the Huber cost grows linearly
 HUBER_THRESHOLD = 2.0
+# segments sharing more landmarks than this fall into one partition
+MAX_SHARED_LANDMARKS = 10
 
 # one camera factor: local keyframe and landmark index, pixel, pixel sigma
 CAMERA_FACTOR_DTYPE = np.dtype([("kf", int), ("lm", int), ("uv", float, (2,)), ("sigma", float)])
@@ -180,27 +185,28 @@ class CalibrationState:
 
 @dataclass(frozen=True)
 class Partition:
-    """Gauge unit of a problem: co-observing, inertially chained segments."""
+    """Gauge unit of a problem: co-observing, inertially chained segments.
 
-    segment_ids: tuple
-    anchor_keyframe_id: int
-
-
-class InertialFactor:
-    """Full 15-dim constraint between consecutive keyframes.
-
-    Keeps the raw measurement slice, validated at build time; its
-    preintegration lives in the problem's stack (CalibrationProblem).
+    segment_ids are its segments' ids in (session, first keyframe) order;
+    anchor is the local index of its gauge anchor keyframe, the first
+    keyframe of its first segment.
     """
 
-    __slots__ = ("k0", "k1", "times", "omega", "accel")
+    segment_ids: tuple
+    anchor: int
 
-    def __init__(self, k0, k1, times, omega, accel):
-        self.k0 = int(k0)
-        self.k1 = int(k1)
-        self.times = np.asarray(times, dtype=float)
-        self.omega = np.asarray(omega, dtype=float)
-        self.accel = np.asarray(accel, dtype=float)
+
+class InertialFactor(NamedTuple):
+    """Full 15-dim constraint between the consecutive keyframes k0 and k1
+    (local indices): views of its interval's raw samples, validated at
+    build time; its preintegration lives in the problem's stack
+    (CalibrationProblem)."""
+
+    k0: int
+    k1: int
+    times: np.ndarray
+    omega: np.ndarray
+    accel: np.ndarray
 
 
 @dataclass
@@ -212,7 +218,9 @@ class Segment:
     intervals and, when the next segment of the session starts at the
     following keyframe, the interval into it.  observations
     (camera.FeatureObservation) reference keyframes by session id and
-    landmarks by id; landmarks maps every id of landmark_ids to a position.
+    landmarks by id; landmarks maps each landmark id of the segment to its
+    position, and its keys are the segment's landmark set.  The id names
+    the segment in error messages; ids may repeat across sessions.
     """
 
     id: int
@@ -221,7 +229,6 @@ class Segment:
     keyframes: list
     imu_samples: list
     observations: list
-    landmark_ids: set
     landmarks: dict
 
 
@@ -241,9 +248,10 @@ class CalibrationProblem:
     local index back to the session-level id.  Landmarks observed from
     multiple partitions are instantiated once per partition so no camera
     term couples partitions.  bridge_factors is one BRIDGE_DTYPE array, a
-    row per bias bridge.  inertial_factors is a list of InertialFactor,
-    whose times also give each interval's real sample count.  anchors holds
-    the local index of each partition's anchor keyframe, in partition order.
+    row per bias bridge.  inertial_factors is a list of InertialFactor in
+    left-keyframe order, whose times also give each interval's real sample
+    count.  partitions is a list of Partition, each holding the local index
+    of its anchor keyframe.
 
     preintegrated is the stack of the inertial factors' preintegrations in
     factor order, at the current bias estimates of their left keyframes
@@ -260,7 +268,6 @@ class CalibrationProblem:
     inertial_factors: list
     bridge_factors: np.ndarray
     partitions: list
-    anchors: list
     noise: im.NoiseModel
 
     def __post_init__(self):
@@ -320,32 +327,22 @@ def _slice_imu_stream(ts, t0, t1):
     return lo, hi
 
 
-def _interval_factors(pairs, imu_stream, ends):
-    """InertialFactors of the keyframe pairs whose (n, 2) start and end
-    times are ends, from one IMU stream, stacked into arrays once; each
-    factor holds views of its interval's samples.  The first interval with
-    too few, non-finite or non-increasing samples raises a ValueError."""
-    ts = np.array([s.t for s in imu_stream], dtype=float)
-    omega = np.array([s.omega_meas for s in imu_stream], dtype=float).reshape(-1, 3)
-    accel = np.array([s.accel_meas for s in imu_stream], dtype=float).reshape(-1, 3)
+def _interval_factors(seg, pairs, times, keyframe_ids):
+    """InertialFactors of local keyframe pairs from segment seg's IMU
+    stream, stacked into arrays once; each factor holds views of its
+    interval's samples.  times and keyframe_ids are per local keyframe.  The
+    first interval that preintegration cannot take raises a ValueError
+    (imu.check_sample_runs) naming seg and the interval's keyframe ids."""
+    ts = np.array([s.t for s in seg.imu_samples], dtype=float)
+    omega = np.array([s.omega_meas for s in seg.imu_samples], dtype=float).reshape(-1, 3)
+    accel = np.array([s.accel_meas for s in seg.imu_samples], dtype=float).reshape(-1, 3)
+    ends = times[np.array(pairs, dtype=int).reshape(-1, 2)]
     lo, hi = _slice_imu_stream(ts, ends[:, 0], ends[:, 1])
-    # running counts of bad samples and of bad steps between samples, so an
-    # interval's count is a difference at its bounds
-    finite = np.isfinite(ts) & np.isfinite(omega).all(1) & np.isfinite(accel).all(1)
-    bad_samples = np.concatenate([[0], np.cumsum(~finite)])
-    bad_steps = np.concatenate([[0], np.cumsum(~(np.diff(ts) > 0.0))])
-    short = hi - lo < 2
-    non_finite = bad_samples[hi] > bad_samples[lo]
-    non_increasing = bad_steps[np.maximum(hi - 1, lo)] > bad_steps[lo]
-    bad = np.flatnonzero(short | non_finite | non_increasing)
-    if bad.size:
-        i = bad[0]
-        k0, k1 = pairs[i]
-        if short[i]:
-            raise ValueError(f"keyframe interval {k0}-{k1} covered by fewer than 2 IMU samples")
-        if non_finite[i]:
-            raise ValueError(f"keyframe interval {k0}-{k1} has non-finite IMU samples")
-        raise ValueError(f"keyframe interval {k0}-{k1} has IMU timestamps that are not strictly increasing")
+
+    def name(i):
+        return "segment {}: keyframe interval {}-{}".format(seg.id, *(keyframe_ids[k] for k in pairs[i]))
+
+    im.check_sample_runs(ts, omega, accel, lo, hi, name)
     return [InertialFactor(k0, k1, ts[a:b], omega[a:b], accel[a:b]) for (k0, k1), a, b in zip(pairs, lo, hi)]
 
 
@@ -365,7 +362,6 @@ def build_batch_problem(keyframes, landmarks, observations, imu_stream, calib_in
         keyframes=list(keyframes),
         imu_samples=imu_stream,
         observations=observations,
-        landmark_ids={lm.id for lm in landmarks},
         landmarks={lm.id: lm.l_G for lm in landmarks},
     )
     return build_segment_problem([seg], calib_init, noise)
@@ -380,7 +376,10 @@ def _check_segment(s):
         raise ValueError(f"segment {s.id}: {ids.size} keyframe ids for {len(s.keyframes)} keyframes")
     if not np.all(np.diff(ids) > 0):
         raise ValueError(f"segment {s.id}: keyframe ids must be strictly increasing")
-    if not np.all(np.diff([k.t for k in s.keyframes]) > 0.0):
+    t = np.array([k.t for k in s.keyframes], dtype=float)
+    if not np.isfinite(t).all():
+        raise ValueError(f"segment {s.id}: keyframe times must be finite")
+    if not np.all(np.diff(t) > 0.0):
         raise ValueError(f"segment {s.id}: keyframes must be temporally ordered")
 
 
@@ -399,13 +398,14 @@ def _temporally_adjacent(a, b):
     return a.session_id == b.session_id and b.keyframe_ids[0] == a.keyframe_ids[-1] + 1
 
 
-def partition_segments(segments, max_shared):
-    """Connected components over shared-landmark / temporal-adjacency edges.
+def partition_segments(segments):
+    """Connected components over shared-landmark / temporal-adjacency
+    edges, each a tuple of positions in segments.
 
     Two segments join the same partition when they are temporally adjacent
-    (inertial connectivity) or share strictly more than max_shared
-    landmarks, transitively.  Partitions come in the (session, first
-    keyframe) order of their first segment.
+    (inertial connectivity) or share strictly more than
+    MAX_SHARED_LANDMARKS landmarks, transitively.  Partitions, and the
+    positions within one, come in (session, first keyframe) order.
     """
     n = len(segments)
     parent = list(range(n))
@@ -427,25 +427,22 @@ def partition_segments(segments, max_shared):
             union(a, b)
     for i in range(n):
         for j in range(i + 1, n):
-            if len(segments[i].landmark_ids & segments[j].landmark_ids) > max_shared:
+            if len(segments[i].landmarks.keys() & segments[j].landmarks.keys()) > MAX_SHARED_LANDMARKS:
                 union(i, j)
 
-    # partitions, and segments within one, in (session, first keyframe) order
     groups = {}
     for i in order:
-        groups.setdefault(find(i), []).append(segments[i])
-    return [
-        Partition(segment_ids=tuple(s.id for s in segs), anchor_keyframe_id=min(s.keyframe_ids[0] for s in segs))
-        for segs in groups.values()
-    ]
+        groups.setdefault(find(i), []).append(i)
+    return [tuple(g) for g in groups.values()]
 
 
-def build_segment_problem(segments, calib_init, noise, max_shared=10):
+def build_segment_problem(segments, calib_init, noise):
     """Joint problem over retained segments.
 
     Within segments: full camera and inertial factors.  Between temporal
     neighbors separated by a gap: a bias-random-walk bridge only.  Each
-    co-visibility partition gets its own gauge anchor and its own landmark
+    co-visibility partition (partition_segments) gets its own gauge anchor,
+    the first keyframe of its first segment, and its own landmark
     instances.  Segments are validated here, the batch problem's single
     segment included.
     """
@@ -458,9 +455,6 @@ def build_segment_problem(segments, calib_init, noise, max_shared=10):
         if a.session_id == b.session_id and b.keyframe_ids[0] <= a.keyframe_ids[-1]:
             raise ValueError(f"segments {a.id} and {b.id} overlap in keyframe ids")
 
-    partitions = partition_segments(segs, max_shared)
-    seg_partition = {sid: p for p, part in enumerate(partitions) for sid in part.segment_ids}
-
     # segment i holds the local keyframes first[i] .. first[i + 1] - 1
     first = np.cumsum([0] + [len(s.keyframes) for s in segs]).tolist()
     keyframes = im.StateStack.of([kf for s in segs for kf in s.keyframes])
@@ -470,16 +464,17 @@ def build_segment_problem(segments, calib_init, noise, max_shared=10):
         raise ValueError(f"segment {seg.id}: keyframe states must be finite")
     times = np.array([kf.t for s in segs for kf in s.keyframes], dtype=float)
     keyframe_ids = [kid for s in segs for kid in s.keyframe_ids]
-    # each anchor is the first keyframe of one of its partition's segments;
-    # sessions can repeat keyframe ids, so ties go to the first local one
-    start = {s.id: (s.keyframe_ids[0], f) for s, f in zip(segs, first)}
-    anchors = [min(start[sid] for sid in part.segment_ids)[1] for part in partitions]
+    # segs is in partition_segments' order, so a partition's first position
+    # is its first segment
+    groups = partition_segments(segs)
+    partitions = [Partition(tuple(segs[i].id for i in g), first[g[0]]) for g in groups]
+    part_of = {i: p for p, g in enumerate(groups) for i in g}
 
     positions, landmark_ids, cam_factors = [], [], []
     lm_local = {}
-    for s, first_kf in zip(segs, first):
-        p_idx = seg_partition[s.id]
-        ids = sorted(s.landmark_ids)
+    for i, (s, first_kf) in enumerate(zip(segs, first)):
+        p_idx = part_of[i]
+        ids = sorted(s.landmarks)
         listed = np.array([s.landmarks[lid] for lid in ids], dtype=float).reshape(len(ids), LM_DIM)
         if not np.isfinite(listed).all():
             raise ValueError(f"segment {s.id}: landmark coordinates must be finite")
@@ -499,10 +494,10 @@ def build_segment_problem(segments, calib_init, noise, max_shared=10):
     cam_factors = cam_factors[np.lexsort((cam_factors["lm"], cam_factors["kf"]))]
     landmarks = np.concatenate(positions)
 
-    # one slicing pass per segment stream: its own intervals, then the joint
-    # interval into a temporally adjacent successor, through which its IMU
-    # span extends; factor order stays segment intervals, then joint ones
-    inertial, joint, bridges = [], [], []
+    # one slicing pass per segment stream: its own intervals and the one
+    # into a temporally adjacent successor, through which its IMU span
+    # extends
+    inertial, bridges = [], []
     for i, (a, b) in enumerate(zip(segs, segs[1:] + [None])):
         ks = list(range(first[i], first[i + 1]))
         pairs = list(zip(ks, ks[1:]))
@@ -515,10 +510,7 @@ def build_segment_problem(segments, calib_init, noise, max_shared=10):
                 if gap <= 0.0:
                     raise ValueError(f"segments {a.id} and {b.id}: bridge gap must be positive")
                 bridges.append((ks[-1], k1, gap))
-        factors = _interval_factors(pairs, a.imu_samples, times[np.array(pairs, dtype=int).reshape(-1, 2)])
-        inertial += factors[: len(ks) - 1]
-        joint += factors[len(ks) - 1 :]
-    inertial += joint
+        inertial += _interval_factors(a, pairs, times, keyframe_ids)
 
     return CalibrationProblem(
         keyframes=keyframes,
@@ -530,7 +522,6 @@ def build_segment_problem(segments, calib_init, noise, max_shared=10):
         inertial_factors=inertial,
         bridge_factors=np.array(bridges, dtype=BRIDGE_DTYPE),
         partitions=partitions,
-        anchors=anchors,
         noise=noise,
     )
 
@@ -636,7 +627,7 @@ def anchor_projectors(problem):
     coordinate of a problem is ever held fixed.
     """
     out = []
-    for a in problem.anchors:
+    for a in (p.anchor for p in problem.partitions):
         u = quat_to_matrix(problem.keyframes.q_GI[a]).T @ _WORLD_Z
         u = u / np.linalg.norm(u)
         out.append((a, np.eye(3) - np.outer(u, u), u))

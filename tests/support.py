@@ -246,13 +246,19 @@ def scene_segments(scene, kf_per_segment, keep=None, session_id="s0"):
                 keyframes=scene.keyframes[k0 : k1 + 1],
                 imu_samples=scene.imu_stream[lo : hi + 1],
                 observations=obs,
-                landmark_ids=lm_ids,
                 landmarks={i: scene.landmark_positions[i] for i in lm_ids},
             )
         )
     if keep is not None:
         segments = [segments[i] for i in keep]
     return segments
+
+
+def keep_landmarks(segment, ids):
+    """Drop a segment's observations of landmarks outside ids, and the
+    landmarks it then no longer observes."""
+    segment.observations = [o for o in segment.observations if o.landmark_id in ids]
+    segment.landmarks = {o.landmark_id: segment.landmarks[o.landmark_id] for o in segment.observations}
 
 
 class ResidualEvaluation(NamedTuple):

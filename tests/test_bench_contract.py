@@ -4,7 +4,8 @@ bench/run.py wraps each (module, attribute) of its TRACED table with a
 tracer, which raises AttributeError for a missing name; bench/sim.py
 imports infocal names and bench/workloads.py calls them as module
 attributes, and every keyword argument either passes must be a parameter
-of the callable it is passed to.  Those files are read with ast, not
+of the callable it is passed to; bench/sim.py's Segment has every field
+of infocal's, which the builder reads.  Those files are read with ast, not
 imported: run.py pins BLAS environment variables when it is imported.  bench/workloads.py is
 imported to run its problem_shape and cost_per_dof, which read the fields
 of built problems, on problems from both builders, to run each workload's
@@ -13,6 +14,7 @@ sides of the solver's elimination-order and forward-solve rules.
 """
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import sys
@@ -28,6 +30,7 @@ import support
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 sys.path[:0] = [str(BENCH)]
 
+import sim  # noqa: E402
 import workloads  # noqa: E402
 
 
@@ -116,6 +119,13 @@ def test_keyword_arguments_are_parameters(name):
                 assert k.arg in params, "%s: %s(%s=...)" % (name, ast.unparse(node.func), k.arg)
                 checked += 1
     assert checked
+
+
+def test_segment_fields_are_simulator_fields():
+    # build_segment_problem reads the simulator's segments by the fields of
+    # infocal's Segment
+    fields = {f.name for f in dataclasses.fields(infocal.problem.Segment)}
+    assert fields <= {f.name for f in dataclasses.fields(sim.Segment)}
 
 
 def _batch(sc):

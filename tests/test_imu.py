@@ -193,6 +193,13 @@ class TestPreintegrate:
         with pytest.raises(ValueError):
             preintegrate(samples, ImuIntrinsics.nominal(), (np.zeros(3), np.zeros(3)), NoiseModel())
 
+    @pytest.mark.parametrize("field, value", [("omega_meas", np.nan), ("accel_meas", np.inf), ("accel_meas", -np.inf)])
+    def test_non_finite_samples_raise(self, field, value):
+        samples = static_samples(n=5)
+        samples[2] = dataclasses.replace(samples[2], **{field: [0.0, value, 0.0]})
+        with pytest.raises(ValueError, match="non-finite IMU samples"):
+            preintegrate(samples, ImuIntrinsics.nominal(), (np.zeros(3), np.zeros(3)), NoiseModel())
+
     def test_covariance_symmetric_psd_and_monotone_trace(self):
         samples = _rich_samples(np.random.default_rng(3), n=61)
         noise = NoiseModel()

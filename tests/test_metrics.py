@@ -63,11 +63,10 @@ def thinned(segment, landmark_id, keep):
     """Copy of a segment in which one landmark keeps only its first `keep`
     observations; keep=0 drops the landmark."""
     seen = [o for o in segment.observations if o.landmark_id == landmark_id][:keep]
-    ids = set(segment.landmark_ids) - ({landmark_id} if keep == 0 else set())
+    ids = segment.landmarks.keys() - ({landmark_id} if keep == 0 else set())
     return replace(
         segment,
         observations=[o for o in segment.observations if o.landmark_id != landmark_id] + seen,
-        landmark_ids=ids,
         landmarks={i: segment.landmarks[i] for i in ids},
     )
 

@@ -103,7 +103,7 @@ class TestBuildBatch:
         assert len(prob.inertial_factors) == len(scene.keyframes) - 1
         assert len(prob.camera_factors) == len(scene.observations)
         assert len(prob.partitions) == 1
-        assert prob.partitions[0].anchor_keyframe_id == 0
+        assert prob.partitions[0].anchor == 0
 
     def test_dangling_keyframe_raises(self, scene):
         bad = list(scene.observations) + [FeatureObservation(99, 0, np.zeros(2), 0.5)]
@@ -134,18 +134,18 @@ class TestBuildBatch:
         # sample 25 lies inside the interval between keyframes 2 and 3
         s = scene.imu_stream[25]
         repeated = ImuSample(scene.imu_stream[24].t, s.omega_meas, s.accel_meas)
-        with pytest.raises(ValueError, match="interval 2-3 .*not strictly increasing"):
+        with pytest.raises(ValueError, match="segment 0: keyframe interval 2-3 .*not strictly increasing"):
             self._build_with_sample(scene, 25, repeated)
 
     def test_non_finite_imu_sample_raises(self, scene):
         s = scene.imu_stream[25]
-        with pytest.raises(ValueError, match="interval 2-3 has non-finite"):
+        with pytest.raises(ValueError, match="segment 0: keyframe interval 2-3 has non-finite"):
             self._build_with_sample(scene, 25, ImuSample(s.t, s.omega_meas, [np.nan, 0.0, 0.0]))
 
     def test_interval_without_two_samples_raises(self, scene):
         # keyframe 2 is at sample 20: only that sample is left in interval 2-3
         stream = scene.imu_stream[:21] + scene.imu_stream[31:]
-        with pytest.raises(ValueError, match="interval 2-3 covered by fewer than 2"):
+        with pytest.raises(ValueError, match="segment 0: keyframe interval 2-3 covered by fewer than 2"):
             build_batch_problem(scene.keyframes, scene.landmarks, scene.observations, stream, scene.calibration, scene.noise)
 
     def test_imu_slices_match_per_interval_reference(self, scene):
@@ -528,11 +528,9 @@ def bridged_partitions():
     band spans the second, and both bias bridges cross between them."""
     sc = support.make_scene(seed=3, n_keyframes=10, n_landmarks=60)
     segs = support.scene_segments(sc, kf_per_segment=2, keep=[0, 2, 4])
-    shared = segs[0].landmark_ids & segs[2].landmark_ids
-    for seg, keep_ids in zip(segs, (shared, segs[1].landmark_ids - shared, shared)):
-        seg.observations = [o for o in seg.observations if o.landmark_id in keep_ids]
-        seg.landmark_ids = {o.landmark_id for o in seg.observations}
-        seg.landmarks = {i: seg.landmarks[i] for i in seg.landmark_ids}
+    shared = segs[0].landmarks.keys() & segs[2].landmarks.keys()
+    for seg, keep_ids in zip(segs, (shared, segs[1].landmarks.keys() - shared, shared)):
+        support.keep_landmarks(seg, keep_ids)
     prob = build_segment_problem(segs, sc.calibration, sc.noise)
     assert [p.segment_ids for p in prob.partitions] == [(0, 4), (2,)]
     assert prob.bridge_factors[["k0", "k1"]].tolist() == [(1, 2), (3, 4)]
@@ -722,7 +720,7 @@ class _Seg:
         self.id = id
         self.session_id = session_id
         self.keyframe_ids = list(range(first, first + n))
-        self.landmark_ids = set(lm_ids)
+        self.landmarks = dict.fromkeys(lm_ids)
 
 
 class TestPartitioning:
@@ -730,30 +728,23 @@ class TestPartitioning:
         a = _Seg(0, "s", 0, 10, range(0, 30))
         b = _Seg(1, "s", 20, 10, range(15, 40))  # shares 15 with a
         c = _Seg(2, "s", 40, 10, range(100, 120))
-        parts = partition_segments([a, b, c], max_shared=10)
-        groups = sorted(tuple(sorted(p.segment_ids)) for p in parts)
-        assert groups == [(0, 1), (2,)]
+        assert partition_segments([a, b, c]) == [(0, 1), (2,)]
 
     def test_contiguous_segments_merge(self):
         segs = [_Seg(i, "s", i * 10, 10, range(1000 * i, 1000 * i + 5)) for i in range(4)]
-        parts = partition_segments(segs, max_shared=10)
-        assert len(parts) == 1
-        assert parts[0].segment_ids == (0, 1, 2, 3)
-        assert parts[0].anchor_keyframe_id == 0
+        assert partition_segments(segs) == [(0, 1, 2, 3)]
 
     def test_transitive_sharing_chain(self):
         a = _Seg(0, "s", 0, 10, range(0, 20))
         b = _Seg(1, "s", 50, 10, range(9, 31))  # shares 11 with a, 11 with c
         c = _Seg(2, "s", 100, 10, range(20, 40))
-        assert len(set(a.landmark_ids) & set(c.landmark_ids)) == 0
-        parts = partition_segments([a, b, c], max_shared=10)
-        assert len(parts) == 1
+        assert not a.landmarks.keys() & c.landmarks.keys()
+        assert partition_segments([a, b, c]) == [(0, 1, 2)]
 
     def test_exactly_max_shared_does_not_merge(self):
         a = _Seg(0, "s", 0, 10, range(0, 10))
         b = _Seg(1, "s", 50, 10, range(0, 10))  # shares exactly 10
-        parts = partition_segments([a, b], max_shared=10)
-        assert len(parts) == 2
+        assert partition_segments([a, b]) == [(0,), (1,)]
 
     def test_order_invariance(self):
         rng = np.random.default_rng(9)
@@ -763,12 +754,12 @@ class TestPartitioning:
             _Seg(2, "s", 40, 10, range(20, 50)),
             _Seg(3, "s", 80, 10, range(200, 230)),
         ]
-        ref = sorted(tuple(sorted(p.segment_ids)) for p in partition_segments(segs, 10))
+        ref = [tuple(segs[i].id for i in p) for p in partition_segments(segs)]
+        assert ref == [(0, 1), (2,), (3,)]
         for _ in range(5):
             shuffled = list(segs)
             rng.shuffle(shuffled)
-            got = sorted(tuple(sorted(p.segment_ids)) for p in partition_segments(shuffled, 10))
-            assert got == ref
+            assert [tuple(shuffled[i].id for i in p) for p in partition_segments(shuffled)] == ref
 
 
 class TestSegmentProblem:
@@ -841,7 +832,7 @@ class TestSegmentProblem:
 
     def test_unknown_keyframe_raises(self, scene):
         segs = support.scene_segments(scene, kf_per_segment=3)
-        landmark = next(iter(segs[0].landmark_ids))
+        landmark = next(iter(segs[0].landmarks))
         segs[0].observations.append(FeatureObservation(77, landmark, np.zeros(2), 0.5))
         with pytest.raises(ValueError, match="segment 0: .*unknown keyframe 77"):
             build_segment_problem(segs, scene.calibration, scene.noise)
@@ -883,11 +874,9 @@ class TestSegmentProblem:
         segs = support.scene_segments(scene, kf_per_segment=2, keep=[0, 2])
         rng = np.random.default_rng(16)
         for seg, keep_ids in zip(segs, (set(range(10)), set(range(9, 20)))):
-            seg.observations = [o for o in seg.observations if o.landmark_id in keep_ids]
+            support.keep_landmarks(seg, keep_ids)
             rng.shuffle(seg.observations)
-            seg.landmark_ids = {o.landmark_id for o in seg.observations}
-            seg.landmarks = {i: seg.landmarks[i] for i in seg.landmark_ids}
-        assert segs[0].landmark_ids & segs[1].landmark_ids == {9}
+        assert segs[0].landmarks.keys() & segs[1].landmarks.keys() == {9}
         prob = build_segment_problem(segs[::-1], scene.calibration, scene.noise)
         assert len(prob.partitions) == 2 and len(prob.bridge_factors) == 1
 
@@ -898,7 +887,7 @@ class TestSegmentProblem:
         for seg in sorted(segs, key=lambda s: s.keyframe_ids[0]):
             for kid in seg.keyframe_ids:
                 kf_local[(seg.session_id, kid)] = len(kf_local)
-            for lid in sorted(seg.landmark_ids):
+            for lid in sorted(seg.landmarks):
                 lm_local.setdefault((part_of[seg.id], lid), len(lm_local))
             for o in seg.observations:
                 kf, lm = kf_local[(seg.session_id, o.keyframe_id)], lm_local[(part_of[seg.id], o.landmark_id)]
@@ -913,19 +902,20 @@ class TestSegmentProblem:
             assert (row["kf"], row["lm"], row["sigma"]) == (kf, lm, sigma)
             assert row["uv"].tobytes() == uv.tobytes()
 
-    def test_sessions_repeating_keyframe_ids_anchor_their_own_partitions(self, scene):
-        # two sessions with the same keyframe ids and disjoint landmarks: two
-        # partitions, each anchored at its own first keyframe
+    def _two_sessions(self, scene, landmark_sets):
+        """Segment 0, keyframes 0-2, of each of sessions s0 and s1, seeing
+        landmark_sets; both segments keep the id 0."""
         segs = []
-        for i, keep_ids in enumerate((range(10), range(10, 20))):
+        for i, keep_ids in enumerate(landmark_sets):
             [seg] = support.scene_segments(scene, kf_per_segment=3, keep=[0], session_id=f"s{i}")
-            seg.id = i
-            seg.observations = [o for o in seg.observations if o.landmark_id in keep_ids]
-            seg.landmark_ids = {o.landmark_id for o in seg.observations}
-            seg.landmarks = {i: seg.landmarks[i] for i in seg.landmark_ids}
+            support.keep_landmarks(seg, keep_ids)
             segs.append(seg)
-        prob = build_segment_problem(segs, scene.calibration, scene.noise)
-        assert prob.keyframe_ids == [0, 1, 2, 0, 1, 2]
+        return segs
+
+    def _assert_anchored_at_own_first_keyframes(self, prob):
+        # two partitions, each anchored at its own first keyframe: 3 LM
+        # iterations leave both anchor positions bitwise where they were
+        assert [p.anchor for p in prob.partitions] == [0, 3]
         assert [a for a, _, _ in anchor_projectors(prob)] == [0, 3]
         rng = np.random.default_rng(17)
         prob.keyframes = prob.keyframes.retract(rng.normal(scale=1e-3, size=(len(prob.keyframes), KF_DIM)))
@@ -935,12 +925,44 @@ class TestSegmentProblem:
         for a, p in zip((0, 3), p_anchors):
             assert prob.keyframes.p_GI[a].tobytes() == p.tobytes()
 
+    def test_sessions_repeating_keyframe_ids_anchor_their_own_partitions(self, scene):
+        # two sessions with the same keyframe ids and disjoint landmarks
+        segs = self._two_sessions(scene, (range(10), range(10, 20)))
+        segs[1].id = 1
+        prob = build_segment_problem(segs, scene.calibration, scene.noise)
+        assert prob.keyframe_ids == [0, 1, 2, 0, 1, 2]
+        self._assert_anchored_at_own_first_keyframes(prob)
+
+    def test_sessions_repeating_segment_ids_anchor_their_own_partitions(self, scene):
+        segs = self._two_sessions(scene, (range(10), range(10, 20)))
+        assert [s.id for s in segs] == [0, 0]
+        self._assert_anchored_at_own_first_keyframes(build_segment_problem(segs, scene.calibration, scene.noise))
+
+    def test_sessions_repeating_segment_ids_share_no_landmark_column(self, scene):
+        # landmarks 6-9, at most MAX_SHARED_LANDMARKS, are seen from both
+        # sessions: two partitions, each with its own instance of them
+        prob = build_segment_problem(self._two_sessions(scene, (range(10), range(6, 16))), scene.calibration, scene.noise)
+        assert len(prob.partitions) == 2
+        cf = prob.camera_factors
+        partition_of_kf = cf["kf"] // 3  # each partition is one 3-keyframe segment
+        assert all(len(set(partition_of_kf[cf["lm"] == lm])) == 1 for lm in range(len(prob.landmarks)))
+        assert sorted(prob.landmark_ids.tolist()) == sorted(list(range(10)) + list(range(6, 16)))
+
+    @pytest.mark.parametrize("k, value", [(0, -np.inf), (1, np.nan), (2, np.inf)])
+    def test_non_finite_keyframe_time_raises(self, scene, k, value):
+        # the first or last keyframe time of a segment out of range passes
+        # the order check
+        segs = support.scene_segments(scene, kf_per_segment=3)
+        segs[1].keyframes = [replace(kf, t=value) if i == k else kf for i, kf in enumerate(segs[1].keyframes)]
+        with pytest.raises(ValueError, match="segment 1: keyframe times must be finite"):
+            build_segment_problem(segs, scene.calibration, scene.noise)
+
     @pytest.mark.parametrize("bad", [0, 1])
     def test_non_finite_landmark_raises(self, scene, bad):
         # a landmark the first two of three adjacent segments list, so the
         # second segment's position is not the partition's first
         segs = support.scene_segments(scene, kf_per_segment=2)
-        landmark = min(segs[0].landmark_ids & segs[1].landmark_ids)
+        landmark = min(segs[0].landmarks.keys() & segs[1].landmarks.keys())
         segs[bad].landmarks = {**segs[bad].landmarks, landmark: np.array([np.nan, 0.0, 3.0])}
         with pytest.raises(ValueError, match=f"segment {bad}: landmark coordinates must be finite"):
             build_segment_problem(segs, scene.calibration, scene.noise)
@@ -1052,9 +1074,7 @@ class TestSegmentProblem:
         # couples them as a pair factor in the keyframe band
         segs = support.scene_segments(scene, kf_per_segment=2, keep=[0, 2])
         for seg, keep_ids in zip(segs, (set(range(10)), set(range(10, 20)))):
-            seg.observations = [o for o in seg.observations if o.landmark_id in keep_ids]
-            seg.landmark_ids = {o.landmark_id for o in seg.observations}
-            seg.landmarks = {i: seg.landmarks[i] for i in seg.landmark_ids}
+            support.keep_landmarks(seg, keep_ids)
         segprob = build_segment_problem(segs, scene.calibration, scene.noise)
         assert len(segprob.partitions) == 2
         assert len(segprob.bridge_factors) == 1
