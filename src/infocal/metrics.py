@@ -216,15 +216,14 @@ def normalize_covariance(sigma: MarginalCovariance, ref: MetricNormalization) ->
 
 
 def score(sigma_norm: MarginalCovariance) -> SegmentScore:
-    """Scalar optimality criteria of a normalized marginal covariance."""
+    """Scalar optimality criteria of a normalized marginal covariance,
+    which MarginalCovariance has checked to be positive semi-definite."""
     if sigma_norm.rank_deficient:
         inf = float("inf")
         return SegmentScore(inf, inf, inf, inf, rank_deficient=True)
     m = sigma_norm.matrix
     k = m.shape[0]
     eigs = np.linalg.eigvalsh(0.5 * (m + m.T))
-    if eigs.min() < -1e-9 * max(float(np.abs(eigs).max()), 1e-300):
-        raise ValueError("covariance not positive semi-definite")
     a_opt = float(np.trace(m))
     e_opt = float(eigs.max())
     try:

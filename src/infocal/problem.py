@@ -37,14 +37,18 @@ whitened rows are rows 9:15 of an inertial factor over the gap, and
 bridge_blocks returns them in the inertial factors' 15-row form with rows
 0:9 and the calibration Jacobian zero.  gauged_blocks stacks the inertial
 factors, then the bridges, into one pair stack, and the cost, the normal
-equations, the model decrease and the scoring read only that stack.
+equations and the scoring read only that stack.
 
-The solver is Levenberg-Marquardt on the whitened residuals.  Each
-evaluated state, the start and every trial, is linearised once
-(gauged_blocks): its blocks give its cost and, once accepted, the next
-step.  Each trial solves the damped, gauged normal equations by block
-elimination in one of two orders, chosen once per solve from the
-problem's sizes (_keyframes_first):
+The solver is Levenberg-Marquardt on the whitened residuals, in the form
+of Madsen, Nielsen & Tingleff ("Methods for Non-Linear Least Squares
+Problems", 2004, sec. 3.2): the gain ratio's predicted decrease comes
+from the solved normal equations (_predicted_decrease), and a failed
+trial only raises the damping, by Nielsen's rule (solve).  Each evaluated
+state, the start and every trial, is linearised once (gauged_blocks):
+its blocks give its cost and, once accepted, the next step.  Each trial
+solves the damped, gauged normal equations by block elimination in one
+of two orders, chosen once per solve from the problem's sizes
+(_keyframes_first):
 
   landmarks first: a landmark's Schur complement is one 6x6 pose block
     per pair of its observations, so the keyframe block is one LAPACK
@@ -1017,25 +1021,18 @@ def _huberize(cam):
     return r_c * scale[:, None], Jp * s3, Jl * s3, Jth * s3, valid
 
 
-def _model_decrease(problem, cam, pairs, delta):
-    """Cost drop the linearized model predicts for this step.
-
-    Evaluates 0.5*||r||^2 - 0.5*||r + J d||^2 on the whitened blocks; the
-    ratio of actual to predicted decrease drives the damping schedule.
-    """
-    delta_kf, delta_lm, d_th = delta
-    pred = 0.0
-    r_c, Jp, Jl, Jth, _ = cam
-    if r_c.shape[0]:
-        lin = (
-            (Jp @ delta_kf[problem.camera_factors["kf"], :POSE_DIM, None])[..., 0]
-            + (Jl @ delta_lm[problem.camera_factors["lm"], :, None])[..., 0]
-            + Jth @ d_th[CAM_BLOCK]
-        )
-        pred += 0.5 * float(np.sum(r_c**2) - np.sum((r_c + lin) ** 2))
-    k0, k1, rw, J0, J1, Jti = pairs
-    lin = Jti @ d_th[IMU_BLOCK] + (J0 @ delta_kf[k0, :, None])[..., 0] + (J1 @ delta_kf[k1, :, None])[..., 0]
-    return pred + 0.5 * float(np.sum(rw**2) - np.sum((rw + lin) ** 2))
+def _predicted_decrease(ne, lam, delta):
+    """The cost drop the linearised model predicts for the update triple
+    delta = _damped_step(ne, lam, ...): as delta solves (H + lam D) delta
+    = g, D = diag(H), g^T delta - delta^T H delta / 2 is (g^T delta +
+    lam delta^T D delta) / 2.  The gauge adds nothing on delta (an anchor's
+    rotation step is perpendicular to u, its position step zero), nor do
+    the diagonal floors, which act only where H, and so delta, is zero."""
+    d_kf, d_lm, d_th = (d.reshape(-1) for d in delta)
+    g = ne.gk @ d_kf + ne.gl.reshape(-1) @ d_lm + ne.gt @ d_th
+    D_lm = np.diagonal(ne.Hll, axis1=1, axis2=2).reshape(-1)
+    damped = ne.band[0] @ d_kf**2 + D_lm @ d_lm**2 + np.diag(ne.Htt) @ d_th**2
+    return 0.5 * float(g + lam * damped)
 
 
 def _retract_problem(problem, delta):
@@ -1063,6 +1060,15 @@ def solve(problem, options: SolveOptions = None):
     Accepted steps strictly decrease the cost.  Each evaluated state is
     linearised once: the blocks that give a trial's cost give, once it is
     accepted, the next step.
+
+    Each damping lam gives one trial at the full step h, which solves
+    (H + lam D) h = g, D = diag(H).  A trial fails when _damped_step raises
+    LinAlgError, the retracted state is not finite, or the cost is not
+    finite or does not drop; each failure sets lam <- nu lam and
+    nu <- 2 nu, nu starting at 2 in each iteration (Nielsen's rule).  An
+    accepted trial scales lam by max(1/3, 1 - (2 rho - 1)^3), rho the
+    actual over the predicted decrease (g^T h + lam h^T D h) / 2 (Madsen,
+    Nielsen & Tingleff, 2004, sec. 3.2).  Past _MAX_LAMBDA the solve ends.
     """
     options = options or SolveOptions()
     refresh_preintegrations(problem)
@@ -1086,54 +1092,45 @@ def solve(problem, options: SolveOptions = None):
             cam = _huberize(cam)
         ne = _normal_equations(problem, cam, pairs)
 
-        step_accepted = False
         nu = 2.0
-        while lam <= _MAX_LAMBDA and not step_accepted:
+        while lam <= _MAX_LAMBDA:
             try:
                 delta = _damped_step(ne, lam, anchors, schur)
             except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            # backtracking keeps the (well-aimed) direction when only the
-            # step length exceeds the quadratic model's validity
-            for alpha in (1.0, 0.5, 0.25):
-                scaled = (alpha * delta[0], alpha * delta[1], alpha * delta[2])
-                trial = _retract_problem(problem, scaled)
-                if trial is None:
-                    continue
-                kf_save, lm_save, cal_save = problem.keyframes, problem.landmarks, problem.calibration
-                pre_save = problem.preintegrated
+                trial = None
+            else:
+                trial = _retract_problem(problem, delta)
+            if trial is not None:
+                saved = problem.keyframes, problem.landmarks, problem.calibration, problem.preintegrated
                 problem.keyframes, problem.landmarks, problem.calibration = trial
                 refresh_preintegrations(problem)
                 trial_blocks = gauged_blocks(problem)
                 new_cost = _cost(trial_blocks, options.huber)
                 if np.isfinite(new_cost) and new_cost < cost:
-                    step_accepted = True
-                    pred = _model_decrease(problem, cam, pairs, scaled)
-                    ratio = (cost - new_cost) / pred if pred > 0 else 1.0
-                    rel = (cost - new_cost) / max(cost, 1e-300)
-                    cost = new_cost
-                    blocks = trial_blocks
-                    history.append(cost)
-                    if alpha == 1.0:
-                        # grows the damping when the quadratic model
-                        # overpromises, shrinks it when the prediction holds
-                        lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3), 1e-12)
-                    if rel < options.tol:
-                        converged = True
-                        reason = "relative cost decrease below tol"
-                    elif cost <= _COST_FLOOR:
-                        converged = True
-                        reason = "cost below absolute floor"
                     break
-                problem.keyframes, problem.landmarks, problem.calibration = kf_save, lm_save, cal_save
-                problem.preintegrated = pre_save
-            if not step_accepted:
-                lam *= nu
-                nu *= 2.0
-        if not step_accepted:
+                problem.keyframes, problem.landmarks, problem.calibration, problem.preintegrated = saved
+            lam *= nu
+            nu *= 2.0
+        else:  # no damping up to _MAX_LAMBDA lowered the cost
             converged = True
             reason = "no cost-decreasing step within the damping limit"
+            break
+
+        pred = _predicted_decrease(ne, lam, delta)
+        ratio = (cost - new_cost) / pred if pred > 0 else 1.0
+        rel = (cost - new_cost) / max(cost, 1e-300)
+        cost = new_cost
+        blocks = trial_blocks
+        history.append(cost)
+        # grows the damping when the quadratic model overpromises, shrinks
+        # it when the prediction holds
+        lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3), 1e-12)
+        if rel < options.tol:
+            converged = True
+            reason = "relative cost decrease below tol"
+        elif cost <= _COST_FLOOR:
+            converged = True
+            reason = "cost below absolute floor"
 
     return problem, SolveReport(
         iterations=n_iters,

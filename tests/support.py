@@ -9,7 +9,8 @@ evaluate_residuals is the unweighted residual, block weights and sparse
 Jacobian of a whole problem, the reference the finite-difference, model
 decrease, damped step and dense covariance tests compare against.  The remaining
 helpers (quat_rotate, quat_local, apply, identity_transform, invert,
-delta_rotation, inertial_error) are conveniences only tests use.
+delta_rotation, inertial_error) are conveniences only tests use;
+spy_damped_steps and uphill force failed Levenberg-Marquardt trials.
 """
 
 import math
@@ -19,6 +20,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse
 
+import infocal.problem
 from infocal.camera import CameraExtrinsics, CameraIntrinsics, FeatureObservation, camera_factor_blocks
 from infocal.geometry import Transform, UnitQuaternion, quat_conj, quat_log, quat_mul, quat_to_matrix, so3_exp
 from infocal.imu import (
@@ -259,6 +261,25 @@ def keep_landmarks(segment, ids):
     landmarks it then no longer observes."""
     segment.observations = [o for o in segment.observations if o.landmark_id in ids]
     segment.landmarks = {o.landmark_id: segment.landmarks[o.landmark_id] for o in segment.observations}
+
+
+def spy_damped_steps(monkeypatch, alter):
+    """Route solve's damped steps through alter(call, ne, step), call the
+    0-based index of the _damped_step call, ne its normal equations and
+    step its update triple; returns the list of each call's damping."""
+    lams, damped_step = [], infocal.problem._damped_step
+
+    def spy(ne, lam, anchors, schur):
+        lams.append(lam)
+        return alter(len(lams) - 1, ne, damped_step(ne, lam, anchors, schur))
+
+    monkeypatch.setattr(infocal.problem, "_damped_step", spy)
+    return lams
+
+
+def uphill(step):
+    """The update triple reversed: a step that raises the cost."""
+    return tuple(-d for d in step)
 
 
 class ResidualEvaluation(NamedTuple):

@@ -10,7 +10,9 @@ imported: run.py pins BLAS environment variables when it is imported.  bench/wor
 imported to run its problem_shape and cost_per_dof, which read the fields
 of built problems, on problems from both builders, to run each workload's
 timed path once, and to check that its two LM workloads fall on opposite
-sides of the solver's elimination-order and forward-solve rules.
+sides of the solver's elimination-order and forward-solve rules.  The
+solver's stop reason when no damping lowers the cost starts with the
+prefix workloads.NO_STEP, the one solver string the benchmark parses.
 """
 
 import ast
@@ -20,10 +22,11 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import infocal.problem
-from infocal.problem import SolveOptions, _keyframes_first, build_batch_problem, build_segment_problem, solve
+from infocal.problem import KF_DIM, SolveOptions, _keyframes_first, build_batch_problem, build_segment_problem, solve
 
 import support
 
@@ -189,3 +192,26 @@ def test_lm_workloads_straddle_the_elimination_order(name, keyframes_first, monk
     solve(problem, SolveOptions(max_iters=1))
     assert shapes
     assert all((width > height) == keyframes_first for width, height in shapes)
+
+
+@pytest.mark.parametrize("accepted", [1, 0])
+def test_no_step_ending_is_the_one_the_benchmark_parses(accepted, monkeypatch):
+    # every damped step after the first `accepted` iterations goes uphill,
+    # so the budget ends on the solver's no-step reason; budget_problems
+    # then counts one iteration without a step, and only a budget that
+    # accepted nothing fails, for its cost
+    prob = _batch(support.make_scene(seed=1, n_keyframes=6, n_landmarks=20))
+    prob.keyframes = prob.keyframes.retract(np.random.default_rng(6).normal(scale=3e-3, size=(len(prob.keyframes), KF_DIM)))
+    iterations = []  # each iteration's normal equations
+
+    def alter(call, ne, step):
+        if not iterations or iterations[-1] is not ne:
+            iterations.append(ne)
+        return step if len(iterations) <= accepted else support.uphill(step)
+
+    support.spy_damped_steps(monkeypatch, alter)
+    _, report = solve(prob, workloads.LM_BUDGET)
+    assert report.reason.startswith(workloads.NO_STEP)
+    assert report.iterations == accepted + 1 and len(report.cost_history) == accepted + 1
+    failed = [] if accepted else ["budget: final cost not finite or not below initial"]
+    assert workloads.budget_problems(report) == failed

@@ -6,7 +6,10 @@ matrix J^T W J, built densely from the unweighted residual evaluation, and
 the closed forms of trace, determinant, largest eigenvalue and Gaussian
 entropy of a diagonal covariance.  Properties: the covariance does not
 move under a global yaw and translation of the states, and more data never
-makes it larger (Loewner order).
+makes it larger (Loewner order).  The covariance and normalisation records
+reject malformed input at construction, reference_sigmas takes medians of
+the full-rank corpus, and normalize_covariance is diag(s)^-1 Sigma
+diag(s)^-1.
 """
 
 import math
@@ -19,7 +22,14 @@ import pytest
 import scipy.linalg
 
 from infocal.geometry import UnitQuaternion, quat_mul, so3_exp
-from infocal.metrics import MarginalCovariance, score, segment_marginal_covariance
+from infocal.metrics import (
+    MarginalCovariance,
+    MetricNormalization,
+    normalize_covariance,
+    reference_sigmas,
+    score,
+    segment_marginal_covariance,
+)
 from infocal.problem import CALIB_DIM, KF_DIM, anchor_projectors, build_segment_problem
 
 import support
@@ -191,3 +201,59 @@ class TestScore:
         assert sc.d_opt == pytest.approx(np.prod(d), rel=1e-12)
         assert sc.e_opt == pytest.approx(3.0, rel=1e-12)
         assert sc.entropy == pytest.approx(0.5 * (CALIB_DIM * math.log(2 * math.pi * math.e) + np.log(d).sum()), rel=1e-12)
+
+
+def _with(m, i, j, value):
+    m = m.copy()
+    m[i, j] = value
+    return m
+
+
+def _deficient():
+    return MarginalCovariance(np.diag(np.full(CALIB_DIM, np.inf)), rank_deficient=True)
+
+
+class TestCovarianceRecords:
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            (np.eye(CALIB_DIM - 1), "must be 26x26"),
+            (_with(np.eye(CALIB_DIM), 3, 3, np.nan), "non-finite"),
+            (_with(np.eye(CALIB_DIM), 0, 5, 0.5), "not symmetric"),
+            (np.diag(np.r_[-1.0, np.ones(CALIB_DIM - 1)]), "not positive semi-definite"),
+        ],
+        ids=["shape", "nan", "asymmetric", "indefinite"],
+    )
+    def test_covariance_rejects(self, matrix, message):
+        with pytest.raises(ValueError, match=message):
+            MarginalCovariance(matrix)
+
+    @pytest.mark.parametrize(
+        "first, n, message",
+        [(0.0, CALIB_DIM, "positive"), (-1.0, CALIB_DIM, "positive"), (np.inf, CALIB_DIM, "finite"), (1.0, CALIB_DIM + 1, "26 entries")],
+        ids=["zero", "negative", "inf", "length"],
+    )
+    def test_normalization_rejects(self, first, n, message):
+        with pytest.raises(ValueError, match=message):
+            MetricNormalization(np.r_[first, np.ones(n - 1)])
+
+    @pytest.mark.parametrize("covariances", [[], [_deficient(), _deficient()]], ids=["empty", "all_deficient"])
+    def test_reference_sigmas_need_a_full_rank_covariance(self, covariances):
+        with pytest.raises(ValueError, match="full-rank"):
+            reference_sigmas(covariances)
+
+    def test_reference_sigmas_are_medians_of_full_rank_sigmas(self):
+        covs = [MarginalCovariance(np.diag(np.full(CALIB_DIM, v))) for v in (1.0, 4.0, 9.0)]
+        ref = reference_sigmas(covs + [_deficient()])
+        np.testing.assert_array_equal(ref.sigma_ref, np.full(CALIB_DIM, 2.0))
+
+    def test_deficient_covariance_passes_normalization_unchanged(self):
+        sigma = _deficient()
+        assert normalize_covariance(sigma, MetricNormalization(np.full(CALIB_DIM, 3.0))) is sigma
+
+    def test_normalization_is_the_closed_form(self):
+        A = np.random.default_rng(2).normal(size=(CALIB_DIM, CALIB_DIM))
+        m = A @ A.T + CALIB_DIM * np.eye(CALIB_DIM)
+        s = np.geomspace(1e-3, 10.0, CALIB_DIM)
+        got = normalize_covariance(MarginalCovariance(m), MetricNormalization(s))
+        np.testing.assert_allclose(got.matrix, np.diag(1.0 / s) @ m @ np.diag(1.0 / s), rtol=1e-14)

@@ -4,7 +4,9 @@ Oracles: factor/dimension counting by hand, central finite differences of
 the raw residual against the sparse Jacobian, exact gauge transforms, cost
 equality between differently built but mathematically identical problems,
 and the weighted quadratic model, Huber cost and damped LM step built by
-hand from the unweighted residual evaluation.
+hand from the unweighted residual evaluation.  Failed LM trials are forced
+by replacing the damped step, and the damping sequence they cause is
+checked against Nielsen's rule.
 """
 
 import math
@@ -30,7 +32,9 @@ from infocal.problem import (
     KeyframeState,
     Landmark,
     SolveOptions,
+    _LAMBDA_INIT,
     _LM_DIAG_FLOOR,
+    _MAX_LAMBDA,
     _damped_step,
     _block_forward_solve,
     _forward_solve,
@@ -38,8 +42,8 @@ from infocal.problem import (
     _keyframes_first,
     _landmark_pairs,
     _landmark_schur,
-    _model_decrease,
     _normal_equations,
+    _predicted_decrease,
     _retract_problem,
     _slice_imu_stream,
     anchor_projectors,
@@ -463,6 +467,64 @@ class TestSolve:
         assert np.abs(prob.calibration.imu.s_g - start.imu.s_g).max() > 0.0
 
 
+def _perturbed(prob):
+    prob.keyframes = prob.keyframes.retract(np.random.default_rng(6).normal(scale=3e-3, size=(len(prob.keyframes), KF_DIM)))
+    return prob
+
+
+class TestFailedTrials:
+    # each failed trial multiplies the damping by nu and doubles nu, from
+    # nu = 2, and leaves the problem as it was
+
+    def test_uphill_steps_end_the_solve_untouched(self, scene, monkeypatch):
+        prob = _perturbed(build_from_scene(scene))
+        start = (*prob.keyframes.arrays(), prob.landmarks)
+        saved = [a.copy() for a in start]
+        calibration = prob.calibration
+        lams = support.spy_damped_steps(monkeypatch, lambda call, ne, step: support.uphill(step))
+        prob, report = solve(prob, SolveOptions(max_iters=5))
+        assert report.iterations == 1 and report.converged
+        assert report.reason == "no cost-decreasing step within the damping limit"
+        assert report.cost_history == [report.initial_cost] and report.final_cost == report.initial_cost
+        for a, b in zip((*prob.keyframes.arrays(), prob.landmarks), saved):
+            assert a.tobytes() == b.tobytes()
+        assert prob.calibration is calibration
+        # lam_k = lam_0 2^(1 + 2 + ... + k): 1, 2, 8, 64, ... times lam_0
+        expected = [_LAMBDA_INIT * 2.0 ** (k * (k + 1) // 2) for k in range(12)]
+        assert lams == [lam for lam in expected if lam <= _MAX_LAMBDA]
+        assert len(lams) == 10
+
+    def _fail_first(self, scene, monkeypatch, fail):
+        # the first trial fails by fail(step); the second, at twice the
+        # damping, sees the problem as it was and is accepted
+        prob = _perturbed(build_from_scene(scene))
+        seen = []
+
+        def alter(call, ne, step):
+            seen.append((prob.keyframes, prob.landmarks, prob.calibration, prob.preintegrated))
+            return fail(step) if call == 0 else step
+
+        lams = support.spy_damped_steps(monkeypatch, alter)
+        prob, report = solve(prob, SolveOptions(max_iters=1))
+        assert lams == [_LAMBDA_INIT, 2.0 * _LAMBDA_INIT]
+        assert all(a is b for a, b in zip(*seen))
+        assert len(report.cost_history) == 2 and report.final_cost < report.initial_cost
+
+    def test_singular_damped_system_doubles_the_damping(self, scene, monkeypatch):
+        def singular(step):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        self._fail_first(scene, monkeypatch, singular)
+
+    def test_step_out_of_the_calibration_domain_doubles_the_damping(self, scene, monkeypatch):
+        def negative_focal(step):
+            d_th = step[2].copy()
+            d_th[0:2] = -2.0 * scene.calibration.camera.f
+            return step[0], step[1], d_th
+
+        self._fail_first(scene, monkeypatch, negative_focal)
+
+
 def _weighted_cost(ev, step):
     """0.5 (r + J step)^T W (r + J step) from an unweighted evaluation."""
     v = ev.residual + ev.jacobian @ step
@@ -471,25 +533,26 @@ def _weighted_cost(ev, step):
 
 class TestLevenbergMarquardtModel:
     def test_model_decrease_matches_weighted_linearization(self, scene):
-        # the gap between the two segments becomes a bias bridge
+        # the predicted decrease of the solved damped step, from the normal
+        # equations, against the weighted linear model built by hand, in both
+        # elimination orders; the gap between the two segments becomes a
+        # bias bridge
         segs = support.scene_segments(scene, kf_per_segment=2, keep=[0, 2])
         prob = build_segment_problem(segs, scene.calibration, scene.noise)
         assert len(prob.bridge_factors) == 1
         rng = np.random.default_rng(14)
         prob.keyframes = prob.keyframes.retract(rng.normal(scale=1e-3, size=(len(prob.keyframes), KF_DIM)))
         ev = evaluate_residuals(prob)
-        K, L = len(prob.keyframes), len(prob.landmarks)
-        delta = (
-            rng.normal(scale=1e-3, size=(K, KF_DIM)),
-            rng.normal(scale=1e-3, size=(L, 3)),
-            rng.normal(scale=1e-3, size=CALIB_DIM),
-        )
-        flat = np.concatenate([d.ravel() for d in delta])
-        expected = _weighted_cost(ev, np.zeros_like(flat)) - _weighted_cost(ev, flat)
-        pairs = tuple(np.concatenate(b) for b in zip(inertial_blocks(prob), bridge_blocks(prob)))
-        pred = _model_decrease(prob, camera_blocks(prob), pairs, delta)
-        assert abs(expected) > 1.0
-        assert pred == pytest.approx(expected, rel=1e-9)
+        refresh_preintegrations(prob)
+        cam, pairs, anchors = gauged_blocks(prob)
+        ne = _normal_equations(prob, cam, pairs)
+        for lam in (1e-4, 0.1, 10.0):
+            for schur in (None, _landmark_schur(prob)):
+                delta = _damped_step(ne, lam, anchors, schur)
+                flat = np.concatenate([d.ravel() for d in delta])
+                expected = _weighted_cost(ev, np.zeros_like(flat)) - _weighted_cost(ev, flat)
+                assert abs(expected) > 1.0
+                assert _predicted_decrease(ne, lam, delta) == pytest.approx(expected, rel=1e-9)
 
 
 def dense_damped_step(prob, lam):
@@ -711,6 +774,28 @@ class TestHuber:
         assert outliers == 1
         assert problem_cost(prob, huber=True) == pytest.approx(expected, rel=1e-12)
         assert problem_cost(prob, huber=True) == pytest.approx(report.final_cost, rel=1e-12)
+
+    def test_outliers_bias_the_calibration_only_without_huber(self):
+        # a noisy 40-keyframe session, 10 of its pixels moved by 40 px in
+        # each axis (80 sigma), solved from the benchmark's perturbed start:
+        # at this seed Huber errs by 0.62 px and 7.0 mm, plain least
+        # squares by 14 px and 183 mm; the bounds leave about 3x margin
+        s = sim.make_session(0, n_keyframes=40, steps=10, n_landmarks=80)
+        rng = np.random.default_rng(0)
+        obs = list(s.observations)
+        for i in rng.choice(len(obs), 10, replace=False):
+            obs[i] = replace(obs[i], uv=obs[i].uv + 40.0 * rng.choice([-1.0, 1.0], size=2))
+        calib0 = sim.perturb_calibration(s.calibration, rng)
+        keyframes = sim.perturb_keyframes(s.keyframes, rng)
+        landmarks = sim.landmark_list(sim.perturb_landmarks(s.landmarks, rng))
+        errors = {}
+        for huber in (True, False):
+            prob = build_batch_problem(keyframes, landmarks, obs, s.imu, calib0, s.noise)
+            prob, _ = solve(prob, SolveOptions(huber=huber, max_iters=50))
+            errors[huber] = workloads.calibration_errors(prob.calibration, s.calibration)
+        assert errors[True]["err_f_px"] < 2.0 and errors[True]["err_p_CI_mm"] < 20.0
+        for name in ("err_f_px", "err_p_CI_mm"):
+            assert errors[True][name] < errors[False][name]
 
 
 class _Seg:
