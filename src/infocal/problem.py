@@ -684,6 +684,14 @@ def _cost(blocks, huber=False):
 # ------------------------------------------------------------------ solve
 
 
+def _pair_span(problem):
+    """The widest keyframe span of a pair factor, inertial or bridge: the
+    half-bandwidth, in keyframes, of the normal equations' keyframe band."""
+    bf = problem.bridge_factors
+    spans = (problem._inertial_k1 - problem._inertial_k0, bf["k1"] - bf["k0"])
+    return int(np.concatenate(spans).max(initial=0))
+
+
 def _keyframe_band(problem):
     """Half-bandwidth w, in keyframes, of the keyframe block once the
     landmarks are eliminated: the widest keyframe span of one landmark's
@@ -691,12 +699,8 @@ def _keyframe_band(problem):
     cf = problem.camera_factors
     by_lm = np.argsort(cf["lm"], kind="stable")
     kf, first = cf["kf"][by_lm], _run_starts(cf["lm"][by_lm])
-    spans = (
-        np.maximum.reduceat(kf, first) - np.minimum.reduceat(kf, first),
-        problem._inertial_k1 - problem._inertial_k0,
-        problem.bridge_factors["k1"] - problem.bridge_factors["k0"],
-    )
-    return int(np.concatenate(spans).max(initial=0))
+    spans = np.maximum.reduceat(kf, first) - np.minimum.reduceat(kf, first)
+    return max(int(spans.max(initial=0)), _pair_span(problem))
 
 
 def _keyframes_first(problem):
@@ -728,13 +732,13 @@ def _run_starts(key):
     return np.flatnonzero(np.diff(key, prepend=key[:1] - 1))
 
 
-def _band_entries(rows, cols, n):
-    """Flat positions, in a LAPACK lower band of order n, of the entries
+def _band_entries(rows, cols):
+    """Positions (i, j), in a LAPACK lower band, of the entries
     (rows[..., :, None], cols[..., None, :]) on or below the diagonal, and
     the mask that selects those entries."""
     r, c = rows[..., :, None], cols[..., None, :]
     lower = r >= c
-    return ((r - c) * n + c)[lower], lower
+    return ((r - c)[lower], np.broadcast_to(c, lower.shape)[lower]), lower
 
 
 def _tmul(A, B):
@@ -764,15 +768,15 @@ def _landmark_schur(problem):
 
     Returns (a, b, first, at, lower, height): the factor pairs of
     _landmark_pairs, the start of each keyframe pair's run of them, and the
-    flat positions and mask (_band_entries) of the runs' summed 6x6 blocks
-    in a LAPACK lower band of height rows, 15 (w + 1) for w =
-    _keyframe_band.
+    positions and mask (_band_entries) of the runs' summed 6x6 blocks in a
+    LAPACK lower band of height rows, 15 (w + 1) for w = _keyframe_band.
+    Each run is one keyframe pair, so no two entries share a position.
     """
     kf, K = problem.camera_factors["kf"], len(problem.keyframes)
     a, b = _landmark_pairs(kf, problem.camera_factors["lm"])
     first = _run_starts(kf[a] * K + kf[b])
     pose = [(kf[c[first]] * KF_DIM)[:, None] + np.arange(POSE_DIM) for c in (a, b)]
-    at, lower = _band_entries(*pose, K * KF_DIM)
+    at, lower = _band_entries(*pose)
     return a, b, first, at, lower, KF_DIM * (_keyframe_band(problem) + 1)
 
 
@@ -829,15 +833,15 @@ def _normal_equations(problem, cam, pairs):
 
     # the camera factors' pose blocks, summed per keyframe, on the diagonal
     pose = (np.arange(K) * KF_DIM)[:, None] + np.arange(POSE_DIM)
-    idx, lower = _band_entries(pose, pose, n)
-    at, values = [idx], [_keyframe_sums(ki, _tmul(Jp, Jp), K)[lower]]
+    (i, j), lower = _band_entries(pose, pose)
+    at, values = [i * n + j], [_keyframe_sums(ki, _tmul(Jp, Jp), K)[lower]]
     # pair factors on two keyframes: their keyframe blocks on or below the
     # diagonal, and their IMU-intrinsics columns
     rows = [(k * KF_DIM)[:, None] + np.arange(KF_DIM) for k in (k0, k1)]
     for k, ra, Ja in zip((k0, k1), rows, (J0, J1)):
         for rb, Jb in zip(rows, (J0, J1)):
-            idx, lower = _band_entries(ra, rb, n)
-            at.append(idx)
+            (i, j), lower = _band_entries(ra, rb)
+            at.append(i * n + j)
             values.append(_tmul(Ja, Jb)[lower])
         gk -= _sum_by(k, _tmul(Ja, rw[..., None])[..., 0], K).reshape(n)
         Hkt[:, IMU_BLOCK] += _sum_by(k, _tmul(Ja, Jti), K).reshape(n, -1)
@@ -845,30 +849,73 @@ def _normal_equations(problem, cam, pairs):
     return _NormalEquations(band, Hkt, gk, Hll, Hlt, gl, Htt, gt, _tmul(Jp, Jl), ki, li)
 
 
-def _keyframe_rhs(ne, lead):
-    """A new [0 H_k,theta g_k] with lead zero columns first: the right-hand
-    side of _band_schur_solve, which each step completes in place."""
-    C = np.zeros((ne.gk.size, lead + CALIB_DIM + 1))
-    C[:, lead:-1] = ne.Hkt
+class _Workspace(NamedTuple):
+    """The large arrays of a solve's damped steps: allocated once per solve
+    (_workspace), overwritten by every trial.
+
+    schur is _landmark_schur to eliminate the landmarks first, None to
+    eliminate the keyframes first.  band is the damped keyframe band,
+    Fortran-ordered so that it is factored in place; C the right-hand side
+    of _band_schur_solve and Y = L^-1 C; D the dense block, read in its
+    lower triangle; S = D - Y^T Y, Fortran-ordered, factored in place.  A
+    trial writes every entry that it reads, so one that fails part-way
+    leaves nothing that the next one reads.
+    """
+
+    schur: tuple
+    band: np.ndarray
+    C: np.ndarray
+    Y: np.ndarray
+    D: np.ndarray
+    S: np.ndarray
+
+
+def _workspace(problem, keyframes_first):
+    """The _Workspace of one elimination order, sized from the problem:
+    keyframes first, a band of the pair factors' height, C = [H_kl H_k,theta
+    g_k] and a dense block of 3L + 26 coordinates; landmarks first, the
+    band of _landmark_schur, C = [H_k,theta g_k] and the 26 x 26
+    calibration block."""
+    n, n_lm = len(problem.keyframes) * KF_DIM, len(problem.landmarks) * LM_DIM
+    if keyframes_first:
+        schur, height, m = None, KF_DIM * (_pair_span(problem) + 1), n_lm + CALIB_DIM
+    else:
+        schur = _landmark_schur(problem)
+        height, m = schur[-1], CALIB_DIM
+    # Y in the order of its forward solve's result: Fortran from dtbtrs, C
+    # from the block sweep
+    Y = np.empty((n, m + 1), order="F" if m + 1 <= height else "C")
+    band, S = np.empty((height, n), order="F"), np.empty((m, m), order="F")
+    return _Workspace(schur, band, np.empty((n, m + 1)), Y, np.empty((m, m)), S)
+
+
+def _keyframe_rhs(ne, C):
+    """C overwritten with [0 H_k,theta g_k], its leading columns zero: the
+    right-hand side of _band_schur_solve, which each step completes in
+    place."""
+    C[:, : -CALIB_DIM - 1] = 0.0
+    C[:, -CALIB_DIM - 1 : -1] = ne.Hkt
     C[:, -1] = ne.gk
     return C
 
 
-def _forward_solve(cb, C):
-    """L^-1 C for the lower band Cholesky factor L stored in cb.  dtbtrs
-    solves one column at a time, at LAPACK level 2, which suits a
-    right-hand side no wider than the band; a wider one goes to
-    _block_forward_solve, at level 3."""
+def _forward_solve(cb, C, Y):
+    """Y overwritten with L^-1 C, for the lower band Cholesky factor L
+    stored in cb.  dtbtrs solves one column at a time, at LAPACK level 2,
+    which suits a right-hand side no wider than the band; a wider one goes
+    to _block_forward_solve, at level 3."""
     if C.shape[1] > cb.shape[0]:
-        return _block_forward_solve(cb, C)
-    Y, info = scipy.linalg.lapack.dtbtrs(cb, C, uplo="L")
+        return _block_forward_solve(cb, C, Y)
+    X, info = scipy.linalg.lapack.dtbtrs(cb, C, uplo="L")
     if info:
         raise np.linalg.LinAlgError(f"dtbtrs: info {info}")
+    Y[:] = X
     return Y
 
 
-def _block_forward_solve(cb, C):
-    """L^-1 C as _forward_solve, in blocks of m = cb.shape[0] rows.
+def _block_forward_solve(cb, C, Y):
+    """Y overwritten with L^-1 C as by _forward_solve, in blocks of
+    m = cb.shape[0] rows.
 
     L's half-bandwidth is below m, so in those blocks L is block lower
     bidiagonal, with lower triangular diagonal blocks L_i and subdiagonal
@@ -892,7 +939,6 @@ def _block_forward_solve(cb, C):
         if info:
             raise np.linalg.LinAlgError(f"dtrtri: info {info}")
     M = Linv[1:] @ ext[m + i - j, cols[:-1]]
-    Y = np.empty_like(C)
     stack = (whole, m, C.shape[1])
     np.matmul(Linv[:whole], C[: whole * m].reshape(stack), out=Y[: whole * m].reshape(stack))
     Y[whole * m :] = Linv[-1, : n - whole * m, : n - whole * m] @ C[whole * m :]
@@ -902,17 +948,24 @@ def _block_forward_solve(cb, C):
     return Y
 
 
-def _band_schur_solve(band, C, D, gd):
-    """(x, d) solving [[H, Ck], [Ck^T, D]] [x; d] = [g; gd], H the lower
-    band band (overwritten), C = [Ck g] and D read in its lower triangle: a
-    banded Cholesky L L^T of H, Y = L^-1 C, a Cholesky of D - Y^T Y, and x
+def _band_schur_solve(work, gd):
+    """(x, d) solving [[H, Ck], [Ck^T, D]] [x; d] = [g; gd] in the
+    workspace work (_Workspace): H its lower band, C = [Ck g] and D read in
+    its lower triangle.  A banded Cholesky L L^T of H, in place; Y = L^-1 C
+    into work.Y; D - Y^T Y into work.S, Cholesky-factored in place; and x
     back-substituted.  The forward solve (_forward_solve) is one dtbtrs
     when C is no wider than the band, else a sweep over blocks of band
-    height (_block_forward_solve)."""
-    cb = scipy.linalg.cholesky_banded(band, overwrite_ab=True, lower=True, check_finite=False)
-    Y = _forward_solve(cb, C)
+    height (_block_forward_solve).
+
+    The arrays of this size live for the solve, not for the trial: made
+    fresh by every trial, they cost about 13K minor page faults per
+    five-iteration solve of the benchmark's 100-keyframe batch session,
+    at about 2.5 us per 4 KB page, and their rewrite in place none."""
+    cb = scipy.linalg.cholesky_banded(work.band, overwrite_ab=True, lower=True, check_finite=False)
+    Y = _forward_solve(cb, work.C, work.Y)
     Yc, y = Y[:, :-1], Y[:, -1]
-    c = scipy.linalg.cho_factor(D - Yc.T @ Yc, lower=True, check_finite=False)
+    S = np.subtract(work.D, np.matmul(Yc.T, Yc, out=work.S), out=work.S)
+    c = scipy.linalg.cho_factor(S, lower=True, overwrite_a=True, check_finite=False)
     d = scipy.linalg.cho_solve(c, gd - Yc.T @ y, check_finite=False)
     x, info = scipy.linalg.lapack.dtbtrs(cb, (y - Yc @ d)[:, None], uplo="L", trans="T")
     if info:
@@ -920,11 +973,11 @@ def _band_schur_solve(band, C, D, gd):
     return x[:, 0], d
 
 
-def _damped_step(ne, lam, anchors, schur):
+def _damped_step(ne, lam, anchors, work):
     """One damped elimination of the normal equations ne; returns the
-    update triple (keyframes, landmarks, calibration).  schur is the
-    problem's _landmark_schur to eliminate the landmarks first
-    (_landmarks_first_step), None to eliminate the keyframes first
+    update triple (keyframes, landmarks, calibration), as new arrays.  work
+    is the solve's _Workspace, whose schur selects the order: landmarks
+    first (_landmarks_first_step) or, when None, keyframes first
     (_keyframes_first_step).
 
     Damping adds lam times the diagonal, and _LM_DIAG_FLOOR to the
@@ -935,8 +988,15 @@ def _damped_step(ne, lam, anchors, schur):
     below _LM_DIAG_FLOOR is raised to it, so a coordinate without
     information still factors and gets no update.  Both orders share this
     damped, gauged system and differ only in how they eliminate it.
+
+    The damped band is written over work.band, whose rows past ne.band's
+    are zeroed; the per-landmark and calibration blocks, small, are new
+    arrays of the trial.
     """
-    band = ne.band.copy()
+    h = ne.band.shape[0]
+    band = work.band
+    band[:h] = ne.band
+    band[h:] = 0.0
     band[0] *= 1.0 + lam
     i, j = np.tril_indices(3)
     for a, P, u in anchors:
@@ -952,63 +1012,73 @@ def _damped_step(ne, lam, anchors, schur):
     Hll[:, ii, ii] += lam * ne.Hll[:, ii, ii] + _LM_DIAG_FLOOR
     Htt = ne.Htt + lam * np.diag(np.diag(ne.Htt))
     np.fill_diagonal(Htt, np.maximum(np.diag(Htt), _LM_DIAG_FLOOR))
-    if schur is None:
-        return _keyframes_first_step(ne, band, Hll, Htt)
-    return _landmarks_first_step(ne, band, Hll, Htt, schur)
+    if work.schur is None:
+        return _keyframes_first_step(ne, work, Hll, Htt)
+    return _landmarks_first_step(ne, work, Hll, Htt)
 
 
-def _landmarks_first_step(ne, band, Hll, Htt, schur):
+def _landmarks_first_step(ne, work, Hll, Htt):
     """Landmarks eliminated first: their Schur complement, one 6x6 block
     H_pl,a Hll^-1 H_pl,b^T per pair of camera factors on one landmark,
-    placed by schur (_landmark_schur), widens the keyframe band, the
-    calibration is the dense block of _band_schur_solve, and the landmarks
-    back-substitute.  The right-hand side [H_k,theta g_k] is 27 columns,
-    narrower than the band, so the forward solve is one dtbtrs.  band, Hll
-    and Htt are damped and gauged."""
-    n, K, L = ne.gk.size, ne.gk.size // KF_DIM, len(Hll)
+    summed per keyframe pair and subtracted from work.band at the
+    positions of work.schur (_landmark_schur), widens the keyframe band,
+    the calibration is the dense block of _band_schur_solve, and the
+    landmarks back-substitute.  The right-hand side [H_k,theta g_k] is 27
+    columns, narrower than the band, so the forward solve is one dtbtrs.
+    work.band, Hll and Htt are damped and gauged.
+
+    No two keyframe pairs share a band position, so the blocks go into the
+    band by one indexed subtraction.  The band, 300 x 1200 on the
+    benchmark's eight-segment calibration, is Fortran-ordered and lives for
+    the solve, so neither a trial's scatter nor the banded Cholesky
+    allocates it: made fresh, it and the other arrays of _band_schur_solve
+    cost about 10K minor page faults per five-iteration solve."""
+    K, L = ne.gk.size // KF_DIM, len(Hll)
     Hll_inv = np.linalg.inv(Hll)
     Hlg = np.concatenate([ne.Hlt, ne.gl[..., None]], axis=-1)  # [H_l,theta g_l]
     R = _tmul(ne.Hlt.reshape(-1, CALIB_DIM), (Hll_inv @ Hlg).reshape(-1, CALIB_DIM + 1))
-    S, gt = Htt - R[:, :-1], ne.gt - R[:, -1]
+    np.subtract(Htt, R[:, :-1], out=work.D)
+    gt = ne.gt - R[:, -1]
 
     T = ne.Hpl @ Hll_inv[ne.lm]
-    # the pairs' blocks summed per keyframe pair, then scattered
-    a, b, first, at, lower, height = schur
+    # the pairs' blocks summed per keyframe pair
+    a, b, first, at, lower, _ = work.schur
     blocks = np.add.reduceat(T[a] @ ne.Hpl[b].swapaxes(-1, -2), first, axis=0)
-    full = -_sum_by(at, blocks[lower], height * n).reshape(height, n)
-    full[: band.shape[0]] += band
+    work.band[at] -= blocks[lower]
     # [H_k,theta g_k] less the landmarks' Schur terms, per camera factor
-    Hkg = _keyframe_rhs(ne, 0)
+    Hkg = _keyframe_rhs(ne, work.C)
     Hkg.reshape(K, KF_DIM, -1)[:, :POSE_DIM] -= _keyframe_sums(ne.kf, T @ Hlg[ne.lm], K)
 
-    x, d_th = _band_schur_solve(full, Hkg, S, gt)
+    x, d_th = _band_schur_solve(work, gt)
     x_pose = x.reshape(K, KF_DIM)[ne.kf, :POSE_DIM]
     rhs = ne.gl - ne.Hlt @ d_th - _sum_by(ne.lm, _tmul(ne.Hpl, x_pose[..., None])[..., 0], L)
     return x.reshape(-1, KF_DIM), (Hll_inv @ rhs[..., None])[..., 0], d_th
 
 
-def _keyframes_first_step(ne, band, Hll, Htt):
+def _keyframes_first_step(ne, work, Hll, Htt):
     """Keyframes eliminated first: the keyframe band holds only pair
     couplings, and the landmarks and the calibration (3L + 26 coordinates)
     are the dense block of _band_schur_solve.  Its right-hand side
     [H_kl H_k,theta g_k] is wider than the band whenever 3L + 27 exceeds
     15 (w + 1) for the pair span w, and is then forward-solved in blocks.
-    band, Hll and Htt are damped and gauged."""
+    work.band, Hll and Htt are damped and gauged; work.C and work.D are
+    rewritten whole, zeros included."""
     n_lm, L = ne.gl.size, len(Hll)
     # H_kl in place: each camera factor's pose-landmark block, those of a
     # keyframe's repeated observations of one landmark summed
-    C = _keyframe_rhs(ne, n_lm)
+    C = _keyframe_rhs(ne, work.C)
     first = _run_starts(ne.kf * L + ne.lm)
     rows = (ne.kf[first] * KF_DIM)[:, None, None] + np.arange(POSE_DIM)[:, None]
     cols = (ne.lm[first] * LM_DIM)[:, None, None] + np.arange(LM_DIM)
     C[rows, cols] = np.add.reduceat(ne.Hpl, first, axis=0)
     # the landmark and calibration system, lower triangle
-    D = np.zeros((n_lm + CALIB_DIM, n_lm + CALIB_DIM))
+    D = work.D
+    D.fill(0.0)
     lm = np.arange(n_lm).reshape(L, LM_DIM)
     D[lm[:, :, None], lm[:, None, :]] = Hll
     D[n_lm:, :n_lm] = ne.Hlt.reshape(n_lm, CALIB_DIM).T
     D[n_lm:, n_lm:] = Htt
-    x, d = _band_schur_solve(band, C, D, np.concatenate([ne.gl.reshape(-1), ne.gt]))
+    x, d = _band_schur_solve(work, np.concatenate([ne.gl.reshape(-1), ne.gt]))
     return x.reshape(-1, KF_DIM), d[:n_lm].reshape(-1, LM_DIM), d[n_lm:]
 
 
@@ -1084,7 +1154,7 @@ def solve(problem, options: SolveOptions = None):
     converged = cost <= _COST_FLOOR
     reason = "cost below absolute floor" if converged else "max_iters"
 
-    schur = None if _keyframes_first(problem) else _landmark_schur(problem)
+    work = _workspace(problem, _keyframes_first(problem))
     while not converged and n_iters < options.max_iters:
         n_iters += 1
         cam, pairs, anchors = blocks
@@ -1095,7 +1165,7 @@ def solve(problem, options: SolveOptions = None):
         nu = 2.0
         while lam <= _MAX_LAMBDA:
             try:
-                delta = _damped_step(ne, lam, anchors, schur)
+                delta = _damped_step(ne, lam, anchors, work)
             except np.linalg.LinAlgError:
                 trial = None
             else:

@@ -269,9 +269,9 @@ def spy_damped_steps(monkeypatch, alter):
     step its update triple; returns the list of each call's damping."""
     lams, damped_step = [], infocal.problem._damped_step
 
-    def spy(ne, lam, anchors, schur):
+    def spy(ne, lam, anchors, work):
         lams.append(lam)
-        return alter(len(lams) - 1, ne, damped_step(ne, lam, anchors, schur))
+        return alter(len(lams) - 1, ne, damped_step(ne, lam, anchors, work))
 
     monkeypatch.setattr(infocal.problem, "_damped_step", spy)
     return lams

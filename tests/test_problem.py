@@ -46,6 +46,7 @@ from infocal.problem import (
     _predicted_decrease,
     _retract_problem,
     _slice_imu_stream,
+    _workspace,
     anchor_projectors,
     bridge_blocks,
     build_batch_problem,
@@ -547,8 +548,8 @@ class TestLevenbergMarquardtModel:
         cam, pairs, anchors = gauged_blocks(prob)
         ne = _normal_equations(prob, cam, pairs)
         for lam in (1e-4, 0.1, 10.0):
-            for schur in (None, _landmark_schur(prob)):
-                delta = _damped_step(ne, lam, anchors, schur)
+            for keyframes_first in (True, False):
+                delta = _damped_step(ne, lam, anchors, _workspace(prob, keyframes_first))
                 flat = np.concatenate([d.ravel() for d in delta])
                 expected = _weighted_cost(ev, np.zeros_like(flat)) - _weighted_cost(ev, flat)
                 assert abs(expected) > 1.0
@@ -641,10 +642,13 @@ class TestDampedElimination:
         prob.calibration = prob.calibration.retract(rng.normal(scale=1e-3, size=CALIB_DIM))
         refresh_preintegrations(prob)
         assert _keyframe_band(prob) == band
+        # no two keyframe pairs share a band position, so the landmarks-first
+        # step writes their Schur blocks by one indexed subtraction
+        at = np.stack(_landmark_schur(prob)[3], axis=1)
+        assert len(np.unique(at, axis=0)) == len(at)
         lam = 1e-3
         cam, pairs, anchors = gauged_blocks(prob)
-        schur = None if keyframes_first else _landmark_schur(prob)
-        got = _damped_step(_normal_equations(prob, cam, pairs), lam, anchors, schur)
+        got = _damped_step(_normal_equations(prob, cam, pairs), lam, anchors, _workspace(prob, keyframes_first))
         ref = dense_damped_step(prob, lam)
         for a, P, u in anchors:
             # an anchor's yaw step is zero up to rounding (about 1e-11 here,
@@ -665,10 +669,47 @@ class TestDampedElimination:
         cam, pairs, anchors = gauged_blocks(prob)
         ne = _normal_equations(prob, cam, pairs)
         ne.Htt[:11, :11] += np.eye(11)
-        got = _damped_step(ne, 1e-3, anchors, None if keyframes_first else _landmark_schur(prob))
+        got = _damped_step(ne, 1e-3, anchors, _workspace(prob, keyframes_first))
         assert [d.shape for d in got] == [(len(prob.keyframes), KF_DIM), (0, 3), (CALIB_DIM,)]
         assert all(np.isfinite(d).all() for d in got)
         assert np.linalg.norm(got[0]) > 0.0
+
+
+    @pytest.mark.parametrize("keyframes_first", [False, True], ids=["landmarks_first", "keyframes_first"])
+    def test_reused_workspace_leaves_nothing_stale(self, keyframes_first):
+        # one workspace, poisoned with NaN, through steps at two dampings,
+        # two failed factorisations (the band, then the dense Schur block)
+        # and a second linearisation: each step is bitwise the step of a
+        # fresh workspace; seven keyframes, so that the band's order is no
+        # multiple of its height
+        sc = support.make_scene(seed=1, n_keyframes=7, n_landmarks=20)
+        prob = _perturbed(build_from_scene(sc))
+        refresh_preintegrations(prob)
+        cam, pairs, anchors = gauged_blocks(prob)
+        ne = _normal_equations(prob, cam, pairs)
+        moved = _perturbed(build_from_scene(sc))
+        moved.landmarks = moved.landmarks + 1e-3
+        refresh_preintegrations(moved)
+        cam, pairs, anchors2 = gauged_blocks(moved)
+        ne2 = _normal_equations(moved, cam, pairs)
+        steps = [
+            (ne, 1e-3, anchors),
+            (replace(ne, band=-ne.band), 1e-3, anchors),
+            (replace(ne, Htt=-ne.Htt), 1e-3, anchors),
+            (ne, 1e-2, anchors),
+            (ne2, 1e-3, anchors2),
+        ]
+        work = _workspace(prob, keyframes_first)
+        for a in work[1:]:
+            a.fill(np.nan)
+        for k, step in enumerate(steps):
+            if k in (1, 2):
+                with pytest.raises(np.linalg.LinAlgError):
+                    _damped_step(*step, work)
+                continue
+            got = _damped_step(*step, work)
+            ref = _damped_step(*step, _workspace(prob, keyframes_first))
+            assert all(np.isfinite(g).all() and g.tobytes() == r.tobytes() for g, r in zip(got, ref))
 
 
 def random_band(rng, n, m):
@@ -696,11 +737,11 @@ class TestForwardSolve:
         cb = scipy.linalg.cholesky_banded(random_band(rng, n, m), lower=True)
         C = rng.normal(size=(n, width))
         ref = band_solve(cb, C)
-        assert np.linalg.norm(_block_forward_solve(cb, C) - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.linalg.norm(_block_forward_solve(cb, C, np.empty_like(C)) - ref) <= 1e-12 * np.linalg.norm(ref)
         # _forward_solve sweeps exactly when C is wider than the band
         swept = []
-        monkeypatch.setattr(infocal.problem, "_block_forward_solve", lambda cb, C: swept.append(C) or _block_forward_solve(cb, C))
-        assert np.linalg.norm(_forward_solve(cb, C) - ref) <= 1e-12 * np.linalg.norm(ref)
+        monkeypatch.setattr(infocal.problem, "_block_forward_solve", lambda cb, C, Y: swept.append(C) or _block_forward_solve(cb, C, Y))
+        assert np.linalg.norm(_forward_solve(cb, C, np.empty_like(C)) - ref) <= 1e-12 * np.linalg.norm(ref)
         assert len(swept) == (width > m)
 
     def test_batch_session_band(self, monkeypatch):
@@ -712,12 +753,12 @@ class TestForwardSolve:
         refresh_preintegrations(prob)
         cam, pairs, anchors = gauged_blocks(prob)
         seen = []
-        monkeypatch.setattr(infocal.problem, "_forward_solve", lambda cb, C: seen.append((cb, C)) or _forward_solve(cb, C))
-        _damped_step(_normal_equations(prob, cam, pairs), 1e-4, anchors, None)
+        monkeypatch.setattr(infocal.problem, "_forward_solve", lambda cb, C, Y: seen.append((cb, C)) or _forward_solve(cb, C, Y))
+        _damped_step(_normal_equations(prob, cam, pairs), 1e-4, anchors, _workspace(prob, True))
         ((cb, C),) = seen
         assert C.shape[1] > cb.shape[0] and cb.shape[1] % cb.shape[0] == 0
         ref = band_solve(cb, C)
-        for got in (_block_forward_solve(cb, C), _block_forward_solve(cb[:, :-7], C[:-7])):
+        for got in (_block_forward_solve(cb, C, np.empty_like(C)), _block_forward_solve(cb[:, :-7], C[:-7], np.empty_like(C[:-7]))):
             assert np.linalg.norm(got - ref[: len(got)]) <= 1e-12 * np.linalg.norm(ref[: len(got)])
 
 
