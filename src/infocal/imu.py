@@ -43,7 +43,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-import scipy.linalg
 
 from .geometry import (
     UnitQuaternion,
@@ -398,11 +397,12 @@ def inertial_sqrt_information(pre: PreintegratedImu):
 
     A = blockdiag(L^-1, diag(1 / bias_walk_sigmas)) with L the lower
     Cholesky factor of the preintegration covariance, so A r has unit
-    covariance and the weight is A^T A.
+    covariance and the weight is A^T A.  L^-1 is one batched np.linalg.inv
+    of the stack (scipy's solve_triangular loops over a stack in Python).
     """
     L = np.linalg.cholesky(pre.covariance)
     A = np.zeros(L.shape[:-2] + (15, 15))
-    A[..., 0:9, 0:9] = scipy.linalg.solve_triangular(L, np.broadcast_to(np.eye(9), L.shape), lower=True, check_finite=False)
+    A[..., 0:9, 0:9] = np.linalg.inv(L)
     A[..., 9:15, 9:15] = np.eye(6) * (1.0 / bias_walk_sigmas(pre.noise, pre.duration))[..., None, :]
     return A
 
