@@ -74,6 +74,14 @@ blocks of band height, one matrix product per block
 (_block_forward_solve).  The
 landmark Schur complement's place in the band depends only on the camera
 factors, so a solve builds it once (_landmark_schur).
+
+A trial's large arrays, the band, the right-hand side and its forward
+solve, the dense block and its Schur complement, are sized by the
+problem, so they live for the solve (_workspace) and each trial
+overwrites them; the small per-landmark and calibration blocks stay a
+trial's own.  Made fresh by every trial, the large ones cost 11-17K minor
+page faults, about 2.5 us each, per five-iteration solve of either LM
+workload of the benchmark.
 """
 
 from __future__ import annotations
@@ -814,7 +822,7 @@ def _normal_equations(problem, cam, pairs):
     r_c, Jp, Jl, Jth, _ = cam
     ki, li = problem.camera_factors["kf"], problem.camera_factors["lm"]
     k0, k1, rw, J0, J1, Jti = pairs
-    u = (int((k1 - k0).max(initial=0)) + 1) * KF_DIM - 1
+    u = (_pair_span(problem) + 1) * KF_DIM - 1
 
     Hkt = np.zeros((n, CALIB_DIM))
     Hkt.reshape(K, KF_DIM, CALIB_DIM)[:, :POSE_DIM, CAM_BLOCK] = _keyframe_sums(ki, _tmul(Jp, Jth), K)
@@ -850,17 +858,10 @@ def _normal_equations(problem, cam, pairs):
 
 
 class _Workspace(NamedTuple):
-    """The large arrays of a solve's damped steps: allocated once per solve
-    (_workspace), overwritten by every trial.
-
-    schur is _landmark_schur to eliminate the landmarks first, None to
-    eliminate the keyframes first.  band is the damped keyframe band,
-    Fortran-ordered so that it is factored in place; C the right-hand side
-    of _band_schur_solve and Y = L^-1 C; D the dense block, read in its
-    lower triangle; S = D - Y^T Y, Fortran-ordered, factored in place.  A
-    trial writes every entry that it reads, so one that fails part-way
-    leaves nothing that the next one reads.
-    """
+    """The arrays every trial of a solve overwrites: schur (_landmark_schur,
+    None for keyframes first), the damped band, C and Y = L^-1 C of
+    _band_schur_solve, D and S = D - Y^T Y; band and S Fortran-ordered, so
+    factored in place.  A trial writes every entry that it reads."""
 
     schur: tuple
     band: np.ndarray
@@ -871,28 +872,23 @@ class _Workspace(NamedTuple):
 
 
 def _workspace(problem, keyframes_first):
-    """The _Workspace of one elimination order, sized from the problem:
-    keyframes first, a band of the pair factors' height, C = [H_kl H_k,theta
-    g_k] and a dense block of 3L + 26 coordinates; landmarks first, the
-    band of _landmark_schur, C = [H_k,theta g_k] and the 26 x 26
-    calibration block."""
+    """The _Workspace of one elimination order, sized from the problem."""
     n, n_lm = len(problem.keyframes) * KF_DIM, len(problem.landmarks) * LM_DIM
     if keyframes_first:
         schur, height, m = None, KF_DIM * (_pair_span(problem) + 1), n_lm + CALIB_DIM
     else:
         schur = _landmark_schur(problem)
         height, m = schur[-1], CALIB_DIM
-    # Y in the order of its forward solve's result: Fortran from dtbtrs, C
-    # from the block sweep
+    # Y in the order its forward solve writes: C for the block sweep's
+    # GEMMs, Fortran as dtbtrs returns it
     Y = np.empty((n, m + 1), order="F" if m + 1 <= height else "C")
     band, S = np.empty((height, n), order="F"), np.empty((m, m), order="F")
     return _Workspace(schur, band, np.empty((n, m + 1)), Y, np.empty((m, m)), S)
 
 
 def _keyframe_rhs(ne, C):
-    """C overwritten with [0 H_k,theta g_k], its leading columns zero: the
-    right-hand side of _band_schur_solve, which each step completes in
-    place."""
+    """[0 H_k,theta g_k] written over C: the right-hand side of
+    _band_schur_solve, which each step completes in place."""
     C[:, : -CALIB_DIM - 1] = 0.0
     C[:, -CALIB_DIM - 1 : -1] = ne.Hkt
     C[:, -1] = ne.gk
@@ -900,10 +896,10 @@ def _keyframe_rhs(ne, C):
 
 
 def _forward_solve(cb, C, Y):
-    """Y overwritten with L^-1 C, for the lower band Cholesky factor L
-    stored in cb.  dtbtrs solves one column at a time, at LAPACK level 2,
-    which suits a right-hand side no wider than the band; a wider one goes
-    to _block_forward_solve, at level 3."""
+    """L^-1 C into Y, for the lower band Cholesky factor L stored in cb.
+    dtbtrs solves one column at a time, at LAPACK level 2, which suits a
+    right-hand side no wider than the band; a wider one goes to
+    _block_forward_solve, at level 3."""
     if C.shape[1] > cb.shape[0]:
         return _block_forward_solve(cb, C, Y)
     X, info = scipy.linalg.lapack.dtbtrs(cb, C, uplo="L")
@@ -914,8 +910,7 @@ def _forward_solve(cb, C, Y):
 
 
 def _block_forward_solve(cb, C, Y):
-    """Y overwritten with L^-1 C as by _forward_solve, in blocks of
-    m = cb.shape[0] rows.
+    """L^-1 C into Y as _forward_solve, in blocks of m = cb.shape[0] rows.
 
     L's half-bandwidth is below m, so in those blocks L is block lower
     bidiagonal, with lower triangular diagonal blocks L_i and subdiagonal
@@ -955,12 +950,9 @@ def _band_schur_solve(work, gd):
     into work.Y; D - Y^T Y into work.S, Cholesky-factored in place; and x
     back-substituted.  The forward solve (_forward_solve) is one dtbtrs
     when C is no wider than the band, else a sweep over blocks of band
-    height (_block_forward_solve).
-
-    The arrays of this size live for the solve, not for the trial: made
-    fresh by every trial, they cost about 13K minor page faults per
-    five-iteration solve of the benchmark's 100-keyframe batch session,
-    at about 2.5 us per 4 KB page, and their rewrite in place none."""
+    height (_block_forward_solve).  Every array of the size of C or D is
+    work's, which lives for the solve: made fresh by each trial, they cost
+    about 13K minor page faults per budget solve of the batch session."""
     cb = scipy.linalg.cholesky_banded(work.band, overwrite_ab=True, lower=True, check_finite=False)
     Y = _forward_solve(cb, work.C, work.Y)
     Yc, y = Y[:, :-1], Y[:, -1]
@@ -989,9 +981,9 @@ def _damped_step(ne, lam, anchors, work):
     information still factors and gets no update.  Both orders share this
     damped, gauged system and differ only in how they eliminate it.
 
-    The damped band is written over work.band, whose rows past ne.band's
-    are zeroed; the per-landmark and calibration blocks, small, are new
-    arrays of the trial.
+    The damped band overwrites work.band, which lives for the solve, its
+    rows past ne.band's zeroed; the small per-landmark and calibration
+    blocks are the trial's own arrays.
     """
     h = ne.band.shape[0]
     band = work.band
@@ -1025,14 +1017,11 @@ def _landmarks_first_step(ne, work, Hll, Htt):
     the calibration is the dense block of _band_schur_solve, and the
     landmarks back-substitute.  The right-hand side [H_k,theta g_k] is 27
     columns, narrower than the band, so the forward solve is one dtbtrs.
-    work.band, Hll and Htt are damped and gauged.
-
-    No two keyframe pairs share a band position, so the blocks go into the
-    band by one indexed subtraction.  The band, 300 x 1200 on the
-    benchmark's eight-segment calibration, is Fortran-ordered and lives for
-    the solve, so neither a trial's scatter nor the banded Cholesky
-    allocates it: made fresh, it and the other arrays of _band_schur_solve
-    cost about 10K minor page faults per five-iteration solve."""
+    work.band, Hll and Htt are damped and gauged.  No two keyframe pairs
+    share a band position, so the blocks go into the band by one indexed
+    subtraction.  That band (300 x 1200 on the benchmark's segment
+    calibration) lives for the solve; made fresh by each trial, it and the
+    rest of the step cost about 10K minor page faults per budget solve."""
     K, L = ne.gk.size // KF_DIM, len(Hll)
     Hll_inv = np.linalg.inv(Hll)
     Hlg = np.concatenate([ne.Hlt, ne.gl[..., None]], axis=-1)  # [H_l,theta g_l]
@@ -1061,8 +1050,7 @@ def _keyframes_first_step(ne, work, Hll, Htt):
     are the dense block of _band_schur_solve.  Its right-hand side
     [H_kl H_k,theta g_k] is wider than the band whenever 3L + 27 exceeds
     15 (w + 1) for the pair span w, and is then forward-solved in blocks.
-    work.band, Hll and Htt are damped and gauged; work.C and work.D are
-    rewritten whole, zeros included."""
+    work.band, Hll and Htt are damped and gauged."""
     n_lm, L = ne.gl.size, len(Hll)
     # H_kl in place: each camera factor's pose-landmark block, those of a
     # keyframe's repeated observations of one landmark summed
@@ -1139,6 +1127,10 @@ def solve(problem, options: SolveOptions = None):
     accepted trial scales lam by max(1/3, 1 - (2 rho - 1)^3), rho the
     actual over the predicted decrease (g^T h + lam h^T D h) / 2 (Madsen,
     Nielsen & Tingleff, 2004, sec. 3.2).  Past _MAX_LAMBDA the solve ends.
+
+    The trials' large arrays live for the solve (_workspace), and each
+    trial, a failed one included, overwrites them (see the module
+    docstring for the page faults that fresh ones cost).
     """
     options = options or SolveOptions()
     refresh_preintegrations(problem)
