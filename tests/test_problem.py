@@ -674,7 +674,6 @@ class TestDampedElimination:
         assert all(np.isfinite(d).all() for d in got)
         assert np.linalg.norm(got[0]) > 0.0
 
-
     @pytest.mark.parametrize("keyframes_first", [False, True], ids=["landmarks_first", "keyframes_first"])
     def test_reused_workspace_leaves_nothing_stale(self, keyframes_first):
         # one workspace, poisoned with NaN, through steps at two dampings,
