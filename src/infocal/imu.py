@@ -18,10 +18,10 @@ last sample; a padded step has dt = 0 and its noise input masked to zero,
 so it changes nothing.  The stored delta_velocity / delta_position include
 the nominal-gravity contribution evaluated as if the interval started at
 identity attitude, so a static interval integrates to exactly zero deltas;
-the inertial residual removes that contribution again using its gravity
-argument before comparing against the state difference.  Alongside the
-deltas come the 9x9 covariance (rot, vel, pos) and the first-order
-sensitivities to the bias linearization point and to the IMU intrinsics.
+the inertial residual removes it again with its noise model's gravity.
+Alongside come the 9x9 covariance (rot, vel, pos) and the sensitivities to
+the biases and IMU intrinsics; the residual has no first-order bias
+correction, so a solver re-preintegrates at the current biases.
 Two recursions remain step by step: the rotation chain with its
 sensitivities, and the covariance.  Every other term is computed for all
 steps at once, and the velocity and position deltas and sensitivities are
@@ -175,9 +175,9 @@ class PreintegratedImu:
     noise.
 
     covariance rows/columns are ordered (rotation, velocity, position);
-    bias_linearization rows are (gyro bias, accel bias); bias_jacobians
-    columns are (gyro bias, accel bias); param_jacobians columns follow the
-    IMU-intrinsics calibration order (s_g, s_a, m_g, m_a, accelerometer
+    bias_jacobians columns are (gyro bias, accel bias), the sensitivities to
+    the biases the samples were corrected by; param_jacobians columns follow
+    the IMU-intrinsics calibration order (s_g, s_a, m_g, m_a, accelerometer
     rotation).
     """
 
@@ -186,7 +186,6 @@ class PreintegratedImu:
     delta_position: np.ndarray
     duration: float
     covariance: np.ndarray
-    bias_linearization: np.ndarray
     bias_jacobians: np.ndarray
     param_jacobians: np.ndarray
     noise: NoiseModel
@@ -228,13 +227,12 @@ def check_sample_runs(times, omega_meas, accel_meas, lo, hi, name):
         raise ValueError(f"{name(i)} has IMU timestamps that are not strictly increasing")
 
 
-def preintegrate(samples, intr: ImuIntrinsics, bias_lin, noise: NoiseModel) -> PreintegratedImu:
+def preintegrate(samples, intr: ImuIntrinsics, bias, noise: NoiseModel) -> PreintegratedImu:
     """Midpoint-rule preintegration of one keyframe interval.
 
     samples must hold at least two finite entries with strictly increasing
-    timestamps (check_sample_runs); bias_lin = (b_g, b_a) is the
-    linearization point baked into the deltas and recorded for later
-    first-order re-correction.  A batch of one for preintegrate_intervals.
+    timestamps (check_sample_runs); bias = (b_g, b_a) are the biases the
+    samples are corrected by.  A batch of one for preintegrate_intervals.
     """
     t = np.array([s.t for s in samples], dtype=float)
     omega = np.array([s.omega_meas for s in samples], dtype=float).reshape(-1, 3)
@@ -245,8 +243,8 @@ def preintegrate(samples, intr: ImuIntrinsics, bias_lin, noise: NoiseModel) -> P
         omega[None],
         accel[None],
         intr,
-        np.asarray(bias_lin[0], dtype=float).reshape(1, 3),
-        np.asarray(bias_lin[1], dtype=float).reshape(1, 3),
+        np.asarray(bias[0], dtype=float).reshape(1, 3),
+        np.asarray(bias[1], dtype=float).reshape(1, 3),
         noise,
     )[0]
 
@@ -307,40 +305,28 @@ def _mv(A, x):
     return np.einsum("...ij,...j->...i", A, x)
 
 
-def _bias_corrected_deltas(pre: PreintegratedImu, b_g, b_a, gravity):
-    """Deltas re-corrected to (b_g, b_a), gravity contribution removed;
-    pre may be a stack, with the biases stacked alike."""
-    db_g = np.asarray(b_g, dtype=float) - pre.bias_linearization[..., 0, :]
-    db_a = np.asarray(b_a, dtype=float) - pre.bias_linearization[..., 1, :]
-    J = pre.bias_jacobians
-    xi = _mv(J[..., 0:3, 0:3], db_g)
-    dR = pre.delta_rotation_matrix @ so3_exp(xi)
-    dt = np.asarray(pre.duration)[..., None]
-    g = np.asarray(gravity, dtype=float)
-    dv = pre.delta_velocity - g * dt + _mv(J[..., 3:6, 0:3], db_g) + _mv(J[..., 3:6, 3:6], db_a)
-    dp = pre.delta_position - 0.5 * g * dt * dt + _mv(J[..., 6:9, 0:3], db_g) + _mv(J[..., 6:9, 3:6], db_a)
-    return dR, dv, dp, xi
-
-
-def inertial_factor_blocks(x_k, x_k1, pre: PreintegratedImu, gravity):
+def inertial_factor_blocks(x_k, x_k1, pre: PreintegratedImu):
     """Residuals and analytic Jacobians of F inertial factors in one pass.
 
     x_k, x_k1: StateStacks of the factors' left and right keyframes; pre:
-    the stack of their preintegrations (F intervals).  Returns (r, J_k,
-    J_k1, J_imu): the (F, 15) residuals with rows (rot, vel, pos, gyro-bias
-    walk, accel-bias walk), and (F, 15, 15) Jacobians wrt the two keyframe
-    minimal deltas, ordered (rotation, position, velocity, accel bias, gyro
-    bias), and wrt the IMU intrinsics in calibration order.  Rotation
-    deltas act by right-multiplied exponential.  The only implementation
-    of the inertial residual and its Jacobians; inertial_error_jacobians is
-    a batch of one.
+    the stack of their preintegrations (F intervals), which must have been
+    integrated at x_k's biases and the current IMU intrinsics; gravity is
+    pre.noise's.  Returns (r, J_k, J_k1, J_imu): the (F, 15) residuals with
+    rows (rot, vel, pos, gyro-bias walk, accel-bias walk), and (F, 15, 15)
+    Jacobians wrt the two keyframe minimal deltas, ordered (rotation,
+    position, velocity, accel bias, gyro bias), and wrt the IMU intrinsics
+    in calibration order.  Rotation deltas act by right-multiplied
+    exponential.  The only implementation of the inertial residual and its
+    Jacobians; inertial_error_jacobians is a batch of one.
     """
     # orientation: preintegrated delta minus the state-implied delta, so a
     # position bump on x_k1 moves the position block by -R_k^T delta; bias
     # rows keep the plain forward difference b(k+1) - b(k)
-    g = np.asarray(gravity, dtype=float)
+    g = pre.noise.gravity_vector()
     dt = pre.duration[:, None]
-    dR, dv, dp, xi = _bias_corrected_deltas(pre, x_k.b_g, x_k.b_a, g)
+    dR = pre.delta_rotation_matrix
+    dv = pre.delta_velocity - g * dt
+    dp = pre.delta_position - 0.5 * g * dt * dt
     R_k = quat_to_matrix(x_k.q_GI)
     R_kT = np.swapaxes(R_k, -1, -2)
     e_rot = so3_log(np.swapaxes(quat_to_matrix(x_k1.q_GI), -1, -2) @ R_k @ dR)
@@ -356,7 +342,7 @@ def inertial_factor_blocks(x_k, x_k1, pre: PreintegratedImu, gravity):
     J_k1 = np.zeros(r.shape + (15,))
     # rotation residual rows
     J_k[:, 0:3, TH] = inv_jr @ np.swapaxes(dR, -1, -2)
-    J_k[:, 0:3, BG] = inv_jr @ so3_right_jacobian(xi) @ Jb[:, 0:3, 0:3]
+    J_k[:, 0:3, BG] = inv_jr @ Jb[:, 0:3, 0:3]
     J_k1[:, 0:3, TH] = -so3_right_jacobian_inv(-e_rot)
     # velocity and position residual rows
     J_k[:, 3:6, TH] = -so3_hat(w_v)
@@ -373,15 +359,15 @@ def inertial_factor_blocks(x_k, x_k1, pre: PreintegratedImu, gravity):
 
     J_imu = np.zeros(r.shape + (N_IMU_PARAMS,))
     Dp = pre.param_jacobians
-    J_imu[:, 0:3] = inv_jr @ np.swapaxes(so3_exp(xi), -1, -2) @ Dp[:, 0:3]
+    J_imu[:, 0:3] = inv_jr @ Dp[:, 0:3]
     J_imu[:, 3:9] = Dp[:, 3:9]
     return r, J_k, J_k1, J_imu
 
 
-def inertial_error_jacobians(x_k, x_k1, pre: PreintegratedImu, gravity):
+def inertial_error_jacobians(x_k, x_k1, pre: PreintegratedImu):
     """Analytic Jacobians (J_k, J_k1, J_imu) of one inertial residual; a
     batch of one for inertial_factor_blocks, which documents them."""
-    _, J_k, J_k1, J_imu = inertial_factor_blocks(StateStack.of([x_k]), StateStack.of([x_k1]), pre[None], gravity)
+    _, J_k, J_k1, J_imu = inertial_factor_blocks(StateStack.of([x_k]), StateStack.of([x_k1]), pre[None])
     return J_k[0], J_k1[0], J_imu[0]
 
 
@@ -423,12 +409,12 @@ def _correction_jacobian(B, x):
     return -B[:, rows] * x[..., None, cols]
 
 
-def preintegrate_intervals(times, omega_meas, accel_meas, intr: ImuIntrinsics, bias_lin_g, bias_lin_a, noise: NoiseModel):
+def preintegrate_intervals(times, omega_meas, accel_meas, intr: ImuIntrinsics, bias_g, bias_a, noise: NoiseModel):
     """Midpoint-rule preintegration of K intervals in one batch.
 
     times: (K, S+1), strictly increasing along each row up to its padding;
-    omega_meas and accel_meas: (K, S+1, 3); bias_lin_g/a: (K, 3)
-    per-interval linearization biases.  Returns the stack of the K
+    omega_meas and accel_meas: (K, S+1, 3); bias_g/a: (K, 3) per-interval
+    biases the samples are corrected by.  Returns the stack of the K
     intervals' PreintegratedImu (stack[k] is interval k).  The only
     preintegration recursion: preintegrate is a batch of one, and
     problem.refresh_preintegrations makes one call for all intervals.
@@ -446,8 +432,8 @@ def preintegrate_intervals(times, omega_meas, accel_meas, intr: ImuIntrinsics, b
     Ta_inv = np.linalg.inv(intr.T_a())
     R_IA = intr.R_AI().T
     M = R_IA @ Ta_inv
-    omega = np.einsum("ij,ksj->ksi", Tg_inv, omega_meas - bias_lin_g[:, None, :])
-    z_a = np.einsum("ij,ksj->ksi", Ta_inv, accel_meas - bias_lin_a[:, None, :])
+    omega = np.einsum("ij,ksj->ksi", Tg_inv, omega_meas - bias_g[:, None, :])
+    z_a = np.einsum("ij,ksj->ksi", Ta_inv, accel_meas - bias_a[:, None, :])
     f = np.einsum("ij,ksj->ksi", R_IA, z_a)
     hat_f = so3_hat(f)
 
@@ -544,7 +530,6 @@ def preintegrate_intervals(times, omega_meas, accel_meas, intr: ImuIntrinsics, b
         delta_position=delta_position,
         duration=durations,
         covariance=P,
-        bias_linearization=np.stack([bias_lin_g, bias_lin_a], axis=1),
         bias_jacobians=D[:, :, 0:6],
         param_jacobians=D[:, :, 6:21],
         noise=noise,

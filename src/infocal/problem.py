@@ -266,9 +266,9 @@ class CalibrationProblem:
     of its anchor keyframe.
 
     preintegrated is the stack of the inertial factors' preintegrations in
-    factor order, at the current bias estimates of their left keyframes
-    and the current IMU intrinsics.  Only refresh_preintegrations writes
-    it; it is None until the first refresh.
+    factor order, at the current biases of their left keyframes and the
+    current IMU intrinsics, as the inertial residual requires.  Only
+    refresh_preintegrations writes it; it is None until the first refresh.
     """
 
     keyframes: im.StateStack
@@ -545,9 +545,9 @@ def refresh_preintegrations(problem):
     """Re-preintegrate every inertial factor at its left keyframe's biases.
 
     The only writer of problem.preintegrated: one preintegrate_intervals
-    call over every factor's padded samples, in factor order.  Keeps the
-    bias linearization point equal to the current estimate so the
-    first-order bias correction inside the residual is exact.
+    call over every factor's padded samples, in factor order.  The
+    inertial residual takes the deltas as they are, so it is correct only
+    after a refresh at the current state.
     """
     if not problem.inertial_factors:
         return
@@ -605,7 +605,7 @@ def inertial_blocks(problem):
         return k0, k1, np.zeros((0, 15)), empty, empty, empty
     x = problem.keyframes
     pre = problem.preintegrated
-    r, J0, J1, Jth = im.inertial_factor_blocks(x.take(k0), x.take(k1), pre, problem.noise.gravity_vector())
+    r, J0, J1, Jth = im.inertial_factor_blocks(x.take(k0), x.take(k1), pre)
     A = im.inertial_sqrt_information(pre)
     return k0, k1, (A @ r[..., None])[..., 0], A @ J0, A @ J1, A @ Jth
 

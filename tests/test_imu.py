@@ -2,8 +2,8 @@
 
 Oracles: closed-form constant-rate rotation and constant-acceleration
 kinematics, simulate/correct round trips, scalar random-walk weighting,
-central finite differences for every Jacobian block, re-preintegration
-for the first-order bias correction, single-interval calls for the
+central finite differences for every Jacobian block (re-preintegrating
+for the bias and intrinsics columns), single-interval calls for the
 batched preintegration, and the former per-step recursion for the
 preintegration whose sample-only factors are computed ahead of its loop.
 """
@@ -15,14 +15,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from infocal.geometry import UnitQuaternion, quat_log, quat_retract, so3_exp, so3_hat, so3_log, so3_right_jacobian
+from infocal.geometry import UnitQuaternion, quat_log, so3_exp, so3_hat, so3_right_jacobian
 from infocal.imu import (
     STANDARD_GRAVITY,
     ImuIntrinsics,
     ImuSample,
     NoiseModel,
     PreintegratedImu,
-    _bias_corrected_deltas,
     correction_matrix,
     inertial_error_jacobians,
     preintegrate,
@@ -223,23 +222,6 @@ class TestPreintegrate:
         np.testing.assert_allclose(pre1.delta_velocity, pre2.delta_velocity, rtol=0, atol=1e-3 * max(1.0, np.linalg.norm(pre2.delta_velocity)))
         np.testing.assert_allclose(pre1.delta_position, pre2.delta_position, rtol=0, atol=1e-3 * max(1.0, np.linalg.norm(pre2.delta_position)))
 
-    def test_first_order_bias_correction(self):
-        intr = perturbed_intrinsics()
-        b_g = np.array([1e-3, -2e-3, 0.5e-3])
-        b_a = np.array([0.01, 0.02, -0.01])
-        samples = _smooth_samples(100, intr, b_g, b_a)
-        noise = NoiseModel()
-        pre = preintegrate(samples, intr, (b_g, b_a), noise)
-        delta = 1e-3 * np.array([1.0, -0.6, 0.8])
-        pre2 = preintegrate(samples, intr, (b_g + delta, b_a + delta), noise)
-        g = noise.gravity_vector()
-        dR_c, dv_c, dp_c, _ = _bias_corrected_deltas(pre, b_g + delta, b_a + delta, g)
-        dR_2, dv_2, dp_2, _ = _bias_corrected_deltas(pre2, b_g + delta, b_a + delta, g)
-        ang = np.linalg.norm(so3_log(dR_c.T @ dR_2))
-        assert ang < 1e-5
-        np.testing.assert_allclose(dv_c, dv_2, atol=1e-5)
-        np.testing.assert_allclose(dp_c, dp_2, atol=1e-5)
-
 
 def _rich_samples(rng, n=61, duration=0.6):
     """Measurement stream with nontrivial rotation and acceleration."""
@@ -272,26 +254,25 @@ def _smooth_samples(rate_hz, intr, b_g, b_a, duration=1.0):
     return out
 
 
-def _random_state(rng, b_g=None, b_a=None):
+def _random_state(rng, b_g, b_a):
     return SimpleNamespace(
         q_GI=UnitQuaternion.from_rotation_vector(rng.normal(size=3)),
         p_GI=rng.normal(size=3),
         v_GI=rng.normal(size=3) * 0.5,
-        b_g=np.zeros(3) if b_g is None else np.asarray(b_g, dtype=float),
-        b_a=np.zeros(3) if b_a is None else np.asarray(b_a, dtype=float),
+        b_g=np.asarray(b_g, dtype=float),
+        b_a=np.asarray(b_a, dtype=float),
     )
 
 
-def _propagate_state(x_k, pre, gravity):
+def _propagate_state(x_k, pre):
     """State at the end of the interval exactly consistent with pre."""
-    g = np.asarray(gravity, dtype=float)
+    g = pre.noise.gravity_vector()
     dt = pre.duration
-    dR, dv, dp, _ = _bias_corrected_deltas(pre, x_k.b_g, x_k.b_a, g)
     R_k = x_k.q_GI.matrix()
     return SimpleNamespace(
-        q_GI=UnitQuaternion.from_matrix(R_k @ dR),
-        p_GI=x_k.p_GI + x_k.v_GI * dt + 0.5 * g * dt * dt + R_k @ dp,
-        v_GI=x_k.v_GI + g * dt + R_k @ dv,
+        q_GI=UnitQuaternion.from_matrix(R_k @ pre.delta_rotation_matrix),
+        p_GI=x_k.p_GI + x_k.v_GI * dt + 0.5 * g * dt * dt + R_k @ (pre.delta_position - 0.5 * g * dt * dt),
+        v_GI=x_k.v_GI + g * dt + R_k @ (pre.delta_velocity - g * dt),
         b_g=x_k.b_g.copy(),
         b_a=x_k.b_a.copy(),
     )
@@ -309,34 +290,34 @@ def _perturb_state(x, delta):
 
 
 class TestInertialError:
-    def _setup(self, seed=0, b_g=None, b_a=None, intr=None):
+    def _setup(self, seed=0, intr=None):
         rng = np.random.default_rng(seed)
         intr = intr or perturbed_intrinsics()
-        lin_g = np.array([1e-3, -0.5e-3, 0.8e-3])
-        lin_a = np.array([0.01, -0.02, 0.015])
-        samples = _smooth_samples(100, intr, lin_g, lin_a, duration=0.5)
+        b_g = np.array([1e-3, -0.5e-3, 0.8e-3])
+        b_a = np.array([0.01, -0.02, 0.015])
+        samples = _smooth_samples(100, intr, b_g, b_a, duration=0.5)
         noise = NoiseModel()
-        pre = preintegrate(samples, intr, (lin_g, lin_a), noise)
-        x_k = _random_state(rng, b_g=lin_g if b_g is None else b_g, b_a=lin_a if b_a is None else b_a)
-        x_k1 = _propagate_state(x_k, pre, noise.gravity_vector())
-        return pre, x_k, x_k1, noise, samples, intr, (lin_g, lin_a)
+        pre = preintegrate(samples, intr, (b_g, b_a), noise)
+        x_k = _random_state(rng, b_g, b_a)
+        x_k1 = _propagate_state(x_k, pre)
+        return pre, x_k, x_k1, noise, samples, intr, (b_g, b_a)
 
     def test_consistent_states_zero_residual(self):
         pre, x_k, x_k1, noise, _, _, _ = self._setup()
-        r, W = inertial_error(x_k, x_k1, pre, noise.gravity_vector())
+        r, W = inertial_error(x_k, x_k1, pre)
         np.testing.assert_allclose(r, np.zeros(15), atol=1e-9)
         assert W.shape == (15, 15)
 
     def test_weight_inverts_preintegration_covariance(self):
         pre, x_k, x_k1, noise, _, _, _ = self._setup()
-        _, W = inertial_error(x_k, x_k1, pre, noise.gravity_vector())
+        _, W = inertial_error(x_k, x_k1, pre)
         np.testing.assert_allclose(W[0:9, 0:9] @ pre.covariance, np.eye(9), atol=1e-6)
 
     def test_bias_random_walk_scalar_oracle(self):
         pre, x_k, x_k1, noise, _, _, _ = self._setup()
         step = np.array([1e-3, 0.0, 0.0])
         x_k1.b_g = x_k.b_g + step
-        r, W = inertial_error(x_k, x_k1, pre, noise.gravity_vector())
+        r, W = inertial_error(x_k, x_k1, pre)
         np.testing.assert_allclose(r[9:12], step, atol=1e-15)
         chi2 = r[9:12] @ W[9:12, 9:12] @ r[9:12]
         assert chi2 == pytest.approx(1e-6 / (noise.sigma_bg**2 * pre.duration), rel=1e-12)
@@ -344,23 +325,28 @@ class TestInertialError:
     def test_position_perturbation_moves_position_block(self):
         pre, x_k, x_k1, noise, _, _, _ = self._setup(seed=5)
         x_k.q_GI = UnitQuaternion.identity()
-        x_k1 = _propagate_state(x_k, pre, noise.gravity_vector())
-        r0, _ = inertial_error(x_k, x_k1, pre, noise.gravity_vector())
+        x_k1 = _propagate_state(x_k, pre)
+        r0, _ = inertial_error(x_k, x_k1, pre)
         delta = np.array([3e-4, -2e-4, 1e-4])
         x_pert = _perturb_state(x_k1, np.concatenate([np.zeros(3), delta, np.zeros(9)]))
-        r1, _ = inertial_error(x_k, x_pert, pre, noise.gravity_vector())
+        r1, _ = inertial_error(x_k, x_pert, pre)
         change = r1 - r0
         np.testing.assert_allclose(change[6:9], -delta, atol=1e-4 * np.linalg.norm(delta) + 1e-12)
         np.testing.assert_allclose(np.delete(change, slice(6, 9)), np.zeros(12), atol=1e-10)
 
     def test_state_jacobians_match_finite_differences(self):
         for seed in range(4):
-            pre, x_k, x_k1, noise, _, _, lin = self._setup(seed=seed)
-            # move biases off the linearization point; state Jacobians stay exact
-            x_k.b_g = lin[0] + 2e-4 * np.array([1.0, -1.0, 0.5])
-            x_k.b_a = lin[1] + 2e-4 * np.array([-0.5, 1.0, 1.0])
-            g = noise.gravity_vector()
-            J_k, J_k1, _ = inertial_error_jacobians(x_k, x_k1, pre, g)
+            _, x_k, x_k1, noise, samples, intr, (b_g, b_a) = self._setup(seed=seed)
+            # x_k's biases off the samples' own; the residual is evaluated as
+            # the solver does, preintegrated at its left state's biases, so
+            # the x_k bias columns difference a re-preintegration
+            x_k.b_g = b_g + 2e-4 * np.array([1.0, -1.0, 0.5])
+            x_k.b_a = b_a + 2e-4 * np.array([-0.5, 1.0, 1.0])
+
+            def residual(xa, xb):
+                return inertial_error(xa, xb, preintegrate(samples, intr, (xa.b_g, xa.b_a), noise))[0]
+
+            J_k, J_k1, _ = inertial_error_jacobians(x_k, x_k1, preintegrate(samples, intr, (x_k.b_g, x_k.b_a), noise))
             h = 1e-6
             for which, x_ref, J in ((0, x_k, J_k), (1, x_k1, J_k1)):
                 fd = np.zeros((15, 15))
@@ -370,19 +356,15 @@ class TestInertialError:
                     xp = _perturb_state(x_ref, d)
                     xm = _perturb_state(x_ref, -d)
                     if which == 0:
-                        rp, _ = inertial_error(xp, x_k1, pre, g)
-                        rm, _ = inertial_error(xm, x_k1, pre, g)
+                        fd[:, c] = (residual(xp, x_k1) - residual(xm, x_k1)) / (2 * h)
                     else:
-                        rp, _ = inertial_error(x_k, xp, pre, g)
-                        rm, _ = inertial_error(x_k, xm, pre, g)
-                    fd[:, c] = (rp - rm) / (2 * h)
+                        fd[:, c] = (residual(x_k, xp) - residual(x_k, xm)) / (2 * h)
                 err = np.linalg.norm(fd - J) / max(np.linalg.norm(J), 1.0)
                 assert err < 1e-4, f"seed {seed} state {which}: {err}"
 
     def test_intrinsics_jacobian_matches_re_preintegration(self):
-        pre, x_k, x_k1, noise, samples, intr, lin = self._setup(seed=9)
-        g = noise.gravity_vector()
-        _, _, J_imu = inertial_error_jacobians(x_k, x_k1, pre, g)
+        pre, x_k, x_k1, noise, samples, intr, bias = self._setup(seed=9)
+        _, _, J_imu = inertial_error_jacobians(x_k, x_k1, pre)
         h = 1e-6
         fd = np.zeros((15, 15))
         for c in range(15):
@@ -391,8 +373,8 @@ class TestInertialError:
             r_pm = []
             for sign in (1.0, -1.0):
                 intr_p = _perturb_intrinsics(intr, sign * d)
-                pre_p = preintegrate(samples, intr_p, lin, noise)
-                r, _ = inertial_error(x_k, x_k1, pre_p, g)
+                pre_p = preintegrate(samples, intr_p, bias, noise)
+                r, _ = inertial_error(x_k, x_k1, pre_p)
                 r_pm.append(r)
             fd[:, c] = (r_pm[0] - r_pm[1]) / (2 * h)
         err = np.linalg.norm(fd - J_imu) / max(np.linalg.norm(J_imu), 1.0)
@@ -409,15 +391,15 @@ def _perturb_intrinsics(intr, d):
     )
 
 
-def _preintegrate_intervals_loop(times, omega_meas, accel_meas, intr, bias_lin_g, bias_lin_a, noise):
+def _preintegrate_intervals_loop(times, omega_meas, accel_meas, intr, bias_g, bias_a, noise):
     """The step recursion preintegrate_intervals had before its sample-only
     factors were computed ahead of the loop; the reference."""
     K, S1 = times.shape
     Tg_inv = np.linalg.inv(intr.T_g())
     Ta_inv = np.linalg.inv(intr.T_a())
     R_IA = intr.R_AI().T
-    omega = np.einsum("ij,ksj->ksi", Tg_inv, omega_meas - bias_lin_g[:, None, :])
-    z_a = np.einsum("ij,ksj->ksi", Ta_inv, accel_meas - bias_lin_a[:, None, :])
+    omega = np.einsum("ij,ksj->ksi", Tg_inv, omega_meas - bias_g[:, None, :])
+    z_a = np.einsum("ij,ksj->ksi", Ta_inv, accel_meas - bias_a[:, None, :])
     f = np.einsum("ij,ksj->ksi", R_IA, z_a)
 
     # per-sample derivatives of the corrected (omega, f) wrt the 21
@@ -523,7 +505,6 @@ def _preintegrate_intervals_loop(times, omega_meas, accel_meas, intr, bias_lin_g
         delta_position=delta_position,
         duration=durations,
         covariance=P,
-        bias_linearization=np.stack([bias_lin_g, bias_lin_a], axis=1),
         bias_jacobians=D[:, :, 0:6],
         param_jacobians=D[:, :, 6:21],
         noise=noise,

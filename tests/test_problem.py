@@ -6,7 +6,9 @@ equality between differently built but mathematically identical problems,
 and the weighted quadratic model, Huber cost and damped LM step built by
 hand from the unweighted residual evaluation.  Failed LM trials are forced
 by replacing the damped step, and the damping sequence they cause is
-checked against Nielsen's rule.
+checked against Nielsen's rule.  Every linearisation of a solve and of a
+scoring call is checked to read preintegrations taken at the current
+state.
 """
 
 import math
@@ -20,7 +22,7 @@ import pytest
 import scipy.linalg
 
 import infocal.problem
-from infocal import imu
+from infocal import imu, metrics
 from infocal.camera import FeatureObservation
 from infocal.geometry import Transform, UnitQuaternion, quat_mul, quat_to_matrix, so3_exp
 from infocal.imu import ImuSample, inertial_error_jacobians, preintegrate
@@ -285,17 +287,16 @@ class TestInertialWhitening:
         x, i = prob.keyframes, np.arange(len(prob.keyframes))[:, None]
         prob.keyframes = replace(x, b_a=x.b_a + 1e-3 * i, b_g=x.b_g + 1e-4 * i)
         refresh_preintegrations(prob)
-        g = prob.noise.gravity_vector()
         # all factors in one pass against each factor through the batch-of-one adapters
         k0, k1, rw, J0w, J1w, Jthw = inertial_blocks(prob)
         assert k0.tolist() == [f.k0 for f in prob.inertial_factors]
         assert k1.tolist() == [f.k1 for f in prob.inertial_factors]
         for i, f in enumerate(prob.inertial_factors):
             x0, x1 = prob.keyframes.take(f.k0), prob.keyframes.take(f.k1)
-            r, W = inertial_error(x0, x1, prob.preintegrated[i], g)
+            r, W = inertial_error(x0, x1, prob.preintegrated[i])
             assert np.all(r[9:15] != 0.0)
             assert 0.5 * rw[i] @ rw[i] == pytest.approx(0.5 * r @ W @ r, rel=1e-12)
-            J = np.hstack(inertial_error_jacobians(x0, x1, prob.preintegrated[i], g))
+            J = np.hstack(inertial_error_jacobians(x0, x1, prob.preintegrated[i]))
             Jw = np.hstack([J0w[i], J1w[i], Jthw[i]])
             H = J.T @ W @ J
             assert np.linalg.norm(Jw.T @ Jw - H) <= 1e-12 * np.linalg.norm(H)
@@ -524,6 +525,55 @@ class TestFailedTrials:
             return step[0], step[1], d_th
 
         self._fail_first(scene, monkeypatch, negative_focal)
+
+
+class TestLinearisedAtCurrentState:
+    # the inertial residual takes its preintegrations as they are, so every
+    # linearisation must read preintegrations taken at the current state
+
+    def _check_inertial_blocks(self, monkeypatch):
+        """Wrap inertial_blocks to assert, at each call, that the problem's
+        preintegrations equal a fresh preintegration at its current
+        biases and intrinsics; returns the list of checked calls."""
+        checked, inertial_blocks = [], infocal.problem.inertial_blocks
+
+        def spy(problem):
+            self._assert_current(problem)
+            checked.append(problem)
+            return inertial_blocks(problem)
+
+        monkeypatch.setattr(infocal.problem, "inertial_blocks", spy)
+        return checked
+
+    @staticmethod
+    def _assert_current(problem):
+        x, k0 = problem.keyframes, problem._inertial_k0
+        fresh = imu.preintegrate_intervals(
+            *problem._imu_samples, problem.calibration.imu, x.b_g[k0], x.b_a[k0], problem.noise
+        )
+        got = problem.preintegrated
+        assert got.noise == fresh.noise
+        for name in imu._STACKED_FIELDS:
+            assert np.asarray(getattr(got, name)).tobytes() == np.asarray(getattr(fresh, name)).tobytes(), name
+
+    def test_solve_with_a_rejected_trial(self, scene, monkeypatch):
+        prob = _perturbed(build_from_scene(scene))
+        checked = self._check_inertial_blocks(monkeypatch)
+        lams = support.spy_damped_steps(monkeypatch, lambda call, ne, step: support.uphill(step) if call == 0 else step)
+        prob, report = solve(prob, SolveOptions(max_iters=1))
+        assert lams == [_LAMBDA_INIT, 2.0 * _LAMBDA_INIT]
+        assert len(report.cost_history) == 2
+        # the start, the rejected trial and the accepted one
+        assert len(checked) == 3
+        self._assert_current(prob)
+
+    def test_scoring(self, scene, monkeypatch):
+        segs = support.scene_segments(scene, kf_per_segment=len(scene.keyframes))
+        prob = build_segment_problem(segs, scene.calibration, scene.noise)
+        prob.keyframes = prob.keyframes.retract(np.random.default_rng(3).normal(scale=1e-3, size=(len(prob.keyframes), KF_DIM)))
+        checked = self._check_inertial_blocks(monkeypatch)
+        metrics.segment_marginal_covariance(prob)
+        assert len(checked) == 1
 
 
 def _weighted_cost(ev, step):
