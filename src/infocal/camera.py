@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Transform, quat_to_matrix, so3_hat
+from .geometry import MAX_MAGNITUDE, Transform, quat_to_matrix, so3_hat
 
 SERIES_SWITCH_R = 1e-4
 
@@ -61,8 +61,8 @@ class FeatureObservation:
         object.__setattr__(self, "sigma", float(self.sigma))
         if not (math.isfinite(self.sigma) and self.sigma > 0.0):
             raise ValueError("observation sigma must be positive and finite")
-        if not np.isfinite(self.uv).all():
-            raise ValueError("observation pixel coordinates must be finite")
+        if not (np.abs(self.uv) <= MAX_MAGNITUDE).all():
+            raise ValueError(f"observation pixel coordinates must be finite and within {MAX_MAGNITUDE:g}")
 
 
 def distortion_factor(r, w):

@@ -14,6 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
+# the largest magnitude of an input quantity in SI units and pixels, which
+# keeps the cost finite; times exempt (epoch timestamps are about 1.7e9 s)
+MAX_MAGNITUDE = 1e9
 _SMALL_ANGLE = 1e-8
 
 
@@ -211,10 +214,6 @@ class UnitQuaternion:
         if not np.isfinite(n) or n == 0.0:
             raise ValueError("cannot normalize zero or non-finite quaternion")
         self.wxyz = arr / n
-
-    @classmethod
-    def identity(cls):
-        return cls(1.0, 0.0, 0.0, 0.0)
 
     @classmethod
     def from_array(cls, q):

@@ -45,6 +45,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .geometry import (
+    MAX_MAGNITUDE,
     UnitQuaternion,
     matrix_to_quat,  # noqa: F401  (traced as imu.matrix_to_quat by the benchmark)
     quat_retract,
@@ -109,10 +110,6 @@ class ImuIntrinsics:
             object.__setattr__(self, name, np.array(getattr(self, name), dtype=float).reshape(3))
         if not (self.s_g > 0.0).all() or not (self.s_a > 0.0).all():
             raise ValueError("correction-matrix diagonals must stay positive")
-
-    @classmethod
-    def nominal(cls):
-        return cls(np.ones(3), np.ones(3), np.zeros(3), np.zeros(3), UnitQuaternion.identity())
 
     def T_g(self):
         return correction_matrix(self.s_g, self.m_g)
@@ -206,13 +203,14 @@ def check_sample_runs(times, omega_meas, accel_meas, lo, hi, name):
     """Raise a ValueError for the first of the runs lo[i]:hi[i] of one
     sample stream (times (n,), omega_meas and accel_meas (n, 3)) that
     preintegration cannot take: fewer than two samples, a non-finite
-    sample, or timestamps that do not strictly increase.  name(i) names run
-    i in the message.  The one check of the sample-run contract."""
+    sample or one beyond MAX_MAGNITUDE, or timestamps that do not strictly
+    increase.  name(i) names run i in the message.  The one check of the
+    sample-run contract."""
     # running counts of bad samples and of bad steps between samples, so a
     # run's count is a difference at its bounds; one more step count, so
     # that a run starting past the last sample (a short one) indexes it too
-    finite = np.isfinite(times) & np.isfinite(omega_meas).all(1) & np.isfinite(accel_meas).all(1)
-    bad_samples = np.concatenate([[0], np.cumsum(~finite)])
+    bounded = np.isfinite(times) & (np.abs(np.hstack([omega_meas, accel_meas])) <= MAX_MAGNITUDE).all(1)
+    bad_samples = np.concatenate([[0], np.cumsum(~bounded)])
     bad_steps = np.concatenate([[0], np.cumsum(~(np.diff(times) > 0.0)), [0]])
     short = hi - lo < 2
     non_finite = bad_samples[hi] > bad_samples[lo]
@@ -223,7 +221,7 @@ def check_sample_runs(times, omega_meas, accel_meas, lo, hi, name):
         if short[i]:
             raise ValueError(f"{name(i)} covered by fewer than 2 IMU samples")
         if non_finite[i]:
-            raise ValueError(f"{name(i)} has non-finite IMU samples")
+            raise ValueError(f"{name(i)} has non-finite IMU samples or ones beyond {MAX_MAGNITUDE:g}")
         raise ValueError(f"{name(i)} has IMU timestamps that are not strictly increasing")
 
 

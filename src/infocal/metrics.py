@@ -5,7 +5,8 @@ measured through the marginal covariance of the calibration parameters in
 that segment's own estimation problem.  The chain is:
 
     problem.gauged_blocks: camera rows and one stack of pair-factor rows
-    (inertial factors, then bias bridges) with the gauge's anchors
+    (inertial factors, preintegrated at the current state, then bias
+    bridges) with the gauge's anchors
       -> camera rows with landmarks eliminated, reduced to one triangle
       -> that triangle over the pair rows, [keyframe | calibration] columns
       -> QR  ->  trailing 26x26 triangle R22  ->  Sigma = R22^-1 R22^-T
@@ -41,7 +42,7 @@ Lower is better for all of them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -53,7 +54,7 @@ from .problem import (
     KF_DIM,
     POSE_DIM,
     gauged_blocks,
-    refresh_preintegrations,
+    refresh_preintegrations,  # noqa: F401  (traced as metrics.refresh_preintegrations by the benchmark)
 )
 
 # relative floor under which a triangular diagonal counts as zero rank
@@ -182,7 +183,6 @@ def _camera_triangle(problem, cam, anchors):
 def segment_marginal_covariance(problem):
     """Calibration marginal covariance of one standalone segment problem,
     in the gauge of its anchor_projectors."""
-    refresh_preintegrations(problem)
     K = len(problem.keyframes)
     th0 = K * KF_DIM
     n_cols = th0 + CALIB_DIM

@@ -45,7 +45,10 @@ Problems", 2004, sec. 3.2): the gain ratio's predicted decrease comes
 from the solved normal equations (_predicted_decrease), and a failed
 trial only raises the damping, by Nielsen's rule (solve).  Each evaluated
 state, the start and every trial, is linearised once (gauged_blocks):
-its blocks give its cost and, once accepted, the next step.  Each trial
+its blocks give its cost and, once accepted, the next step.  The
+linearisation re-preintegrates every inertial factor at the state's own
+biases and IMU intrinsics (inertial_blocks), so nothing computed from an
+earlier state is kept between evaluations.  Each trial
 solves the damped, gauged normal equations by block elimination in one
 of two orders, chosen once per solve from the problem's sizes
 (_keyframes_first):
@@ -97,7 +100,7 @@ import scipy.linalg.lapack
 
 from . import camera as cam
 from . import imu as im
-from .geometry import Transform, UnitQuaternion, quat_to_matrix
+from .geometry import MAX_MAGNITUDE, Transform, UnitQuaternion, quat_to_matrix
 
 KF_DIM = 15
 POSE_DIM = 6  # rotation and position, the keyframe coords camera factors touch
@@ -211,8 +214,7 @@ class Partition:
 class InertialFactor(NamedTuple):
     """Full 15-dim constraint between the consecutive keyframes k0 and k1
     (local indices): views of its interval's raw samples, validated at
-    build time; its preintegration lives in the problem's stack
-    (CalibrationProblem)."""
+    build time and preintegrated at each linearisation (inertial_blocks)."""
 
     k0: int
     k1: int
@@ -264,11 +266,6 @@ class CalibrationProblem:
     left-keyframe order, whose times also give each interval's real sample
     count.  partitions is a list of Partition, each holding the local index
     of its anchor keyframe.
-
-    preintegrated is the stack of the inertial factors' preintegrations in
-    factor order, at the current biases of their left keyframes and the
-    current IMU intrinsics, as the inertial residual requires.  Only
-    refresh_preintegrations writes it; it is None until the first refresh.
     """
 
     keyframes: im.StateStack
@@ -297,7 +294,6 @@ class CalibrationProblem:
             self._imu_samples = tuple(
                 np.concatenate([getattr(f, a) for f in self.inertial_factors])[take] for a in ("times", "omega", "accel")
             )
-        self.preintegrated = None
 
     @property
     def num_states(self):
@@ -456,7 +452,9 @@ def build_segment_problem(segments, calib_init, noise):
     co-visibility partition (partition_segments) gets its own gauge anchor,
     the first keyframe of its first segment, and its own landmark
     instances.  Segments are validated here, the batch problem's single
-    segment included.
+    segment included: keyframe states, landmark coordinates and IMU
+    samples must be finite and within MAX_MAGNITUDE, as the pixels of
+    camera.FeatureObservation must.
     """
     if not segments:
         raise ValueError("empty segment list")
@@ -470,10 +468,10 @@ def build_segment_problem(segments, calib_init, noise):
     # segment i holds the local keyframes first[i] .. first[i + 1] - 1
     first = np.cumsum([0] + [len(s.keyframes) for s in segs]).tolist()
     keyframes = im.StateStack.of([kf for s in segs for kf in s.keyframes])
-    bad = np.flatnonzero(~np.all([np.isfinite(a).all(1) for a in keyframes.arrays()], axis=0))
+    bad = np.flatnonzero(~(np.abs(np.hstack(keyframes.arrays())) <= MAX_MAGNITUDE).all(1))
     if bad.size:
         seg = segs[np.searchsorted(first, bad[0], side="right") - 1]
-        raise ValueError(f"segment {seg.id}: keyframe states must be finite")
+        raise ValueError(f"segment {seg.id}: keyframe states must be finite and within {MAX_MAGNITUDE:g}")
     times = np.array([kf.t for s in segs for kf in s.keyframes], dtype=float)
     keyframe_ids = [kid for s in segs for kid in s.keyframe_ids]
     # segs is in partition_segments' order, so a partition's first position
@@ -488,8 +486,8 @@ def build_segment_problem(segments, calib_init, noise):
         p_idx = part_of[i]
         ids = sorted(s.landmarks)
         listed = np.array([s.landmarks[lid] for lid in ids], dtype=float).reshape(len(ids), LM_DIM)
-        if not np.isfinite(listed).all():
-            raise ValueError(f"segment {s.id}: landmark coordinates must be finite")
+        if not (np.abs(listed) <= MAX_MAGNITUDE).all():
+            raise ValueError(f"segment {s.id}: landmark coordinates must be finite and within {MAX_MAGNITUDE:g}")
         new = [i for i, lid in enumerate(ids) if (p_idx, lid) not in lm_local]
         for i in new:
             lm_local[(p_idx, ids[i])] = len(landmark_ids)
@@ -542,20 +540,16 @@ def build_segment_problem(segments, calib_init, noise):
 
 
 def refresh_preintegrations(problem):
-    """Re-preintegrate every inertial factor at its left keyframe's biases.
-
-    The only writer of problem.preintegrated: one preintegrate_intervals
-    call over every factor's padded samples, in factor order.  The
-    inertial residual takes the deltas as they are, so it is correct only
-    after a refresh at the current state.
+    """The stack of every inertial factor's preintegration, in factor
+    order, at its left keyframe's current biases and the current IMU
+    intrinsics: one preintegrate_intervals call over every factor's padded
+    samples.  The inertial residual takes the deltas as they are, so
+    inertial_blocks preintegrates at each linearisation; the problem must
+    have inertial factors.
     """
-    if not problem.inertial_factors:
-        return
     x = problem.keyframes
     k0 = problem._inertial_k0
-    problem.preintegrated = im.preintegrate_intervals(
-        *problem._imu_samples, problem.calibration.imu, x.b_g[k0], x.b_a[k0], problem.noise
-    )
+    return im.preintegrate_intervals(*problem._imu_samples, problem.calibration.imu, x.b_g[k0], x.b_a[k0], problem.noise)
 
 
 def camera_blocks(problem):
@@ -568,14 +562,6 @@ def camera_blocks(problem):
     """
     calib = problem.calibration
     cf = problem.camera_factors
-    if not len(cf):
-        return (
-            np.zeros((0, 2)),
-            np.zeros((0, 2, POSE_DIM)),
-            np.zeros((0, 2, 3)),
-            np.zeros((0, 2, 11)),
-            np.ones(0, dtype=bool),
-        )
     x = problem.keyframes
     ki, li = cf["kf"], cf["lm"]
     T = calib.extrinsics.T_CI
@@ -596,15 +582,16 @@ def inertial_blocks(problem):
     Returns (k0, k1, r, J0, J1, J_theta) stacked over the factors in
     factor order: the two keyframe indices, the 15-dim residuals, and their
     15x15 Jacobians wrt the two keyframes and wrt the IMU intrinsics
-    (calibration coords [11:26]).  Whitened by inertial_sqrt_information.
-    Reads the preintegrations of the last refresh.
+    (calibration coords [11:26]), linearised at the current state with
+    preintegrations taken there (refresh_preintegrations).  Whitened by
+    inertial_sqrt_information.
     """
     k0, k1 = problem._inertial_k0, problem._inertial_k1
     if not k0.size:
         empty = np.zeros((0, 15, 15))
         return k0, k1, np.zeros((0, 15)), empty, empty, empty
     x = problem.keyframes
-    pre = problem.preintegrated
+    pre = refresh_preintegrations(problem)
     r, J0, J1, Jth = im.inertial_factor_blocks(x.take(k0), x.take(k1), pre)
     A = im.inertial_sqrt_information(pre)
     return k0, k1, (A @ r[..., None])[..., 0], A @ J0, A @ J1, A @ Jth
@@ -655,8 +642,7 @@ def gauged_blocks(problem):
     anchor_projectors.  The Jacobian columns of each anchor's rotation are
     projected by P and those of its position cleared, so no data row
     touches an anchor's gravity axis or position; solve and the scoring add
-    unit information on exactly those four directions.  Reads the
-    preintegrations of the last refresh.
+    unit information on exactly those four directions.
     """
     cam = camera_blocks(problem)
     pairs = tuple(np.concatenate(b) for b in zip(inertial_blocks(problem), bridge_blocks(problem)))
@@ -672,7 +658,6 @@ def gauged_blocks(problem):
 
 def problem_cost(problem, huber=False):
     """Half squared whitened residual norm at the current states."""
-    refresh_preintegrations(problem)
     return _cost(gauged_blocks(problem), huber)
 
 
@@ -680,7 +665,7 @@ def _cost(blocks, huber=False):
     """Half squared whitened residual norm of gauged_blocks, with the
     Huber cost on the camera factors if huber."""
     (r_c, *_), pairs, _ = blocks
-    if huber and r_c.shape[0]:
+    if huber:
         nrm = np.linalg.norm(r_c, axis=1)
         k = HUBER_THRESHOLD
         cost = float(np.sum(np.where(nrm <= k, 0.5 * nrm**2, k * nrm - 0.5 * k * k)))
@@ -1117,7 +1102,9 @@ def solve(problem, options: SolveOptions = None):
     its rotation update has no component about the gravity axis.
     Accepted steps strictly decrease the cost.  Each evaluated state is
     linearised once: the blocks that give a trial's cost give, once it is
-    accepted, the next step.
+    accepted, the next step.  A rejected trial puts back the three
+    estimate references and nothing else: the linearisation derives the
+    rest, the preintegrations included, from the state it is given.
 
     Each damping lam gives one trial at the full step h, which solves
     (H + lam D) h = g, D = diag(H).  A trial fails when _damped_step raises
@@ -1133,7 +1120,6 @@ def solve(problem, options: SolveOptions = None):
     docstring for the page faults that fresh ones cost).
     """
     options = options or SolveOptions()
-    refresh_preintegrations(problem)
     blocks = gauged_blocks(problem)
     cost = _cost(blocks, options.huber)
     if not np.isfinite(cost):
@@ -1163,14 +1149,13 @@ def solve(problem, options: SolveOptions = None):
             else:
                 trial = _retract_problem(problem, delta)
             if trial is not None:
-                saved = problem.keyframes, problem.landmarks, problem.calibration, problem.preintegrated
+                saved = problem.keyframes, problem.landmarks, problem.calibration
                 problem.keyframes, problem.landmarks, problem.calibration = trial
-                refresh_preintegrations(problem)
                 trial_blocks = gauged_blocks(problem)
                 new_cost = _cost(trial_blocks, options.huber)
                 if np.isfinite(new_cost) and new_cost < cost:
                     break
-                problem.keyframes, problem.landmarks, problem.calibration, problem.preintegrated = saved
+                problem.keyframes, problem.landmarks, problem.calibration = saved
             lam *= nu
             nu *= 2.0
         else:  # no damping up to _MAX_LAMBDA lowered the cost

@@ -8,13 +8,16 @@ preintegration uses, and image observations are exact projections.
 evaluate_residuals is the unweighted residual, block weights and sparse
 Jacobian of a whole problem, the reference the finite-difference, model
 decrease, damped step and dense covariance tests compare against.  The remaining
-helpers (quat_rotate, quat_local, apply, identity_transform, invert,
-delta_rotation, inertial_error) are conveniences only tests use;
-spy_damped_steps and uphill force failed Levenberg-Marquardt trials.
+helpers (quat_rotate, quat_local, apply, identity_quat, identity_transform,
+invert, nominal_imu, delta_rotation, inertial_error) are conveniences only
+tests use; spy_damped_steps and uphill force failed Levenberg-Marquardt
+trials.  traced_table reads the benchmark's TRACED table.
 """
 
+import ast
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -48,6 +51,29 @@ from infocal.problem import (
     camera_blocks,
     refresh_preintegrations,
 )
+
+
+RUN_PY = Path(__file__).resolve().parents[1] / "bench" / "run.py"
+
+
+def traced_table():
+    """(module, attribute) of each entry of bench/run.py's TRACED table,
+    the module as its import name.  run.py is read with ast, not imported:
+    importing it pins BLAS environment variables."""
+    tree = ast.parse(RUN_PY.read_text())
+    aliases = {
+        alias.asname or alias.name: "infocal." + alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module == "infocal"
+        for alias in node.names
+    }
+    (node,) = [n.value for n in tree.body if isinstance(n, ast.Assign) and [ast.unparse(t) for t in n.targets] == ["TRACED"]]
+    table = []
+    for entry in node.elts:
+        head, _, rest = ast.unparse(entry.elts[0]).partition(".")
+        module = ".".join(filter(None, (aliases.get(head, head), rest)))
+        table.append((module, ast.literal_eval(entry.elts[1])))
+    return table
 
 
 def assert_same_preintegration(got, ref):
@@ -296,7 +322,7 @@ def evaluate_residuals(problem):
     the plain derivative.  Behind-camera observations contribute zero rows
     and are counted in the `dropped` field.
     """
-    refresh_preintegrations(problem)
+    pre = refresh_preintegrations(problem)
     K = len(problem.keyframes)
     L = len(problem.landmarks)
     n_cols = K * KF_DIM + L * LM_DIM + CALIB_DIM
@@ -326,7 +352,7 @@ def evaluate_residuals(problem):
     k0 = np.array([f.k0 for f in problem.inertial_factors], dtype=int)
     k1 = np.array([f.k1 for f in problem.inertial_factors], dtype=int)
     x = problem.keyframes
-    r_i, J0, J1, Jth_i = inertial_factor_blocks(x.take(k0), x.take(k1), problem.preintegrated)
+    r_i, J0, J1, Jth_i = inertial_factor_blocks(x.take(k0), x.take(k1), pre)
     # a bridge's rows are the bias-walk rows 9:15 of its pair-factor blocks
     b0, b1, r_b, B0, B1, _ = bridge_blocks(problem)
     walk = bias_walk_sigmas(problem.noise, problem.bridge_factors["dt"])
@@ -345,7 +371,7 @@ def evaluate_residuals(problem):
     residual = np.concatenate([r_c.reshape(-1), np.zeros(sizes.sum())])
     residual[s_i[:, None] + np.arange(15)] = r_i
     residual[s_b[:, None] + np.arange(6)] = r_b
-    W_i = inertial_weight(problem.preintegrated) if k0.size else []
+    W_i = inertial_weight(pre) if k0.size else []
     W_b = [np.diag(w) for w in walk**-2.0]
     weights += sorted([*zip(s_i.tolist(), W_i), *zip(s_b.tolist(), W_b)], key=lambda e: e[0])
 
@@ -369,8 +395,17 @@ def apply(T: Transform, p):
     return quat_rotate(T.rotation.wxyz, p) + T.translation
 
 
+def identity_quat():
+    return UnitQuaternion(1.0, 0.0, 0.0, 0.0)
+
+
 def identity_transform():
-    return Transform(UnitQuaternion.identity(), np.zeros(3))
+    return Transform(identity_quat(), np.zeros(3))
+
+
+def nominal_imu():
+    """IMU intrinsics without scale error, misalignment or rotation."""
+    return ImuIntrinsics(np.ones(3), np.ones(3), np.zeros(3), np.zeros(3), identity_quat())
 
 
 def invert(T: Transform) -> Transform:

@@ -52,19 +52,10 @@ def _infocal_modules(tree):
 
 
 def test_traced_table_resolves():
-    tree = _tree("run.py")
-    aliases = _infocal_modules(tree)
-    (table,) = [
-        node.value
-        for node in tree.body
-        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["TRACED"]
-    ]
-    assert table.elts
-    for entry in table.elts:
-        head, _, rest = ast.unparse(entry.elts[0]).partition(".")
-        module = importlib.import_module(".".join(filter(None, (aliases.get(head, head), rest))))
-        attr = ast.literal_eval(entry.elts[1])
-        assert hasattr(module, attr), "%s.%s" % (module.__name__, attr)
+    table = support.traced_table()
+    assert table
+    for module, attr in table:
+        assert hasattr(importlib.import_module(module), attr), "%s.%s" % (module, attr)
 
 
 def test_simulator_imports_resolve():

@@ -11,8 +11,9 @@ flagged rank_deficient.
 
 Finite corrupt values are drawn within 1e6 of zero, far beyond the scale
 of the scene's SI quantities; non-finite ones are drawn on their own.
-Larger finite values are the known defect of
-test_extreme_finite_input_builds_an_unusable_problem.
+Larger finite values meet the input magnitude bound,
+geometry.MAX_MAGNITUDE: an input beyond it fails at the boundary, and one
+at it builds a finite problem.
 """
 
 import math
@@ -26,7 +27,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from infocal.geometry import UnitQuaternion  # noqa: E402
+from infocal.geometry import MAX_MAGNITUDE, UnitQuaternion  # noqa: E402
 from infocal.metrics import segment_marginal_covariance  # noqa: E402
 from infocal.problem import build_segment_problem, problem_cost  # noqa: E402
 
@@ -114,21 +115,23 @@ def corrupt(seg, kind, detail, i, c, value):
 
 
 def check_boundary(pos, *how):
-    """The property, for the corruption `how` of the segment at pos."""
+    """The property, for the corruption `how` of the segment at pos; True
+    if the input failed at the boundary, False if it built a problem."""
     segs = support.scene_segments(SCENE, kf_per_segment=2, keep=KEEP)
     try:
         corrupt(segs[pos], *how)
     except ValueError:
-        return  # the record's own constructor refused the value
+        return True  # the record's own constructor refused the value
     try:
         prob = build_segment_problem(segs, SCENE.calibration, SCENE.noise)
     except ValueError as e:
         named = re.match(r"segments? (\d+)", str(e))
         assert named and int(named.group(1)) in KEEP, str(e)
-        return
+        return True
     assert math.isfinite(problem_cost(prob))
     cov = segment_marginal_covariance(prob)
     assert cov.rank_deficient or np.isfinite(cov.matrix).all()
+    return False
 
 
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)
@@ -140,17 +143,33 @@ def test_corrupt_input_fails_at_the_boundary_or_builds_a_finite_problem(case):
     check_boundary(*case)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=(AssertionError, np.linalg.LinAlgError),
-    reason="finite inputs of extreme magnitude pass the builder: an accelerometer sample "
-    "above about 6e10 m/s^2 makes a preintegration covariance that Cholesky rejects "
-    "(LinAlgError from the cost), and states or samples above about 1e150 overflow the cost to inf",
-)
+# without the bound the first three build unusable problems: an
+# accelerometer sample above about 6e10 m/s^2 makes a preintegration
+# covariance that Cholesky rejects, and states or samples above about 1e150
+# overflow the cost to inf
 @pytest.mark.parametrize(
     "case",
-    [(2, "imu", "accel_meas", 3, 1, 1e11), (1, "state", "v_GI", 0, 1, 1e160), (0, "imu", "omega_meas", 4, 2, 1e160)],
+    [
+        (2, "imu", "accel_meas", 3, 1, 1e11),
+        (1, "state", "v_GI", 0, 1, 1e160),
+        (0, "imu", "omega_meas", 4, 2, 1e160),
+        (2, "landmark", None, 3, 2, -np.nextafter(MAX_MAGNITUDE, math.inf)),
+        (0, "observation", "uv", 5, 0, np.nextafter(MAX_MAGNITUDE, math.inf)),
+    ],
 )
-def test_extreme_finite_input_builds_an_unusable_problem(case):
-    with np.errstate(over="ignore", invalid="ignore"):
-        check_boundary(*case)
+def test_input_beyond_the_magnitude_bound_fails_at_the_boundary(case):
+    assert check_boundary(*case)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        (1, "state", "v_GI", 0, 1, MAX_MAGNITUDE),
+        (2, "landmark", None, 3, 2, -MAX_MAGNITUDE),
+        (0, "imu", "omega_meas", 4, 2, MAX_MAGNITUDE),
+        (2, "imu", "accel_meas", 3, 1, MAX_MAGNITUDE),
+        (0, "observation", "uv", 5, 0, -MAX_MAGNITUDE),
+    ],
+)
+def test_input_at_the_magnitude_bound_builds_a_finite_problem(case):
+    assert not check_boundary(*case)

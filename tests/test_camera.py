@@ -13,7 +13,7 @@ from infocal.camera import (
 )
 from infocal.geometry import Transform, UnitQuaternion, quat_to_matrix, so3_hat
 
-from support import apply, identity_transform, invert
+from support import apply, identity_quat, identity_transform, invert
 
 W_REF = 0.9203
 
@@ -206,7 +206,7 @@ class TestPredictObservation:
 
     def test_translation_chain(self):
         intr = default_intr()
-        T_GI = Transform(UnitQuaternion.identity(), [0.0, 0.0, -1.0])
+        T_GI = Transform(identity_quat(), [0.0, 0.0, -1.0])
         uv, _ = predict([T_GI], identity_transform(), [0, 0, 1.0], intr)
         np.testing.assert_allclose(uv[0], project([0.0, 0.0, 2.0], intr), atol=1e-12)
 

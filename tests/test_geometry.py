@@ -15,7 +15,7 @@ from infocal.geometry import (
     so3_right_jacobian_inv,
 )
 
-from support import apply, identity_transform, invert, quat_local, quat_rotate
+from support import apply, identity_quat, identity_transform, invert, quat_local, quat_rotate
 
 
 def random_quat(rng):
@@ -39,7 +39,7 @@ class TestTransformPoint:
         np.testing.assert_allclose(apply(T, [1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
 
     def test_pure_translation(self):
-        T = Transform(UnitQuaternion.identity(), [0.0, 0.0, 1.0])
+        T = Transform(identity_quat(), [0.0, 0.0, 1.0])
         np.testing.assert_allclose(apply(T, [0.0, 0.0, 0.0]), [0.0, 0.0, 1.0])
 
     def test_yaw_90(self):

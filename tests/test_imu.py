@@ -31,7 +31,7 @@ from infocal.imu import (
 )
 
 import support
-from support import delta_rotation, inertial_error
+from support import delta_rotation, identity_quat, inertial_error, nominal_imu
 
 GRAVITY = np.array([0.0, 0.0, -STANDARD_GRAVITY])
 
@@ -83,31 +83,31 @@ class TestMeasurementModels:
 
     def test_intrinsics_reject_nonpositive_scale(self):
         with pytest.raises(ValueError):
-            ImuIntrinsics(np.array([1.0, -0.5, 1.0]), np.ones(3), np.zeros(3), np.zeros(3), UnitQuaternion.identity())
+            ImuIntrinsics(np.array([1.0, -0.5, 1.0]), np.ones(3), np.zeros(3), np.zeros(3), identity_quat())
 
     def test_gyro_nominal_passthrough(self):
         w = np.array([0.3, -0.2, 0.9])
-        out = simulate_gyro(w, ImuIntrinsics.nominal(), np.zeros(3), np.zeros(3))
+        out = simulate_gyro(w, nominal_imu(), np.zeros(3), np.zeros(3))
         np.testing.assert_allclose(out, w, atol=1e-15)
 
     def test_gyro_zero_rate_returns_bias_plus_noise(self):
         b = np.array([1e-3, -2e-3, 5e-4])
         eta = np.array([1e-4, 0.0, -1e-4])
-        out = simulate_gyro(np.zeros(3), ImuIntrinsics.nominal(), b, eta)
+        out = simulate_gyro(np.zeros(3), nominal_imu(), b, eta)
         np.testing.assert_allclose(out, b + eta, atol=1e-15)
 
     def test_gyro_scale(self):
-        intr = ImuIntrinsics(np.array([1.004, 1.0, 1.0]), np.ones(3), np.zeros(3), np.zeros(3), UnitQuaternion.identity())
+        intr = ImuIntrinsics(np.array([1.004, 1.0, 1.0]), np.ones(3), np.zeros(3), np.zeros(3), identity_quat())
         out = simulate_gyro(np.array([1.0, 0.0, 0.0]), intr, np.zeros(3), np.zeros(3))
         np.testing.assert_allclose(out, [1.004, 0.0, 0.0], atol=1e-15)
 
     def test_accel_rest_reads_gravity_reaction(self):
-        out = simulate_accel(np.zeros(3), np.eye(3), ImuIntrinsics.nominal(), np.zeros(3), np.zeros(3))
+        out = simulate_accel(np.zeros(3), np.eye(3), nominal_imu(), np.zeros(3), np.zeros(3))
         np.testing.assert_allclose(out, [0.0, 0.0, STANDARD_GRAVITY], atol=1e-12)
 
     def test_accel_free_fall_reads_bias(self):
         b = np.array([0.01, -0.02, 0.005])
-        out = simulate_accel(GRAVITY, np.eye(3), ImuIntrinsics.nominal(), b, np.zeros(3))
+        out = simulate_accel(GRAVITY, np.eye(3), nominal_imu(), b, np.zeros(3))
         np.testing.assert_allclose(out, b, atol=1e-12)
 
     def test_accel_rotated_frame_matches_matrix_oracle(self):
@@ -123,7 +123,7 @@ class TestMeasurementModels:
 
     def test_correct_nominal_is_identity(self):
         s = ImuSample(0.0, [0.1, 0.2, 0.3], [1.0, -2.0, 9.0])
-        w, f = correct_measurements(s, ImuIntrinsics.nominal(), (np.zeros(3), np.zeros(3)))
+        w, f = correct_measurements(s, nominal_imu(), (np.zeros(3), np.zeros(3)))
         np.testing.assert_allclose(w, s.omega_meas, atol=1e-15)
         np.testing.assert_allclose(f, s.accel_meas, atol=1e-15)
 
@@ -158,8 +158,8 @@ class TestMeasurementModels:
 
 class TestPreintegrate:
     def test_static_integrates_to_zero_deltas(self):
-        pre = preintegrate(static_samples(), ImuIntrinsics.nominal(), (np.zeros(3), np.zeros(3)), NoiseModel())
-        assert delta_rotation(pre).angle_to(UnitQuaternion.identity()) < 1e-9
+        pre = preintegrate(static_samples(), nominal_imu(), (np.zeros(3), np.zeros(3)), NoiseModel())
+        assert delta_rotation(pre).angle_to(identity_quat()) < 1e-9
         np.testing.assert_allclose(pre.delta_velocity, np.zeros(3), atol=1e-9)
         np.testing.assert_allclose(pre.delta_position, np.zeros(3), atol=1e-9)
         assert pre.duration == pytest.approx(1.0)
@@ -168,7 +168,7 @@ class TestPreintegrate:
         w = np.array([0.0, 0.0, math.pi / 2])
         ts = np.arange(101) / 100.0
         samples = [ImuSample(t, w, np.zeros(3)) for t in ts]
-        pre = preintegrate(samples, ImuIntrinsics.nominal(), (np.zeros(3), np.zeros(3)), NoiseModel())
+        pre = preintegrate(samples, nominal_imu(), (np.zeros(3), np.zeros(3)), NoiseModel())
         expected = UnitQuaternion.from_rotation_vector(w * 1.0)
         assert math.degrees(delta_rotation(pre).angle_to(expected)) < 0.01
         rv = quat_log(delta_rotation(pre).wxyz)
@@ -178,31 +178,31 @@ class TestPreintegrate:
         accel = np.array([1.0, 0.0, STANDARD_GRAVITY])
         ts = np.arange(101) / 100.0
         samples = [ImuSample(t, np.zeros(3), accel) for t in ts]
-        pre = preintegrate(samples, ImuIntrinsics.nominal(), (np.zeros(3), np.zeros(3)), NoiseModel())
+        pre = preintegrate(samples, nominal_imu(), (np.zeros(3), np.zeros(3)), NoiseModel())
         np.testing.assert_allclose(pre.delta_velocity, [1.0, 0.0, 0.0], atol=1e-3)
         np.testing.assert_allclose(pre.delta_position, [0.5, 0.0, 0.0], atol=1e-3)
 
     def test_too_few_samples_raises(self):
         with pytest.raises(ValueError):
-            preintegrate(static_samples(n=1), ImuIntrinsics.nominal(), (np.zeros(3), np.zeros(3)), NoiseModel())
+            preintegrate(static_samples(n=1), nominal_imu(), (np.zeros(3), np.zeros(3)), NoiseModel())
 
     def test_non_monotone_timestamps_raise(self):
         samples = static_samples(n=5)
         samples[2] = ImuSample(samples[1].t, samples[2].omega_meas, samples[2].accel_meas)
         with pytest.raises(ValueError):
-            preintegrate(samples, ImuIntrinsics.nominal(), (np.zeros(3), np.zeros(3)), NoiseModel())
+            preintegrate(samples, nominal_imu(), (np.zeros(3), np.zeros(3)), NoiseModel())
 
     @pytest.mark.parametrize("field, value", [("omega_meas", np.nan), ("accel_meas", np.inf), ("accel_meas", -np.inf)])
     def test_non_finite_samples_raise(self, field, value):
         samples = static_samples(n=5)
         samples[2] = dataclasses.replace(samples[2], **{field: [0.0, value, 0.0]})
         with pytest.raises(ValueError, match="non-finite IMU samples"):
-            preintegrate(samples, ImuIntrinsics.nominal(), (np.zeros(3), np.zeros(3)), NoiseModel())
+            preintegrate(samples, nominal_imu(), (np.zeros(3), np.zeros(3)), NoiseModel())
 
     def test_covariance_symmetric_psd_and_monotone_trace(self):
         samples = _rich_samples(np.random.default_rng(3), n=61)
         noise = NoiseModel()
-        intr = ImuIntrinsics.nominal()
+        intr = nominal_imu()
         traces = []
         for n in (11, 21, 41, 61):
             pre = preintegrate(samples[:n], intr, (np.zeros(3), np.zeros(3)), noise)
@@ -324,7 +324,7 @@ class TestInertialError:
 
     def test_position_perturbation_moves_position_block(self):
         pre, x_k, x_k1, noise, _, _, _ = self._setup(seed=5)
-        x_k.q_GI = UnitQuaternion.identity()
+        x_k.q_GI = identity_quat()
         x_k1 = _propagate_state(x_k, pre)
         r0, _ = inertial_error(x_k, x_k1, pre)
         delta = np.array([3e-4, -2e-4, 1e-4])

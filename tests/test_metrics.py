@@ -46,10 +46,11 @@ def dense_calibration_covariance(problem):
     The anchor's position columns are removed and its rotation columns
     kept on a 2-column basis perpendicular to the gravity axis (any such
     basis gives the same calibration block).
-    The inverse is formed from an SVD of the whitened, column-normalized
-    Jacobian rather than by inverting J^T W J, whose condition number is
-    the square of the Jacobian's (chained positions and bias walks make
-    it about 1e15 here).
+    The inverse is formed from a pivot-free QR of the whitened,
+    column-normalized Jacobian, as R22^-1 R22^-T of its trailing
+    calibration triangle R22, rather than by inverting J^T W J, whose
+    condition number is the square of the Jacobian's (chained positions
+    and bias walks make it about 1e15 here).
     """
     ev = evaluate_residuals(problem)
     J = ev.jacobian.toarray()
@@ -64,9 +65,11 @@ def dense_calibration_covariance(problem):
     T = np.column_stack([basis] + [np.eye(n)[:, j] for j in range(n) if j not in anchor])
     A = A @ T
     d = 1.0 / np.linalg.norm(A, axis=0)
-    _, s, Vt = np.linalg.svd(A * d, full_matrices=False)
-    Vc = Vt.T[-CALIB_DIM:] * d[-CALIB_DIM:, None]
-    return (Vc / s**2) @ Vc.T
+    R = scipy.linalg.qr(A * d, mode="r")[0][: A.shape[1]]
+    R22 = R[-CALIB_DIM:, -CALIB_DIM:]
+    # the un-normalized block diag(d) R22^-1 R22^-T diag(d), as Y^T Y
+    Y = scipy.linalg.solve_triangular(R22, np.diag(d[-CALIB_DIM:]), trans="T")
+    return Y.T @ Y
 
 
 def thinned(segment, landmark_id, keep):
@@ -114,9 +117,8 @@ class TestSegmentMarginalCovariance:
         assert not cov.rank_deficient
         ref = dense_calibration_covariance(prob)
         # compared as correlations: entry (i, j) over the oracle's sigma_i sigma_j.
-        # Measured on this scene: 9.6e-10 with one QR per landmark, 1.1e-9
-        # with the landmarks' QRs batched by observation count, 1.3e-9 with
-        # the gauge applied as four unit rows instead of a reduced basis.
+        # Measured on this scene: 9.9e-10, against 1.1e-9 from an oracle
+        # that inverted through an SVD of the same Jacobian.
         assert np.abs(correlation_scaled(cov.matrix - ref, ref)).max() < 1e-8
 
     @pytest.mark.parametrize("seed", [0, 7])
@@ -127,7 +129,8 @@ class TestSegmentMarginalCovariance:
             cov = segment_marginal_covariance(prob)
             assert not cov.rank_deficient
             ref = dense_calibration_covariance(prob)
-            # measured on these six segments: at most 4.1e-9
+            # measured on these six segments: at most 2.7e-9 (4.1e-9 from
+            # the SVD oracle)
             assert np.abs(correlation_scaled(cov.matrix - ref, ref)).max() < 1e-8
 
     def test_final_qr_spans_camera_triangle_only(self, monkeypatch):

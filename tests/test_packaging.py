@@ -1,5 +1,7 @@
 """Tests that pyproject.toml declares only what the package can deliver,
-and that the package's modules share only public names."""
+that the package's modules share only public names, and that every name a
+module imports is used there, or wrapped there by the benchmark's TRACED
+table (bench/run.py)."""
 
 import ast
 import importlib
@@ -7,6 +9,8 @@ import re
 from pathlib import Path
 
 import pytest
+
+import support
 
 tomllib = pytest.importorskip("tomllib")
 
@@ -64,3 +68,34 @@ def test_no_private_cross_module_imports():
 def test_private_import_finder_finds_them():
     source = "from .problem import _damped_step, solve\nfrom . import imu as im\nim._mv(1, 2)\nfrom infocal._x import y\n"
     assert private_cross_module_imports(source) == ["_damped_step", "_x", "im._mv"]
+
+
+def unused_imports(source):
+    """The names that source's imports bind, `from __future__` aside, and
+    that no ast.Name in it reads; `import a.b` binds a."""
+    tree = ast.parse(source)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in used]
+
+
+def test_no_unused_imports():
+    # an import the benchmark wraps on that module is pinned by the benchmark
+    traced = support.traced_table()
+    found = {}
+    for p in sorted(PACKAGE.glob("*.py")):
+        found[p.stem] = set(unused_imports(p.read_text())) - {attr for module, attr in traced if module == "infocal." + p.stem}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_unused_import_finder_finds_them():
+    source = (
+        "from __future__ import annotations\nimport os.path\nimport numpy as np\n"
+        "from .geometry import so3_exp, so3_log as log\nx: np.ndarray = so3_exp(1)\n"
+    )
+    assert unused_imports(source) == ["os", "log"]

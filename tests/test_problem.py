@@ -22,7 +22,7 @@ import pytest
 import scipy.linalg
 
 import infocal.problem
-from infocal import imu, metrics
+from infocal import imu
 from infocal.camera import FeatureObservation
 from infocal.geometry import Transform, UnitQuaternion, quat_mul, quat_to_matrix, so3_exp
 from infocal.imu import ImuSample, inertial_error_jacobians, preintegrate
@@ -183,11 +183,12 @@ class TestBuildBatch:
         prob = build_batch_problem(keyframes, scene.landmarks, obs, scene.imu_stream, scene.calibration, scene.noise)
         assert sorted(f.times.shape[0] for f in prob.inertial_factors) == [11, 11, 11, 21]
         assert problem_cost(prob) < 1e-12
+        pre = refresh_preintegrations(prob)
         for i, f in enumerate(prob.inertial_factors):
             kf0, kf1 = keyframes[f.k0], keyframes[f.k1]
             samples = [s for s in scene.imu_stream if kf0.t - 1e-9 <= s.t <= kf1.t + 1e-9]
             ref = preintegrate(samples, prob.calibration.imu, (kf0.b_g, kf0.b_a), prob.noise)
-            support.assert_same_preintegration(prob.preintegrated[i], ref)
+            support.assert_same_preintegration(pre[i], ref)
 
     def test_mixed_interval_sample_counts_refresh_in_one_call(self, scene, monkeypatch):
         # intervals of 11 and 21 samples go through one call, padded to 21
@@ -286,17 +287,17 @@ class TestInertialWhitening:
         prob = build_from_scene(scene)
         x, i = prob.keyframes, np.arange(len(prob.keyframes))[:, None]
         prob.keyframes = replace(x, b_a=x.b_a + 1e-3 * i, b_g=x.b_g + 1e-4 * i)
-        refresh_preintegrations(prob)
+        pre = refresh_preintegrations(prob)
         # all factors in one pass against each factor through the batch-of-one adapters
         k0, k1, rw, J0w, J1w, Jthw = inertial_blocks(prob)
         assert k0.tolist() == [f.k0 for f in prob.inertial_factors]
         assert k1.tolist() == [f.k1 for f in prob.inertial_factors]
         for i, f in enumerate(prob.inertial_factors):
             x0, x1 = prob.keyframes.take(f.k0), prob.keyframes.take(f.k1)
-            r, W = inertial_error(x0, x1, prob.preintegrated[i])
+            r, W = inertial_error(x0, x1, pre[i])
             assert np.all(r[9:15] != 0.0)
             assert 0.5 * rw[i] @ rw[i] == pytest.approx(0.5 * r @ W @ r, rel=1e-12)
-            J = np.hstack(inertial_error_jacobians(x0, x1, prob.preintegrated[i]))
+            J = np.hstack(inertial_error_jacobians(x0, x1, pre[i]))
             Jw = np.hstack([J0w[i], J1w[i], Jthw[i]])
             H = J.T @ W @ J
             assert np.linalg.norm(Jw.T @ Jw - H) <= 1e-12 * np.linalg.norm(H)
@@ -503,7 +504,7 @@ class TestFailedTrials:
         seen = []
 
         def alter(call, ne, step):
-            seen.append((prob.keyframes, prob.landmarks, prob.calibration, prob.preintegrated))
+            seen.append((prob.keyframes, prob.landmarks, prob.calibration))
             return fail(step) if call == 0 else step
 
         lams = support.spy_damped_steps(monkeypatch, alter)
@@ -527,55 +528,6 @@ class TestFailedTrials:
         self._fail_first(scene, monkeypatch, negative_focal)
 
 
-class TestLinearisedAtCurrentState:
-    # the inertial residual takes its preintegrations as they are, so every
-    # linearisation must read preintegrations taken at the current state
-
-    def _check_inertial_blocks(self, monkeypatch):
-        """Wrap inertial_blocks to assert, at each call, that the problem's
-        preintegrations equal a fresh preintegration at its current
-        biases and intrinsics; returns the list of checked calls."""
-        checked, inertial_blocks = [], infocal.problem.inertial_blocks
-
-        def spy(problem):
-            self._assert_current(problem)
-            checked.append(problem)
-            return inertial_blocks(problem)
-
-        monkeypatch.setattr(infocal.problem, "inertial_blocks", spy)
-        return checked
-
-    @staticmethod
-    def _assert_current(problem):
-        x, k0 = problem.keyframes, problem._inertial_k0
-        fresh = imu.preintegrate_intervals(
-            *problem._imu_samples, problem.calibration.imu, x.b_g[k0], x.b_a[k0], problem.noise
-        )
-        got = problem.preintegrated
-        assert got.noise == fresh.noise
-        for name in imu._STACKED_FIELDS:
-            assert np.asarray(getattr(got, name)).tobytes() == np.asarray(getattr(fresh, name)).tobytes(), name
-
-    def test_solve_with_a_rejected_trial(self, scene, monkeypatch):
-        prob = _perturbed(build_from_scene(scene))
-        checked = self._check_inertial_blocks(monkeypatch)
-        lams = support.spy_damped_steps(monkeypatch, lambda call, ne, step: support.uphill(step) if call == 0 else step)
-        prob, report = solve(prob, SolveOptions(max_iters=1))
-        assert lams == [_LAMBDA_INIT, 2.0 * _LAMBDA_INIT]
-        assert len(report.cost_history) == 2
-        # the start, the rejected trial and the accepted one
-        assert len(checked) == 3
-        self._assert_current(prob)
-
-    def test_scoring(self, scene, monkeypatch):
-        segs = support.scene_segments(scene, kf_per_segment=len(scene.keyframes))
-        prob = build_segment_problem(segs, scene.calibration, scene.noise)
-        prob.keyframes = prob.keyframes.retract(np.random.default_rng(3).normal(scale=1e-3, size=(len(prob.keyframes), KF_DIM)))
-        checked = self._check_inertial_blocks(monkeypatch)
-        metrics.segment_marginal_covariance(prob)
-        assert len(checked) == 1
-
-
 def _weighted_cost(ev, step):
     """0.5 (r + J step)^T W (r + J step) from an unweighted evaluation."""
     v = ev.residual + ev.jacobian @ step
@@ -594,7 +546,6 @@ class TestLevenbergMarquardtModel:
         rng = np.random.default_rng(14)
         prob.keyframes = prob.keyframes.retract(rng.normal(scale=1e-3, size=(len(prob.keyframes), KF_DIM)))
         ev = evaluate_residuals(prob)
-        refresh_preintegrations(prob)
         cam, pairs, anchors = gauged_blocks(prob)
         ne = _normal_equations(prob, cam, pairs)
         for lam in (1e-4, 0.1, 10.0):
@@ -690,7 +641,6 @@ class TestDampedElimination:
         prob.keyframes = prob.keyframes.retract(rng.normal(scale=1e-3, size=(len(prob.keyframes), KF_DIM)))
         prob.landmarks = prob.landmarks + rng.normal(scale=1e-3, size=prob.landmarks.shape)
         prob.calibration = prob.calibration.retract(rng.normal(scale=1e-3, size=CALIB_DIM))
-        refresh_preintegrations(prob)
         assert _keyframe_band(prob) == band
         # no two keyframe pairs share a band position, so the landmarks-first
         # step writes their Schur blocks by one indexed subtraction
@@ -715,7 +665,6 @@ class TestDampedElimination:
         # information, so it gets unit information, as from a prior
         prob = build_batch_problem(scene.keyframes, [], [], scene.imu_stream, scene.calibration, scene.noise)
         assert not len(prob.camera_factors)
-        refresh_preintegrations(prob)
         cam, pairs, anchors = gauged_blocks(prob)
         ne = _normal_equations(prob, cam, pairs)
         ne.Htt[:11, :11] += np.eye(11)
@@ -733,12 +682,10 @@ class TestDampedElimination:
         # multiple of its height
         sc = support.make_scene(seed=1, n_keyframes=7, n_landmarks=20)
         prob = _perturbed(build_from_scene(sc))
-        refresh_preintegrations(prob)
         cam, pairs, anchors = gauged_blocks(prob)
         ne = _normal_equations(prob, cam, pairs)
         moved = _perturbed(build_from_scene(sc))
         moved.landmarks = moved.landmarks + 1e-3
-        refresh_preintegrations(moved)
         cam, pairs, anchors2 = gauged_blocks(moved)
         ne2 = _normal_equations(moved, cam, pairs)
         steps = [
@@ -799,7 +746,6 @@ class TestForwardSolve:
         # leading n - 7 rows, n then no multiple of m, with entries of L
         # below the leading block left in the band
         prob = workloads.WORKLOADS["batch_session"]().inputs(0)["build"]()
-        refresh_preintegrations(prob)
         cam, pairs, anchors = gauged_blocks(prob)
         seen = []
         monkeypatch.setattr(infocal.problem, "_forward_solve", lambda cb, C, Y: seen.append((cb, C)) or _forward_solve(cb, C, Y))
@@ -1198,10 +1144,9 @@ class TestSegmentProblem:
         prob = build_from_scene(scene)
         x, i = prob.keyframes, np.arange(len(prob.keyframes))[:, None]
         prob.keyframes = replace(x, b_a=x.b_a + 1e-3 * i, b_g=x.b_g + 1e-4 * i)
-        refresh_preintegrations(prob)
         f = 2
         k0, k1, r, J0, J1, _ = inertial_blocks(prob)
-        bridge = np.array([(k0[f], k1[f], prob.preintegrated.duration[f])], dtype=BRIDGE_DTYPE)
+        bridge = np.array([(k0[f], k1[f], refresh_preintegrations(prob).duration[f])], dtype=BRIDGE_DTYPE)
         b0, b1, rb, B0, B1, Bth = bridge_blocks(replace(prob, bridge_factors=bridge))
         assert (b0.tolist(), b1.tolist()) == ([k0[f]], [k1[f]])
         assert np.all(r[f, 9:15] != 0.0)
