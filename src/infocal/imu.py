@@ -14,18 +14,17 @@ Preintegration integrates corrected samples over keyframe intervals with
 the midpoint rule, batched over intervals (preintegrate_intervals, which
 returns a stack of PreintegratedImu; preintegrate is a batch of one).  An
 interval with fewer samples than the longest is padded by repeating its
-last sample; a padded step has dt = 0 and its noise input masked to zero,
-so it changes nothing.  The stored delta_velocity / delta_position include
-the nominal-gravity contribution evaluated as if the interval started at
-identity attitude, so a static interval integrates to exactly zero deltas;
-the inertial residual removes it again with its noise model's gravity.
-Alongside come the 9x9 covariance (rot, vel, pos) and the sensitivities to
-the biases and IMU intrinsics; the residual has no first-order bias
-correction, so a solver re-preintegrates at the current biases.
-Two recursions remain step by step: the rotation chain with its
-sensitivities, and the covariance.  Every other term is computed for all
-steps at once, and the velocity and position deltas and sensitivities are
-weighted sums over the steps.
+last sample; a padded step has dt = 0, so every term it adds is zero.  The
+stored delta_velocity / delta_position include the nominal-gravity
+contribution evaluated as if the interval started at identity attitude, so
+a static interval integrates to exactly zero deltas; the inertial residual
+removes it again with its noise model's gravity.  Alongside come the 9x9
+covariance (rot, vel, pos) and the sensitivities to the biases and IMU
+intrinsics; the residual has no first-order bias correction, so a solver
+re-preintegrates at the current biases.
+Only the rotation chain is a loop over the steps.  Every other output is
+the closed form of its recursion (Forster et al., "On-Manifold
+Preintegration", T-RO 2017, unrolled): a sum over all steps at once.
 
 The 15-dim inertial residual and its Jacobians are computed for a whole
 stack of factors in one vectorised pass (inertial_factor_blocks), on
@@ -298,11 +297,6 @@ class StateStack:
         )
 
 
-def _mv(A, x):
-    """Stacked matrix-vector products."""
-    return np.einsum("...ij,...j->...i", A, x)
-
-
 def inertial_factor_blocks(x_k, x_k1, pre: PreintegratedImu):
     """Residuals and analytic Jacobians of F inertial factors in one pass.
 
@@ -328,8 +322,8 @@ def inertial_factor_blocks(x_k, x_k1, pre: PreintegratedImu):
     R_k = quat_to_matrix(x_k.q_GI)
     R_kT = np.swapaxes(R_k, -1, -2)
     e_rot = so3_log(np.swapaxes(quat_to_matrix(x_k1.q_GI), -1, -2) @ R_k @ dR)
-    w_v = _mv(R_kT, x_k1.v_GI - x_k.v_GI - g * dt)
-    w_p = _mv(R_kT, x_k1.p_GI - x_k.p_GI - x_k.v_GI * dt - 0.5 * g * dt * dt)
+    w_v = (R_kT @ (x_k1.v_GI - x_k.v_GI - g * dt)[..., None])[..., 0]
+    w_p = (R_kT @ (x_k1.p_GI - x_k.p_GI - x_k.v_GI * dt - 0.5 * g * dt * dt)[..., None])[..., 0]
     r = np.concatenate([e_rot, dv - w_v, dp - w_p, x_k1.b_g - x_k.b_g, x_k1.b_a - x_k.b_a], axis=-1)
 
     inv_jr = so3_right_jacobian_inv(e_rot)
@@ -341,7 +335,8 @@ def inertial_factor_blocks(x_k, x_k1, pre: PreintegratedImu):
     # rotation residual rows
     J_k[:, 0:3, TH] = inv_jr @ np.swapaxes(dR, -1, -2)
     J_k[:, 0:3, BG] = inv_jr @ Jb[:, 0:3, 0:3]
-    J_k1[:, 0:3, TH] = -so3_right_jacobian_inv(-e_rot)
+    # J_r^-1(-e) = J_r^-1(e)^T, bit for bit
+    J_k1[:, 0:3, TH] = -np.swapaxes(inv_jr, -1, -2)
     # velocity and position residual rows
     J_k[:, 3:6, TH] = -so3_hat(w_v)
     J_k[:, 3:6, VE] = R_kT
@@ -382,7 +377,7 @@ def inertial_sqrt_information(pre: PreintegratedImu):
     A = blockdiag(L^-1, diag(1 / bias_walk_sigmas)) with L the lower
     Cholesky factor of the preintegration covariance, so A r has unit
     covariance and the weight is A^T A.  L^-1 is one batched np.linalg.inv
-    of the stack (scipy's solve_triangular loops over a stack in Python).
+    of the stack (a scipy triangular solve loops over a stack in Python).
     """
     L = np.linalg.cholesky(pre.covariance)
     A = np.zeros(L.shape[:-2] + (15, 15))
@@ -400,11 +395,11 @@ def inertial_weight(pre: PreintegratedImu):
 
 def _correction_jacobian(B, x):
     """Derivative of A T^-1 z wrt the scale and misalignment entries of T
-    (correction_matrix order: s_0, s_1, s_2, m_01, m_02, m_12), given
-    B = A T^-1 and x = T^-1 z stacked (..., 3); returns (..., 3, 6).
-    Since d(T^-1) = -T^-1 dT T^-1, entry (r, c) contributes -B[:, r] x[c]."""
+    (correction_matrix order: s_0, s_1, s_2, m_01, m_02, m_12), given B =
+    A T^-1 and x = T^-1 z, stacked alike or B alone (3, 3); returns (...,
+    3, 6).  Since d(T^-1) = -T^-1 dT T^-1, entry (r, c) adds -B[:, r] x[c]."""
     rows, cols = [0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]
-    return -B[:, rows] * x[..., None, cols]
+    return -B[..., rows] * x[..., None, cols]
 
 
 def preintegrate_intervals(times, omega_meas, accel_meas, intr: ImuIntrinsics, bias_g, bias_a, noise: NoiseModel):
@@ -414,120 +409,109 @@ def preintegrate_intervals(times, omega_meas, accel_meas, intr: ImuIntrinsics, b
     omega_meas and accel_meas: (K, S+1, 3); bias_g/a: (K, 3) per-interval
     biases the samples are corrected by.  Returns the stack of the K
     intervals' PreintegratedImu (stack[k] is interval k).  The only
-    preintegration recursion: preintegrate is a batch of one, and
-    problem.refresh_preintegrations makes one call for all intervals.
+    preintegration kernel: preintegrate is a batch of one, and
+    problem.refresh_preintegrations makes one call for all intervals.  An
+    interval with fewer than S+1 samples is padded by repeating its last
+    sample: a step of dt = 0, whose every term below is zero.
 
-    An interval with fewer than S+1 samples is padded by repeating its last
-    sample.  A padded step has dt = 0 and its noise input (sigma / dt)
-    masked to zero, so it changes no output.  Only the rotation chain dR
-    with its sensitivity D_R, and the covariance P, are carried from step
-    to step.  Every other term is computed for all steps at once, and the
-    velocity and position deltas and sensitivities are weighted sums over
-    the steps.
+    Only the rotation chain R_j (R_0 = I) is a loop.  Step s turns from
+    sample s to s + 1 by theta_s; f_j is the corrected specific force,
+    a_j = R_j f_j, t_left_s = t_S - (t_s + t_{s+1}) / 2, and C_j sums
+    R_{s+1} J_r(theta_s) d theta_s / d(21 sensitivity parameters) over
+    s <= j.  The rotation sensitivity at sample j is R_j^T C_{j-1}, which
+    adds -a_j^ C_{j-1} to the rotated specific force's.  The velocity and
+    position deltas and sensitivities are sums over the steps weighted by
+    w_s = (dt_s, dt_s t_left_s).  The covariance recursion
+    P <- F P F^T + G (Q / dt) G^T unrolls to sum_s X_s X_s^T, with the
+    9 x 6 X_s = [[R_S^T N_s, 0], [-nu_s^ N_s, E_s], [-pi_s^ N_s, t_left_s E_s]]:
+    N_s = sigma_g sqrt(dt_s) R_{s+1} J_r(theta_s) T_g^-1,
+    E_s = sigma_a sqrt(dt_s) (R_s + R_{s+1}) R_AI^T T_a^-1 / 2, and
+    (nu_s, pi_s) = sum_{i>s} w_i (a_i + a_{i+1}) / 2 + w_s a_{s+1} / 2,
+    since F_{S-1} ... F_{s+1} has the blocks R_S^T R_{s+1},
+    -nu_s'^ R_{s+1}, -pi_s'^ R_{s+1} and (t_S - t_{s+1}) I, with nu_s' and
+    pi_s' the sums over i > s alone.
     """
     K, S1 = times.shape
     Tg_inv = np.linalg.inv(intr.T_g())
     Ta_inv = np.linalg.inv(intr.T_a())
     R_IA = intr.R_AI().T
     M = R_IA @ Ta_inv
-    omega = np.einsum("ij,ksj->ksi", Tg_inv, omega_meas - bias_g[:, None, :])
-    z_a = np.einsum("ij,ksj->ksi", Ta_inv, accel_meas - bias_a[:, None, :])
-    f = np.einsum("ij,ksj->ksi", R_IA, z_a)
-    hat_f = so3_hat(f)
-
-    # continuous noise densities of the corrected gyro and accel samples
-    Q = np.zeros((6, 6))
-    Q[0:3, 0:3] = Tg_inv @ Tg_inv.T * noise.sigma_g ** 2
-    Q[3:6, 3:6] = M @ M.T * noise.sigma_a ** 2
+    omega = (omega_meas - bias_g[:, None, :]) @ Tg_inv.T
+    z_a = (accel_meas - bias_a[:, None, :]) @ Ta_inv.T
+    f = z_a @ R_IA.T
 
     # step s turns from sample s to sample s + 1 at the mean of their rates
-    dts = np.diff(times, axis=1)[:, :, None, None]
+    dt = np.diff(times, axis=1)
     omega_mid = 0.5 * (omega[:, :-1] + omega[:, 1:])
-    thetas = omega_mid * dts[..., 0]
+    thetas = omega_mid * dt[..., None]
     Rsteps = so3_exp(thetas)
-    RstepTs = np.swapaxes(Rsteps, -1, -2)
-    Jrs = so3_right_jacobian(thetas)
-    # each step's rotation vector wrt the 21 sensitivity parameters; this
-    # and each array below of that size is freed after its last use, so
-    # that few are alive at once (peak memory)
-    d_theta = np.zeros((K, S1 - 1, 3, 21))
-    d_theta[..., _P_BG] = -Tg_inv
-    d_theta[..., _P_GYRO_SM] = _correction_jacobian(Tg_inv, omega_mid)
-    d_theta *= dts
-    Jr_d_thetas = Jrs @ d_theta
-    del d_theta
-
-    # the rotation chain and its sensitivity at every sample
     dRs = np.empty((K, S1, 3, 3))
-    D_Rs = np.empty((K, S1, 3, 21))
     dRs[:, 0] = np.eye(3)
-    D_Rs[:, 0] = 0.0
     for s in range(S1 - 1):
         dRs[:, s + 1] = dRs[:, s] @ Rsteps[:, s]
-        D_Rs[:, s + 1] = RstepTs[:, s] @ D_Rs[:, s] + Jr_d_thetas[:, s]
-    del Jr_d_thetas
+    # B_s = R_{s+1} J_r(theta_s) T_g^-1 takes step s's gyro noise and
+    # rotation-vector sensitivities into the interval's start frame
+    B = dRs[:, 1:] @ so3_right_jacobian(thetas) @ Tg_inv
+    # each step's term of C, then C_{j-1} at every sample j (a running sum
+    # over the steps is a product with a triangle of ones); this and each
+    # array below of that size is freed after its last use, so that few are
+    # alive at once (peak memory)
+    dC = np.zeros((K, S1 - 1, 3, 21))
+    dC[..., _P_BG] = -B
+    dC[..., _P_GYRO_SM] = _correction_jacobian(B, omega_mid)
+    dC *= dt[..., None, None]
+    C = (np.tri(S1, S1 - 1, -1) @ dC.reshape(K, S1 - 1, -1)).reshape(K, S1, 3, 21)
+    del dC
 
     # the corrected specific force (column 0) and its sensitivities at every
     # sample, rotated by the chain and averaged over each step's two
     # samples: the recursion v += dt y, p += dt v + dt^2/2 y sums to
-    # v = sum dt y and p = sum dt (t_end - t_mid) y
+    # v = sum dt y and p = sum dt t_left y
     X = np.zeros((K, S1, 3, 22))
     X[..., 0] = f
     d_f = X[..., 1:]
     d_f[..., _P_BA] = -M
     d_f[..., _P_ACCEL_SM] = _correction_jacobian(M, z_a)
     # accelerometer frame rotation: f(delta) = Exp(-delta) f
-    d_f[..., _P_QAI] = hat_f
-    d_f -= hat_f @ D_Rs
-    D_R = D_Rs[:, -1].copy()
-    del d_f, D_Rs
+    d_f[..., _P_QAI] = so3_hat(f)
+    del d_f
     Y = dRs @ X
     del X
-    Y = 0.5 * (Y[:, :-1] + Y[:, 1:]).reshape(K, S1 - 1, -1)
-    dt = dts[:, :, 0, 0]
-    t_left = times[:, -1:] - 0.5 * (times[:, :-1] + times[:, 1:])
-    vp = (np.stack([dt, dt * t_left], axis=1) @ Y).reshape(K, 2, 3, 22)
-    v, p = vp[:, 0], vp[:, 1]
+    a = Y[..., 0].copy()
+    Y[..., 1:] -= so3_hat(a) @ C
+    D_R = np.swapaxes(dRs[:, -1], -1, -2) @ C[:, -1]
+    del C
+    Y_mid = 0.5 * (Y[:, :-1] + Y[:, 1:])
     del Y
+    t_left = times[:, -1:] - 0.5 * (times[:, :-1] + times[:, 1:])
+    w = np.stack([dt, dt * t_left], axis=-1)
+    vp = (np.swapaxes(w, 1, 2) @ Y_mid.reshape(K, S1 - 1, -1)).reshape(K, 2, 3, 22)
+    v, p = vp[:, 0], vp[:, 1]
 
-    # covariance: delta-state transition F and noise input G (columns gyro,
-    # accel) of every step; the discrete noise Q / dt is zero on the padded
-    # steps
-    H = dRs @ hat_f
-    eye3 = np.eye(3)
-    Fs = np.zeros((K, S1 - 1, 9, 9))
-    F_vtheta = -0.5 * dts * (H[:, :-1] + H[:, 1:] @ RstepTs)
-    Fs[..., 0:3, 0:3] = RstepTs
-    Fs[..., 3:6, 0:3] = F_vtheta
-    Fs[..., 3:6, 3:6] = eye3
-    Fs[..., 6:9, 0:3] = 0.5 * dts * F_vtheta
-    Fs[..., 6:9, 3:6] = dts * eye3
-    Fs[..., 6:9, 6:9] = eye3
-    G = np.zeros((K, S1 - 1, 9, 6))
-    G[..., 0:3, 0:3] = dts * Jrs
-    G[..., 3:6, 0:3] = -0.5 * dts * H[:, 1:] @ G[..., 0:3, 0:3]
-    G[..., 3:6, 3:6] = 0.5 * dts * (dRs[:, :-1] + dRs[:, 1:])
-    G[..., 6:9, :] = 0.5 * dts * G[..., 3:6, :]
-    inv_dts = np.divide(1.0, dts, out=np.zeros_like(dts), where=dts > 0.0)
-    GQG = G @ Q @ np.swapaxes(G, -1, -2)
-    GQG *= inv_dts
-    FsT = np.swapaxes(Fs, -1, -2)
-    P = np.zeros((K, 9, 9))
-    for s in range(S1 - 1):
-        P = Fs[:, s] @ P @ FsT[:, s] + GQG[:, s]
-        P = 0.5 * (P + np.swapaxes(P, -1, -2))
+    # covariance: X_s of every step, then sum_s X_s X_s^T as one product
+    u = w[..., None] * Y_mid[:, :, None, :, 0]
+    del Y_mid
+    nu_pi = (np.tri(S1 - 1, S1 - 1, -1).T @ u.reshape(K, S1 - 1, 6)).reshape(u.shape) + 0.5 * w[..., None] * a[:, 1:, None]
+    sqrt_dt = np.sqrt(dt)[..., None, None]
+    N = (noise.sigma_g * sqrt_dt) * B
+    E = (0.5 * noise.sigma_a * sqrt_dt) * (dRs[:, :-1] + dRs[:, 1:]) @ M
+    Xs = np.zeros((K, S1 - 1, 9, 6))
+    Xs[..., 0:3, 0:3] = np.swapaxes(dRs[:, -1:], -1, -2) @ N
+    Xs[..., 3:9, 0:3] = (-so3_hat(nu_pi) @ N[:, :, None]).reshape(K, S1 - 1, 6, 3)
+    Xs[..., 3:6, 3:6] = E
+    Xs[..., 6:9, 3:6] = t_left[..., None, None] * E
+    Z = np.swapaxes(Xs, 1, 2).reshape(K, 9, -1)
+    P = Z @ np.swapaxes(Z, -1, -2)
 
     D = np.concatenate([D_R, v[..., 1:], p[..., 1:]], axis=1)
     durations = times[:, -1] - times[:, 0]
     g = noise.gravity_vector()
-    delta_velocity = v[..., 0] + g * durations[:, None]
-    delta_position = p[..., 0] + 0.5 * g * (durations ** 2)[:, None]
     return PreintegratedImu(
         delta_rotation_matrix=dRs[:, -1].copy(),
-        delta_velocity=delta_velocity,
-        delta_position=delta_position,
+        delta_velocity=v[..., 0] + g * durations[:, None],
+        delta_position=p[..., 0] + 0.5 * g * (durations ** 2)[:, None],
         duration=durations,
-        covariance=P,
+        covariance=0.5 * (P + np.swapaxes(P, -1, -2)),
         bias_jacobians=D[:, :, 0:6],
         param_jacobians=D[:, :, 6:21],
         noise=noise,

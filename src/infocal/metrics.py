@@ -31,7 +31,9 @@ columns (K keyframes) reduces camera and gauge rows to a triangle of at
 most 6K + 11 rows before they meet the pair rows, 15 per inertial factor
 or bridge, so the final QR of a segment without bridges has at most
 (6K + 11) + 15(K - 1) rows.  This is exact: left-multiplying a block of
-rows by an orthogonal matrix leaves R unchanged up to row signs.
+rows by an orthogonal matrix leaves R unchanged up to row signs.  Both
+QRs are one LAPACK dgeqrf call each, whose R alone is kept, and dtrtri
+inverts R22.
 
 The scalar criteria on the normalized covariance: trace (a_opt),
 determinant (d_opt, log-domain internally), largest eigenvalue (e_opt),
@@ -45,7 +47,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from .problem import (
     CALIB_DIM,
@@ -121,8 +123,15 @@ class SegmentScore:
     rank_deficient: bool = False
 
 
+def _triangle(a):
+    """The leading min(m, n) rows of R in a = QR, a (m, n): one LAPACK
+    dgeqrf with its optimal workspace, which may overwrite a."""
+    lwork, _ = lapack.dgeqrf_lwork(*a.shape)
+    return np.triu(lapack.dgeqrf(a, lwork=int(lwork), overwrite_a=True)[0][: min(a.shape)])
+
+
 def _covariance_from_triangle(R22):
-    X = scipy.linalg.solve_triangular(R22, np.eye(R22.shape[0]), check_finite=False)
+    X, _ = lapack.dtrtri(R22)
     sigma = X @ X.T
     return MarginalCovariance(0.5 * (sigma + sigma.T))
 
@@ -130,7 +139,8 @@ def _covariance_from_triangle(R22):
 def _place_blocks(rows, cols, J):
     """Write the (n, r, c) blocks J into columns cols[i] : cols[i] + c of
     rows[i] (n, r, n_cols)."""
-    np.put_along_axis(rows, cols[:, None, None] + np.arange(J.shape[2]), J, axis=2)
+    n, r, c = J.shape
+    rows[np.arange(n)[:, None, None], np.arange(r)[:, None], cols[:, None, None] + np.arange(c)] = J
 
 
 def _camera_triangle(problem, cam, anchors):
@@ -176,8 +186,7 @@ def _camera_triangle(problem, cam, anchors):
     for (a, _, u), gauge in zip(anchors, out[n_rows:].reshape(-1, 4, n_cols)):
         gauge[0, a * POSE_DIM : a * POSE_DIM + 3] = u
         gauge[1:, a * POSE_DIM + 3 : a * POSE_DIM + 6] = np.eye(3)
-    R = scipy.linalg.qr(out, mode="r", overwrite_a=True, check_finite=False)[0][:n_cols]
-    return R, diag_values
+    return _triangle(out), diag_values
 
 
 def segment_marginal_covariance(problem):
@@ -200,7 +209,7 @@ def segment_marginal_covariance(problem):
     _place_blocks(pairs, k1 * KF_DIM, J1)
     pairs[:, :, th0 + IMU_BLOCK.start : th0 + IMU_BLOCK.stop] = Jthi
 
-    R = scipy.linalg.qr(A, mode="r", check_finite=False)[0][:n_cols, :]
+    R = _triangle(A)
     diag_values = np.concatenate(diag_values + [np.abs(np.diag(R))])
     if diag_values.min() < RANK_TOLERANCE * max(diag_values.max(), 1e-300):
         return _deficient_covariance()

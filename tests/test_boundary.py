@@ -33,9 +33,10 @@ from infocal.problem import build_segment_problem, problem_cost  # noqa: E402
 
 import support  # noqa: E402
 
-SCENE = support.make_scene(seed=1, n_keyframes=8, n_landmarks=20)
-# two-keyframe segments 0 and 1 chained by a joint interval, 1 and 3 by a
-# bias bridge
+SCENE = support.make_scene(seed=1, n_keyframes=24, n_landmarks=30)
+# six-keyframe segments 0 and 1 chained by a joint interval, 1 and 3 by a
+# bias bridge; uncorrupted, their calibration covariance is full rank
+KF_PER_SEGMENT = 6
 KEEP = [0, 1, 3]
 
 VALUES = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf]), st.floats(-1e6, 1e6))
@@ -59,12 +60,12 @@ KINDS = {
     "state": st.sampled_from(["p_GI", "v_GI", "b_a", "b_g"]),
     "time": st.none(),
     "attitude": st.lists(VALUES, min_size=4, max_size=4),
-    "keyframe_id": st.integers(-2, 10),
+    "keyframe_id": st.integers(-2, len(SCENE.keyframes) + 2),
     "imu": st.sampled_from(["t", "omega_meas", "accel_meas"]),
     "drop_sample": st.none(),
     "repeat_sample": st.none(),
     "observation": st.sampled_from(["uv", "sigma"]),
-    "observation_id": st.integers(-2, 22),
+    "observation_id": st.integers(-2, max(len(SCENE.keyframes), len(SCENE.landmarks)) + 2),
     "landmark": st.none(),
 }
 
@@ -117,7 +118,7 @@ def corrupt(seg, kind, detail, i, c, value):
 def check_boundary(pos, *how):
     """The property, for the corruption `how` of the segment at pos; True
     if the input failed at the boundary, False if it built a problem."""
-    segs = support.scene_segments(SCENE, kf_per_segment=2, keep=KEEP)
+    segs = support.scene_segments(SCENE, kf_per_segment=KF_PER_SEGMENT, keep=KEEP)
     try:
         corrupt(segs[pos], *how)
     except ValueError:
@@ -134,11 +135,17 @@ def check_boundary(pos, *how):
     return False
 
 
+def test_uncorrupted_scene_is_full_rank():
+    # so the property below also sees full-rank covariances
+    segs = support.scene_segments(SCENE, kf_per_segment=KF_PER_SEGMENT, keep=KEEP)
+    assert not segment_marginal_covariance(build_segment_problem(segs, SCENE.calibration, SCENE.noise)).rank_deficient
+
+
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)
 @given(corruptions())
 # segment 0's last keyframe moved past the end of its IMU stream: the joint
 # interval into segment 1 starts after the stream's last sample
-@example((0, "time", None, 1, 0, SCENE.keyframes[3].t))
+@example((0, "time", None, KF_PER_SEGMENT - 1, 0, SCENE.keyframes[KF_PER_SEGMENT + 1].t))
 def test_corrupt_input_fails_at_the_boundary_or_builds_a_finite_problem(case):
     check_boundary(*case)
 

@@ -11,7 +11,7 @@ from infocal.camera import (
     distortion_gradients,
     _uv_core_jacobians,
 )
-from infocal.geometry import Transform, UnitQuaternion, quat_to_matrix, so3_hat
+from infocal.geometry import Transform, UnitQuaternion, so3_hat
 
 from support import apply, identity_quat, identity_transform, invert
 

@@ -1,6 +1,7 @@
 import numpy as np
 
 from infocal.geometry import (
+    _SMALL_ANGLE,
     Transform,
     UnitQuaternion,
     matrix_to_quat,
@@ -8,7 +9,6 @@ from infocal.geometry import (
     quat_exp,
     quat_log,
     quat_mul,
-    quat_retract,
     quat_to_matrix,
     so3_exp,
     so3_right_jacobian,
@@ -142,6 +142,24 @@ class TestTangentSpace:
                 J_fd[:, k] = delta / eps
             np.testing.assert_allclose(J, J_fd, atol=1e-6)
             np.testing.assert_allclose(so3_right_jacobian_inv(phi) @ J, np.eye(3), atol=1e-9)
+
+    def test_right_jacobian_inv_of_negated_angle_is_its_transpose(self):
+        # exactly, as imu.inertial_factor_blocks relies on: zero, the small-
+        # angle series, the closed form, and angles near and beyond pi
+        rng = np.random.default_rng(15)
+        axes = rng.normal(size=(6001, 3))
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        angles = np.concatenate(
+            [
+                [0.0],
+                _SMALL_ANGLE * np.array([1e-6, 0.1, 0.5, 0.999]),
+                np.linspace(_SMALL_ANGLE, 3.0, 5000),
+                np.pi + np.linspace(-1e-3, 1e-3, 996),
+            ]
+        )
+        phi = axes * angles[:, None]
+        J = so3_right_jacobian_inv(phi)
+        assert np.array_equal(so3_right_jacobian_inv(-phi), np.swapaxes(J, -1, -2))
 
     def test_double_cover(self):
         rng = np.random.default_rng(14)

@@ -4,8 +4,8 @@ Oracles: closed-form constant-rate rotation and constant-acceleration
 kinematics, simulate/correct round trips, scalar random-walk weighting,
 central finite differences for every Jacobian block (re-preintegrating
 for the bias and intrinsics columns), single-interval calls for the
-batched preintegration, and the former per-step recursion for the
-preintegration whose sample-only factors are computed ahead of its loop.
+batched preintegration, and the per-step recursion, on plain and on
+padded intervals, for the preintegration that unrolls it in closed form.
 """
 
 import dataclasses
@@ -392,8 +392,8 @@ def _perturb_intrinsics(intr, d):
 
 
 def _preintegrate_intervals_loop(times, omega_meas, accel_meas, intr, bias_g, bias_a, noise):
-    """The step recursion preintegrate_intervals had before its sample-only
-    factors were computed ahead of the loop; the reference."""
+    """The step recursion that preintegrate_intervals unrolls in closed
+    form; the reference."""
     K, S1 = times.shape
     Tg_inv = np.linalg.inv(intr.T_g())
     Ta_inv = np.linalg.inv(intr.T_a())
@@ -553,3 +553,27 @@ class TestBatchedPreintegration:
                 assert a == b
             else:
                 np.testing.assert_allclose(a, b, rtol=1e-14, atol=1e-14 * np.abs(b).max())
+
+    def test_padded_intervals_match_their_own_samples(self):
+        # unequal sample counts, padded by repeating each interval's last
+        # sample as CalibrationProblem does: a padded step (dt = 0) adds
+        # nothing, through its sqrt(dt) noise weight or otherwise
+        rng = np.random.default_rng(23)
+        intr = perturbed_intrinsics()
+        noise = NoiseModel()
+        counts = np.array([11, 4, 8, 2])
+        K = counts.size
+        runs = [
+            (np.cumsum(rng.uniform(0.004, 0.016, size=n)), rng.normal(size=(n, 3)) * 0.5, rng.normal(size=(n, 3)) - GRAVITY)
+            for n in counts
+        ]
+        bias_g = rng.normal(size=(K, 3)) * 1e-3
+        bias_a = rng.normal(size=(K, 3)) * 1e-2
+        padded = [np.stack([run[i][np.minimum(np.arange(counts.max()), len(run[0]) - 1)] for run in runs]) for i in range(3)]
+        got = preintegrate_intervals(*padded, intr, bias_g, bias_a, noise)
+        for k, run in enumerate(runs):
+            ref = _preintegrate_intervals_loop(*(x[None] for x in run), intr, bias_g[k : k + 1], bias_a[k : k + 1], noise)
+            for field in dataclasses.fields(PreintegratedImu):
+                if field.name != "noise":
+                    a, b = getattr(got, field.name)[k], getattr(ref, field.name)[0]
+                    np.testing.assert_allclose(a, b, rtol=1e-14, atol=1e-14 * np.abs(b).max())

@@ -1,7 +1,7 @@
 """Tests that pyproject.toml declares only what the package can deliver,
 that the package's modules share only public names, and that every name a
-module imports is used there, or wrapped there by the benchmark's TRACED
-table (bench/run.py)."""
+package or test module imports is used there, or, in the package, wrapped
+there by the benchmark's TRACED table (bench/run.py)."""
 
 import ast
 import importlib
@@ -16,6 +16,7 @@ tomllib = pytest.importorskip("tomllib")
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "infocal"
+TESTS = Path(__file__).resolve().parent
 
 
 def project_table():
@@ -85,11 +86,14 @@ def unused_imports(source):
 
 
 def test_no_unused_imports():
-    # an import the benchmark wraps on that module is pinned by the benchmark
+    # an import the benchmark wraps on a package module is pinned by the
+    # benchmark
     traced = support.traced_table()
     found = {}
     for p in sorted(PACKAGE.glob("*.py")):
         found[p.stem] = set(unused_imports(p.read_text())) - {attr for module, attr in traced if module == "infocal." + p.stem}
+    for p in sorted(TESTS.glob("*.py")):
+        found["tests/" + p.name] = set(unused_imports(p.read_text()))
     assert {name: names for name, names in found.items() if names} == {}
 
 

@@ -53,7 +53,6 @@ from infocal.problem import (
     bridge_blocks,
     build_batch_problem,
     build_segment_problem,
-    camera_blocks,
     gauged_blocks,
     inertial_blocks,
     partition_segments,
