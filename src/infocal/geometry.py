@@ -73,7 +73,7 @@ def matrix_to_quat(m):
     """Inverse of quat_to_matrix (Shepperd's method), w >= 0."""
     m = np.asarray(m, dtype=float)
     m00, m11, m22 = m[..., 0, 0], m[..., 1, 1], m[..., 2, 2]
-    t = np.einsum("...ii->...", m)
+    t = m00 + m11 + m22
     d21, d02, d10 = m[..., 2, 1] - m[..., 1, 2], m[..., 0, 2] - m[..., 2, 0], m[..., 1, 0] - m[..., 0, 1]
     s01, s02, s12 = m[..., 0, 1] + m[..., 1, 0], m[..., 0, 2] + m[..., 2, 0], m[..., 1, 2] + m[..., 2, 1]
     # All four candidates; the branches not taken may divide by zero or

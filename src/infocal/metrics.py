@@ -7,9 +7,10 @@ that segment's own estimation problem.  The chain is:
     problem.gauged_blocks: camera rows and one stack of pair-factor rows
     (inertial factors, preintegrated at the current state, then bias
     bridges) with the gauge's anchors
-      -> camera rows with landmarks eliminated, reduced to one triangle
-      -> that triangle over the pair rows, [keyframe | calibration] columns
-      -> QR  ->  trailing 26x26 triangle R22  ->  Sigma = R22^-1 R22^-T
+      -> pair QR: the pair rows over [velocity and biases | pose | IMU]
+      -> merged QR: camera rows with landmarks eliminated, the gauge rows
+         and the pair rows left by the pair QR, over [pose | calibration]
+      -> trailing 26x26 triangle R22  ->  Sigma = R22^-1 R22^-T
       -> normalization by reference sigmas  ->  scalar criteria
 
 The gauge is the solver's: the blocks come with each anchor's rotation
@@ -18,22 +19,20 @@ columns cleared, and scoring only appends four unit rows per anchor (u on
 the rotation columns, one per position axis).  No data row touches those
 four directions, so R22 is that of the gauge-free parametrization.
 
-Landmark columns are eliminated first: each landmark's 2n x 3 Jacobian
-(n observations) is factored on its own, batched over the landmarks with
-equal n, and only its rows orthogonal to those three columns go on.  The
-trailing block of R is unaffected by the elimination order.  A landmark
-seen once leaves no rows and carries no calibration information.
+The trailing block of R is unaffected by the elimination order, so each
+group of columns is eliminated on the rows that touch it (square-root
+smoothing, Dellaert & Kaess, IJRR 2006).  Landmarks go first: each
+landmark's 2n x 3 Jacobian (n observations) is factored on its own,
+batched over the landmarks with equal n, and only its rows orthogonal to
+those three columns go on (Demmel et al., Square Root BA, CVPR 2021).  A
+landmark seen once leaves no rows and carries no calibration information.
 
-The camera rows left touch only the 6 pose coordinates of their keyframes
-and the 11 camera calibration coordinates (CAM_BLOCK), never velocity,
-biases or IMU intrinsics; so do the gauge rows.  One QR over those 6K + 11
-columns (K keyframes) reduces camera and gauge rows to a triangle of at
-most 6K + 11 rows before they meet the pair rows, 15 per inertial factor
-or bridge, so the final QR of a segment without bridges has at most
-(6K + 11) + 15(K - 1) rows.  This is exact: left-multiplying a block of
-rows by an orthogonal matrix leaves R unchanged up to row signs.  Both
-QRs are one LAPACK dgeqrf call each, whose R alone is kept, and dtrtri
-inverts R22.
+Only the pair rows, 15 per inertial factor or bridge, touch the 9
+velocity and bias columns of a keyframe: the pair QR's first 9K pivots (K
+keyframes) are final, and its rows past them span only pose and IMU
+columns.  The camera and gauge rows touch only pose and CAM_BLOCK
+columns, so the merged QR spans 6K + 26 columns.  Both QRs are one
+in-place LAPACK dgeqrt each, and dtrtri inverts R22.
 
 The scalar criteria on the normalized covariance: trace (a_opt),
 determinant (d_opt, log-domain internally), largest eigenvalue (e_opt),
@@ -123,42 +122,29 @@ class SegmentScore:
     rank_deficient: bool = False
 
 
-def _triangle(a):
-    """The leading min(m, n) rows of R in a = QR, a (m, n): one LAPACK
-    dgeqrf with its optimal workspace, which may overwrite a."""
-    lwork, _ = lapack.dgeqrf_lwork(*a.shape)
-    return np.triu(lapack.dgeqrf(a, lwork=int(lwork), overwrite_a=True)[0][: min(a.shape)])
+def _qr_in_place(a):
+    """R of the Fortran-ordered a = QR in its upper triangle, Householder
+    vectors below: one LAPACK dgeqrt."""
+    _, _, info = lapack.dgeqrt(min(16, *a.shape), a, overwrite_a=True)
+    if info:
+        raise np.linalg.LinAlgError(f"dgeqrt: info {info}")
 
 
-def _covariance_from_triangle(R22):
-    X, _ = lapack.dtrtri(R22)
-    sigma = X @ X.T
-    return MarginalCovariance(0.5 * (sigma + sigma.T))
+def _place_blocks(a, cols, J):
+    """Write the (n, r, c) blocks J into rows r i : r (i + 1), columns cols[i], of a."""
+    n, r, _ = J.shape
+    a[np.arange(n * r).reshape(n, r, 1), cols[:, None, :]] = J
 
 
-def _place_blocks(rows, cols, J):
-    """Write the (n, r, c) blocks J into columns cols[i] : cols[i] + c of
-    rows[i] (n, r, n_cols)."""
-    n, r, c = J.shape
-    rows[np.arange(n)[:, None, None], np.arange(r)[:, None], cols[:, None, None] + np.arange(c)] = J
-
-
-def _camera_triangle(problem, cam, anchors):
-    """The camera rows left after eliminating every landmark's three
-    columns, with the gauge's four unit rows per anchor, reduced to one
-    triangle over [keyframe pose columns (6 per keyframe) | CAM_BLOCK];
-    and the |diagonal| of each landmark's triangle, for the rank test, as
-    one array per observation count.
-
-    cam are the gauged camera blocks.  Each landmark's 2n x 3 Jacobian (n
-    observations) is factored on its own, batched over the landmarks seen
-    n times; the rows orthogonal to its columns say what the landmark
-    tells about keyframes and calibration, untouched by eliminating it
-    first.  A landmark seen once leaves no rows.  The rows left touch no
-    other column, and one QR reduces them to at most 6K + 11 rows.  The
-    gauge rows touch only anchor pose columns; without them the anchor's
-    gauged columns are rank-deficient, and the non-pivoted QR's pivot on
-    rounding noise costs accuracy (2-4x on ill-conditioned segments).
+def _merged_rows(problem, cam, anchors, left):
+    """The rows of the merged QR, Fortran-ordered over [keyframe pose (6
+    per keyframe) | calibration]: the camera rows left after eliminating
+    every landmark's three columns, the gauge's four unit rows per anchor,
+    then the pair rows left, over [pose | IMU_BLOCK]; and the |diagonal| of
+    each landmark's triangle, for the rank test, one array per observation
+    count.  Without the gauge rows the anchor's gauged columns are
+    rank-deficient, and the non-pivoted QR's pivot on rounding noise costs
+    accuracy (2-4x on ill-conditioned segments).
     """
     n_pose = len(problem.keyframes) * POSE_DIM
     n_cols = n_pose + CAM_BLOCK.stop
@@ -169,51 +155,65 @@ def _camera_triangle(problem, cam, anchors):
     first = np.concatenate([[0], np.cumsum(counts)[:-1]])
     # a landmark seen n >= 2 times leaves 2n - 3 rows, one seen once none
     n_rows = int(np.maximum(2 * counts - 3, 0).sum())
-    out = np.zeros((n_rows + 4 * len(anchors), n_cols))
+    out = np.zeros((n_rows + 4 * len(anchors) + len(left), n_pose + CALIB_DIM), order="F")
     diag_values = []
     row = 0
     for n in np.unique(counts[counts >= 2]):
         obs = by_landmark[first[counts == n][:, None] + np.arange(n)].ravel()
         # whitened rows over [keyframe pose columns | CAM_BLOCK]
-        rows = np.zeros((obs.size, 2, n_cols))
-        _place_blocks(rows, ki[obs] * POSE_DIM, Jp[obs])
-        rows[:, :, n_pose:] = Jth[obs]
+        rows = np.zeros((2 * obs.size, n_cols))
+        _place_blocks(rows, ki[obs, None] * POSE_DIM + np.arange(POSE_DIM), Jp[obs])
+        rows[:, n_pose:] = Jth[obs].reshape(-1, CAM_BLOCK.stop)
         Q, R = np.linalg.qr(Jl[obs].reshape(-1, 2 * n, 3), mode="complete")
         diag_values.append(np.abs(np.diagonal(R, axis1=-2, axis2=-1)).ravel())
         rest = (np.swapaxes(Q[:, :, 3:], -1, -2) @ rows.reshape(-1, 2 * n, n_cols)).reshape(-1, n_cols)
-        out[row : row + len(rest)] = rest
+        out[row : row + len(rest), :n_cols] = rest
         row += len(rest)
-    for (a, _, u), gauge in zip(anchors, out[n_rows:].reshape(-1, 4, n_cols)):
-        gauge[0, a * POSE_DIM : a * POSE_DIM + 3] = u
-        gauge[1:, a * POSE_DIM + 3 : a * POSE_DIM + 6] = np.eye(3)
-    return _triangle(out), diag_values
+    for a, _, u in anchors:
+        out[row, a * POSE_DIM : a * POSE_DIM + 3] = u
+        out[row + 1 : row + 4, a * POSE_DIM + 3 : a * POSE_DIM + 6] = np.eye(3)
+        row += 4
+    out[row:, :n_pose] = left[:, :n_pose]
+    out[row:, n_pose + IMU_BLOCK.start :] = left[:, n_pose:]
+    return out, diag_values
 
 
 def segment_marginal_covariance(problem):
     """Calibration marginal covariance of one standalone segment problem,
     in the gauge of its anchor_projectors."""
     K = len(problem.keyframes)
-    th0 = K * KF_DIM
-    n_cols = th0 + CALIB_DIM
+    n_pose, n_vb, n_imu = K * POSE_DIM, K * (KF_DIM - POSE_DIM), IMU_BLOCK.stop - IMU_BLOCK.start
     cam, (k0, k1, _, J0, J1, Jthi), anchors = gauged_blocks(problem)
-    R_cam, diag_values = _camera_triangle(problem, cam, anchors)
-    n_cam = R_cam.shape[0]
-    A = np.zeros((n_cam + 15 * k0.size, n_cols))
-    if A.shape[0] < n_cols:
+    if 15 * k0.size < n_vb:
         return _deficient_covariance()
 
-    pose_cols = (np.arange(K)[:, None] * KF_DIM + np.arange(POSE_DIM)).ravel()
-    A[:n_cam, np.concatenate([pose_cols, th0 + np.arange(CAM_BLOCK.start, CAM_BLOCK.stop)])] = R_cam
-    pairs = A[n_cam:].reshape(-1, 15, n_cols)
-    _place_blocks(pairs, k0 * KF_DIM, J0)
-    _place_blocks(pairs, k1 * KF_DIM, J1)
-    pairs[:, :, th0 + IMU_BLOCK.start : th0 + IMU_BLOCK.stop] = Jthi
+    # pair QR over [velocity and biases | pose | IMU_BLOCK]; cols[k] are keyframe k's 15 columns
+    pairs = np.zeros((15 * k0.size, n_vb + n_pose + n_imu), order="F")
+    cols = np.concatenate([n_vb + np.arange(n_pose).reshape(K, -1), np.arange(n_vb).reshape(K, -1)], axis=1)
+    _place_blocks(pairs, cols[k0], J0)
+    _place_blocks(pairs, cols[k1], J1)
+    pairs[:, n_vb + n_pose :] = Jthi.reshape(-1, n_imu)
+    _qr_in_place(pairs)
+    # its rows past the velocity and bias pivots, over [pose | IMU_BLOCK]
+    left = pairs[n_vb : n_vb + n_pose + n_imu, n_vb:]
+    left[np.tril_indices(left.shape[0], -1, left.shape[1])] = 0.0
 
-    R = _triangle(A)
-    diag_values = np.concatenate(diag_values + [np.abs(np.diag(R))])
+    n2 = n_pose + CALIB_DIM
+    merged, diag_values = _merged_rows(problem, cam, anchors, left)
+    if merged.shape[0] < n2:
+        return _deficient_covariance()
+    _qr_in_place(merged)
+    diag_values = np.concatenate(diag_values + [np.abs(np.diag(pairs)[:n_vb]), np.abs(np.diag(merged))])
     if diag_values.min() < RANK_TOLERANCE * max(diag_values.max(), 1e-300):
         return _deficient_covariance()
-    return _covariance_from_triangle(R[-CALIB_DIM:, -CALIB_DIM:])
+
+    # R22 is in the leading n2 rows, above dgeqrt's Householder vectors
+    X, info = lapack.dtrtri(merged[n2 - CALIB_DIM : n2, n2 - CALIB_DIM :])
+    if info:
+        raise np.linalg.LinAlgError(f"dtrtri: info {info}")
+    X = np.triu(X)  # dtrtri reads and writes only the upper triangle
+    sigma = X @ X.T
+    return MarginalCovariance(0.5 * (sigma + sigma.T))
 
 
 def normalize_covariance(sigma: MarginalCovariance, ref: MetricNormalization) -> MarginalCovariance:

@@ -117,7 +117,7 @@ class TestSegmentMarginalCovariance:
         assert not cov.rank_deficient
         ref = dense_calibration_covariance(prob)
         # compared as correlations: entry (i, j) over the oracle's sigma_i sigma_j.
-        # Measured on this scene: 9.9e-10, against 1.1e-9 from an oracle
+        # Measured on this scene: 5.3e-10, against 1.1e-9 from an oracle
         # that inverted through an SVD of the same Jacobian.
         assert np.abs(correlation_scaled(cov.matrix - ref, ref)).max() < 1e-8
 
@@ -129,23 +129,50 @@ class TestSegmentMarginalCovariance:
             cov = segment_marginal_covariance(prob)
             assert not cov.rank_deficient
             ref = dense_calibration_covariance(prob)
-            # measured on these six segments: at most 2.7e-9 (4.1e-9 from
+            # measured on these six segments: at most 1.3e-9 (4.1e-9 from
             # the SVD oracle)
             assert np.abs(correlation_scaled(cov.matrix - ref, ref)).max() < 1e-8
 
-    def test_final_qr_spans_camera_triangle_only(self, monkeypatch):
-        # the camera rows, with the gauge rows, reach the final QR as one
-        # triangle over the pose columns (6 per keyframe) and the 11 camera
-        # calibration columns
+    def test_camera_rows_meet_pose_and_calibration_columns_only(self, monkeypatch):
+        # two QRs: the pair rows alone over [velocity and biases | pose |
+        # IMU block], then the camera and gauge rows with the pair rows left
+        # past the velocity and bias pivots over [pose | calibration]; no
+        # QR holds camera rows and velocity or bias columns together
         seg, calib, noise = seed4_segment()
         prob = build_segment_problem([seg], calib, noise)
         shapes = []
-        geqrf = scipy.linalg.lapack.dgeqrf
-        monkeypatch.setattr(scipy.linalg.lapack, "dgeqrf", lambda a, *args, **kw: shapes.append(a.shape) or geqrf(a, *args, **kw))
+        geqrt = scipy.linalg.lapack.dgeqrt
+        monkeypatch.setattr(scipy.linalg.lapack, "dgeqrt", lambda nb, a, **kw: shapes.append((a.shape, a.flags.f_contiguous)) or geqrt(nb, a, **kw))
+        monkeypatch.setattr(scipy.linalg.lapack, "dgeqrf", None)  # a dgeqrf call fails
         assert not segment_marginal_covariance(prob).rank_deficient
         K = len(prob.keyframes)
-        [rows] = [m for m, n in shapes if n == K * KF_DIM + CALIB_DIM]
-        assert rows <= (6 * K + 11) + 15 * (K - 1)
+        counts = np.bincount(prob.camera_factors["lm"])
+        n_cam = int(np.maximum(2 * counts - 3, 0).sum()) + 4
+        assert shapes == [
+            ((15 * (K - 1), 9 * K + 6 * K + 15), True),
+            ((n_cam + 15 * (K - 1) - 9 * K, 6 * K + CALIB_DIM), True),
+        ]
+
+    @pytest.mark.parametrize("k, deficient", [(2, True), (5, True), (6, True), (8, False), (10, False), (12, False)])
+    def test_rank_decision(self, k, deficient):
+        # the first segment of k keyframes: with k = 2, 15 pair rows cannot
+        # pin 18 velocity and bias columns; with 5 and 6 a pivot of the
+        # triangles falls under RANK_TOLERANCE
+        sc = support.make_scene(seed=4, n_keyframes=12, n_landmarks=30)
+        seg = support.scene_segments(sc, kf_per_segment=k)[0]
+        cov = segment_marginal_covariance(build_segment_problem([seg], sc.calibration, sc.noise))
+        assert cov.rank_deficient == deficient
+        assert np.isinf(np.diag(cov.matrix)).all() == deficient
+
+    @pytest.mark.parametrize("routine", ["dgeqrt", "dtrtri"])
+    def test_lapack_failure_raises(self, routine, monkeypatch):
+        # a nonzero info from a factorisation is an error, never a covariance
+        seg, calib, noise = seed4_segment()
+        prob = build_segment_problem([seg], calib, noise)
+        call = getattr(scipy.linalg.lapack, routine)
+        monkeypatch.setattr(scipy.linalg.lapack, routine, lambda *args, **kw: (*call(*args, **kw)[:-1], 1))
+        with pytest.raises(np.linalg.LinAlgError, match=f"{routine}: info 1"):
+            segment_marginal_covariance(prob)
 
     def test_single_view_landmark_adds_nothing(self):
         # two image rows cannot pin a landmark's three coordinates, so a
@@ -160,7 +187,7 @@ class TestSegmentMarginalCovariance:
 
     def test_invariant_under_global_yaw_and_translation(self):
         # from a perturbed start: at the truth the same transform moved the
-        # covariance by 1.2e-8 to 4.7e-8 on this scene.  Measured here: 7.5e-10.
+        # covariance by 1.2e-8 to 4.7e-8 on this scene.  Measured here: 1.5e-10.
         seg, calib, noise = seed4_segment()
         prob = build_segment_problem([seg], calib, noise)
         rng = np.random.default_rng(5)
