@@ -73,18 +73,20 @@ width of its right-hand side (_forward_solve).  No wider than the band,
 as the 27 columns of landmarks first on a corridor, it is one LAPACK band
 solve (dtbtrs), which solves one column at a time.  Wider, as the
 3L + 27 columns of keyframes first on a bounded scene, it is a sweep over
-blocks of band height, one matrix product per block
+blocks of band height, two matrix products per block
 (_block_forward_solve).  The
 landmark Schur complement's place in the band depends only on the camera
 factors, so a solve builds it once (_landmark_schur).
 
-A trial's large arrays, the band, the right-hand side and its forward
-solve, the dense block and its Schur complement, are sized by the
-problem, so they live for the solve (_workspace) and each trial
-overwrites them; the small per-landmark and calibration blocks stay a
-trial's own.  Made fresh by every trial, the large ones cost 11-17K minor
-page faults, about 2.5 us each, per five-iteration solve of either LM
-workload of the benchmark.
+A trial's large arrays, the band, the right-hand side C and the dense
+block's Schur complement S, are sized by the problem, so they live for
+the solve (_workspace), sparing each trial the page faults of fresh
+ones, and each trial overwrites them; the small per-landmark and
+calibration blocks stay a trial's own.  Each is held once: the forward
+solve writes Y over C, and S is -Y^T Y with the dense block's nonzeros
+added in place, so the dense block is never built.  On the benchmark's
+batch session the keyframes-first workspace is then 8.3 MB, where a
+separate Y and dense block made it 16.3 MB.
 """
 
 from __future__ import annotations
@@ -844,15 +846,14 @@ def _normal_equations(problem, cam, pairs):
 
 class _Workspace(NamedTuple):
     """The arrays every trial of a solve overwrites: schur (_landmark_schur,
-    None for keyframes first), the damped band, C and Y = L^-1 C of
-    _band_schur_solve, D and S = D - Y^T Y; band and S Fortran-ordered, so
+    None for keyframes first), the damped band, the right-hand side C of
+    _band_schur_solve, which its forward solve overwrites with L^-1 C, and
+    the dense block's Schur complement S; band and S Fortran-ordered, so
     factored in place.  A trial writes every entry that it reads."""
 
     schur: tuple
     band: np.ndarray
     C: np.ndarray
-    Y: np.ndarray
-    D: np.ndarray
     S: np.ndarray
 
 
@@ -864,15 +865,15 @@ def _workspace(problem, keyframes_first):
     else:
         schur = _landmark_schur(problem)
         height, m = schur[-1], CALIB_DIM
-    # Y in the order its forward solve writes: C for the block sweep's
-    # GEMMs, Fortran as dtbtrs returns it
-    Y = np.empty((n, m + 1), order="F" if m + 1 <= height else "C")
-    band, S = np.empty((height, n), order="F"), np.empty((m, m), order="F")
-    return _Workspace(schur, band, np.empty((n, m + 1)), Y, np.empty((m, m)), S)
+    # C in the order its forward solve overwrites: C for the block sweep's
+    # GEMMs, Fortran for dtbtrs to solve it in place
+    C = np.empty((n, m + 1), order="F" if m + 1 <= height else "C")
+    return _Workspace(schur, np.empty((height, n), order="F"), C, np.empty((m, m), order="F"))
 
 
 def _keyframe_rhs(ne, C):
-    """[0 H_k,theta g_k] written over C: the right-hand side of
+    """[0 H_k,theta g_k] written over every entry of C, where the last
+    trial's forward solve left its Y: the right-hand side of
     _band_schur_solve, which each step completes in place."""
     C[:, : -CALIB_DIM - 1] = 0.0
     C[:, -CALIB_DIM - 1 : -1] = ne.Hkt
@@ -880,31 +881,33 @@ def _keyframe_rhs(ne, C):
     return C
 
 
-def _forward_solve(cb, C, Y):
-    """L^-1 C into Y, for the lower band Cholesky factor L stored in cb.
-    dtbtrs solves one column at a time, at LAPACK level 2, which suits a
-    right-hand side no wider than the band; a wider one goes to
-    _block_forward_solve, at level 3."""
+def _forward_solve(cb, C):
+    """L^-1 C written over C, for the lower band Cholesky factor L stored
+    in cb.  dtbtrs solves one column at a time, at LAPACK level 2, which
+    suits a right-hand side no wider than the band, and solves in place
+    only a Fortran-ordered one; a wider one goes to _block_forward_solve,
+    at level 3."""
     if C.shape[1] > cb.shape[0]:
-        return _block_forward_solve(cb, C, Y)
-    X, info = scipy.linalg.lapack.dtbtrs(cb, C, uplo="L")
+        return _block_forward_solve(cb, C)
+    X, info = scipy.linalg.lapack.dtbtrs(cb, C, uplo="L", overwrite_b=1)
     if info:
         raise np.linalg.LinAlgError(f"dtbtrs: info {info}")
-    Y[:] = X
-    return Y
+    if X is not C:
+        raise ValueError("dtbtrs solves in place only a Fortran-ordered right-hand side")
+    return C
 
 
-def _block_forward_solve(cb, C, Y):
-    """L^-1 C into Y as _forward_solve, in blocks of m = cb.shape[0] rows.
+def _block_forward_solve(cb, C):
+    """L^-1 C over C as _forward_solve, in blocks of m = cb.shape[0] rows.
 
     L's half-bandwidth is below m, so in those blocks L is block lower
-    bidiagonal, with lower triangular diagonal blocks L_i and subdiagonal
-    blocks S_i.  With the inverses of the L_i, Z_i = L_i^-1 C_i and
-    M_i = L_i^-1 S_i are batched products up front, and a sweep of one
-    GEMM per block, Y_i = Z_i - M_i Y_(i-1), gives Y = L^-1 C.
+    bidiagonal, with lower triangular diagonal blocks L_k and subdiagonal
+    blocks S_k.  The inverses of the L_k and M_k = L_k^-1 S_k are batched
+    up front, and a sweep of two GEMMs per block, Y_k = L_k^-1 C_k -
+    M_k Y_(k-1), writes Y = L^-1 C over C one block at a time.
     """
     m, n = cb.shape
-    blocks, whole = -(-n // m), n // m
+    blocks = -(-n // m)
     # the band over m zero rows, so that offsets past it read zero, padded
     # to whole blocks with a unit diagonal; a padded block's inverse holds
     # the inverse of its leading block
@@ -919,29 +922,30 @@ def _block_forward_solve(cb, C, Y):
         if info:
             raise np.linalg.LinAlgError(f"dtrtri: info {info}")
     M = Linv[1:] @ ext[m + i - j, cols[:-1]]
-    stack = (whole, m, C.shape[1])
-    np.matmul(Linv[:whole], C[: whole * m].reshape(stack), out=Y[: whole * m].reshape(stack))
-    Y[whole * m :] = Linv[-1, : n - whole * m, : n - whole * m] @ C[whole * m :]
-    for k in range(1, blocks):
-        rows = slice(k * m, min(k * m + m, n))
-        Y[rows] -= M[k - 1, : rows.stop - rows.start] @ Y[rows.start - m : rows.start]
-    return Y
+    for k in range(blocks):
+        a, b = k * m, min(k * m + m, n)
+        C[a:b] = Linv[k, : b - a, : b - a] @ C[a:b]
+        if k:
+            C[a:b] -= M[k - 1, : b - a] @ C[a - m : a]
+    return C
 
 
-def _band_schur_solve(work, gd):
+def _band_schur_solve(work, dense, gd):
     """(x, d) solving [[H, Ck], [Ck^T, D]] [x; d] = [g; gd] in the
-    workspace work (_Workspace): H its lower band, C = [Ck g] and D read in
-    its lower triangle.  A banded Cholesky L L^T of H, in place; Y = L^-1 C
-    into work.Y; D - Y^T Y into work.S, Cholesky-factored in place; and x
-    back-substituted.  The forward solve (_forward_solve) is one dtbtrs
-    when C is no wider than the band, else a sweep over blocks of band
-    height (_block_forward_solve).  Every array of the size of C or D is
-    work's, which lives for the solve: made fresh by each trial, they cost
-    about 13K minor page faults per budget solve of the batch session."""
+    workspace work (_Workspace): H its lower band, C = [Ck g] its C, and D
+    the sum of dense, pairs (index, values) of D's nonzeros at S[index],
+    read in its lower triangle.  A banded Cholesky L L^T of H, in place;
+    Y = L^-1 C over work.C (_forward_solve: one dtbtrs when C is no wider
+    than the band, else a sweep over blocks of band height); -Y^T Y into
+    work.S, D's nonzeros added there and S = D - Y^T Y Cholesky-factored
+    in place; and x back-substituted.  C and S are the only arrays of
+    their size, and work's, which lives for the solve."""
     cb = scipy.linalg.cholesky_banded(work.band, overwrite_ab=True, lower=True, check_finite=False)
-    Y = _forward_solve(cb, work.C, work.Y)
+    Y = _forward_solve(cb, work.C)
     Yc, y = Y[:, :-1], Y[:, -1]
-    S = np.subtract(work.D, np.matmul(Yc.T, Yc, out=work.S), out=work.S)
+    S = np.negative(np.matmul(Yc.T, Yc, out=work.S), out=work.S)
+    for index, values in dense:
+        S[index] += values
     c = scipy.linalg.cho_factor(S, lower=True, overwrite_a=True, check_finite=False)
     d = scipy.linalg.cho_solve(c, gd - Yc.T @ y, check_finite=False)
     x, info = scipy.linalg.lapack.dtbtrs(cb, (y - Yc @ d)[:, None], uplo="L", trans="T")
@@ -999,19 +1003,17 @@ def _landmarks_first_step(ne, work, Hll, Htt):
     H_pl,a Hll^-1 H_pl,b^T per pair of camera factors on one landmark,
     summed per keyframe pair and subtracted from work.band at the
     positions of work.schur (_landmark_schur), widens the keyframe band,
-    the calibration is the dense block of _band_schur_solve, and the
-    landmarks back-substitute.  The right-hand side [H_k,theta g_k] is 27
-    columns, narrower than the band, so the forward solve is one dtbtrs.
-    work.band, Hll and Htt are damped and gauged.  No two keyframe pairs
-    share a band position, so the blocks go into the band by one indexed
-    subtraction.  That band (300 x 1200 on the benchmark's segment
-    calibration) lives for the solve; made fresh by each trial, it and the
-    rest of the step cost about 10K minor page faults per budget solve."""
+    the calibration's 26x26 Htt - R, R the landmarks' Schur term, is the
+    dense block of _band_schur_solve, and the landmarks back-substitute.
+    The right-hand side [H_k,theta g_k], less the landmarks' Schur terms,
+    is 27 columns written over work.C, narrower than the band, so the
+    forward solve is one dtbtrs in place.  work.band, Hll and Htt are
+    damped and gauged.  No two keyframe pairs share a band position, so
+    the blocks go into the band by one indexed subtraction."""
     K, L = ne.gk.size // KF_DIM, len(Hll)
     Hll_inv = np.linalg.inv(Hll)
     Hlg = np.concatenate([ne.Hlt, ne.gl[..., None]], axis=-1)  # [H_l,theta g_l]
     R = _tmul(ne.Hlt.reshape(-1, CALIB_DIM), (Hll_inv @ Hlg).reshape(-1, CALIB_DIM + 1))
-    np.subtract(Htt, R[:, :-1], out=work.D)
     gt = ne.gt - R[:, -1]
 
     T = ne.Hpl @ Hll_inv[ne.lm]
@@ -1023,7 +1025,7 @@ def _landmarks_first_step(ne, work, Hll, Htt):
     Hkg = _keyframe_rhs(ne, work.C)
     Hkg.reshape(K, KF_DIM, -1)[:, :POSE_DIM] -= _keyframe_sums(ne.kf, T @ Hlg[ne.lm], K)
 
-    x, d_th = _band_schur_solve(work, gt)
+    x, d_th = _band_schur_solve(work, [(..., Htt - R[:, :-1])], gt)
     x_pose = x.reshape(K, KF_DIM)[ne.kf, :POSE_DIM]
     rhs = ne.gl - ne.Hlt @ d_th - _sum_by(ne.lm, _tmul(ne.Hpl, x_pose[..., None])[..., 0], L)
     return x.reshape(-1, KF_DIM), (Hll_inv @ rhs[..., None])[..., 0], d_th
@@ -1032,10 +1034,12 @@ def _landmarks_first_step(ne, work, Hll, Htt):
 def _keyframes_first_step(ne, work, Hll, Htt):
     """Keyframes eliminated first: the keyframe band holds only pair
     couplings, and the landmarks and the calibration (3L + 26 coordinates)
-    are the dense block of _band_schur_solve.  Its right-hand side
-    [H_kl H_k,theta g_k] is wider than the band whenever 3L + 27 exceeds
-    15 (w + 1) for the pair span w, and is then forward-solved in blocks.
-    work.band, Hll and Htt are damped and gauged."""
+    are the dense block of _band_schur_solve, passed as its nonzeros: Hll
+    on the diagonal 3x3 blocks, H_l,theta^T below them, and Htt.  Its
+    right-hand side [H_kl H_k,theta g_k], written over work.C, is wider
+    than the band whenever 3L + 27 exceeds 15 (w + 1) for the pair span w,
+    and is then forward-solved in blocks.  work.band, Hll and Htt are
+    damped and gauged."""
     n_lm, L = ne.gl.size, len(Hll)
     # H_kl in place: each camera factor's pose-landmark block, those of a
     # keyframe's repeated observations of one landmark summed
@@ -1044,14 +1048,10 @@ def _keyframes_first_step(ne, work, Hll, Htt):
     rows = (ne.kf[first] * KF_DIM)[:, None, None] + np.arange(POSE_DIM)[:, None]
     cols = (ne.lm[first] * LM_DIM)[:, None, None] + np.arange(LM_DIM)
     C[rows, cols] = np.add.reduceat(ne.Hpl, first, axis=0)
-    # the landmark and calibration system, lower triangle
-    D = work.D
-    D.fill(0.0)
     lm = np.arange(n_lm).reshape(L, LM_DIM)
-    D[lm[:, :, None], lm[:, None, :]] = Hll
-    D[n_lm:, :n_lm] = ne.Hlt.reshape(n_lm, CALIB_DIM).T
-    D[n_lm:, n_lm:] = Htt
-    x, d = _band_schur_solve(work, np.concatenate([ne.gl.reshape(-1), ne.gt]))
+    Htl = ne.Hlt.reshape(n_lm, CALIB_DIM).T
+    dense = [((lm[:, :, None], lm[:, None, :]), Hll), (np.s_[n_lm:, :n_lm], Htl), (np.s_[n_lm:, n_lm:], Htt)]
+    x, d = _band_schur_solve(work, dense, np.concatenate([ne.gl.reshape(-1), ne.gt]))
     return x.reshape(-1, KF_DIM), d[:n_lm].reshape(-1, LM_DIM), d[n_lm:]
 
 
@@ -1116,8 +1116,7 @@ def solve(problem, options: SolveOptions = None):
     Nielsen & Tingleff, 2004, sec. 3.2).  Past _MAX_LAMBDA the solve ends.
 
     The trials' large arrays live for the solve (_workspace), and each
-    trial, a failed one included, overwrites them (see the module
-    docstring for the page faults that fresh ones cost).
+    trial, a failed one included, overwrites them.
     """
     options = options or SolveOptions()
     blocks = gauged_blocks(problem)

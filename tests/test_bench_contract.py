@@ -175,9 +175,9 @@ def test_lm_workloads_straddle_the_elimination_order(name, keyframes_first, monk
     assert _keyframes_first(problem) == keyframes_first
     shapes, forward = [], infocal.problem._forward_solve
 
-    def spy(cb, C, Y):
+    def spy(cb, C):
         shapes.append((C.shape[1], cb.shape[0]))
-        return forward(cb, C, Y)
+        return forward(cb, C)
 
     monkeypatch.setattr(infocal.problem, "_forward_solve", spy)
     solve(problem, SolveOptions(max_iters=1))

@@ -13,6 +13,7 @@ state.
 
 import math
 import sys
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -695,7 +696,7 @@ class TestDampedElimination:
             (ne2, 1e-3, anchors2),
         ]
         work = _workspace(prob, keyframes_first)
-        for a in work[1:]:
+        for a in (work.band, work.C, work.S):
             a.fill(np.nan)
         for k, step in enumerate(steps):
             if k in (1, 2):
@@ -728,32 +729,65 @@ class TestForwardSolve:
     @pytest.mark.parametrize("n, m", [(15, 30), (30, 30), (105, 30), (120, 30), (150, 45)])
     @pytest.mark.parametrize("width", [3, 31, 97])
     def test_block_sweep_matches_band_solve(self, n, m, width, monkeypatch):
+        # each solve writes over the C it is given, so each gets a copy
         rng = np.random.default_rng(n + width)
         cb = scipy.linalg.cholesky_banded(random_band(rng, n, m), lower=True)
         C = rng.normal(size=(n, width))
-        ref = band_solve(cb, C)
-        assert np.linalg.norm(_block_forward_solve(cb, C, np.empty_like(C)) - ref) <= 1e-12 * np.linalg.norm(ref)
-        # _forward_solve sweeps exactly when C is wider than the band
+        ref = band_solve(cb, C.copy())
+        Y = C.copy()
+        got = _block_forward_solve(cb, Y)
+        assert np.shares_memory(got, Y) and np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+        # _forward_solve sweeps exactly when C is wider than the band, and
+        # else solves in place a Fortran-ordered C, as _workspace allocates it
         swept = []
-        monkeypatch.setattr(infocal.problem, "_block_forward_solve", lambda cb, C, Y: swept.append(C) or _block_forward_solve(cb, C, Y))
-        assert np.linalg.norm(_forward_solve(cb, C, np.empty_like(C)) - ref) <= 1e-12 * np.linalg.norm(ref)
+        monkeypatch.setattr(infocal.problem, "_block_forward_solve", lambda cb, C: swept.append(C) or _block_forward_solve(cb, C))
+        Y = np.array(C, order="F" if width <= m else "C")
+        got = _forward_solve(cb, Y)
+        assert np.shares_memory(got, Y) and np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
         assert len(swept) == (width > m)
+        if width <= m:  # dtbtrs would solve a copy of a C-ordered C
+            with pytest.raises(ValueError, match="Fortran-ordered"):
+                _forward_solve(cb, C.copy())
 
     def test_batch_session_band(self, monkeypatch):
         # the band and right-hand side of a keyframes-first step of the
-        # benchmark's batch session, which takes the block sweep; and their
-        # leading n - 7 rows, n then no multiple of m, with entries of L
-        # below the leading block left in the band
+        # benchmark's batch session, which takes the block sweep, copied
+        # before the step solves over them; and their leading n - 7 rows, n
+        # then no multiple of m, with entries of L below the leading block
+        # left in the band
         prob = workloads.WORKLOADS["batch_session"]().inputs(0)["build"]()
         cam, pairs, anchors = gauged_blocks(prob)
         seen = []
-        monkeypatch.setattr(infocal.problem, "_forward_solve", lambda cb, C, Y: seen.append((cb, C)) or _forward_solve(cb, C, Y))
+        monkeypatch.setattr(infocal.problem, "_forward_solve", lambda cb, C: seen.append((cb.copy(), C.copy())) or _forward_solve(cb, C))
         _damped_step(_normal_equations(prob, cam, pairs), 1e-4, anchors, _workspace(prob, True))
         ((cb, C),) = seen
         assert C.shape[1] > cb.shape[0] and cb.shape[1] % cb.shape[0] == 0
-        ref = band_solve(cb, C)
-        for got in (_block_forward_solve(cb, C, np.empty_like(C)), _block_forward_solve(cb[:, :-7], C[:-7], np.empty_like(C[:-7]))):
+        ref = band_solve(cb, C.copy())
+        for Y in (C.copy(), C[:-7].copy()):
+            got = _block_forward_solve(cb[:, : len(Y)], Y)
+            assert np.shares_memory(got, Y)
             assert np.linalg.norm(got - ref[: len(got)]) <= 1e-12 * np.linalg.norm(ref[: len(got)])
+
+    def test_batch_session_workspace_is_held_once(self):
+        # keyframes first on the benchmark's batch session: besides the band
+        # the workspace is one n x (3L + 27) right-hand side and one
+        # (3L + 26)^2 Schur complement, and a step allocates little beyond
+        # them (with a separate forward solve and dense block, it peaked at
+        # 2.2 times their bytes)
+        prob = workloads.WORKLOADS["batch_session"]().inputs(0)["build"]()
+        cam, pairs, anchors = gauged_blocks(prob)
+        ne = _normal_equations(prob, cam, pairs)
+        n, m = KF_DIM * len(prob.keyframes), 3 * len(prob.landmarks) + CALIB_DIM
+        tracemalloc.start()
+        try:
+            work = _workspace(prob, True)
+            _damped_step(ne, 1e-4, anchors, work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * sum(a.nbytes for a in (work.band, work.C, work.S))
+        arrays = [a for a in work if isinstance(a, np.ndarray)]
+        assert [a.shape for a in arrays] == [(work.band.shape[0], n), (n, m + 1), (m, m)]
 
 
 class TestLandmarkPairs:
