@@ -237,14 +237,15 @@ def score(sigma_norm: MarginalCovariance) -> SegmentScore:
     e_opt = float(eigs.max())
     try:
         C = np.linalg.cholesky(m)
-        logdet = 2.0 * float(np.sum(np.log(np.diag(C))))
-        d_opt = math.exp(logdet)
-        entropy = 0.5 * (k * _LN_2PIE + logdet)
     except np.linalg.LinAlgError:
         # numerically singular but PSD within tolerance: no volume left
-        d_opt = 0.0
-        entropy = float("-inf")
-    return SegmentScore(a_opt, d_opt, e_opt, entropy)
+        return SegmentScore(a_opt, 0.0, e_opt, float("-inf"))
+    logdet = 2.0 * float(np.sum(np.log(np.diag(C))))
+    try:
+        d_opt = math.exp(logdet)
+    except OverflowError:  # a volume beyond the largest float; logdet is finite
+        d_opt = float("inf")
+    return SegmentScore(a_opt, d_opt, e_opt, 0.5 * (k * _LN_2PIE + logdet))
 
 
 def reference_sigmas(covariances) -> MetricNormalization:

@@ -49,34 +49,30 @@ its blocks give its cost and, once accepted, the next step.  The
 linearisation re-preintegrates every inertial factor at the state's own
 biases and IMU intrinsics (inertial_blocks), so nothing computed from an
 earlier state is kept between evaluations.  Each trial
-solves the damped, gauged normal equations by block elimination in one
-of two orders, chosen once per solve from the problem's sizes
-(_keyframes_first):
+solves the damped, gauged normal equations by one block elimination
+(_eliminate), the Schur ordering of Triggs et al. ("Bundle Adjustment: A
+Modern Synthesis", 2000).  Its keyframe block is one LAPACK lower band of
+half-bandwidth s keyframes.  Each landmark seen over a keyframe span of at
+most s (_landmark_spans) is eliminated into the band, as one 6x6 pose
+block per pair of its observations; the other landmarks join the
+calibration in the dense block.  A solve picks s from the problem's sizes
+(_band_span): the widest span w of a landmark or a pair factor
+(_keyframe_band), with every landmark in the band, which costs O(K w^2)
+on a corridor; or the pair span when the landmarks and the calibration
+(3L + 26 coordinates) are fewer than the band's 15 (w + 1) rows, which
+costs O(K (3L + 26)^2) on a bounded scene.
 
-  landmarks first: a landmark's Schur complement is one 6x6 pose block
-    per pair of its observations, so the keyframe block is one LAPACK
-    lower band whose half-bandwidth w is the widest keyframe span of one
-    landmark's observations or of a pair factor, and the calibration is
-    the dense block.  A corridor, whose landmarks are seen over a bounded
-    span, costs O(K w^2).
-  keyframes first, when the landmarks and the calibration (3L + 26
-    coordinates) are fewer than the 15 (w + 1) rows of that band: the
-    keyframe band holds only the pair factors, and the landmarks and the
-    calibration are the dense block.  A bounded scene then costs
-    O(K (3L + 26)^2) (Triggs et al., "Bundle Adjustment: A Modern
-    Synthesis", 2000).
-
-Either way one banded Cholesky L L^T eliminates the keyframes from the
-dense block, which is Cholesky-factored, and the rest back-substitutes.
-The forward solve Y = L^-1 [H_k,dense g_k] has two forms, picked by the
-width of its right-hand side (_forward_solve).  No wider than the band,
-as the 27 columns of landmarks first on a corridor, it is one LAPACK band
-solve (dtbtrs), which solves one column at a time.  Wider, as the
-3L + 27 columns of keyframes first on a bounded scene, it is a sweep over
-blocks of band height, two matrix products per block
-(_block_forward_solve).  The
-landmark Schur complement's place in the band depends only on the camera
-factors, so a solve builds it once (_landmark_schur).
+One banded Cholesky L L^T eliminates the keyframes from the dense block,
+which is Cholesky-factored, and the rest back-substitutes.  The forward
+solve Y = L^-1 [H_k,dense g_k] has two forms, picked by the width of its
+right-hand side (_forward_solve).  No wider than the band, as the 27
+columns of a corridor whose landmarks all fit in the band, it is one
+LAPACK band solve (dtbtrs), which solves one column at a time.  Wider, as
+the 3L_d + 27 columns of a bounded scene with L_d landmarks outside the
+band, it is a sweep over blocks of band height, two matrix products per
+block (_block_forward_solve).  Which landmarks go where, and where their
+blocks go in the band and in the right-hand side, depends only on the
+camera factors, so a solve works it out once (_workspace).
 
 A trial's large arrays, the band, the right-hand side C and the dense
 block's Schur complement S, are sized by the problem, so they live for
@@ -85,8 +81,8 @@ ones, and each trial overwrites them; the small per-landmark and
 calibration blocks stay a trial's own.  Each is held once: the forward
 solve writes Y over C, and S is -Y^T Y with the dense block's nonzeros
 added in place, so the dense block is never built.  On the benchmark's
-batch session the keyframes-first workspace is then 8.3 MB, where a
-separate Y and dense block made it 16.3 MB.
+batch session the workspace is then 7.9 MB, where a separate Y and dense
+block, with every landmark dense, made it 16.3 MB.
 """
 
 from __future__ import annotations
@@ -687,23 +683,32 @@ def _pair_span(problem):
     return int(np.concatenate(spans).max(initial=0))
 
 
-def _keyframe_band(problem):
-    """Half-bandwidth w, in keyframes, of the keyframe block once the
-    landmarks are eliminated: the widest keyframe span of one landmark's
-    observations or of a pair factor."""
+def _landmark_spans(problem):
+    """The keyframe span of each landmark's observations, (L,): the
+    largest less the smallest keyframe index, 0 for an unobserved one."""
     cf = problem.camera_factors
     by_lm = np.argsort(cf["lm"], kind="stable")
-    kf, first = cf["kf"][by_lm], _run_starts(cf["lm"][by_lm])
-    spans = np.maximum.reduceat(kf, first) - np.minimum.reduceat(kf, first)
-    return max(int(spans.max(initial=0)), _pair_span(problem))
+    kf, lm = cf["kf"][by_lm], cf["lm"][by_lm]
+    first = _run_starts(lm)
+    spans = np.zeros(len(problem.landmarks), dtype=int)
+    spans[lm[first]] = np.maximum.reduceat(kf, first) - np.minimum.reduceat(kf, first)
+    return spans
 
 
-def _keyframes_first(problem):
-    """The elimination order of a solve, from the problem's sizes:
-    keyframes first when the landmark and calibration system (3L + 26
-    coordinates) is narrower than the band that eliminating the landmarks
-    first leaves (15 (w + 1) rows, w = _keyframe_band(problem))."""
-    return LM_DIM * len(problem.landmarks) + CALIB_DIM < KF_DIM * (_keyframe_band(problem) + 1)
+def _keyframe_band(problem):
+    """Half-bandwidth w, in keyframes, of the keyframe block once every
+    landmark is eliminated: the widest keyframe span of one landmark's
+    observations or of a pair factor."""
+    return max(int(_landmark_spans(problem).max(initial=0)), _pair_span(problem))
+
+
+def _band_span(problem):
+    """The band's half-bandwidth s of a solve, from the problem's sizes:
+    the pair span when the landmark and calibration system (3L + 26
+    coordinates) is narrower than the band that holds every landmark
+    (15 (w + 1) rows, w = _keyframe_band(problem)), and w otherwise."""
+    w = _keyframe_band(problem)
+    return _pair_span(problem) if LM_DIM * len(problem.landmarks) + CALIB_DIM < KF_DIM * (w + 1) else w
 
 
 def _landmark_pairs(kf, lm):
@@ -757,28 +762,9 @@ def _keyframe_sums(kf, values, K):
     return out
 
 
-def _landmark_schur(problem):
-    """Where the landmark Schur complement goes in the keyframe band; it
-    depends only on the camera factors, so a solve builds it once.
-
-    Returns (a, b, first, at, lower, height): the factor pairs of
-    _landmark_pairs, the start of each keyframe pair's run of them, and the
-    positions and mask (_band_entries) of the runs' summed 6x6 blocks in a
-    LAPACK lower band of height rows, 15 (w + 1) for w = _keyframe_band.
-    Each run is one keyframe pair, so no two entries share a position.
-    """
-    kf, K = problem.camera_factors["kf"], len(problem.keyframes)
-    a, b = _landmark_pairs(kf, problem.camera_factors["lm"])
-    first = _run_starts(kf[a] * K + kf[b])
-    pose = [(kf[c[first]] * KF_DIM)[:, None] + np.arange(POSE_DIM) for c in (a, b)]
-    at, lower = _band_entries(*pose)
-    return a, b, first, at, lower, KF_DIM * (_keyframe_band(problem) + 1)
-
-
 @dataclass
 class _NormalEquations:
-    """Undamped normal equations of the gauged, whitened blocks, read by
-    both elimination orders.
+    """Undamped normal equations of the gauged, whitened blocks.
 
     band holds the keyframe block H_kk (n = 15K coordinates) as a LAPACK
     lower band, band[i - j, j] = H_kk[i, j] for 0 <= i - j < 15(w + 1), w
@@ -845,40 +831,60 @@ def _normal_equations(problem, cam, pairs):
 
 
 class _Workspace(NamedTuple):
-    """The arrays every trial of a solve overwrites: schur (_landmark_schur,
-    None for keyframes first), the damped band, the right-hand side C of
+    """The elimination of a solve, worked out once from the camera factors
+    for a band of half-bandwidth s, and the arrays every trial overwrites.
+
+    lm, f and f_lm are the band landmarks, their camera factors and each of
+    those factors' landmark among them; when every landmark is in the band,
+    full slices and the factors' own landmarks, so that they index by views.
+    pairs is (a, b, first, at, lower): the band factors' pairs
+    (_landmark_pairs), the start of each keyframe pair's run of them, and
+    the positions and mask (_band_entries) of the runs' summed 6x6 blocks
+    in the band; each run is one keyframe pair, so no two entries share a
+    position.  dense is the other landmarks, and kl is (factors, run, at):
+    their camera factors, the start of each run of them on one keyframe
+    and landmark, and the positions in C of the run's summed 6x3 H_kl
+    block.  Then the damped band, the right-hand side C of
     _band_schur_solve, which its forward solve overwrites with L^-1 C, and
     the dense block's Schur complement S; band and S Fortran-ordered, so
     factored in place.  A trial writes every entry that it reads."""
 
-    schur: tuple
+    lm: object
+    f: object
+    f_lm: np.ndarray
+    pairs: tuple
+    dense: np.ndarray
+    kl: tuple
     band: np.ndarray
     C: np.ndarray
     S: np.ndarray
 
 
-def _workspace(problem, keyframes_first):
-    """The _Workspace of one elimination order, sized from the problem."""
-    n, n_lm = len(problem.keyframes) * KF_DIM, len(problem.landmarks) * LM_DIM
-    if keyframes_first:
-        schur, height, m = None, KF_DIM * (_pair_span(problem) + 1), n_lm + CALIB_DIM
-    else:
-        schur = _landmark_schur(problem)
-        height, m = schur[-1], CALIB_DIM
+def _workspace(problem, s):
+    """The _Workspace of a band of half-bandwidth s, at least the pair
+    span: the landmarks whose keyframe span (_landmark_spans) is at most s
+    go into the band, the others into the dense block."""
+    K, L = len(problem.keyframes), len(problem.landmarks)
+    kf, lm = problem.camera_factors["kf"], problem.camera_factors["lm"]
+    in_band = _landmark_spans(problem) <= s
+    # each landmark's index among the band, or among the dense, landmarks
+    local = np.where(in_band, np.cumsum(in_band), np.cumsum(~in_band)) - 1
+    bl, f = (slice(None),) * 2 if in_band.all() else (np.flatnonzero(in_band), np.flatnonzero(in_band[lm]))
+    fd = np.flatnonzero(~in_band[lm])
+    (kb, lb), (kd, ld) = (kf[f], lm[f]), (kf[fd], lm[fd])
+    a, b = _landmark_pairs(kb, lb)
+    first = _run_starts(kb[a] * K + kb[b])
+    pose = [(kb[c[first]] * KF_DIM)[:, None] + np.arange(POSE_DIM) for c in (a, b)]
+    at, lower = _band_entries(*pose)
+    run = _run_starts(kd * L + ld)
+    rows = (kd[run] * KF_DIM)[:, None, None] + np.arange(POSE_DIM)[:, None]
+    cols = (local[ld[run]] * LM_DIM)[:, None, None] + np.arange(LM_DIM)
+    n, m, height = K * KF_DIM, LM_DIM * int((~in_band).sum()) + CALIB_DIM, KF_DIM * (s + 1)
     # C in the order its forward solve overwrites: C for the block sweep's
     # GEMMs, Fortran for dtbtrs to solve it in place
     C = np.empty((n, m + 1), order="F" if m + 1 <= height else "C")
-    return _Workspace(schur, np.empty((height, n), order="F"), C, np.empty((m, m), order="F"))
-
-
-def _keyframe_rhs(ne, C):
-    """[0 H_k,theta g_k] written over every entry of C, where the last
-    trial's forward solve left its Y: the right-hand side of
-    _band_schur_solve, which each step completes in place."""
-    C[:, : -CALIB_DIM - 1] = 0.0
-    C[:, -CALIB_DIM - 1 : -1] = ne.Hkt
-    C[:, -1] = ne.gk
-    return C
+    layout = (bl, f, local[lb], (a, b, first, at, lower), np.flatnonzero(~in_band), (fd, run, (rows, cols)))
+    return _Workspace(*layout, np.empty((height, n), order="F"), C, np.empty((m, m), order="F"))
 
 
 def _forward_solve(cb, C):
@@ -955,11 +961,9 @@ def _band_schur_solve(work, dense, gd):
 
 
 def _damped_step(ne, lam, anchors, work):
-    """One damped elimination of the normal equations ne; returns the
-    update triple (keyframes, landmarks, calibration), as new arrays.  work
-    is the solve's _Workspace, whose schur selects the order: landmarks
-    first (_landmarks_first_step) or, when None, keyframes first
-    (_keyframes_first_step).
+    """One damped elimination of the normal equations ne (_eliminate);
+    returns the update triple (keyframes, landmarks, calibration), as new
+    arrays.  work is the solve's _Workspace.
 
     Damping adds lam times the diagonal, and _LM_DIAG_FLOOR to the
     landmarks'.  The gauge: each anchor's damped rotation block B becomes
@@ -967,8 +971,7 @@ def _damped_step(ne, lam, anchors, work):
     position update is exactly zero and its rotation update has no
     component about u.  Any other keyframe or calibration diagonal entry
     below _LM_DIAG_FLOOR is raised to it, so a coordinate without
-    information still factors and gets no update.  Both orders share this
-    damped, gauged system and differ only in how they eliminate it.
+    information still factors and gets no update.
 
     The damped band overwrites work.band, which lives for the solve, its
     rows past ne.band's zeroed; the small per-landmark and calibration
@@ -993,66 +996,52 @@ def _damped_step(ne, lam, anchors, work):
     Hll[:, ii, ii] += lam * ne.Hll[:, ii, ii] + _LM_DIAG_FLOOR
     Htt = ne.Htt + lam * np.diag(np.diag(ne.Htt))
     np.fill_diagonal(Htt, np.maximum(np.diag(Htt), _LM_DIAG_FLOOR))
-    if work.schur is None:
-        return _keyframes_first_step(ne, work, Hll, Htt)
-    return _landmarks_first_step(ne, work, Hll, Htt)
+    return _eliminate(ne, work, Hll, Htt)
 
 
-def _landmarks_first_step(ne, work, Hll, Htt):
-    """Landmarks eliminated first: their Schur complement, one 6x6 block
-    H_pl,a Hll^-1 H_pl,b^T per pair of camera factors on one landmark,
-    summed per keyframe pair and subtracted from work.band at the
-    positions of work.schur (_landmark_schur), widens the keyframe band,
-    the calibration's 26x26 Htt - R, R the landmarks' Schur term, is the
-    dense block of _band_schur_solve, and the landmarks back-substitute.
-    The right-hand side [H_k,theta g_k], less the landmarks' Schur terms,
-    is 27 columns written over work.C, narrower than the band, so the
-    forward solve is one dtbtrs in place.  work.band, Hll and Htt are
-    damped and gauged.  No two keyframe pairs share a band position, so
-    the blocks go into the band by one indexed subtraction."""
-    K, L = ne.gk.size // KF_DIM, len(Hll)
-    Hll_inv = np.linalg.inv(Hll)
-    Hlg = np.concatenate([ne.Hlt, ne.gl[..., None]], axis=-1)  # [H_l,theta g_l]
-    R = _tmul(ne.Hlt.reshape(-1, CALIB_DIM), (Hll_inv @ Hlg).reshape(-1, CALIB_DIM + 1))
-    gt = ne.gt - R[:, -1]
+def _eliminate(ne, work, Hll, Htt):
+    """The update triple of the normal equations ne, work.band, Hll and
+    Htt damped and gauged, eliminated in the layout of work (_Workspace).
 
-    T = ne.Hpl @ Hll_inv[ne.lm]
-    # the pairs' blocks summed per keyframe pair
-    a, b, first, at, lower, _ = work.schur
-    blocks = np.add.reduceat(T[a] @ ne.Hpl[b].swapaxes(-1, -2), first, axis=0)
-    work.band[at] -= blocks[lower]
-    # [H_k,theta g_k] less the landmarks' Schur terms, per camera factor
-    Hkg = _keyframe_rhs(ne, work.C)
-    Hkg.reshape(K, KF_DIM, -1)[:, :POSE_DIM] -= _keyframe_sums(ne.kf, T @ Hlg[ne.lm], K)
+    A band landmark's Schur complement, one 6x6 block H_pl,a Hll^-1
+    H_pl,b^T per pair of its camera factors, is summed per keyframe pair
+    and taken off work.band by one indexed subtraction; H_kl Hll^-1
+    [H_l,theta g_l] comes off [H_k,theta g_k] and R = H_theta,l Hll^-1
+    [H_l,theta g_l] off [Htt g_theta]; the landmark is back-substituted.
+    The dense landmarks and the calibration are the dense block of
+    _band_schur_solve, given as nonzeros: their Hll on the diagonal 3x3
+    blocks, H_l,theta^T below them, and Htt - R.  The right-hand side
+    [H_k,dense H_k,theta g_k] is written over work.C."""
+    K = ne.gk.size // KF_DIM
+    lm, f, f_lm = work.lm, work.f, work.f_lm
+    Hll_inv = np.linalg.inv(Hll[lm])
+    Hlt, gl, Hpl, kf = ne.Hlt[lm], ne.gl[lm], ne.Hpl[f], ne.kf[f]
+    Hlg = np.concatenate([Hlt, gl[..., None]], axis=-1)  # [H_l,theta g_l]
+    R = _tmul(Hlt.reshape(-1, CALIB_DIM), (Hll_inv @ Hlg).reshape(-1, CALIB_DIM + 1))
+    T = Hpl @ Hll_inv[f_lm]
+    a, b, first, at, lower = work.pairs
+    work.band[at] -= np.add.reduceat(T[a] @ Hpl[b].swapaxes(-1, -2), first, axis=0)[lower]
+    # [0 H_k,theta g_k] over every entry of C, where the last trial's
+    # forward solve left its Y, then the band landmarks' terms and H_kl
+    C = work.C
+    C[:, : -CALIB_DIM - 1] = 0.0
+    C[:, -CALIB_DIM - 1 : -1] = ne.Hkt
+    C[:, -1] = ne.gk
+    C.reshape(K, KF_DIM, -1)[:, :POSE_DIM, -CALIB_DIM - 1 :] -= _keyframe_sums(kf, T @ Hlg[f_lm], K)
+    fd, run, at = work.kl
+    C[at] = np.add.reduceat(ne.Hpl[fd], run, axis=0)
 
-    x, d_th = _band_schur_solve(work, [(..., Htt - R[:, :-1])], gt)
-    x_pose = x.reshape(K, KF_DIM)[ne.kf, :POSE_DIM]
-    rhs = ne.gl - ne.Hlt @ d_th - _sum_by(ne.lm, _tmul(ne.Hpl, x_pose[..., None])[..., 0], L)
-    return x.reshape(-1, KF_DIM), (Hll_inv @ rhs[..., None])[..., 0], d_th
-
-
-def _keyframes_first_step(ne, work, Hll, Htt):
-    """Keyframes eliminated first: the keyframe band holds only pair
-    couplings, and the landmarks and the calibration (3L + 26 coordinates)
-    are the dense block of _band_schur_solve, passed as its nonzeros: Hll
-    on the diagonal 3x3 blocks, H_l,theta^T below them, and Htt.  Its
-    right-hand side [H_kl H_k,theta g_k], written over work.C, is wider
-    than the band whenever 3L + 27 exceeds 15 (w + 1) for the pair span w,
-    and is then forward-solved in blocks.  work.band, Hll and Htt are
-    damped and gauged."""
-    n_lm, L = ne.gl.size, len(Hll)
-    # H_kl in place: each camera factor's pose-landmark block, those of a
-    # keyframe's repeated observations of one landmark summed
-    C = _keyframe_rhs(ne, work.C)
-    first = _run_starts(ne.kf * L + ne.lm)
-    rows = (ne.kf[first] * KF_DIM)[:, None, None] + np.arange(POSE_DIM)[:, None]
-    cols = (ne.lm[first] * LM_DIM)[:, None, None] + np.arange(LM_DIM)
-    C[rows, cols] = np.add.reduceat(ne.Hpl, first, axis=0)
-    lm = np.arange(n_lm).reshape(L, LM_DIM)
-    Htl = ne.Hlt.reshape(n_lm, CALIB_DIM).T
-    dense = [((lm[:, :, None], lm[:, None, :]), Hll), (np.s_[n_lm:, :n_lm], Htl), (np.s_[n_lm:, n_lm:], Htt)]
-    x, d = _band_schur_solve(work, dense, np.concatenate([ne.gl.reshape(-1), ne.gt]))
-    return x.reshape(-1, KF_DIM), d[:n_lm].reshape(-1, LM_DIM), d[n_lm:]
+    n_d = LM_DIM * work.dense.size
+    dl = np.arange(n_d).reshape(-1, LM_DIM)
+    Htl = ne.Hlt[work.dense].reshape(n_d, CALIB_DIM).T
+    dense = [((dl[:, :, None], dl[:, None, :]), Hll[work.dense]), (np.s_[n_d:, :n_d], Htl), (np.s_[n_d:, n_d:], Htt - R[:, :-1])]
+    x, d = _band_schur_solve(work, dense, np.concatenate([ne.gl[work.dense].reshape(-1), ne.gt - R[:, -1]]))
+    x_pose = x.reshape(K, KF_DIM)[kf, :POSE_DIM]
+    rhs = gl - Hlt @ d[n_d:] - _sum_by(f_lm, _tmul(Hpl, x_pose[..., None])[..., 0], len(Hll_inv))
+    d_lm = np.empty((len(Hll), LM_DIM))
+    d_lm[lm] = (Hll_inv @ rhs[..., None])[..., 0]
+    d_lm[work.dense] = d[:n_d].reshape(-1, LM_DIM)
+    return x.reshape(-1, KF_DIM), d_lm, d[n_d:]
 
 
 def _huberize(cam):
@@ -1115,8 +1104,10 @@ def solve(problem, options: SolveOptions = None):
     actual over the predicted decrease (g^T h + lam h^T D h) / 2 (Madsen,
     Nielsen & Tingleff, 2004, sec. 3.2).  Past _MAX_LAMBDA the solve ends.
 
-    The trials' large arrays live for the solve (_workspace), and each
-    trial, a failed one included, overwrites them.
+    The band's half-bandwidth is picked once per solve (_band_span), and
+    with it which landmarks are eliminated into the band.  The trials'
+    large arrays live for the solve (_workspace), and each trial, a failed
+    one included, overwrites them.
     """
     options = options or SolveOptions()
     blocks = gauged_blocks(problem)
@@ -1131,7 +1122,7 @@ def solve(problem, options: SolveOptions = None):
     converged = cost <= _COST_FLOOR
     reason = "cost below absolute floor" if converged else "max_iters"
 
-    work = _workspace(problem, _keyframes_first(problem))
+    work = _workspace(problem, _band_span(problem))
     while not converged and n_iters < options.max_iters:
         n_iters += 1
         cam, pairs, anchors = blocks

@@ -26,7 +26,18 @@ import numpy as np
 import pytest
 
 import infocal.problem
-from infocal.problem import KF_DIM, SolveOptions, _keyframes_first, build_batch_problem, build_segment_problem, solve
+from infocal.problem import (
+    CALIB_DIM,
+    KF_DIM,
+    SolveOptions,
+    _band_span,
+    _keyframe_band,
+    _pair_span,
+    _workspace,
+    build_batch_problem,
+    build_segment_problem,
+    solve,
+)
 
 import support
 
@@ -165,14 +176,21 @@ def test_timed_path_runs(name):
     assert not outcome.details.get("checks_failed")
 
 
-@pytest.mark.parametrize("name, keyframes_first", [("batch_session", True), ("segment_calib", False)])
-def test_lm_workloads_straddle_the_elimination_order(name, keyframes_first, monkeypatch):
-    # one LM workload on each side of the size rule, so both orders stay
-    # measured; and so of the forward-solve rule: keyframes first, the
-    # right-hand side is wider than the band (the block sweep), landmarks
-    # first narrower (dtbtrs)
+@pytest.mark.parametrize("name, pair_span", [("batch_session", True), ("segment_calib", False)])
+def test_lm_workloads_straddle_the_elimination_order(name, pair_span, monkeypatch):
+    # one LM workload on each side of the band's size rule, so both ends
+    # stay measured; and so of the forward-solve rule.  At the pair span
+    # some landmarks fit the band and the right-hand side is wider than it
+    # (the block sweep); at the widest landmark span every landmark is in
+    # the band and the right-hand side is 27 columns (dtbtrs)
     problem = workloads.WORKLOADS[name]().inputs(0)["build"]()
-    assert _keyframes_first(problem) == keyframes_first
+    s = _band_span(problem)
+    dense = _workspace(problem, s).dense.size
+    if pair_span:
+        assert s == _pair_span(problem) < _keyframe_band(problem)
+        assert 0 < dense < len(problem.landmarks)
+    else:
+        assert s == _keyframe_band(problem) and dense == 0
     shapes, forward = [], infocal.problem._forward_solve
 
     def spy(cb, C):
@@ -182,7 +200,8 @@ def test_lm_workloads_straddle_the_elimination_order(name, keyframes_first, monk
     monkeypatch.setattr(infocal.problem, "_forward_solve", spy)
     solve(problem, SolveOptions(max_iters=1))
     assert shapes
-    assert all((width > height) == keyframes_first for width, height in shapes)
+    assert all((width > height) == pair_span for width, height in shapes)
+    assert pair_span or all(width == CALIB_DIM + 1 for width, _ in shapes)
 
 
 @pytest.mark.parametrize("accepted", [1, 0])

@@ -232,6 +232,15 @@ class TestScore:
         assert sc.e_opt == pytest.approx(3.0, rel=1e-12)
         assert sc.entropy == pytest.approx(0.5 * (CALIB_DIM * math.log(2 * math.pi * math.e) + np.log(d).sum()), rel=1e-12)
 
+    def test_volume_beyond_the_largest_float(self):
+        # log det = 26 ln 1e20, about 1197, past the largest exponent exp
+        # can return (about 709): the volume is inf, the entropy finite
+        sc = score(MarginalCovariance(np.eye(CALIB_DIM) * 1e20))
+        assert not sc.rank_deficient
+        assert sc.d_opt == math.inf
+        assert sc.entropy == pytest.approx(0.5 * CALIB_DIM * (math.log(2 * math.pi * math.e) + math.log(1e20)), rel=1e-12)
+        assert sc.a_opt == pytest.approx(CALIB_DIM * 1e20, rel=1e-12) and sc.e_opt == pytest.approx(1e20, rel=1e-12)
+
 
 def _with(m, i, j, value):
     m = m.copy()

@@ -1,7 +1,8 @@
 """Tests that pyproject.toml declares only what the package can deliver,
-that the package's modules share only public names, and that every name a
+that the package's modules share only public names, that every name a
 package or test module imports is used there, or, in the package, wrapped
-there by the benchmark's TRACED table (bench/run.py)."""
+there by the benchmark's TRACED table (bench/run.py), and that every
+private module-level name of the package is read in it."""
 
 import ast
 import importlib
@@ -103,3 +104,33 @@ def test_unused_import_finder_finds_them():
         "from .geometry import so3_exp, so3_log as log\nx: np.ndarray = so3_exp(1)\n"
     )
     assert unused_imports(source) == ["os", "log"]
+
+
+def unused_private_names(sources):
+    """The module-level names that sources define (def, class or
+    assignment) and that start with one underscore, but that no ast.Name
+    in any of sources reads."""
+    trees = [ast.parse(source) for source in sources]
+    read = {n.id for tree in trees for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    defined = []
+    for node in (node for tree in trees for node in tree.body):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [name for name in defined if name.startswith("_") and not name.startswith("__") and name not in read]
+
+
+def test_no_unused_private_names():
+    # private names are not imported across modules (above), so one that
+    # the package does not read is dead code
+    assert unused_private_names([p.read_text() for p in sorted(PACKAGE.glob("*.py"))]) == []
+
+
+def test_unused_private_name_finder_finds_them():
+    sources = [
+        "__all__ = []\n_A, _B = 1, 2\n_C: int = 3\ndef _f(x=_A):\n    return _g()\nclass _K:\n    pass\n",
+        "def _g():\n    _local = 1\n    return _C\n_h = 4\n",
+    ]
+    assert unused_private_names(sources) == ["_B", "_f", "_K", "_h"]

@@ -38,14 +38,14 @@ from infocal.problem import (
     _LAMBDA_INIT,
     _LM_DIAG_FLOOR,
     _MAX_LAMBDA,
+    _band_span,
     _damped_step,
     _block_forward_solve,
     _forward_solve,
     _keyframe_band,
-    _keyframes_first,
     _landmark_pairs,
-    _landmark_schur,
     _normal_equations,
+    _pair_span,
     _predicted_decrease,
     _retract_problem,
     _slice_imu_stream,
@@ -438,10 +438,11 @@ class TestSolve:
 
     def test_landmark_pairs_built_once_per_solve(self, scene, monkeypatch):
         # the landmark Schur layout depends only on the camera factors, so a
-        # landmark-first solve builds it once, not once per trial
+        # solve whose band holds every landmark builds it once, not once per
+        # trial
         segs = support.scene_segments(scene, kf_per_segment=2, keep=[0, 2])
         prob = build_segment_problem(segs, scene.calibration, scene.noise)
-        assert not _keyframes_first(prob)
+        assert _band_span(prob) == _keyframe_band(prob)
         rng = np.random.default_rng(11)
         prob.keyframes = prob.keyframes.retract(rng.normal(scale=1e-3, size=(len(prob.keyframes), KF_DIM)))
         calls = []
@@ -537,9 +538,9 @@ def _weighted_cost(ev, step):
 class TestLevenbergMarquardtModel:
     def test_model_decrease_matches_weighted_linearization(self, scene):
         # the predicted decrease of the solved damped step, from the normal
-        # equations, against the weighted linear model built by hand, in both
-        # elimination orders; the gap between the two segments becomes a
-        # bias bridge
+        # equations, against the weighted linear model built by hand, at both
+        # ends of the band's half-bandwidth and between them; the gap between
+        # the two segments becomes a bias bridge
         segs = support.scene_segments(scene, kf_per_segment=2, keep=[0, 2])
         prob = build_segment_problem(segs, scene.calibration, scene.noise)
         assert len(prob.bridge_factors) == 1
@@ -549,8 +550,8 @@ class TestLevenbergMarquardtModel:
         cam, pairs, anchors = gauged_blocks(prob)
         ne = _normal_equations(prob, cam, pairs)
         for lam in (1e-4, 0.1, 10.0):
-            for keyframes_first in (True, False):
-                delta = _damped_step(ne, lam, anchors, _workspace(prob, keyframes_first))
+            for end in BAND_ENDS.values():
+                delta = _damped_step(ne, lam, anchors, _workspace(prob, end(prob)))
                 flat = np.concatenate([d.ravel() for d in delta])
                 expected = _weighted_cost(ev, np.zeros_like(flat)) - _weighted_cost(ev, flat)
                 assert abs(expected) > 1.0
@@ -620,16 +621,30 @@ def repeated_observations(sc):
     return prob
 
 
+# The band's half-bandwidth s: its two ends are named by the elimination
+# orders they make.  At the pair span the band holds the pair factors and
+# the landmarks that fit it, and the keyframes are eliminated from the
+# others; at _keyframe_band every landmark is eliminated into the band.
+# One below that, the landmarks of the widest span alone join the dense
+# block.
+BAND_ENDS = {
+    "landmarks_first": _keyframe_band,
+    "interior": lambda prob: _keyframe_band(prob) - 1,
+    "keyframes_first": _pair_span,
+}
+
+
 class TestDampedElimination:
-    # each order's step on the same state, whatever _keyframes_first picks;
-    # band is the widest landmark or pair-factor span
-    @pytest.mark.parametrize("keyframes_first", [False, True], ids=["landmarks_first", "keyframes_first"])
+    # every s from the pair span to band, the widest landmark or pair-factor
+    # span, on the same state, in two halves: from the pair span
+    # (keyframes_first), and up to band (landmarks_first)
+    @pytest.mark.parametrize("half", ["landmarks_first", "keyframes_first"])
     @pytest.mark.parametrize(
         "case, band",
         [("batch", 5), ("bridged", 4), ("corridor", 24), ("repeated", 5)],
         ids=["batch", "bridged", "corridor", "repeated"],
     )
-    def test_step_matches_dense_solution(self, scene, case, band, keyframes_first):
+    def test_step_matches_dense_solution(self, scene, case, band, half):
         build = {
             "batch": lambda: build_from_scene(scene),
             "bridged": bridged_partitions,
@@ -642,25 +657,31 @@ class TestDampedElimination:
         prob.landmarks = prob.landmarks + rng.normal(scale=1e-3, size=prob.landmarks.shape)
         prob.calibration = prob.calibration.retract(rng.normal(scale=1e-3, size=CALIB_DIM))
         assert _keyframe_band(prob) == band
-        # no two keyframe pairs share a band position, so the landmarks-first
-        # step writes their Schur blocks by one indexed subtraction
-        at = np.stack(_landmark_schur(prob)[3], axis=1)
-        assert len(np.unique(at, axis=0)) == len(at)
+        spans = range(_pair_span(prob), band + 1)
+        half_spans = {"keyframes_first": spans[: len(spans) // 2], "landmarks_first": spans[len(spans) // 2 :]}[half]
+        assert half_spans
         lam = 1e-3
         cam, pairs, anchors = gauged_blocks(prob)
-        got = _damped_step(_normal_equations(prob, cam, pairs), lam, anchors, _workspace(prob, keyframes_first))
+        ne = _normal_equations(prob, cam, pairs)
         ref = dense_damped_step(prob, lam)
-        for a, P, u in anchors:
-            # an anchor's yaw step is zero up to rounding (about 1e-11 here,
-            # in both), so the comparison projects it out
-            for d in (got[0], ref[0]):
-                assert abs(u @ d[a, :3]) < 1e-6 * np.linalg.norm(d[a, :3])
-                d[a, :3] = P @ d[a, :3]
-        for g, e in zip(got, ref):
-            assert np.linalg.norm(g - e) <= 1e-9 * np.linalg.norm(e)
+        for s in half_spans:
+            work = _workspace(prob, s)
+            # no two keyframe pairs share a band position, so the step writes
+            # the band landmarks' Schur blocks by one indexed subtraction
+            at = np.stack(work.pairs[3], axis=1)
+            assert len(np.unique(at, axis=0)) == len(at)
+            got = _damped_step(ne, lam, anchors, work)
+            for a, P, u in anchors:
+                # an anchor's yaw step is zero up to rounding (about 1e-11
+                # here, in both), so the comparison projects it out
+                for d in (got[0], ref[0]):
+                    assert abs(u @ d[a, :3]) < 1e-6 * np.linalg.norm(d[a, :3])
+                    d[a, :3] = P @ d[a, :3]
+            for g, e in zip(got, ref):
+                assert np.linalg.norm(g - e) <= 1e-9 * np.linalg.norm(e)
 
-    @pytest.mark.parametrize("keyframes_first", [False, True], ids=["landmarks_first", "keyframes_first"])
-    def test_step_without_camera_factors(self, scene, keyframes_first):
+    @pytest.mark.parametrize("end", ["landmarks_first", "keyframes_first"])
+    def test_step_without_camera_factors(self, scene, end):
         # no observation and no landmark: the camera calibration then has no
         # information, so it gets unit information, as from a prior
         prob = build_batch_problem(scene.keyframes, [], [], scene.imu_stream, scene.calibration, scene.noise)
@@ -668,18 +689,19 @@ class TestDampedElimination:
         cam, pairs, anchors = gauged_blocks(prob)
         ne = _normal_equations(prob, cam, pairs)
         ne.Htt[:11, :11] += np.eye(11)
-        got = _damped_step(ne, 1e-3, anchors, _workspace(prob, keyframes_first))
+        got = _damped_step(ne, 1e-3, anchors, _workspace(prob, BAND_ENDS[end](prob)))
         assert [d.shape for d in got] == [(len(prob.keyframes), KF_DIM), (0, 3), (CALIB_DIM,)]
         assert all(np.isfinite(d).all() for d in got)
         assert np.linalg.norm(got[0]) > 0.0
 
-    @pytest.mark.parametrize("keyframes_first", [False, True], ids=["landmarks_first", "keyframes_first"])
-    def test_reused_workspace_leaves_nothing_stale(self, keyframes_first):
+    @pytest.mark.parametrize("end", list(BAND_ENDS))
+    def test_reused_workspace_leaves_nothing_stale(self, end):
         # one workspace, poisoned with NaN, through steps at two dampings,
         # two failed factorisations (the band, then the dense Schur block)
         # and a second linearisation: each step is bitwise the step of a
         # fresh workspace; seven keyframes, so that the band's order is no
-        # multiple of its height
+        # multiple of its height, and landmarks of two spans, so that the
+        # interior s splits them between the band and the dense block
         sc = support.make_scene(seed=1, n_keyframes=7, n_landmarks=20)
         prob = _perturbed(build_from_scene(sc))
         cam, pairs, anchors = gauged_blocks(prob)
@@ -695,7 +717,9 @@ class TestDampedElimination:
             (ne, 1e-2, anchors),
             (ne2, 1e-3, anchors2),
         ]
-        work = _workspace(prob, keyframes_first)
+        s = BAND_ENDS[end](prob)
+        work = _workspace(prob, s)
+        assert (0 < work.dense.size < len(prob.landmarks)) == (end == "interior")
         for a in (work.band, work.C, work.S):
             a.fill(np.nan)
         for k, step in enumerate(steps):
@@ -704,7 +728,7 @@ class TestDampedElimination:
                     _damped_step(*step, work)
                 continue
             got = _damped_step(*step, work)
-            ref = _damped_step(*step, _workspace(prob, keyframes_first))
+            ref = _damped_step(*step, _workspace(prob, s))
             assert all(np.isfinite(g).all() and g.tobytes() == r.tobytes() for g, r in zip(got, ref))
 
 
@@ -750,8 +774,8 @@ class TestForwardSolve:
                 _forward_solve(cb, C.copy())
 
     def test_batch_session_band(self, monkeypatch):
-        # the band and right-hand side of a keyframes-first step of the
-        # benchmark's batch session, which takes the block sweep, copied
+        # the band and right-hand side of a step of the benchmark's batch
+        # session, at the pair span, which takes the block sweep, copied
         # before the step solves over them; and their leading n - 7 rows, n
         # then no multiple of m, with entries of L below the leading block
         # left in the band
@@ -759,7 +783,7 @@ class TestForwardSolve:
         cam, pairs, anchors = gauged_blocks(prob)
         seen = []
         monkeypatch.setattr(infocal.problem, "_forward_solve", lambda cb, C: seen.append((cb.copy(), C.copy())) or _forward_solve(cb, C))
-        _damped_step(_normal_equations(prob, cam, pairs), 1e-4, anchors, _workspace(prob, True))
+        _damped_step(_normal_equations(prob, cam, pairs), 1e-4, anchors, _workspace(prob, _band_span(prob)))
         ((cb, C),) = seen
         assert C.shape[1] > cb.shape[0] and cb.shape[1] % cb.shape[0] == 0
         ref = band_solve(cb, C.copy())
@@ -769,25 +793,26 @@ class TestForwardSolve:
             assert np.linalg.norm(got - ref[: len(got)]) <= 1e-12 * np.linalg.norm(ref[: len(got)])
 
     def test_batch_session_workspace_is_held_once(self):
-        # keyframes first on the benchmark's batch session: besides the band
-        # the workspace is one n x (3L + 27) right-hand side and one
-        # (3L + 26)^2 Schur complement, and a step allocates little beyond
-        # them (with a separate forward solve and dense block, it peaked at
-        # 2.2 times their bytes)
+        # the benchmark's batch session at the pair span: besides the band
+        # the workspace is one n x (3 L_dense + 27) right-hand side and one
+        # (3 L_dense + 26)^2 Schur complement, L_dense the landmarks that do
+        # not fit the band, and a step allocates little beyond them (with a
+        # separate forward solve and dense block, it peaked at 2.2 times
+        # their bytes)
         prob = workloads.WORKLOADS["batch_session"]().inputs(0)["build"]()
         cam, pairs, anchors = gauged_blocks(prob)
         ne = _normal_equations(prob, cam, pairs)
-        n, m = KF_DIM * len(prob.keyframes), 3 * len(prob.landmarks) + CALIB_DIM
         tracemalloc.start()
         try:
-            work = _workspace(prob, True)
+            work = _workspace(prob, _band_span(prob))
             _damped_step(ne, 1e-4, anchors, work)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * sum(a.nbytes for a in (work.band, work.C, work.S))
-        arrays = [a for a in work if isinstance(a, np.ndarray)]
-        assert [a.shape for a in arrays] == [(work.band.shape[0], n), (n, m + 1), (m, m)]
+        n, m = KF_DIM * len(prob.keyframes), 3 * work.dense.size + CALIB_DIM
+        assert 0 < work.dense.size < len(prob.landmarks)
+        assert [a.shape for a in (work.band, work.C, work.S)] == [(work.band.shape[0], n), (n, m + 1), (m, m)]
 
 
 class TestLandmarkPairs:
