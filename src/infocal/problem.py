@@ -82,7 +82,17 @@ calibration blocks stay a trial's own.  Each is held once: the forward
 solve writes Y over C, and S is -Y^T Y with the dense block's nonzeros
 added in place, so the dense block is never built.  On the benchmark's
 batch session the workspace is then 7.9 MB, where a separate Y and dense
-block, with every landmark dense, made it 16.3 MB.
+block, with every landmark dense, made it 16.3 MB.  The band landmarks'
+Schur terms, a 6x6 product per pair of one landmark's observations and a
+6x27 one per observation, are summed in blocks of whole runs (one
+keyframe pair's, or one keyframe's, products) that hold no more than C
+(_run_blocks), so a trial's temporaries stay below the workspace: on the
+benchmark's segment calibration, where every landmark is in the band,
+workspace and step peak at 1.6 times band, C and S, and at 3.0 with the
+products taken whole.  Around the trials a solve holds one iteration: a
+state's camera and pair blocks go once its normal equations are built,
+a rejected trial's blocks before the next trial, and the normal
+equations before the next iteration builds its own (solve).
 """
 
 from __future__ import annotations
@@ -486,10 +496,10 @@ def build_segment_problem(segments, calib_init, noise):
         listed = np.array([s.landmarks[lid] for lid in ids], dtype=float).reshape(len(ids), LM_DIM)
         if not (np.abs(listed) <= MAX_MAGNITUDE).all():
             raise ValueError(f"segment {s.id}: landmark coordinates must be finite and within {MAX_MAGNITUDE:g}")
-        new = [i for i, lid in enumerate(ids) if (p_idx, lid) not in lm_local]
-        for i in new:
-            lm_local[(p_idx, ids[i])] = len(landmark_ids)
-            landmark_ids.append(ids[i])
+        new = [j for j, lid in enumerate(ids) if (p_idx, lid) not in lm_local]
+        for j in new:
+            lm_local[(p_idx, ids[j])] = len(landmark_ids)
+            landmark_ids.append(ids[j])
         positions.append(listed[new])
         cols = np.array([lm_local[(p_idx, lid)] for lid in ids], dtype=int)
         rows = [(o.keyframe_id, o.landmark_id, o.uv, o.sigma) for o in s.observations]
@@ -837,11 +847,17 @@ class _Workspace(NamedTuple):
     lm, f and f_lm are the band landmarks, their camera factors and each of
     those factors' landmark among them; when every landmark is in the band,
     full slices and the factors' own landmarks, so that they index by views.
-    pairs is (a, b, first, at, lower): the band factors' pairs
-    (_landmark_pairs), the start of each keyframe pair's run of them, and
-    the positions and mask (_band_entries) of the runs' summed 6x6 blocks
-    in the band; each run is one keyframe pair, so no two entries share a
-    position.  dense is the other landmarks, and kl is (factors, run, at):
+    The band landmarks' two Schur terms are taken in blocks of whole runs
+    (_run_blocks), each block's product no larger than C, so that no run's
+    sum is split and every sum adds the same terms in the same order.
+    pairs holds (a, b, first, at, lower) per block of keyframe-pair runs:
+    its factor pairs (_landmark_pairs, among the band factors), where each
+    keyframe pair's run of them starts in the block, and the positions and
+    mask (_band_entries) of the runs' summed 6x6 blocks in the band; each
+    run is one keyframe pair, so no two entries share a position.  poses
+    holds (factors, first, k) per block of keyframe runs: a slice of the
+    band factors, where each keyframe's run starts in it, and the runs'
+    keyframes.  dense is the other landmarks, and kl is (factors, run, at):
     their camera factors, the start of each run of them on one keyframe
     and landmark, and the positions in C of the run's summed 6x3 H_kl
     block.  Then the damped band, the right-hand side C of
@@ -853,11 +869,26 @@ class _Workspace(NamedTuple):
     f: object
     f_lm: np.ndarray
     pairs: tuple
+    poses: tuple
     dense: np.ndarray
     kl: tuple
     band: np.ndarray
     C: np.ndarray
     S: np.ndarray
+
+
+def _run_blocks(first, n, size):
+    """The runs of n items that start at first, in blocks of whole runs of
+    at most size items each, a longer run alone in its block: per block,
+    the slice of its items, where its runs start in that slice, and the
+    slice of its runs."""
+    ends = np.append(first[1:], n)
+    blocks, r = [], 0
+    while r < first.size:
+        r1 = max(int(np.searchsorted(ends, first[r] + size, side="right")), r + 1)
+        blocks.append((slice(int(first[r]), int(ends[r1 - 1])), first[r:r1] - first[r], slice(r, r1)))
+        r = r1
+    return blocks
 
 
 def _workspace(problem, s):
@@ -872,18 +903,22 @@ def _workspace(problem, s):
     bl, f = (slice(None),) * 2 if in_band.all() else (np.flatnonzero(in_band), np.flatnonzero(in_band[lm]))
     fd = np.flatnonzero(~in_band[lm])
     (kb, lb), (kd, ld) = (kf[f], lm[f]), (kf[fd], lm[fd])
-    a, b = _landmark_pairs(kb, lb)
-    first = _run_starts(kb[a] * K + kb[b])
-    pose = [(kb[c[first]] * KF_DIM)[:, None] + np.arange(POSE_DIM) for c in (a, b)]
-    at, lower = _band_entries(*pose)
-    run = _run_starts(kd * L + ld)
-    rows = (kd[run] * KF_DIM)[:, None, None] + np.arange(POSE_DIM)[:, None]
-    cols = (local[ld[run]] * LM_DIM)[:, None, None] + np.arange(LM_DIM)
     n, m, height = K * KF_DIM, LM_DIM * int((~in_band).sum()) + CALIB_DIM, KF_DIM * (s + 1)
     # C in the order its forward solve overwrites: C for the block sweep's
     # GEMMs, Fortran for dtbtrs to solve it in place
     C = np.empty((n, m + 1), order="F" if m + 1 <= height else "C")
-    layout = (bl, f, local[lb], (a, b, first, at, lower), np.flatnonzero(~in_band), (fd, run, (rows, cols)))
+    a, b = _landmark_pairs(kb, lb)
+    first = _run_starts(kb[a] * K + kb[b])
+    pose = [(kb[c[first]] * KF_DIM)[:, None] + np.arange(POSE_DIM) for c in (a, b)]
+    blocks = _run_blocks(first, a.size, C.nbytes // (POSE_DIM * POSE_DIM * C.itemsize))
+    pairs = tuple((a[p], b[p], start, *_band_entries(pose[0][r], pose[1][r])) for p, start, r in blocks)
+    first = _run_starts(kb)
+    blocks = _run_blocks(first, kb.size, C.nbytes // (POSE_DIM * (CALIB_DIM + 1) * C.itemsize))
+    poses = tuple((p, start, kb[first[r]]) for p, start, r in blocks)
+    run = _run_starts(kd * L + ld)
+    rows = (kd[run] * KF_DIM)[:, None, None] + np.arange(POSE_DIM)[:, None]
+    cols = (local[ld[run]] * LM_DIM)[:, None, None] + np.arange(LM_DIM)
+    layout = (bl, f, local[lb], pairs, poses, np.flatnonzero(~in_band), (fd, run, (rows, cols)))
     return _Workspace(*layout, np.empty((height, n), order="F"), C, np.empty((m, m), order="F"))
 
 
@@ -1008,10 +1043,14 @@ def _eliminate(ne, work, Hll, Htt):
     and taken off work.band by one indexed subtraction; H_kl Hll^-1
     [H_l,theta g_l] comes off [H_k,theta g_k] and R = H_theta,l Hll^-1
     [H_l,theta g_l] off [Htt g_theta]; the landmark is back-substituted.
-    The dense landmarks and the calibration are the dense block of
-    _band_schur_solve, given as nonzeros: their Hll on the diagonal 3x3
-    blocks, H_l,theta^T below them, and Htt - R.  The right-hand side
-    [H_k,dense H_k,theta g_k] is written over work.C."""
+    Both band-landmark terms are summed in work's blocks of whole runs,
+    the 6x6 blocks per run of keyframe pairs (work.pairs) and the H_kl
+    Hll^-1 [H_l,theta g_l] blocks per run of keyframes (work.poses), each
+    block's product no larger than work.C; a problem whose products fit in
+    C takes one block of each.  The dense landmarks and the calibration
+    are the dense block of _band_schur_solve, given as nonzeros: their Hll
+    on the diagonal 3x3 blocks, H_l,theta^T below them, and Htt - R.  The
+    right-hand side [H_k,dense H_k,theta g_k] is written over work.C."""
     K = ne.gk.size // KF_DIM
     lm, f, f_lm = work.lm, work.f, work.f_lm
     Hll_inv = np.linalg.inv(Hll[lm])
@@ -1019,15 +1058,17 @@ def _eliminate(ne, work, Hll, Htt):
     Hlg = np.concatenate([Hlt, gl[..., None]], axis=-1)  # [H_l,theta g_l]
     R = _tmul(Hlt.reshape(-1, CALIB_DIM), (Hll_inv @ Hlg).reshape(-1, CALIB_DIM + 1))
     T = Hpl @ Hll_inv[f_lm]
-    a, b, first, at, lower = work.pairs
-    work.band[at] -= np.add.reduceat(T[a] @ Hpl[b].swapaxes(-1, -2), first, axis=0)[lower]
+    for a, b, first, at, lower in work.pairs:
+        work.band[at] -= np.add.reduceat(T[a] @ Hpl[b].swapaxes(-1, -2), first, axis=0)[lower]
     # [0 H_k,theta g_k] over every entry of C, where the last trial's
     # forward solve left its Y, then the band landmarks' terms and H_kl
     C = work.C
     C[:, : -CALIB_DIM - 1] = 0.0
     C[:, -CALIB_DIM - 1 : -1] = ne.Hkt
     C[:, -1] = ne.gk
-    C.reshape(K, KF_DIM, -1)[:, :POSE_DIM, -CALIB_DIM - 1 :] -= _keyframe_sums(kf, T @ Hlg[f_lm], K)
+    Ck = C.reshape(K, KF_DIM, -1)[:, :POSE_DIM, -CALIB_DIM - 1 :]
+    for p, first, k in work.poses:
+        Ck[k] -= np.add.reduceat(T[p] @ Hlg[f_lm[p]], first, axis=0)
     fd, run, at = work.kl
     C[at] = np.add.reduceat(ne.Hpl[fd], run, axis=0)
 
@@ -1107,13 +1148,19 @@ def solve(problem, options: SolveOptions = None):
     The band's half-bandwidth is picked once per solve (_band_span), and
     with it which landmarks are eliminated into the band.  The trials'
     large arrays live for the solve (_workspace), and each trial, a failed
-    one included, overwrites them.
+    one included, overwrites them.  Of the rest, one iteration is alive at
+    a time: once the normal equations of a linearisation are built, only
+    they, its anchors and its count of behind-camera observations are
+    kept, not its camera and pair blocks (nor their Huber copy); a
+    rejected trial's blocks go before the next trial, and the normal
+    equations before the next iteration builds its own.
     """
     options = options or SolveOptions()
     blocks = gauged_blocks(problem)
     cost = _cost(blocks, options.huber)
     if not np.isfinite(cost):
         raise ValueError("non-finite cost at the initial estimate")
+    dropped = int((~blocks[0][4]).sum())
     history = [cost]
     lam = _LAMBDA_INIT
     n_iters = 0
@@ -1125,10 +1172,13 @@ def solve(problem, options: SolveOptions = None):
     work = _workspace(problem, _band_span(problem))
     while not converged and n_iters < options.max_iters:
         n_iters += 1
+        # the trials need only ne and the anchors of this linearisation
         cam, pairs, anchors = blocks
+        blocks = None
         if options.huber:
             cam = _huberize(cam)
         ne = _normal_equations(problem, cam, pairs)
+        cam = pairs = None
 
         nu = 2.0
         while lam <= _MAX_LAMBDA:
@@ -1141,10 +1191,11 @@ def solve(problem, options: SolveOptions = None):
             if trial is not None:
                 saved = problem.keyframes, problem.landmarks, problem.calibration
                 problem.keyframes, problem.landmarks, problem.calibration = trial
-                trial_blocks = gauged_blocks(problem)
-                new_cost = _cost(trial_blocks, options.huber)
+                blocks = gauged_blocks(problem)
+                new_cost = _cost(blocks, options.huber)
                 if np.isfinite(new_cost) and new_cost < cost:
                     break
+                blocks = None
                 problem.keyframes, problem.landmarks, problem.calibration = saved
             lam *= nu
             nu *= 2.0
@@ -1154,10 +1205,11 @@ def solve(problem, options: SolveOptions = None):
             break
 
         pred = _predicted_decrease(ne, lam, delta)
+        ne = None
         ratio = (cost - new_cost) / pred if pred > 0 else 1.0
         rel = (cost - new_cost) / max(cost, 1e-300)
         cost = new_cost
-        blocks = trial_blocks
+        dropped = int((~blocks[0][4]).sum())
         history.append(cost)
         # grows the damping when the quadratic model overpromises, shrinks
         # it when the prediction holds
@@ -1175,6 +1227,6 @@ def solve(problem, options: SolveOptions = None):
         final_cost=cost,
         converged=converged,
         reason=reason,
-        dropped_observations=int((~blocks[0][4]).sum()),
+        dropped_observations=dropped,
         cost_history=history,
     )

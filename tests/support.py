@@ -11,11 +11,13 @@ decrease, damped step and dense covariance tests compare against.  The remaining
 helpers (quat_rotate, quat_local, apply, identity_quat, identity_transform,
 invert, nominal_imu, delta_rotation, inertial_error) are conveniences only
 tests use; spy_damped_steps and uphill force failed Levenberg-Marquardt
-trials.  traced_table reads the benchmark's TRACED table.
+trials.  traced_table reads the benchmark's TRACED table, and traced_peak
+measures what a call allocates.
 """
 
 import ast
 import math
+import tracemalloc
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -74,6 +76,16 @@ def traced_table():
         module = ".".join(filter(None, (aliases.get(head, head), rest)))
         table.append((module, ast.literal_eval(entry.elts[1])))
     return table
+
+
+def traced_peak(fn):
+    """(fn(), the tracemalloc peak in bytes while it ran): the most that
+    fn held at once of what it allocated, its result included."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def assert_same_preintegration(got, ref):

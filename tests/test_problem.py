@@ -13,7 +13,7 @@ state.
 
 import math
 import sys
-import tracemalloc
+import weakref
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -48,6 +48,7 @@ from infocal.problem import (
     _pair_span,
     _predicted_decrease,
     _retract_problem,
+    _run_blocks,
     _slice_imu_stream,
     _workspace,
     anchor_projectors,
@@ -451,6 +452,64 @@ class TestSolve:
         assert report.iterations == 5 and len(report.cost_history) == 6
         assert calls == [len(prob.camera_factors)]
 
+    @pytest.mark.parametrize(
+        "rejected, huber", [(False, False), (True, False), (False, True)], ids=["accepted", "rejected", "huber"]
+    )
+    def test_solve_keeps_one_iteration_alive(self, scene, monkeypatch, rejected, huber):
+        # each iteration's normal equations are gone before the next are
+        # built, and no camera or pair array of an earlier linearisation (or
+        # of its Huber copy) is alive when a trial is linearised; only the
+        # anchors, which the trials use, outlive their normal equations
+        prob = _perturbed(build_from_scene(scene))
+        normal, linear = [], []
+
+        def watch(refs, arrays):
+            refs.extend(weakref.ref(a) for a in arrays)
+
+        def normal_equations(problem, cam, pairs):
+            assert all(r() is None for r in normal)
+            ne = _normal_equations(problem, cam, pairs)
+            normal.append(weakref.ref(ne))
+            return ne
+
+        def blocks(problem):
+            assert all(r() is None for r in linear)
+            cam, pairs, anchors = gauged_blocks(problem)
+            watch(linear, (*cam, *pairs))
+            return cam, pairs, anchors
+
+        def huberized(cam, huberize=infocal.problem._huberize):
+            cam = huberize(cam)
+            watch(linear, cam)
+            return cam
+
+        monkeypatch.setattr(infocal.problem, "_normal_equations", normal_equations)
+        monkeypatch.setattr(infocal.problem, "gauged_blocks", blocks)
+        monkeypatch.setattr(infocal.problem, "_huberize", huberized)
+        if rejected:
+            support.spy_damped_steps(monkeypatch, lambda call, ne, step: support.uphill(step) if call == 0 else step)
+        prob, report = solve(prob, SolveOptions(max_iters=3, huber=huber))
+        assert report.iterations == 3 and len(report.cost_history) == 4
+        assert len(normal) == 3 and len(linear) == 11 * (4 + rejected) + 5 * 3 * huber
+
+    @pytest.mark.parametrize("uphill", [False, True], ids=["max_iters", "no_step"])
+    def test_dropped_observations_at_the_returned_estimate(self, scene, monkeypatch, uphill):
+        # one landmark far behind every camera: its observations stay
+        # dropped, on either exit of the solve
+        prob = _perturbed(build_from_scene(scene))
+        prob.landmarks = np.vstack([[0.0, 0.0, -50.0], prob.landmarks[1:]])
+        behind = int(np.sum(prob.camera_factors["lm"] == 0))
+        assert behind > 0
+        if uphill:
+            support.spy_damped_steps(monkeypatch, lambda call, ne, step: support.uphill(step))
+        prob, report = solve(prob, SolveOptions(max_iters=2))
+        if uphill:
+            assert report.reason == "no cost-decreasing step within the damping limit"
+            assert len(report.cost_history) == 1
+        else:
+            assert report.reason == "max_iters" and len(report.cost_history) == 3
+        assert report.dropped_observations == evaluate_residuals(prob).dropped == behind
+
     def test_steps_without_camera_information(self, scene):
         # no observation: the camera calibration has no information, and its
         # damped diagonal is zero until floored; the keyframes and the IMU
@@ -667,8 +726,9 @@ class TestDampedElimination:
         for s in half_spans:
             work = _workspace(prob, s)
             # no two keyframe pairs share a band position, so the step writes
-            # the band landmarks' Schur blocks by one indexed subtraction
-            at = np.stack(work.pairs[3], axis=1)
+            # the band landmarks' Schur blocks by one indexed subtraction per
+            # block of runs
+            at = np.concatenate([np.zeros((0, 2), int)] + [np.stack(block[3], axis=1) for block in work.pairs])
             assert len(np.unique(at, axis=0)) == len(at)
             got = _damped_step(ne, lam, anchors, work)
             for a, P, u in anchors:
@@ -800,19 +860,86 @@ class TestForwardSolve:
         # separate forward solve and dense block, it peaked at 2.2 times
         # their bytes)
         prob = workloads.WORKLOADS["batch_session"]().inputs(0)["build"]()
-        cam, pairs, anchors = gauged_blocks(prob)
-        ne = _normal_equations(prob, cam, pairs)
-        tracemalloc.start()
-        try:
-            work = _workspace(prob, _band_span(prob))
-            _damped_step(ne, 1e-4, anchors, work)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        work, peak = workspace_and_step(prob)
         assert peak < 1.5 * sum(a.nbytes for a in (work.band, work.C, work.S))
         n, m = KF_DIM * len(prob.keyframes), 3 * work.dense.size + CALIB_DIM
         assert 0 < work.dense.size < len(prob.landmarks)
         assert [a.shape for a in (work.band, work.C, work.S)] == [(work.band.shape[0], n), (n, m + 1), (m, m)]
+        # its few band landmarks' Schur terms fit one block
+        assert len(work.pairs) == len(work.poses) == 1
+
+    def test_segment_calib_step_is_held_to_its_workspace(self, segment_calib):
+        # the benchmark's segment calibration, every landmark in the band:
+        # the band landmarks' Schur terms, taken in blocks of whole runs
+        # whose products are no larger than C, add little to the workspace
+        # (taken whole, their temporaries peaked at 3.0 times its bytes)
+        prob = segment_calib()
+        assert _band_span(prob) == _keyframe_band(prob)
+        work, peak = workspace_and_step(prob)
+        assert peak < 2.0 * sum(a.nbytes for a in (work.band, work.C, work.S))
+        assert work.dense.size == 0 and len(work.pairs) > 1 and len(work.poses) > 1
+
+    def test_blocks_add_what_one_block_adds(self, segment_calib, monkeypatch):
+        # no run is split between blocks, so the segment calibration's step
+        # is bitwise the step of one block of every run
+        prob = segment_calib()
+        cam, pairs, anchors = gauged_blocks(prob)
+        ne = _normal_equations(prob, cam, pairs)
+        s = _band_span(prob)
+        work = _workspace(prob, s)
+        assert len(work.pairs) > 1 and len(work.poses) > 1
+        got = _damped_step(ne, 1e-4, anchors, work)
+        monkeypatch.setattr(infocal.problem, "_run_blocks", lambda first, n, size: _run_blocks(first, n, n))
+        one = _workspace(prob, s)
+        assert len(one.pairs) == len(one.poses) == 1
+        ref = _damped_step(ne, 1e-4, anchors, one)
+        assert all(g.tobytes() == r.tobytes() for g, r in zip(got, ref))
+
+
+@pytest.fixture(scope="module")
+def segment_calib():
+    """The builder of the benchmark's segment calibration at seed 0."""
+    return workloads.WORKLOADS["segment_calib"]().inputs(0)["build"]
+
+
+def workspace_and_step(prob):
+    """The workspace of prob's band span, after one damped step, and the
+    tracemalloc peak of building it and taking the step."""
+    cam, pairs, anchors = gauged_blocks(prob)
+    ne = _normal_equations(prob, cam, pairs)
+    del cam, pairs
+
+    def step():
+        work = _workspace(prob, _band_span(prob))
+        _damped_step(ne, 1e-4, anchors, work)
+        return work
+
+    return support.traced_peak(step)
+
+
+class TestRunBlocks:
+    # runs of 3, 1, 4, 1 and 5 items
+    FIRST = np.array([0, 3, 4, 8, 9])
+
+    def test_blocks_hold_whole_runs(self):
+        # at most 4 items a block, the run of 5 alone in its own
+        blocks = [(p, start.tolist(), r) for p, start, r in _run_blocks(self.FIRST, 14, 4)]
+        assert blocks == [
+            (slice(0, 4), [0, 3], slice(0, 2)),
+            (slice(4, 8), [0], slice(2, 3)),
+            (slice(8, 9), [0], slice(3, 4)),
+            (slice(9, 14), [0], slice(4, 5)),
+        ]
+
+    @pytest.mark.parametrize("size, runs", [(0, [1, 1, 1, 1, 1]), (5, [2, 2, 1]), (14, [5])])
+    def test_blocks_cover_every_run_in_order(self, size, runs):
+        blocks = _run_blocks(self.FIRST, 14, size)
+        assert [r.stop - r.start for _, _, r in blocks] == runs
+        assert np.concatenate([p.start + start for p, start, _ in blocks]).tolist() == self.FIRST.tolist()
+        assert [p.stop for p, _, _ in blocks][-1] == 14
+
+    def test_no_runs(self):
+        assert _run_blocks(np.zeros(0, dtype=int), 0, 4) == []
 
 
 class TestLandmarkPairs:
