@@ -11,8 +11,9 @@ decrease, damped step and dense covariance tests compare against.  The remaining
 helpers (quat_rotate, quat_local, apply, identity_quat, identity_transform,
 invert, nominal_imu, delta_rotation, inertial_error) are conveniences only
 tests use; spy_damped_steps and uphill force failed Levenberg-Marquardt
-trials.  traced_table reads the benchmark's TRACED table, and traced_peak
-measures what a call allocates.
+trials.  split_sessions builds a problem whose keyframe band the solver
+cuts into chains.  traced_table reads the benchmark's TRACED table, and
+traced_peak measures what a call allocates.
 """
 
 import ast
@@ -50,6 +51,7 @@ from infocal.problem import (
     Landmark,
     Segment,
     bridge_blocks,
+    build_segment_problem,
     camera_blocks,
     refresh_preintegrations,
 )
@@ -295,6 +297,19 @@ def keep_landmarks(segment, ids):
     landmarks it then no longer observes."""
     segment.observations = [o for o in segment.observations if o.landmark_id in ids]
     segment.landmarks = {o.landmark_id: segment.landmarks[o.landmark_id] for o in segment.observations}
+
+
+def split_sessions():
+    """A problem whose keyframe band the solver cuts into four chains of
+    three keyframes: session s0 keeps segments 0, 2 and 4 of a 15-keyframe
+    scene, so bias bridges cross its two gaps, and session s1 keeps segment
+    1, so nothing crosses between the sessions.  Each segment sees its own
+    20 of the 80 landmarks, some from only one or two of its keyframes."""
+    sc = make_scene(seed=4, n_keyframes=15, n_landmarks=80, obs_fraction=0.8)
+    segs = scene_segments(sc, 3, keep=[0, 2, 4]) + scene_segments(sc, 3, keep=[1], session_id="s1")
+    for i, seg in enumerate(segs):
+        keep_landmarks(seg, range(20 * i, 20 * i + 20))
+    return build_segment_problem(segs, sc.calibration, sc.noise)
 
 
 def spy_damped_steps(monkeypatch, alter):

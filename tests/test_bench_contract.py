@@ -10,7 +10,8 @@ imported: run.py pins BLAS environment variables when it is imported.  bench/wor
 imported to run its problem_shape and cost_per_dof, which read the fields
 of built problems, on problems from both builders, to run each workload's
 timed path once, and to check that its two LM workloads fall on opposite
-sides of the solver's elimination-order and forward-solve rules.  The
+sides of the solver's elimination-order and forward-solve rules and of
+its split of the keyframe band into chains.  The
 solver's stop reason when no damping lowers the cost starts with the
 prefix workloads.NO_STEP, the one solver string the benchmark parses.
 """
@@ -176,21 +177,32 @@ def test_timed_path_runs(name):
     assert not outcome.details.get("checks_failed")
 
 
+# the keyframe bounds of each LM workload's band chains at seed 0: the
+# batch session is one chain, and the segment calibration is cut at the
+# gaps between its four partitions of two adjacent segments, where only
+# bias bridges cross
+CHAINS = {"batch_session": [0, 100], "segment_calib": [0, 20, 40, 60, 80]}
+
+
 @pytest.mark.parametrize("name, pair_span", [("batch_session", True), ("segment_calib", False)])
 def test_lm_workloads_straddle_the_elimination_order(name, pair_span, monkeypatch):
     # one LM workload on each side of the band's size rule, so both ends
-    # stay measured; and so of the forward-solve rule.  At the pair span
-    # some landmarks fit the band and the right-hand side is wider than it
-    # (the block sweep); at the widest landmark span every landmark is in
-    # the band and the right-hand side is 27 columns (dtbtrs)
+    # stay measured; and so of the forward-solve rule, and of the band's
+    # split into chains.  At the pair span some landmarks fit the band and
+    # the right-hand side is wider than it (the block sweep); at the widest
+    # landmark span every landmark is in the band and the right-hand side is
+    # 27 columns (dtbtrs), solved one chain at a time
     problem = workloads.WORKLOADS[name]().inputs(0)["build"]()
     s = _band_span(problem)
-    dense = _workspace(problem, s).dense.size
+    work = _workspace(problem, s)
+    dense = work.dense.size
     if pair_span:
         assert s == _pair_span(problem) < _keyframe_band(problem)
         assert 0 < dense < len(problem.landmarks)
     else:
         assert s == _keyframe_band(problem) and dense == 0
+    assert work.chains.tolist() == CHAINS[name]
+    chains = len(CHAINS[name]) - 1
     shapes, forward = [], infocal.problem._forward_solve
 
     def spy(cb, C):
@@ -198,8 +210,10 @@ def test_lm_workloads_straddle_the_elimination_order(name, pair_span, monkeypatc
         return forward(cb, C)
 
     monkeypatch.setattr(infocal.problem, "_forward_solve", spy)
-    solve(problem, SolveOptions(max_iters=1))
-    assert shapes
+    _, report = solve(problem, SolveOptions(max_iters=1))
+    assert (report.band_span, report.band_landmarks, report.chains) == (s, len(problem.landmarks) - dense, chains)
+    # one call per chain and trial
+    assert shapes and len(shapes) % chains == 0
     assert all((width > height) == pair_span for width, height in shapes)
     assert pair_span or all(width == CALIB_DIM + 1 for width, _ in shapes)
 

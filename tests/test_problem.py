@@ -171,6 +171,14 @@ class TestBuildBatch:
             samples = stream[a:b]
             assert len(samples) == len(ref) and all(x is y for x, y in zip(samples, ref))
 
+    @pytest.mark.parametrize("t0", [10.0, 1.7e9])
+    def test_imu_slices_keep_end_samples_at_epoch_times(self, t0):
+        # interval ends one ULP inside the first and the last sample keep
+        # both: at 1.7e9 s one ULP is 2.4e-7 s, and t - 1e-9 is t
+        ts = t0 + 0.01 * np.arange(11)
+        lo, hi = _slice_imu_stream(ts, [np.nextafter(ts[0], np.inf)], [np.nextafter(ts[-1], -np.inf)])
+        assert (lo.tolist(), hi.tolist()) == ([0], [11])
+
     def test_mixed_interval_sample_counts(self, scene):
         # without keyframe 3 the interval 2-4 holds twice the samples of the
         # others, so refresh preintegrates two sample-count groups
@@ -401,6 +409,15 @@ class TestSolve:
         # the counters count: a record's retraction restacks and rebuilds it
         scene.keyframes[0].retract(np.zeros(KF_DIM))
         assert calls == [imu.StateStack, KeyframeState]
+
+    def test_report_names_the_elimination(self, scene):
+        # the band's half-bandwidth, its landmarks and its chains: the batch
+        # scene at the pair span, its 20 landmarks all dense, in one chain;
+        # the split scene with its 58 landmarks in the band, in four
+        for prob, layout in ((build_from_scene(scene), (1, 0, 1)), (support.split_sessions(), (2, 58, 4))):
+            _, report = solve(_perturbed(prob), SolveOptions(max_iters=1))
+            assert report.iterations == 1
+            assert (report.band_span, report.band_landmarks, report.chains) == layout
 
     @pytest.mark.parametrize(
         "field, value", [("max_iters", 2.5), ("max_iters", -1), ("tol", math.nan), ("tol", math.inf), ("tol", -1e-9)]
@@ -693,15 +710,29 @@ BAND_ENDS = {
 }
 
 
+# The keyframe bounds of the band's chains at half-bandwidth s.  The
+# bridged scene's shared landmarks cross its gaps once they are in the band
+# (s = 4), and below that only bias bridges do; the split scene's landmarks
+# never cross between its segments, so it is cut at every gap.
+CHAINS = {
+    "batch": lambda s: [0, 6],
+    "bridged": lambda s: [0, 6] if s == 4 else [0, 2, 4, 6],
+    "corridor": lambda s: [0, 50],
+    "repeated": lambda s: [0, 6],
+    "split": lambda s: [0, 3, 6, 9, 12],
+}
+
+
 class TestDampedElimination:
     # every s from the pair span to band, the widest landmark or pair-factor
     # span, on the same state, in two halves: from the pair span
-    # (keyframes_first), and up to band (landmarks_first)
+    # (keyframes_first), and up to band (landmarks_first); the split scene's
+    # chains take the block sweep at the pair span and dtbtrs at band
     @pytest.mark.parametrize("half", ["landmarks_first", "keyframes_first"])
     @pytest.mark.parametrize(
         "case, band",
-        [("batch", 5), ("bridged", 4), ("corridor", 24), ("repeated", 5)],
-        ids=["batch", "bridged", "corridor", "repeated"],
+        [("batch", 5), ("bridged", 4), ("corridor", 24), ("repeated", 5), ("split", 2)],
+        ids=["batch", "bridged", "corridor", "repeated", "split"],
     )
     def test_step_matches_dense_solution(self, scene, case, band, half):
         build = {
@@ -709,6 +740,7 @@ class TestDampedElimination:
             "bridged": bridged_partitions,
             "corridor": corridor_batch,
             "repeated": lambda: repeated_observations(scene),
+            "split": support.split_sessions,
         }
         prob = build[case]()
         rng = np.random.default_rng(18)
@@ -725,6 +757,7 @@ class TestDampedElimination:
         ref = dense_damped_step(prob, lam)
         for s in half_spans:
             work = _workspace(prob, s)
+            assert work.chains.tolist() == CHAINS[case](s)
             # no two keyframe pairs share a band position, so the step writes
             # the band landmarks' Schur blocks by one indexed subtraction per
             # block of runs
@@ -754,42 +787,69 @@ class TestDampedElimination:
         assert all(np.isfinite(d).all() for d in got)
         assert np.linalg.norm(got[0]) > 0.0
 
+    def test_band_one_keyframe_high(self, scene):
+        # one-keyframe segments of two sessions, each with its own landmarks:
+        # no pair factor and no landmark span, so s = 0 and the band is one
+        # keyframe high, cut between them with no coupling to carry; the
+        # step is the step of the band factored as one chain
+        segs = support.scene_segments(scene, 1, keep=[0]) + support.scene_segments(scene, 1, keep=[3], session_id="s1")
+        for seg, ids in zip(segs, (range(10), range(10, 20))):
+            support.keep_landmarks(seg, ids)
+        prob = _perturbed(build_segment_problem(segs, scene.calibration, scene.noise))
+        assert _band_span(prob) == 0
+        cam, pairs, anchors = gauged_blocks(prob)
+        ne = _normal_equations(prob, cam, pairs)
+        work = _workspace(prob, 0)
+        assert work.band.shape[0] == KF_DIM and work.chains.tolist() == [0, 1, 2]
+        got = _damped_step(ne, 1e-3, anchors, work)
+        ref = _damped_step(ne, 1e-3, anchors, _workspace(prob, 0)._replace(chains=np.array([0, 2])))
+        for g, r in zip(got, ref):
+            assert np.isfinite(g).all() and np.linalg.norm(g - r) <= 1e-12 * np.linalg.norm(r)
+
     @pytest.mark.parametrize("end", list(BAND_ENDS))
     def test_reused_workspace_leaves_nothing_stale(self, end):
         # one workspace, poisoned with NaN, through steps at two dampings,
-        # two failed factorisations (the band, then the dense Schur block)
-        # and a second linearisation: each step is bitwise the step of a
-        # fresh workspace; seven keyframes, so that the band's order is no
-        # multiple of its height, and landmarks of two spans, so that the
-        # interior s splits them between the band and the dense block
+        # two failed factorisations (the band's last chain, then the dense
+        # Schur block) and a second linearisation: each step is bitwise the
+        # step of a fresh workspace.  Two scenes: seven keyframes in one
+        # chain, so that the band's order is no multiple of its height, with
+        # landmarks of two spans, so that the interior s splits them between
+        # the band and the dense block; and the split scene's four chains,
+        # whose last fails after the others are factored
         sc = support.make_scene(seed=1, n_keyframes=7, n_landmarks=20)
-        prob = _perturbed(build_from_scene(sc))
-        cam, pairs, anchors = gauged_blocks(prob)
-        ne = _normal_equations(prob, cam, pairs)
-        moved = _perturbed(build_from_scene(sc))
-        moved.landmarks = moved.landmarks + 1e-3
-        cam, pairs, anchors2 = gauged_blocks(moved)
-        ne2 = _normal_equations(moved, cam, pairs)
-        steps = [
-            (ne, 1e-3, anchors),
-            (replace(ne, band=-ne.band), 1e-3, anchors),
-            (replace(ne, Htt=-ne.Htt), 1e-3, anchors),
-            (ne, 1e-2, anchors),
-            (ne2, 1e-3, anchors2),
-        ]
-        s = BAND_ENDS[end](prob)
-        work = _workspace(prob, s)
-        assert (0 < work.dense.size < len(prob.landmarks)) == (end == "interior")
-        for a in (work.band, work.C, work.S):
-            a.fill(np.nan)
-        for k, step in enumerate(steps):
-            if k in (1, 2):
-                with pytest.raises(np.linalg.LinAlgError):
-                    _damped_step(*step, work)
-                continue
-            got = _damped_step(*step, work)
-            ref = _damped_step(*step, _workspace(prob, s))
-            assert all(np.isfinite(g).all() and g.tobytes() == r.tobytes() for g, r in zip(got, ref))
+        for build, chains in ((lambda: build_from_scene(sc), 1), (support.split_sessions, 4)):
+            prob = _perturbed(build())
+            cam, pairs, anchors = gauged_blocks(prob)
+            ne = _normal_equations(prob, cam, pairs)
+            moved = _perturbed(build())
+            moved.landmarks = moved.landmarks + 1e-3
+            cam, pairs, anchors2 = gauged_blocks(moved)
+            ne2 = _normal_equations(moved, cam, pairs)
+            s = BAND_ENDS[end](prob)
+            work = _workspace(prob, s)
+            assert len(work.chains) - 1 == chains
+            if chains == 1:
+                assert (0 < work.dense.size < len(prob.landmarks)) == (end == "interior")
+            # the last chain's columns negated
+            bad = ne.band.copy()
+            bad[:, KF_DIM * work.chains[-2] :] *= -1.0
+            steps = [
+                (ne, 1e-3, anchors),
+                (replace(ne, band=bad), 1e-3, anchors),
+                (replace(ne, Htt=-ne.Htt), 1e-3, anchors),
+                (ne, 1e-2, anchors),
+                (ne2, 1e-3, anchors2),
+            ]
+            for a in (work.band, work.C, work.S):
+                a.fill(np.nan)
+            for k, step in enumerate(steps):
+                if k in (1, 2):
+                    with pytest.raises(np.linalg.LinAlgError, match="dpbtrf" if k == 1 else None):
+                        _damped_step(*step, work)
+                    continue
+                got = _damped_step(*step, work)
+                ref = _damped_step(*step, _workspace(prob, s))
+                assert all(np.isfinite(g).all() and g.tobytes() == r.tobytes() for g, r in zip(got, ref))
 
 
 def random_band(rng, n, m):
@@ -822,16 +882,19 @@ class TestForwardSolve:
         got = _block_forward_solve(cb, Y)
         assert np.shares_memory(got, Y) and np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
         # _forward_solve sweeps exactly when C is wider than the band, and
-        # else solves in place a Fortran-ordered C, as _workspace allocates it
+        # else solves with dtbtrs a Fortran-ordered C, as _workspace
+        # allocates it; also one chain's rows of such a C, which dtbtrs
+        # solves as a copy, written back over those rows alone
         swept = []
         monkeypatch.setattr(infocal.problem, "_block_forward_solve", lambda cb, C: swept.append(C) or _block_forward_solve(cb, C))
         Y = np.array(C, order="F" if width <= m else "C")
         got = _forward_solve(cb, Y)
         assert np.shares_memory(got, Y) and np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
         assert len(swept) == (width > m)
-        if width <= m:  # dtbtrs would solve a copy of a C-ordered C
-            with pytest.raises(ValueError, match="Fortran-ordered"):
-                _forward_solve(cb, C.copy())
+        whole = np.array(np.vstack([C, C, C]), order="F" if width <= m else "C")
+        got = _forward_solve(cb, whole[n : 2 * n])
+        assert np.shares_memory(got, whole) and np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert whole[:n].tobytes() == whole[2 * n :].tobytes() == C.tobytes()
 
     def test_batch_session_band(self, monkeypatch):
         # the band and right-hand side of a step of the benchmark's batch
